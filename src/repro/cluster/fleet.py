@@ -170,7 +170,7 @@ class FleetMachine:
     def receive(self, request):
         """A steered request arrives off the rack wire."""
         fleet = self.fleet
-        fleet.spans.xnet_end(request)
+        fleet.probe.xnet_end(request)
         if not self.alive:
             # Arrived at a corpse.  Before failover detection the switch
             # doesn't know yet: strand the request with the other
@@ -197,12 +197,12 @@ class FleetMachine:
                 fleet.drop(request, "overflow")
                 return
             self._fifo.append(request)
-        fleet.spans.machine_enqueued(request, self.index, depth)
+        fleet.probe.machine_enqueued(request, self.index, depth)
 
     def _begin_service(self, request):
         fleet = self.fleet
         self.busy += 1
-        fleet.spans.fleet_service_begin(request, self.index)
+        fleet.probe.fleet_service_begin(request, self.index)
         event = fleet.engine.schedule(
             request.service_us, self._complete_service, request
         )
@@ -213,7 +213,7 @@ class FleetMachine:
         self._service_events.pop(request.rid, None)
         self.busy -= 1
         self.served += 1
-        fleet.spans.fleet_service_end(request)
+        fleet.probe.fleet_service_end(request)
         self._dispatch_next()
         if self.link_up:
             fleet.send_response(self.index, request)
@@ -533,7 +533,9 @@ class Fleet:
         self.obs = Observability(
             clock=lambda: self.engine.now, enabled=metrics, spans=spans,
         )
-        self.spans = self.obs.spans
+        # Instrumentation seam (repro.obs.probe); machines reach it
+        # through their fleet.
+        self.probe = self.obs.probe
         if timeseries and metrics:
             interval = (DEFAULT_INTERVAL_US if timeseries is True
                         else float(timeseries))
@@ -607,8 +609,6 @@ class Fleet:
                 self.steering_name = steering  # the registry key, not .name
             else:
                 self.install_steering(steering)
-
-        self.profiler = None  # set by repro.obs.profile.attach
 
     # ------------------------------------------------------------------
     @property
@@ -702,7 +702,7 @@ class Fleet:
             # life (per-tenant counters, blame views).  No owned rule →
             # tenant stays None and no per-tenant state is ever touched.
             request.tenant = self.switch.owner_for(request)
-        self.spans.switch_arrival(request)
+        self.probe.switch_arrival(request)
         self.outstanding += 1
         self._steer(request, resteer=False)
 
@@ -710,7 +710,7 @@ class Fleet:
         """Failover: re-run steering for an orphaned request."""
         self.switch.resteers += 1
         self.obs.registry.counter("fleet", "switch", "resteers").inc()
-        self.spans.machine_requeued(request)
+        self.probe.machine_requeued(request)
         self._steer(request, resteer=True)
 
     def _steer(self, request, resteer):
@@ -724,10 +724,9 @@ class Fleet:
         self.switch.forwarded[index] += 1
         self.obs.registry.counter("fleet", "switch", "forwarded").inc()
         policy = self.switch.policy_for(request)
-        self.spans.switch_steer(request, index,
-                                getattr(policy, "name", "custom"),
-                                resteer=resteer)
-        self.spans.xnet_begin(request, "request", index)
+        self.probe.switch_steer(request, index,
+                                getattr(policy, "name", "custom"), resteer)
+        self.probe.xnet_begin(request, "request", index)
         self.engine.schedule(
             self.forward_us + self.wire_us,
             self.machines[index].receive, request,
@@ -735,12 +734,12 @@ class Fleet:
 
     def send_response(self, index, request):
         """A machine's response crosses the rack wire back to the client."""
-        self.spans.xnet_begin(request, "response", index)
+        self.probe.xnet_begin(request, "response", index)
         self.engine.schedule(self.wire_us, self._complete, request)
 
     def _complete(self, request):
-        self.spans.xnet_end(request)
-        self.spans.fleet_complete(request)
+        self.probe.xnet_end(request)
+        self.probe.fleet_complete(request)
         now = self.engine.now
         request.completed_at = now
         self.latency.record(now, now - request.sent_at,
@@ -763,7 +762,7 @@ class Fleet:
             ).inc()
 
     def drop(self, request, reason):
-        self.spans.fleet_drop(request, reason)
+        self.probe.fleet_drop(request, reason)
         self.outstanding -= 1
         self.dropped += 1
         self.obs.registry.counter("fleet", "fleet", "dropped").inc()

@@ -40,6 +40,7 @@ from repro.constants import DROP, PASS
 from repro.ebpf.errors import VmFault
 from repro.ebpf.maps import ProgArrayMap
 from repro.obs import DISABLED
+from repro.obs.probe import NULL_PROBE
 
 __all__ = ["Hook", "HookSite"]
 
@@ -91,10 +92,14 @@ class _Attachment:
 class HookSite:
     """One hook point's dispatcher (root matcher + PROG_ARRAY)."""
 
-    def __init__(self, hook, costs, max_programs=64, obs=None):
+    def __init__(self, hook, costs, max_programs=64, obs=None,
+                 probe=NULL_PROBE):
         self.hook = hook
         self.costs = costs
         self.obs = obs if obs is not None else DISABLED
+        # Instrumentation seam (repro.obs.probe): one ``decision`` per
+        # policy invocation, ``policy_exec`` per charged execution cost.
+        self.probe = probe
         self.prog_array = ProgArrayMap(f"{hook}:prog_array", max_programs)
         self._port_rules = {}       # dst port -> _Attachment
         self._next_index = 0
@@ -107,15 +112,9 @@ class HookSite:
         # deployment (or charge a canary candidate's promotion record).
         self.fault_listener = None
         self._events = self.obs.events
-        self._spans = self.obs.spans
-        self._acct = self.obs.acct
         self._m_dispatch_miss = self.obs.registry.counter(
             ROOT_APP, hook, "dispatch_miss"
         )
-        # Optional repro.obs.profile.WallClockProfiler; when set, each
-        # decide() is attributed to a "hook_dispatch" section (program
-        # execution nests into its own ebpf_* sections).
-        self.profiler = None
 
     # ------------------------------------------------------------------
     def install(self, app_name, ports, loaded_program, executors):
@@ -175,16 +174,6 @@ class HookSite:
 
     # -- substrate-facing protocol --------------------------------------
     def decide(self, packet):
-        profiler = self.profiler
-        if profiler is None:
-            return self._decide(packet)
-        profiler.push("hook_dispatch")
-        try:
-            return self._decide(packet)
-        finally:
-            profiler.pop()
-
-    def _decide(self, packet):
         attachment = self._port_rules.get(packet.dst_port)
         if attachment is None:
             self._m_dispatch_miss.inc()
@@ -210,53 +199,40 @@ class HookSite:
             # and its faults are contained inside the tap.
             shadow.observe(value, packet)
         attachment.m_sched.inc()
-        events = self._events
-        spans = self._spans
         if value == PASS:
             self.pass_decisions += 1
             attachment.m_pass.inc()
-            if events.enabled:
-                events.emit("decision", app=attachment.app_name,
-                            hook=self.hook, port=packet.dst_port,
-                            outcome="pass")
-            if spans.enabled:
-                spans.decision(packet, self.hook, "pass", fd=attachment.fd,
-                               seq=events.emitted if events.enabled else None)
+            self._record(attachment, packet, "pass")
             return ("pass", None)
         if value == DROP:
             self.drop_decisions += 1
             attachment.m_drop.inc()
-            if events.enabled:
-                events.emit("decision", app=attachment.app_name,
-                            hook=self.hook, port=packet.dst_port,
-                            outcome="drop")
-            if spans.enabled:
-                spans.decision(packet, self.hook, "drop", fd=attachment.fd,
-                               seq=events.emitted if events.enabled else None)
+            self._record(attachment, packet, "drop")
             return ("drop", None)
         executor = attachment.executors.resolve(value)
         if executor is None:
             # index the app never populated: safest is the default policy
             self.pass_decisions += 1
             attachment.m_miss.inc()
-            if events.enabled:
-                events.emit("decision", app=attachment.app_name,
-                            hook=self.hook, port=packet.dst_port,
-                            outcome="index_miss", value=value)
-            if spans.enabled:
-                spans.decision(packet, self.hook, "index_miss", value=value,
-                               fd=attachment.fd,
-                               seq=events.emitted if events.enabled else None)
+            self._record(attachment, packet, "index_miss", value)
             return ("pass", None)
         attachment.m_steer.inc()
-        if events.enabled:
-            events.emit("decision", app=attachment.app_name, hook=self.hook,
-                        port=packet.dst_port, outcome="steer", value=value)
-        if spans.enabled:
-            spans.decision(packet, self.hook, "steer", value=value,
-                           fd=attachment.fd,
-                           seq=events.emitted if events.enabled else None)
+        self._record(attachment, packet, "steer", value)
         return ("target", executor)
+
+    def _record(self, attachment, packet, outcome, value=None):
+        """One decision: a ``decision`` event (carrying ``value`` only
+        when the outcome has one) and the probe's ``decision`` seam,
+        linked by the event's ``seq`` when the trace is live."""
+        events = self._events
+        seq = None
+        if events.enabled:
+            extra = {} if value is None else {"value": value}
+            events.emit("decision", app=attachment.app_name, hook=self.hook,
+                        port=packet.dst_port, outcome=outcome, **extra)
+            seq = events.emitted
+        self.probe.decision(packet, self.hook, outcome, value, attachment.fd,
+                            seq)
 
     def _on_fault(self, attachment, packet, exc, program=None):
         """Contain a runtime fault: count, trace, notify, drop the input.
@@ -278,11 +254,10 @@ class HookSite:
                 port=packet.dst_port, error=type(exc).__name__,
                 detail=str(exc),
             )
-        if self._spans.enabled:
-            self._spans.decision(
-                packet, self.hook, "fault", fd=attachment.fd,
-                seq=events.emitted if events.enabled else None,
-            )
+        self.probe.decision(
+            packet, self.hook, "fault", None, attachment.fd,
+            events.emitted if events.enabled else None,
+        )
         listener = self.fault_listener
         if listener is not None:
             listener(attachment, exc, program)
@@ -296,7 +271,7 @@ class HookSite:
         # Policy execution time is part of the owning tenant's bill: the
         # substrate charges this cost on the datapath, so the accountant
         # books it against the tenant whose packet triggered the program.
-        self._acct.policy_exec(packet, cost)
+        self.probe.policy_exec(packet, cost)
         return cost
 
     def __repr__(self):

@@ -58,9 +58,6 @@ class SyrupMap:
         self.userspace_time_us = 0.0
         # dict of obs metric objects (see MapRegistry.create), or None
         self._metrics = metrics
-        # Optional repro.obs.profile.WallClockProfiler; when set, each
-        # userspace op is attributed to a "map_ops" section.
-        self.profiler = None
 
     @property
     def name(self):
@@ -89,53 +86,20 @@ class SyrupMap:
 
     # -- userspace API (syr_map_* of Table 1) ---------------------------
     def lookup(self, key, contended=False):
-        profiler = self.profiler
-        if profiler is None:
-            self._account(contended, "lookups")
-            return self.bpf_map.lookup(key)
-        profiler.push("map_ops")
-        try:
-            self._account(contended, "lookups")
-            return self.bpf_map.lookup(key)
-        finally:
-            profiler.pop()
+        self._account(contended, "lookups")
+        return self.bpf_map.lookup(key)
 
     def update(self, key, value, contended=False):
-        profiler = self.profiler
-        if profiler is None:
-            self._account(contended, "updates")
-            self.bpf_map.update(key, value)
-            return
-        profiler.push("map_ops")
-        try:
-            self._account(contended, "updates")
-            self.bpf_map.update(key, value)
-        finally:
-            profiler.pop()
+        self._account(contended, "updates")
+        self.bpf_map.update(key, value)
 
     def delete(self, key, contended=False):
-        profiler = self.profiler
-        if profiler is None:
-            self._account(contended, "deletes")
-            return self.bpf_map.delete(key)
-        profiler.push("map_ops")
-        try:
-            self._account(contended, "deletes")
-            return self.bpf_map.delete(key)
-        finally:
-            profiler.pop()
+        self._account(contended, "deletes")
+        return self.bpf_map.delete(key)
 
     def atomic_add(self, key, delta, contended=False):
-        profiler = self.profiler
-        if profiler is None:
-            self._account(contended, "atomic_adds")
-            return self.bpf_map.atomic_add(key, delta)
-        profiler.push("map_ops")
-        try:
-            self._account(contended, "atomic_adds")
-            return self.bpf_map.atomic_add(key, delta)
-        finally:
-            profiler.pop()
+        self._account(contended, "atomic_adds")
+        return self.bpf_map.atomic_add(key, delta)
 
     def items(self):
         return self.bpf_map.items()
@@ -151,9 +115,6 @@ class MapRegistry:
         self.costs = costs
         self.nic_spec = nic_spec
         self.obs = obs
-        # Profiler propagated into maps created after attach (see
-        # repro.obs.profile.attach).
-        self.profiler = None
         self._pinned = {}
 
     @staticmethod
@@ -193,7 +154,6 @@ class MapRegistry:
             costs=self.costs, nic_spec=self.nic_spec, shared=shared,
             metrics=metrics,
         )
-        syrup_map.profiler = self.profiler
         self._pinned[path] = syrup_map
         return syrup_map
 

@@ -169,8 +169,8 @@ class Syrupd:
         site = self._sites.get(hook)
         if site is not None:
             return site
-        site = HookSite(hook, self.machine.costs, obs=self.obs)
-        site.profiler = self.machine.profiler
+        site = HookSite(hook, self.machine.costs, obs=self.obs,
+                        probe=self.obs.probe)
         site.fault_listener = self._on_runtime_fault
         machine = self.machine
         if hook == Hook.SOCKET_SELECT:
@@ -264,11 +264,8 @@ class Syrupd:
             )
             raise
         self._attach_program_metrics(app.name, scope, loaded)
-        # Propagate the machine's wall-clock profiler (if attached) so
-        # mid-run deploys are profiled like boot-time ones.
-        loaded.profiler = self.machine.profiler
         # Fault plan (Machine(faults=...)): wrap the program *after*
-        # metrics/profiler attachment so the proxy delegates everything.
+        # metrics attachment so the proxy delegates everything.
         injector = getattr(self.machine, "faults", None)
         if injector is not None:
             loaded = injector.wrap_program(loaded, app.name, scope)
@@ -359,7 +356,6 @@ class Syrupd:
             self.machine.engine, scheduler, enclave, policy,
             self.machine.costs, metrics=metrics, events=self.obs.events,
         )
-        agent.profiler = self.machine.profiler
         deployed = DeployedPolicy(
             self._alloc_fd(), app.name, Hook.THREAD_SCHED, agent=agent,
         )
@@ -462,7 +458,6 @@ class Syrupd:
             )
             raise
         self._attach_program_metrics(app.name, scope, loaded)
-        loaded.profiler = self.machine.profiler
         injector = getattr(self.machine, "faults", None)
         if injector is not None:
             loaded = injector.wrap_program(loaded, app.name, scope)

@@ -46,9 +46,6 @@ class LoadedProgram:
         # "insns_interp", "cycles_interp", "jit_runs"); set by syrupd at
         # deploy time when the machine runs with metrics enabled.
         self.metrics = None
-        # Optional repro.obs.profile.WallClockProfiler; when set, run()
-        # attributes wall time to "ebpf_interp" / "ebpf_jit" sections.
-        self.profiler = None
 
     @property
     def name(self):
@@ -71,17 +68,10 @@ class LoadedProgram:
         """Execute the policy on one input; returns the u32 decision."""
         self.invocations += 1
         metrics = self.metrics
-        profiler = self.profiler
         if self._jit is None or self._profiled_count < self.profile_runs:
-            if profiler is not None:
-                profiler.push("ebpf_interp")
-            try:
-                result = execute(
-                    self.program, packet, self.maps, self.globals, self.rng
-                )
-            finally:
-                if profiler is not None:
-                    profiler.pop()
+            result = execute(
+                self.program, packet, self.maps, self.globals, self.rng
+            )
             self._profiled_cycles += result.cycles
             self._profiled_count += 1
             if metrics is not None:
@@ -92,13 +82,7 @@ class LoadedProgram:
         if metrics is not None:
             metrics["invocations"].inc()
             metrics["jit_runs"].inc()
-        if profiler is None:
-            return self._jit(packet, self.globals, self.maps, self.rng)
-        profiler.push("ebpf_jit")
-        try:
-            return self._jit(packet, self.globals, self.maps, self.rng)
-        finally:
-            profiler.pop()
+        return self._jit(packet, self.globals, self.maps, self.rng)
 
     def run_interp(self, packet):
         """Force one interpreted run; returns the full ExecutionResult."""

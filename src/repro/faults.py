@@ -221,7 +221,7 @@ class FaultPlan:
 class FaultyProgram:
     """A LoadedProgram proxy that raises :class:`VmFault` at seeded rates.
 
-    Wraps the program *after* syrupd has attached metrics/profiler, so
+    Wraps the program *after* syrupd has attached its metrics, so
     every attribute the rest of the system reads (``cycle_estimate``,
     ``invocations``, ``name``, ``maps``, ...) delegates to the inner
     program via ``__getattr__``.  Only ``run`` is intercepted.

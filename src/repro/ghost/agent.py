@@ -93,9 +93,6 @@ class GhostAgent:
         # time when the machine runs with metrics enabled.
         self.metrics = metrics
         self.events = events
-        # Optional repro.obs.profile.WallClockProfiler; when set, message
-        # draining and policy decisions are attributed to "ghost_agent".
-        self.profiler = None
         # Optional repro.qdisc.discipline.Qdisc attached by
         # syrupd.deploy_qdisc(layer="runqueue"): orders the runnable list
         # each snapshot, so rank-aware thread policies that serve
@@ -122,7 +119,7 @@ class GhostAgent:
         self._busy = False
         for core in self.scheduler.cores:
             if core.pending_commit is not None:
-                self.scheduler.spans.placement_abort(core.pending_commit)
+                self.scheduler.probe.placement_abort(core.pending_commit)
             core.pending_commit = None
 
     def abort_inflight(self):
@@ -141,7 +138,7 @@ class GhostAgent:
         self._pending_threads.clear()
         for core in self.scheduler.cores:
             if core.pending_commit is not None:
-                self.scheduler.spans.placement_abort(core.pending_commit)
+                self.scheduler.probe.placement_abort(core.pending_commit)
                 core.pending_commit = None
                 self.revocation_aborts += 1
 
@@ -172,16 +169,6 @@ class GhostAgent:
             self.engine.call_soon(self._drain)
 
     def _drain(self):
-        profiler = self.profiler
-        if profiler is None:
-            return self._drain_inner()
-        profiler.push("ghost_agent")
-        try:
-            return self._drain_inner()
-        finally:
-            profiler.pop()
-
-    def _drain_inner(self):
         if self.crashed:
             return
         n = len(self.inbox)
@@ -203,16 +190,6 @@ class GhostAgent:
         self.engine.schedule(n * self.costs.ghost_msg_us, self._decide)
 
     def _decide(self):
-        profiler = self.profiler
-        if profiler is None:
-            return self._decide_inner()
-        profiler.push("ghost_agent")
-        try:
-            return self._decide_inner()
-        finally:
-            profiler.pop()
-
-    def _decide_inner(self):
         if self.crashed:
             return
         status = self._snapshot()
@@ -241,7 +218,7 @@ class GhostAgent:
                 continue  # stale decision; skip
             self._pending_threads.add(thread.tid)
             core.pending_commit = thread
-            self.scheduler.spans.placement_begin(thread, core_id)
+            self.scheduler.probe.placement_begin(thread, core_id)
             delay += self.costs.ghost_commit_us
             self.engine.schedule(
                 delay + self.costs.ghost_ipi_us, self._commit_effect,
@@ -268,7 +245,7 @@ class GhostAgent:
                 self.metrics["commits"].inc()
         else:
             self.failed_commits += 1
-            self.scheduler.spans.placement_abort(thread)
+            self.scheduler.probe.placement_abort(thread)
             if self.metrics is not None:
                 self.metrics["failed_commits"].inc()
             # re-evaluate: the failed target may leave work stranded

@@ -8,6 +8,7 @@ and context-switching.  All *decisions* happen in the userspace agent.
 from repro.ghost.messages import Message, MessageKind
 from repro.kernel.sched import ThreadScheduler
 from repro.kernel.threads import RUNNABLE
+from repro.obs.probe import NULL_PROBE
 
 __all__ = ["GhostScheduler"]
 
@@ -19,8 +20,8 @@ class GhostScheduler(ThreadScheduler):
     throughput cost the paper measures in Figure 8b).
     """
 
-    def __init__(self, engine, cores, costs):
-        super().__init__(engine, cores, costs)
+    def __init__(self, engine, cores, costs, probe=NULL_PROBE):
+        super().__init__(engine, cores, costs, probe)
         self.agent = None  # set by GhostAgent
 
     # -- event forwarding -------------------------------------------------
@@ -56,7 +57,7 @@ class GhostScheduler(ThreadScheduler):
         if self.agent is not None:
             self.agent.abort_inflight()
         elif core.pending_commit is not None:
-            self.spans.placement_abort(core.pending_commit)
+            self.probe.placement_abort(core.pending_commit)
             core.pending_commit = None
         victim = self.preempt(core)
         core.last_blocked = None
@@ -67,8 +68,7 @@ class GhostScheduler(ThreadScheduler):
 
     def wake(self, thread):
         thread.state = RUNNABLE
-        self.spans.thread_runnable(thread)
-        self.acct.thread_runnable(thread)
+        self.probe.thread_runnable(thread)
         self._notify(MessageKind.THREAD_WAKEUP, thread)
 
     def _core_idle(self, core):

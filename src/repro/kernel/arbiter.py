@@ -43,8 +43,7 @@ from collections import deque
 
 from repro.ghost.sched import GhostScheduler
 from repro.kernel.cfs import CfsScheduler
-from repro.obs.accounting import NULL_ACCOUNTING
-from repro.obs.spans import NULL_SPANS
+from repro.obs.probe import NULL_PROBE
 
 __all__ = [
     "CoreArbiter",
@@ -90,7 +89,7 @@ class _CoreClass:
 class CoreArbiter:
     """Owns a pool of cores; grants them, revocably, to classes."""
 
-    def __init__(self, engine, cores, acct=NULL_ACCOUNTING, events=None):
+    def __init__(self, engine, cores, events=None, probe=NULL_PROBE):
         self.engine = engine
         self.pool = list(cores)
         self._by_cid = {core.cid: core for core in self.pool}
@@ -103,8 +102,8 @@ class CoreArbiter:
         }
         self._stalls = {}            # cid -> stall record (active)
         self._stall_token = {core.cid: 0 for core in self.pool}
-        self.acct = acct
         self.events = events
+        self.probe = probe
         self.moves = 0               # controller-driven reallocations
         self.stall_count = 0
 
@@ -189,7 +188,7 @@ class CoreArbiter:
         if cls is not None:
             cls.occupancy_us += end - start
             if cls.tenant is not None:
-                self.acct.book_core_occupancy(cls.tenant, end - start)
+                self.probe.book_core_occupancy(cls.tenant, end - start)
 
     # -- queries ---------------------------------------------------------
     def owner_of(self, cid):
@@ -515,8 +514,8 @@ class ElasticScheduler:
     thread's app to the owning class scheduler, which takes over from
     there (wakes and dispatches go straight to the class).  The facade
     only aggregates the views the rest of the stack reads
-    (``threads``, ``spans``/``acct`` propagation, app→class
-    resolution for syrupd's Thread Scheduler hook).
+    (``threads``, ``cores``, app→class resolution for syrupd's Thread
+    Scheduler hook).
     """
 
     def __init__(self, engine, costs):
@@ -526,8 +525,6 @@ class ElasticScheduler:
         self._order = []
         self._by_app = {}
         self._default = None
-        self._spans = NULL_SPANS
-        self._acct = NULL_ACCOUNTING
 
     def add_class(self, name, scheduler, apps=(), default=False):
         self.classes[name] = scheduler
@@ -569,27 +566,6 @@ class ElasticScheduler:
     def runnable_threads(self):
         return [t for t in self.threads if t.state == "runnable"]
 
-    # spans/acct assignments from Machine propagate to every class
-    @property
-    def spans(self):
-        return self._spans
-
-    @spans.setter
-    def spans(self, value):
-        self._spans = value
-        for name in self._order:
-            self.classes[name].spans = value
-
-    @property
-    def acct(self):
-        return self._acct
-
-    @acct.setter
-    def acct(self, value):
-        self._acct = value
-        for name in self._order:
-            self.classes[name].acct = value
-
 
 def build_elastic(machine, spec):
     """Assemble facade + arbiter for ``Machine(scheduler="elastic")``.
@@ -619,17 +595,17 @@ def build_elastic(machine, spec):
     pool = machine.cores[:len(machine.cores) - n_ghost]
 
     facade = ElasticScheduler(machine.engine, machine.costs)
+    probe = machine.obs.probe
     arbiter = CoreArbiter(
-        machine.engine, pool, acct=machine.obs.acct,
-        events=machine.obs.events,
+        machine.engine, pool, events=machine.obs.events, probe=probe,
     )
     for entry in entries:
         if entry["kind"] == "ghost":
-            sched = GhostScheduler(machine.engine, [], machine.costs)
+            sched = GhostScheduler(machine.engine, [], machine.costs, probe)
             facade.add_class(entry["name"], sched, apps=(entry["app"],),
                              default=entry["default"])
         else:
-            sched = CfsScheduler(machine.engine, [], machine.costs)
+            sched = CfsScheduler(machine.engine, [], machine.costs, probe)
             facade.add_class(entry["name"], sched, apps=entry["apps"],
                              default=entry["default"])
         arbiter.register(entry["name"], sched, floor=entry["floor"],

@@ -24,14 +24,13 @@ Path modeling notes:
 
 from repro.kernel.cpu import FifoServer
 from repro.kernel.sockets import SocketTable
-from repro.obs.accounting import NULL_ACCOUNTING
-from repro.obs.spans import NULL_SPANS
+from repro.obs.probe import NULL_PROBE
 
 __all__ = ["NetStack"]
 
 
 class NetStack:
-    def __init__(self, engine, config):
+    def __init__(self, engine, config, probe=NULL_PROBE):
         self.engine = engine
         self.config = config
         self.costs = config.costs
@@ -59,13 +58,12 @@ class NetStack:
             "socket_overflow": 0,
         }
         self.delivered = 0
-        # Span tracer (repro.obs.spans): softirq spans bracket FIFO
-        # submission -> protocol completion; drops finalize the tree.
-        self.spans = NULL_SPANS
-        # Tenant accountant (repro.obs.accounting): same seams, books
-        # per-tenant softirq wait + drops and snapshots queue occupancy
-        # for cross-tenant blame.
-        self.acct = NULL_ACCOUNTING
+        # Instrumentation seam (repro.obs.probe): softirq_begin/end
+        # bracket FIFO submission -> protocol completion, and every drop
+        # counted in ``drops`` is reported once — except socket_overflow,
+        # which the refusing socket reports itself (it alone knows
+        # whether the packet overflowed or its rank function shed it).
+        self.probe = probe
 
     # ------------------------------------------------------------------
     # RX path entry (called by the NIC at IRQ-delivery time)
@@ -76,8 +74,7 @@ class NetStack:
             action, target = self.xdp_hook.decide(packet)
             if action == "drop":
                 self.drops["xdp_drop"] += 1
-                self.spans.drop(packet, "xdp_drop")
-                self.acct.drop(packet, "xdp_drop")
+                self.probe.drop(packet, "xdp_drop")
                 return
             if action == "target":
                 # zero copy only in native (XDP_DRV) mode on a capable NIC
@@ -95,11 +92,9 @@ class NetStack:
                 server = self.softirq[core_index]
                 if not server.submit(cost, self._deliver_af_xdp, target, packet):
                     self.drops["ring_overflow"] += 1
-                    self.spans.drop(packet, "ring_overflow")
-                    self.acct.drop(packet, "ring_overflow")
+                    self.probe.drop(packet, "ring_overflow")
                 else:
-                    self.spans.softirq_begin(packet, core_index, len(server))
-                    self.acct.softirq_begin(packet, core_index)
+                    self.probe.softirq_begin(packet, core_index, len(server))
                 return
             # "none" / "pass": fall through to the standard stack
 
@@ -115,11 +110,9 @@ class NetStack:
             server = self.softirq[core_index]
             if not server.submit(cost, self._deliver_af_xdp, bound, packet):
                 self.drops["ring_overflow"] += 1
-                self.spans.drop(packet, "ring_overflow")
-                self.acct.drop(packet, "ring_overflow")
+                self.probe.drop(packet, "ring_overflow")
             else:
-                self.spans.softirq_begin(packet, core_index, len(server))
-                self.acct.softirq_begin(packet, core_index)
+                self.probe.softirq_begin(packet, core_index, len(server))
             return
 
         core_index = queue_index % len(self.softirq)
@@ -129,8 +122,7 @@ class NetStack:
             extra += self.cpu_redirect_hook.cost_us(packet)
             if action == "drop":
                 self.drops["select_drop"] += 1
-                self.spans.drop(packet, "select_drop")
-                self.acct.drop(packet, "select_drop")
+                self.probe.drop(packet, "select_drop")
                 return
             if action == "target":
                 core_index = target % len(self.softirq)
@@ -142,50 +134,40 @@ class NetStack:
         server = self.softirq[core_index]
         if not server.submit(cost, self._protocol_done, packet):
             self.drops["ring_overflow"] += 1
-            self.spans.drop(packet, "ring_overflow")
-            self.acct.drop(packet, "ring_overflow")
+            self.probe.drop(packet, "ring_overflow")
         else:
-            self.spans.softirq_begin(packet, core_index, len(server))
-            self.acct.softirq_begin(packet, core_index)
+            self.probe.softirq_begin(packet, core_index, len(server))
 
     # ------------------------------------------------------------------
     def _deliver_af_xdp(self, socket, packet):
-        self.spans.softirq_end(packet)
-        self.acct.softirq_end(packet)
+        self.probe.softirq_end(packet)
         if not socket.enqueue(packet):
             self.drops["socket_overflow"] += 1
-            self.spans.drop(packet, "socket_overflow")
-            self.acct.drop(packet, "socket_overflow")
         else:
             self.delivered += 1
 
     def _protocol_done(self, packet):
-        self.spans.softirq_end(packet)
-        self.acct.softirq_end(packet)
+        self.probe.softirq_end(packet)
         if packet.is_tcp:
             # established connections bypass socket selection entirely
             socket = self.tcp_connections.get(packet.flow)
             if socket is not None:
                 if not socket.enqueue(packet):
                     self.drops["socket_overflow"] += 1
-                    self.spans.drop(packet, "socket_overflow")
-                    self.acct.drop(packet, "socket_overflow")
                 else:
                     self.delivered += 1
                 return
         group = self.socket_table.group(packet.dst_port)
         if group is None or not len(group):
             self.drops["no_socket"] += 1
-            self.spans.drop(packet, "no_socket")
-            self.acct.drop(packet, "no_socket")
+            self.probe.drop(packet, "no_socket")
             return
         socket = None
         if self.socket_select_hook is not None:
             action, target = self.socket_select_hook.decide(packet)
             if action == "drop":
                 self.drops["select_drop"] += 1
-                self.spans.drop(packet, "select_drop")
-                self.acct.drop(packet, "select_drop")
+                self.probe.drop(packet, "select_drop")
                 return
             if action == "target":
                 socket = target
@@ -196,8 +178,6 @@ class NetStack:
             self.tcp_connections[packet.flow] = socket
         if not socket.enqueue(packet):
             self.drops["socket_overflow"] += 1
-            self.spans.drop(packet, "socket_overflow")
-            self.acct.drop(packet, "socket_overflow")
         else:
             self.delivered += 1
 

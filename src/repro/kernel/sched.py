@@ -15,8 +15,7 @@ while subclasses provide policy:
 import math
 
 from repro.kernel.threads import BLOCKED, RUNNABLE, RUNNING
-from repro.obs.accounting import NULL_ACCOUNTING
-from repro.obs.spans import NULL_SPANS
+from repro.obs.probe import NULL_PROBE
 
 __all__ = ["PinnedScheduler", "ThreadScheduler"]
 
@@ -26,17 +25,15 @@ _EPS = 1e-9
 class ThreadScheduler:
     """Base class: mechanics only, no placement policy."""
 
-    def __init__(self, engine, cores, costs):
+    def __init__(self, engine, cores, costs, probe=NULL_PROBE):
         self.engine = engine
         self.cores = list(cores)
         self.costs = costs
         self.threads = []
-        # Span tracer (repro.obs.spans): threads reach it through their
-        # scheduler for service spans; CFS/ghOSt wakes feed runqueue_wait.
-        self.spans = NULL_SPANS
-        # Tenant accountant (repro.obs.accounting): same access path,
-        # books per-tenant CPU service time and runqueue wait.
-        self.acct = NULL_ACCOUNTING
+        # Instrumentation seam (repro.obs.probe): threads reach it through
+        # their scheduler for service_begin/end; CFS/ghOSt wakes report
+        # thread_runnable (the start of the runqueue wait).
+        self.probe = probe
 
     # -- subclass policy interface --------------------------------------
     def wake(self, thread):

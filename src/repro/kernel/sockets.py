@@ -18,8 +18,7 @@ always drains ahead of the discipline.
 from collections import deque
 
 from repro.net.rss import rss_hash
-from repro.obs.accounting import NULL_ACCOUNTING
-from repro.obs.spans import NULL_SPANS
+from repro.obs.probe import NULL_PROBE
 
 __all__ = ["ReuseportGroup", "SocketTable", "UdpSocket"]
 
@@ -38,16 +37,15 @@ class UdpSocket:
         "drops",
         "enqueued",
         "on_enqueue",
-        "spans",
-        "acct",
+        "probe",
         "qdisc",
     )
 
-    _next_sid = [1]
-
-    def __init__(self, port, app=None, backlog=256, is_af_xdp=False):
-        self.sid = UdpSocket._next_sid[0]
-        UdpSocket._next_sid[0] += 1
+    def __init__(self, port, app=None, backlog=256, is_af_xdp=False, sid=0,
+                 probe=NULL_PROBE):
+        # Allocated by the owning machine (Machine.create_udp_socket) so
+        # ids restart per machine; bare sockets in unit tests share 0.
+        self.sid = sid
         self.port = port
         self.app = app
         self.backlog = backlog
@@ -57,8 +55,7 @@ class UdpSocket:
         self.drops = 0
         self.enqueued = 0
         self.on_enqueue = None    # app callback(packet) — e.g. type marking
-        self.spans = NULL_SPANS   # span tracer (repro.obs.spans)
-        self.acct = NULL_ACCOUNTING  # tenant accountant (repro.obs.accounting)
+        self.probe = probe        # instrumentation seam (repro.obs.probe)
         self.qdisc = None         # repro.qdisc.discipline.Qdisc, or None
 
     def set_qdisc(self, qdisc):
@@ -75,8 +72,7 @@ class UdpSocket:
             return None
         self.qdisc = None
         for packet in qdisc.drain():
-            self.spans.qdisc_dequeued(packet)
-            self.acct.qdisc_dequeued(packet)
+            self.probe.qdisc_dequeued(packet)
             self.queue.append(packet)
         return qdisc
 
@@ -87,14 +83,18 @@ class UdpSocket:
         sheds it, overflow sheds the lowest-priority element (which may be
         a previously queued datagram — then the arrival is accepted and
         the victim's span tree ends with ``qdisc_evict``).
+
+        Every drop counted in ``drops`` is reported to the probe here,
+        exactly once, so callers only count the refusal.
         """
+        probe = self.probe
         qdisc = self.qdisc
         if qdisc is None:
             if len(self.queue) >= self.backlog:
                 self.drops += 1
+                probe.drop(packet, "socket_overflow")
                 return False
-            self.spans.socket_enqueued(packet, self.sid, len(self.queue))
-            self.acct.socket_enqueued(packet, self)
+            probe.socket_enqueued(packet, self, len(self.queue))
             self.queue.append(packet)
         else:
             depth = len(self.queue) + len(qdisc)
@@ -102,26 +102,23 @@ class UdpSocket:
             result = qdisc.offer(packet, capacity=capacity)
             if not result.accepted:
                 self.drops += 1
-                if result.reason == "sched_drop":
-                    # Rank function said DROP: a policy decision, not
-                    # congestion — distinct abort reason in span trees.
-                    self.spans.drop(packet, "qdisc_shed")
-                    self.acct.drop(packet, "qdisc_shed")
-                # Overflow rejections fall through without a span drop so
-                # the caller (netstack) records the same "socket_overflow"
-                # reason as the FIFO path — the PASS-everywhere pairing
-                # stays bit-identical.
+                # Rank function said DROP: a policy decision, not
+                # congestion — its own reason.  Overflow rejections keep
+                # the FIFO path's "socket_overflow" so the PASS-everywhere
+                # pairing stays bit-identical.
+                probe.drop(
+                    packet,
+                    "qdisc_shed" if result.reason == "sched_drop"
+                    else "socket_overflow",
+                )
                 return False
             if result.evicted is not None:
                 self.drops += 1
-                self.spans.drop(result.evicted, "qdisc_evict")
-                self.acct.drop(result.evicted, "qdisc_evict")
-            self.spans.socket_enqueued(packet, self.sid, depth)
-            self.acct.socket_enqueued(packet, self)
-            self.spans.qdisc_enqueued(
+                probe.drop(result.evicted, "qdisc_evict")
+            probe.socket_enqueued(packet, self, depth)
+            probe.qdisc_enqueued(
                 packet, qdisc.layer, result.rank, qdisc.backend_name
             )
-            self.acct.qdisc_enqueued(packet)
         self.enqueued += 1
         if self.on_enqueue is not None:
             self.on_enqueue(packet)
@@ -138,14 +135,13 @@ class UdpSocket:
         """
         if self.queue:
             packet = self.queue.popleft()
-            self.acct.socket_dequeued(packet, self)
+            self.probe.socket_dequeued(packet, self)
             return packet
         if self.qdisc is not None:
             packet = self.qdisc.take()
             if packet is not None:
-                self.spans.qdisc_dequeued(packet)
-                self.acct.qdisc_dequeued(packet)
-                self.acct.socket_dequeued(packet, self)
+                self.probe.qdisc_dequeued(packet)
+                self.probe.socket_dequeued(packet, self)
             return packet
         return None
 

@@ -59,8 +59,7 @@ class KThread:
             return False
         self.remaining, self.token = item
         if self.scheduler is not None:
-            self.scheduler.spans.service_begin(self, self.token)
-            self.scheduler.acct.service_begin(self, self.token)
+            self.scheduler.probe.service_begin(self, self.token)
         return True
 
     def finish_item(self):
@@ -70,8 +69,7 @@ class KThread:
         self.remaining = 0.0
         self.items_completed += 1
         if self.scheduler is not None:
-            self.scheduler.spans.service_end(self, token)
-            self.scheduler.acct.service_end(self, token)
+            self.scheduler.probe.service_end(self, token)
         self.source.complete(token)
 
     def wake(self):

@@ -105,9 +105,6 @@ class Machine:
         self.slo = None
         if slo:
             self.slo = SloTracker(clock=lambda: self.engine.now)
-        # Wall-clock self-profiling handle (repro.obs.profile.attach);
-        # syrupd propagates it into policies deployed later.
-        self.profiler = None
         self.streams = RngStreams(seed)
         self.cores = [Core(i) for i in range(self.config.num_app_cores)]
         self.scheduler_kind = scheduler
@@ -116,6 +113,9 @@ class Machine:
         # and leaves every other mode bit-identical.
         self.arbiter = None
         self.agent_cores = []
+        # The one write-side handle to spans + accounting
+        # (repro.obs.probe), given to every datapath component.
+        probe = self.obs.probe
         if scheduler == "ghost":
             if len(self.cores) < 2:
                 raise ValueError("ghOSt needs at least 2 cores (1 for the agent)")
@@ -139,17 +139,13 @@ class Machine:
                     "elastic= spec requires Machine(scheduler='elastic')"
                 )
             self.scheduler = _SCHEDULERS[scheduler](
-                self.engine, sched_cores, self.costs
+                self.engine, sched_cores, self.costs, probe
             )
-        self.scheduler.spans = self.obs.spans
-        self.scheduler.acct = self.obs.acct
         salt = self.streams.get("rss-salt").getrandbits(32)
-        self.nic = Nic(self.engine, self.config.nic, self.costs, salt=salt)
-        self.nic.spans = self.obs.spans
-        self.nic.acct = self.obs.acct
-        self.netstack = NetStack(self.engine, self.config)
-        self.netstack.spans = self.obs.spans
-        self.netstack.acct = self.obs.acct
+        self.nic = Nic(self.engine, self.config.nic, self.costs, salt=salt,
+                       probe=probe)
+        self.netstack = NetStack(self.engine, self.config, probe=probe)
+        self._next_sid = 1  # socket ids are per machine, like syrupd's fds
         self.nic.deliver = self.netstack.deliver_from_nic
         # Queue-state telemetry: when the flight recorder is live, every
         # sample() first reads the instantaneous queue depths (socket
@@ -217,9 +213,10 @@ class Machine:
             app=app.name if app else None,
             backlog=self.config.socket_backlog,
             is_af_xdp=is_af_xdp,
+            sid=self._next_sid,
+            probe=self.obs.probe,
         )
-        socket.spans = self.obs.spans
-        socket.acct = self.obs.acct
+        self._next_sid += 1
         if not is_af_xdp:
             self.netstack.socket_table.bind(socket)
         return socket

@@ -9,8 +9,7 @@ slower (Table 3), modeled in :mod:`repro.core.maps`.
 """
 
 from repro.net.rss import rss_queue
-from repro.obs.accounting import NULL_ACCOUNTING
-from repro.obs.spans import NULL_SPANS
+from repro.obs.probe import NULL_PROBE
 
 __all__ = ["Nic", "NicDropReason"]
 
@@ -22,7 +21,7 @@ class NicDropReason:
 
 
 class Nic:
-    def __init__(self, engine, spec, costs, salt=0):
+    def __init__(self, engine, spec, costs, salt=0, probe=NULL_PROBE):
         self.engine = engine
         self.spec = spec
         self.costs = costs
@@ -35,12 +34,9 @@ class Nic:
         #: Delivery callback: fn(queue_index, packet); normally
         #: NetStack.deliver_from_nic.
         self.deliver = None
-        #: Span tracer (repro.obs.spans); NIC arrival is the head-sampling
-        #: point and the start of each tree's nic_queue span.
-        self.spans = NULL_SPANS
-        #: Tenant accountant (repro.obs.accounting): books per-tenant
-        #: NIC wait (arrival -> IRQ delivery) and NIC-level drops.
-        self.acct = NULL_ACCOUNTING
+        #: Instrumentation seam (repro.obs.probe): NIC arrival is the span
+        #: head-sampling point; arrival -> IRQ delivery is the NIC wait.
+        self.probe = probe
         #: Packets accepted but not yet IRQ-delivered (queue occupancy,
         #: sampled by the flight recorder's queue-state probe).
         self.in_flight = 0
@@ -84,20 +80,17 @@ class Nic:
     def receive(self, packet):
         """A packet arrives from the wire."""
         self.rx_packets += 1
-        self.spans.nic_arrival(packet)
-        self.acct.nic_arrival(packet)
+        self.probe.nic_arrival(packet)
         if self.deliver is None:
             self.drops[NicDropReason.NO_HANDLER] += 1
-            self.spans.drop(packet, NicDropReason.NO_HANDLER)
-            self.acct.drop(packet, NicDropReason.NO_HANDLER)
+            self.probe.drop(packet, NicDropReason.NO_HANDLER)
             return
         queue = None
         if self.classifier is not None and not self.offload_down:
             action, target = self.classifier.decide(packet)
             if action == "drop":
                 self.drops[NicDropReason.OFFLOAD_DROP] += 1
-                self.spans.drop(packet, NicDropReason.OFFLOAD_DROP)
-                self.acct.drop(packet, NicDropReason.OFFLOAD_DROP)
+                self.probe.drop(packet, NicDropReason.OFFLOAD_DROP)
                 return
             if action == "target":
                 queue = target % self.spec.num_queues
@@ -110,13 +103,11 @@ class Nic:
             result = qdisc.offer(packet)
             if not result.accepted:
                 self.drops[NicDropReason.QDISC_SHED] += 1
-                self.spans.drop(packet, NicDropReason.QDISC_SHED)
-                self.acct.drop(packet, NicDropReason.QDISC_SHED)
+                self.probe.drop(packet, NicDropReason.QDISC_SHED)
                 return
-            self.spans.qdisc_enqueued(
+            self.probe.qdisc_enqueued(
                 packet, qdisc.layer, result.rank, qdisc.backend_name
             )
-            self.acct.qdisc_enqueued(packet)
             self.in_flight += 1
             self.engine.schedule(delay, self._irq_drain, queue, qdisc)
             return
@@ -126,8 +117,7 @@ class Nic:
     def _irq_deliver(self, queue, packet):
         """IRQ delivery into the kernel: occupancy drops, nic_queue ends."""
         self.in_flight -= 1
-        self.spans.nic_delivered(packet, queue)
-        self.acct.nic_delivered(packet)
+        self.probe.nic_delivered(packet, queue)
         self.deliver(queue, packet)
 
     def _irq_drain(self, queue, qdisc):
@@ -138,10 +128,8 @@ class Nic:
         packet = qdisc.take()
         if packet is None:
             return  # an eviction consumed this drain's element
-        self.spans.qdisc_dequeued(packet)
-        self.acct.qdisc_dequeued(packet)
-        self.spans.nic_delivered(packet, queue)
-        self.acct.nic_delivered(packet)
+        self.probe.qdisc_dequeued(packet)
+        self.probe.nic_delivered(packet, queue)
         self.deliver(queue, packet)
 
     def __repr__(self):

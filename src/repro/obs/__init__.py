@@ -22,15 +22,21 @@ A second tier builds on the registry (all opt-in, same null-singleton
 discipline): :class:`repro.obs.timeseries.FlightRecorder` samples the
 registry over *sim time* into bounded ring-buffered series (the
 ``Observability.recorder`` slot; ``Machine(metrics=True,
-timeseries=...)``), :mod:`repro.obs.profile` attributes *wall-clock* time
-to simulator subsystems, and :mod:`repro.obs.export` renders registry
+timeseries=...)``) and :mod:`repro.obs.export` renders registry
 snapshots as OpenMetrics text.
 
 A third tier is *causal*: :mod:`repro.obs.spans` follows head-sampled
 requests across every layer (``Machine(spans=N)``, the
 ``Observability.spans`` slot) and :mod:`repro.obs.tail` turns the
 resulting span trees into a p50-vs-p99 critical-path attribution
-(``syrupctl spans`` / ``syrupctl tail``).
+(``syrupctl spans`` / ``syrupctl tail``).  A fourth bills per tenant:
+:mod:`repro.obs.accounting` (``Machine(accounting=True)``, the
+``Observability.acct`` slot).
+
+Spans and accounting are *written* through one seam:
+``Observability.probe`` (:mod:`repro.obs.probe`), handed to every
+datapath component at construction, each seam method resolved once to
+a no-op, one tier's bound method, or both tiers in turn.
 
 Operator surface: ``syrupctl stats`` / :func:`repro.syrupctl.render_stats`
 renders the registry, ``syrupctl timeline`` the recorder;
@@ -50,6 +56,7 @@ from repro.obs.interference import (
     TenantShedController,
 )
 from repro.obs.export import open_destination, to_openmetrics, write_openmetrics
+from repro.obs.probe import NULL_PROBE, Probe
 from repro.obs.registry import (
     NULL_METRIC,
     NULL_REGISTRY,
@@ -77,6 +84,7 @@ __all__ = [
     "NULL_ACCOUNTING",
     "NULL_EVENTS",
     "NULL_METRIC",
+    "NULL_PROBE",
     "NULL_RECORDER",
     "NULL_REGISTRY",
     "NULL_SPANS",
@@ -88,6 +96,7 @@ __all__ = [
     "NullSpanTracer",
     "NullTenantAccountant",
     "Observability",
+    "Probe",
     "SpanTracer",
     "TenantAccountant",
     "TenantLedger",
@@ -112,10 +121,13 @@ class Observability:
     (:mod:`repro.obs.accounting`): :data:`NULL_ACCOUNTING` unless
     constructed with ``accounting=True`` (``Machine(accounting=True)``)
     — also registry-independent, same null-twin discipline.
+    ``spans`` and ``acct`` are the *read* side; datapath components
+    write through ``probe`` (:mod:`repro.obs.probe`), built here once
+    over whichever of the two is live and never swapped afterwards.
     """
 
     __slots__ = ("enabled", "registry", "events", "recorder", "spans",
-                 "acct")
+                 "acct", "probe")
 
     def __init__(self, clock=None, enabled=False, event_capacity=4096,
                  max_series=4096, spans=0, spans_capacity=4096,
@@ -138,6 +150,8 @@ class Observability:
             self.acct = TenantAccountant(clock=clock)
         else:
             self.acct = NULL_ACCOUNTING
+        # The null twins define no seam, so they resolve to no-ops.
+        self.probe = Probe(self.spans, self.acct)
 
     def snapshot(self):
         """Registry snapshot rows (see MetricsRegistry.snapshot)."""

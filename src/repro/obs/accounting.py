@@ -29,10 +29,11 @@ is charged to them pro rata in a pairwise
 :class:`repro.obs.interference.BlameMatrix` ("tenant A imposed X µs on
 tenant B at the socket layer").  See docs/multitenancy.md for the math.
 
-Null-twin discipline (the registry/spans contract): machines built
-without ``accounting=True`` hold the shared :data:`NULL_ACCOUNTING`
-singleton, every seam is a no-op method on it, zero accounting objects
-are allocated, and simulation output stays bit-identical — the audit
+Off means absent: machines built without ``accounting=True`` hold the
+shared :data:`NULL_ACCOUNTING` singleton (an empty read-side view), the
+machine's :mod:`repro.obs.probe` resolves the accountant's seams to
+no-ops, zero accounting objects are allocated, and simulation output
+stays bit-identical — the audit
 test in ``tests/test_accounting.py`` holds this line.  The accountant
 itself only ever *reads* the datapath (timestamps, queue mirrors), so
 enabling it changes no scheduling decision either: a run with
@@ -179,7 +180,7 @@ class TenantAccountant:
             return
         self._nic[id(request)] = self._clock()
 
-    def nic_delivered(self, packet):
+    def nic_delivered(self, packet, queue):
         request, tenant = _tenant_of(packet)
         if tenant is None:
             return
@@ -188,16 +189,16 @@ class TenantAccountant:
             self.ledger(tenant).charge_wait("nic", self._clock() - ts)
 
     # -- softirq --------------------------------------------------------
-    def softirq_begin(self, packet, core_index):
+    def softirq_begin(self, packet, core, depth):
         request, tenant = _tenant_of(packet)
         if tenant is None:
             return
-        mirror = self._cores.setdefault(core_index, {})
+        mirror = self._cores.setdefault(core, {})
         ahead = {}
         # Softirq work is near-uniform per packet: weight each occupant 1.
         for occupant in mirror.values():
             ahead[occupant] = ahead.get(occupant, 0.0) + 1.0
-        self._softirq[id(request)] = (self._clock(), ahead, core_index)
+        self._softirq[id(request)] = (self._clock(), ahead, core)
         mirror[id(request)] = tenant
 
     def softirq_end(self, packet):
@@ -216,7 +217,7 @@ class TenantAccountant:
         self._charge_blame(tenant, "softirq", wait, ahead)
 
     # -- socket backlog -------------------------------------------------
-    def socket_enqueued(self, packet, socket):
+    def socket_enqueued(self, packet, socket, depth):
         request, tenant = _tenant_of(packet)
         if tenant is None:
             return
@@ -252,7 +253,7 @@ class TenantAccountant:
         self._charge_blame(tenant, "socket", wait, ahead)
 
     # -- qdisc (sub-span of the surrounding nic/socket wait) ------------
-    def qdisc_enqueued(self, packet):
+    def qdisc_enqueued(self, packet, layer, rank, backend):
         request, tenant = _tenant_of(packet)
         if tenant is None:
             return
@@ -375,55 +376,14 @@ class TenantAccountant:
 
 
 class NullTenantAccountant:
-    """Disabled accountant: every seam is a no-op, views are empty."""
+    """Disabled accountant: empty views only; like
+    :class:`repro.obs.spans.NullSpanTracer` it defines no seam method."""
 
     enabled = False
     ledgers = {}
 
     def ledger(self, tenant):
         return None
-
-    def nic_arrival(self, packet):
-        pass
-
-    def nic_delivered(self, packet):
-        pass
-
-    def softirq_begin(self, packet, core_index):
-        pass
-
-    def softirq_end(self, packet):
-        pass
-
-    def socket_enqueued(self, packet, socket):
-        pass
-
-    def socket_dequeued(self, packet, socket):
-        pass
-
-    def qdisc_enqueued(self, packet):
-        pass
-
-    def qdisc_dequeued(self, packet):
-        pass
-
-    def book_core_occupancy(self, tenant, us):
-        pass
-
-    def thread_runnable(self, thread):
-        pass
-
-    def service_begin(self, thread, token):
-        pass
-
-    def service_end(self, thread, token):
-        pass
-
-    def policy_exec(self, packet, cost_us):
-        pass
-
-    def drop(self, packet, reason):
-        pass
 
     def tenants(self):
         return []

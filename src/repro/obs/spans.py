@@ -35,9 +35,11 @@ request-bearing packet at NIC arrival is traced — a counter, no RNG.
 The tracer obeys the tree-wide determinism contract: it draws no
 randomness, schedules no engine events, and mutates no simulation
 state, so every simulation result is bit-identical with spans on or
-off (``tests/test_spans.py`` locks this with paired runs).  Disabled
-machines share the :data:`NULL_SPANS` singleton (the
-:data:`~repro.obs.registry.NULL_REGISTRY` pattern).
+off (``tests/test_spans.py`` locks this with paired runs).  The
+datapath reaches the tracer only through :mod:`repro.obs.probe`: every
+public method below that is not a view is a seam named in
+:data:`repro.obs.probe.SEAMS`.  Disabled machines share the
+:data:`NULL_SPANS` singleton, an empty read-side view.
 
 Enable with ``Machine(spans=N)`` (``True`` ⇒ every request).  Completed
 trees live in a bounded ring (``capacity``); export them for
@@ -158,16 +160,16 @@ class SpanTracer:
         self._live[request.rid] = tree
         self._open(tree, "nic_queue", now)
 
-    def nic_delivered(self, packet, queue_index):
+    def nic_delivered(self, packet, queue):
         tree = self._tree(packet)
         if tree is None:
             return
-        self._close(tree, "nic_queue", self.clock(), queue=queue_index)
+        self._close(tree, "nic_queue", self.clock(), queue=queue)
 
     # ------------------------------------------------------------------
     # Hook sites (repro.core.hooks)
     # ------------------------------------------------------------------
-    def decision(self, packet, hook, outcome, value=None, fd=None, seq=None):
+    def decision(self, packet, hook, outcome, value, fd, seq):
         """A policy decided this packet's fate: a zero-duration span
         linked to the decision event (``seq``) and the deployed ``fd``."""
         tree = self._tree(packet)
@@ -186,12 +188,11 @@ class SpanTracer:
     # ------------------------------------------------------------------
     # Kernel receive path (repro.kernel.netstack / sockets)
     # ------------------------------------------------------------------
-    def softirq_begin(self, packet, core_index, depth):
+    def softirq_begin(self, packet, core, depth):
         tree = self._tree(packet)
         if tree is None:
             return
-        self._open(tree, "softirq", self.clock(), core=core_index,
-                   depth=depth)
+        self._open(tree, "softirq", self.clock(), core=core, depth=depth)
 
     def softirq_end(self, packet):
         tree = self._tree(packet)
@@ -199,12 +200,13 @@ class SpanTracer:
             return
         self._close(tree, "softirq", self.clock())
 
-    def socket_enqueued(self, packet, sid, depth):
+    def socket_enqueued(self, packet, socket, depth):
         """Datagram landed in a socket backlog ``depth`` entries deep."""
         tree = self._tree(packet)
         if tree is None:
             return
-        self._open(tree, "socket_wait", self.clock(), sid=sid, depth=depth)
+        self._open(tree, "socket_wait", self.clock(), sid=socket.sid,
+                   depth=depth)
 
     def drop(self, packet, reason):
         """The stack dropped this packet; the tree ends incomplete."""
@@ -272,7 +274,7 @@ class SpanTracer:
         }
         self._live[request.rid] = tree
 
-    def switch_steer(self, request, machine, policy, resteer=False):
+    def switch_steer(self, request, machine, policy, resteer):
         """The ToR picked ``machine`` for this request: a zero-duration
         span carrying the policy name and whether this was a failover
         re-steer of an orphaned request."""
@@ -468,88 +470,13 @@ class SpanTracer:
 
 
 class NullSpanTracer:
-    """Disabled tracer: every seam call is a no-op, every view empty."""
+    """Disabled tracer: empty views only.  It defines no seam method, so
+    a :class:`repro.obs.probe.Probe` built over it resolves every seam
+    to the shared no-op."""
 
     enabled = False
-    sample_every = 0
-    capacity = 0
     seen = 0
     sampled = 0
-    completed_count = 0
-    aborted_count = 0
-    live = 0
-
-    def nic_arrival(self, packet):
-        pass
-
-    def nic_delivered(self, packet, queue_index):
-        pass
-
-    def decision(self, packet, hook, outcome, value=None, fd=None, seq=None):
-        pass
-
-    def softirq_begin(self, packet, core_index, depth):
-        pass
-
-    def softirq_end(self, packet):
-        pass
-
-    def socket_enqueued(self, packet, sid, depth):
-        pass
-
-    def drop(self, packet, reason):
-        pass
-
-    def qdisc_enqueued(self, packet, layer, rank, backend):
-        pass
-
-    def qdisc_dequeued(self, packet):
-        pass
-
-    def switch_arrival(self, request):
-        pass
-
-    def switch_steer(self, request, machine, policy, resteer=False):
-        pass
-
-    def xnet_begin(self, request, direction, machine):
-        pass
-
-    def xnet_end(self, request):
-        pass
-
-    def machine_enqueued(self, request, machine, depth):
-        pass
-
-    def machine_requeued(self, request):
-        pass
-
-    def fleet_service_begin(self, request, machine):
-        pass
-
-    def fleet_service_end(self, request):
-        pass
-
-    def fleet_complete(self, request):
-        pass
-
-    def fleet_drop(self, request, reason):
-        pass
-
-    def thread_runnable(self, thread):
-        pass
-
-    def placement_begin(self, thread, core_id):
-        pass
-
-    def placement_abort(self, thread):
-        pass
-
-    def service_begin(self, thread, token):
-        pass
-
-    def service_end(self, thread, token):
-        pass
 
     def trees(self, complete=None):
         return []

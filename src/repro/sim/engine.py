@@ -63,10 +63,6 @@ class Engine:
         self._seq = 0
         self._running = False
         self.events_dispatched = 0
-        # Optional repro.obs.profile.WallClockProfiler; when set, run()
-        # brackets the loop in an "engine" section (exclusive time = loop
-        # + un-instrumented callbacks).  Never touches simulation state.
-        self.profiler = None
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -120,9 +116,6 @@ class Engine:
         if self._running:
             raise SimulationError("engine is not reentrant")
         self._running = True
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.push("engine")
         try:
             heap = self._heap
             pop = heapq.heappop
@@ -146,8 +139,6 @@ class Engine:
                 self.now = until
         finally:
             self._running = False
-            if profiler is not None:
-                profiler.pop()
 
     def pending(self):
         """Number of live (non-cancelled) events still queued."""

@@ -364,6 +364,41 @@ def test_live_accountant_ignores_tenantless_traffic(monkeypatch):
     assert len(acct.blame) == 0
 
 
+#: A socket-layer rank function that sheds every fourth request id
+#: (u64 at payload offset 32, see repro.net.packet).
+SHED_EVERY_FOURTH = '''
+def rank(pkt):
+    if pkt_len(pkt) < 40:
+        return PASS
+    if load_u64(pkt, 32) % 4 == 0:
+        return DROP
+    return PASS
+'''
+
+
+def test_one_shed_packet_books_one_drop():
+    """A rank function's DROP is refused by the socket *and* counted by
+    the netstack; the tenant must still be billed once, as qdisc_shed."""
+    testbed = RocksDbTestbed(
+        seed=3, accounting=True, qdisc=(SHED_EVERY_FOURTH, "socket", "pifo"),
+    )
+    gen = testbed.drive(40_000, GET_SCAN_995_005, 20_000.0, 0.0,
+                        tenant="alpha")
+    gen.start()
+    testbed.machine.run()
+    machine = testbed.machine
+    shed = sum(q["sched_drops"] for q in machine.syrupd.qdiscs())
+    assert shed > 100
+    assert gen.sent_in_window() - gen.completed_in_window() == shed
+    ledger = machine.obs.acct.ledger("alpha")
+    assert ledger.drops == {"qdisc_shed": shed}
+    assert ledger.total_drops() == shed
+    # the datapath counters the benchmark's conservation check reads
+    # keep counting the refusal at both layers
+    assert machine.netstack.drops["socket_overflow"] == shed
+    assert machine.netstack.socket_table.group(8080).total_drops() == shed
+
+
 # ----------------------------------------------------------------------
 # End to end: the contended pair, attribution, and the closed loop
 # ----------------------------------------------------------------------

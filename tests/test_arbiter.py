@@ -27,6 +27,7 @@ from repro.kernel.arbiter import (
 )
 from repro.kernel.cpu import Core
 from repro.obs.accounting import TenantAccountant
+from repro.obs.probe import Probe
 from repro.sim.engine import Engine
 from repro.workload.mixes import GET_SCAN_995_005
 
@@ -48,12 +49,12 @@ class FakeSched:
         self.cores.remove(core)
 
 
-def make_arbiter(n_cores=4, floors=(1, 1), with_acct=False):
+def make_arbiter(n_cores=4, floors=(1, 1), acct=None):
     engine = Engine()
     cores = [Core(i) for i in range(n_cores)]
     kwargs = {}
-    if with_acct:
-        kwargs["acct"] = TenantAccountant(clock=lambda: engine.now)
+    if acct is not None:
+        kwargs["probe"] = Probe(acct)
     arbiter = CoreArbiter(engine, cores, **kwargs)
     scheds = {}
     for name, floor in zip(("alpha", "bravo"), floors):
@@ -116,9 +117,9 @@ def test_move_is_revoke_plus_grant():
 
 
 def test_occupancy_books_to_class_totals_and_tenant_ledgers():
+    acct = TenantAccountant(clock=lambda: engine.now)
     engine, arbiter, _scheds = make_arbiter(n_cores=2, floors=(0, 0),
-                                            with_acct=True)
-    acct = arbiter.acct
+                                            acct=acct)
     arbiter.grant(0, "alpha")
     arbiter.grant(1, "bravo")
     engine.at(100.0, arbiter.move, 0, "bravo")

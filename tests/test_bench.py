@@ -54,13 +54,10 @@ def test_smoke_rows_are_plausible(smoke_results):
         assert row["sim_us_per_wall_s"] == pytest.approx(
             row["sim_us"] / row["wall_s"]
         )
-        # the engine section always profiles
-        assert "engine" in row["profile"], name
-        assert row["profile"]["engine"]["calls"] >= 1
+        assert row["events_per_s"] == pytest.approx(
+            row["events"] / row["wall_s"]
+        )
         assert row["sim_metrics"], name
-    # policy-bearing scenarios additionally attribute hook dispatch
-    for name in ("figure6_steady", "figure8_dynamic"):
-        assert "hook_dispatch" in smoke_results["scenarios"][name]["profile"]
 
 
 def test_figure8_scenario_metrics(smoke_results):

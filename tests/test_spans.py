@@ -18,7 +18,7 @@ from repro import Hook, Machine, set_a
 from repro.apps.rocksdb import RocksDbServer
 from repro.experiments.figure_tail import run_figure_tail
 from repro.experiments.runner import RocksDbTestbed
-from repro.obs.spans import NULL_SPANS, NullSpanTracer, SpanTracer
+from repro.obs.spans import NULL_SPANS, SpanTracer
 from repro.obs.tail import critical_path, percentile, render_critical_path
 from repro.policies.builtin import SCAN_AVOID
 from repro.policies.thread_policies import GetPriorityPolicy
@@ -52,16 +52,6 @@ def test_spans_off_by_default():
     assert machine.obs.spans.trees() == []
     assert len(machine.obs.spans) == 0
     assert machine.obs.spans.to_chrome_trace(io.StringIO()) == 0
-
-
-def test_null_tracer_seams_are_noops():
-    null = NullSpanTracer()
-    null.nic_arrival(None)
-    null.decision(None, "socket_select", "pass")
-    null.drop(None, "whatever")
-    null.thread_runnable(None)
-    null.service_begin(None, None)
-    assert null.seen == 0 and null.sampled == 0
 
 
 def test_sample_every_validation():
@@ -194,24 +184,18 @@ def test_spans_do_not_change_results():
     assert off == on == sampled
 
 
-def _normalized_trees(machine):
-    """Trees with socket ids erased: ``UdpSocket`` sids are allocated from
-    a process-global counter, so they differ across machines in one test
-    process even though each simulation is bit-identical."""
-    trees = []
-    for tree in machine.obs.spans.trees():
-        tree = json.loads(json.dumps(tree))
-        for span in tree["spans"]:
-            span.get("attrs", {}).pop("sid", None)
-        trees.append(tree)
-    return trees
-
-
 def test_spans_deterministic_across_runs():
-    """Same seed, spans on: identical trees (the analyzer input is stable)."""
-    m1, _ = _traced_machine(spans=3)
-    m2, _ = _traced_machine(spans=3)
-    assert _normalized_trees(m1) == _normalized_trees(m2)
+    """Same seed, same process: identical trees — socket ids included,
+    since sids are allocated per machine — and identical recorder keys
+    (``s<sid>.backlog``), so every export is stable run to run."""
+    kwargs = dict(spans=3, metrics=True, timeseries=2_000.0)
+    m1, _ = _traced_machine(**kwargs)
+    m2, _ = _traced_machine(**kwargs)
+    assert m1.obs.spans.trees() == m2.obs.spans.trees()
+    sids = {span["attrs"]["sid"] for tree in m1.obs.spans.trees()
+            for span in tree["spans"] if span["name"] == "socket_wait"}
+    assert sids and sids <= set(range(1, 7))
+    assert m1.obs.recorder.keys() == m2.obs.recorder.keys()
     a1 = critical_path(m1.obs.spans.trees(complete=True))
     a2 = critical_path(m2.obs.spans.trees(complete=True))
     assert a1 == a2

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Perf benchmark harness: canonical scenarios under the wall-clock profiler.
+"""The ``sim_metrics`` gate: canonical scenarios, timed and fingerprinted.
 
 The ROADMAP's "fast as the hardware allows" goal needs a trajectory:
 every optimization PR must be able to prove a speedup against numbers a
@@ -12,8 +12,8 @@ figure_adaptive's closed-loop SignalBus run, figure_fleet's
 rack-scale power-of-two steering run, figure_canary's shadow/canary
 promotion pipeline, the figure6_steady workload rerun with the full
 observability stack on, and figure_interference's blame-driven
-tenant-shed run — each
-under :mod:`repro.obs.profile`, and writes ``BENCH_results.json``:
+tenant-shed run — times each ``machine.run()``, and writes
+``BENCH_results.json``:
 
     {
       "schema_version": 1,
@@ -25,7 +25,6 @@ under :mod:`repro.obs.profile`, and writes ``BENCH_results.json``:
           "sim_us_per_wall_s": ...,  # the headline throughput number
           "events": ...,             # engine events dispatched
           "events_per_s": ...,
-          "profile": {"<section>": {"wall_s", "inclusive_s", "calls"}},
           "sim_metrics": {...}       # p99s / drops — a correctness anchor
         }, ...
       },
@@ -36,10 +35,14 @@ under :mod:`repro.obs.profile`, and writes ``BENCH_results.json``:
       }
     }
 
-Wall-clock fields vary run to run; ``sim_metrics`` are seeded and exact,
-so a perf regression and a behavior regression are distinguishable from
-the same file.  Validate any results document with
-:func:`validate_results` (the tier-1 smoke test does).
+Wall-clock fields are single-shot and vary run to run — speed is
+measured by ``benchmarks/perf/run.py``, which also attributes host time
+per layer.  ``sim_metrics`` are seeded and exact: ``tools/bench_compare.py``
+holding them equal to ``benchmarks/baseline.json`` is what proves a
+refactor changed no behavior.  Validate any results document with
+:func:`validate_results` (the tier-1 smoke test does); committed
+documents recorded by earlier versions carry an extra per-scenario
+``profile`` block, which still validates.
 
 Every run (unless ``--no-history``) is also appended to the
 ``benchmarks/history/`` trajectory — one file per run, named by UTC
@@ -66,7 +69,6 @@ if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
 from repro.obs.export import open_destination          # noqa: E402
-from repro.obs.profile import WallClockProfiler, attach, profile_run  # noqa: E402
 
 __all__ = [
     "DEFAULT_HISTORY_DIR",
@@ -339,7 +341,7 @@ def _figure_adaptive(smoke):
     SLO — streaming sketches and SLO burn rates sampled every 2 ms of
     sim time, shed/threshold/blame controllers actuating through Maps.
     Exercises the whole signal plane (sketch updates per request, SLO
-    bins, controller ticks) under the profiler.
+    bins, controller ticks).
     """
     from repro.experiments.figure_adaptive import _build, _wire_adaptive
     from repro.workload.mixes import GET_SCAN_995_005
@@ -460,7 +462,7 @@ def _figure_interference_blame(smoke):
     each dequeue, the NoisyNeighborDetector windowing it on the
     SignalBus cadence, and the TenantShedController actuating the
     per-tenant valve.  Exercises the whole attribution plane (ledger
-    seams, occupancy mirrors, pro-rata blame splits) under the profiler.
+    seams, occupancy mirrors, pro-rata blame splits).
     """
     from repro.experiments.figure_interference import stage_variant
     from repro.workload.requests import GET
@@ -499,7 +501,7 @@ def _figure_oversub_elastic(smoke):
     arbitrated pool under anti-correlated flash crowds, per-class
     pressure signals on the bus, and the ElasticCoreController moving
     cores — prices grants/revocations (CFS queue migration, ghost
-    commit-epoch aborts) plus occupancy bookkeeping under the profiler.
+    commit-epoch aborts) plus occupancy bookkeeping.
     """
     from repro.experiments.figure_oversub import stage_variant
 
@@ -546,18 +548,27 @@ SCENARIOS = {
 # Harness
 # ----------------------------------------------------------------------
 def run_benchmarks(names=None, smoke=False, echo=print):
-    """Run scenarios under the profiler; returns the results document."""
+    """Run and time scenarios; returns the results document."""
     names = list(names) if names else sorted(SCENARIOS)
     scenarios = {}
     for name in names:
         builder = SCENARIOS[name]
         machine, collect = builder(smoke)
-        profiler = WallClockProfiler()
-        attach(machine, profiler)
-        stats = profile_run(machine, profiler=profiler)
-        row = stats.as_dict()
-        row["sim_metrics"] = collect()
-        scenarios[name] = row
+        engine = machine.engine
+        sim_before, events_before = engine.now, engine.events_dispatched
+        wall_before = time.perf_counter()
+        machine.run()
+        wall_s = time.perf_counter() - wall_before
+        sim_us = engine.now - sim_before
+        events = engine.events_dispatched - events_before
+        row = scenarios[name] = {
+            "wall_s": wall_s,
+            "sim_us": sim_us,
+            "sim_us_per_wall_s": sim_us / wall_s if wall_s > 0 else 0.0,
+            "events": events,
+            "events_per_s": events / wall_s if wall_s > 0 else 0.0,
+            "sim_metrics": collect(),
+        }
         echo(
             f"{name}: wall {row['wall_s']:.3f}s, "
             f"{row['sim_us_per_wall_s']:,.0f} sim-us/wall-s, "
@@ -680,7 +691,6 @@ _SCENARIO_FIELDS = {
     "sim_us_per_wall_s": (int, float),
     "events": int,
     "events_per_s": (int, float),
-    "profile": dict,
     "sim_metrics": dict,
 }
 _PROFILE_FIELDS = {
@@ -729,7 +739,9 @@ def validate_results(doc):
             raise BenchSchemaError(
                 f"{origin}: wall_s/sim_us/events must be positive"
             )
-        for section, record in row["profile"].items():
+        # Optional: committed history entries recorded by earlier
+        # versions of this tool carry a per-section wall-clock block.
+        for section, record in row.get("profile", {}).items():
             _require(record, _PROFILE_FIELDS, f"{origin}.profile[{section!r}]")
         for metric, value in row["sim_metrics"].items():
             if not isinstance(value, (int, float)):
@@ -756,8 +768,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="bench",
         description=(
-            "Run the canonical Syrup simulation scenarios under the "
-            "wall-clock profiler and write BENCH_results.json."
+            "Run and time the canonical Syrup simulation scenarios and "
+            "write BENCH_results.json."
         ),
     )
     parser.add_argument(
