@@ -10,40 +10,23 @@ Regenerate any of the paper's tables/figures from a shell::
 ``--quick`` shrinks load grids and windows for a fast sanity pass; the
 defaults match the benchmark suite's paper-scale sweeps.
 
-``python -m repro stats`` renders the observability demo (per-hook
-metric counters from a Figure-6-style run with metrics enabled),
-``python -m repro timeline`` the flight-recorder demo (the dynamic
-Figure-8 run with a mid-run policy switch), and ``python -m repro
-qdisc`` the queueing-discipline view (an SRPT figure_order point; see
-docs/scheduling-order.md), ``python -m repro slo`` the SLO/signal
-view (one closed-loop figure_adaptive point), and ``python -m repro
-promote`` the shadow/canary promotion pipeline (a figure_canary-style
-run; see docs/robustness.md), and ``python -m repro cores`` the
-elastic core-arbitration view (one figure_oversub elastic point; see
-docs/oversubscription.md); all are the same surfaces as the
-``syrupctl`` console script — see docs/observability.md.
+``python -m repro <view>`` renders any ``syrupctl`` view — every key of
+:data:`repro.syrupctl.VIEWS`: ``stats`` (per-hook metric counters from
+a Figure-6-style run with metrics enabled), ``timeline`` (the dynamic
+Figure-8 run with a mid-run policy switch), ``qdisc`` (an SRPT
+figure_order point; see docs/scheduling-order.md), ``slo`` (one
+closed-loop figure_adaptive point), ``promote`` (a figure_canary run;
+see docs/robustness.md), ``cores`` (one figure_oversub elastic point;
+see docs/oversubscription.md) and the rest — through the console
+script's own stage -> run -> print path, with ``--loads`` /
+``--duration-ms`` / ``--seed`` mapped onto its flags; see
+docs/observability.md.
 """
 
 import argparse
 import sys
 
-from repro.experiments import (
-    run_figure2,
-    run_figure6,
-    run_figure7,
-    run_figure8,
-    run_figure9,
-    run_figure_adaptive,
-    run_figure_canary,
-    run_figure_faults,
-    run_figure_fleet,
-    run_figure_interference,
-    run_figure_order,
-    run_figure_oversub,
-    run_figure_tail,
-    run_table2,
-    run_table3,
-)
+from repro import experiments, syrupctl
 
 __all__ = ["main"]
 
@@ -81,22 +64,11 @@ _QUICK = {
     "table3": dict(n_ops=500),
 }
 
+#: experiment name -> its ``run_*`` harness, for every harness the
+#: experiments package exports.
 _RUNNERS = {
-    "figure2": run_figure2,
-    "figure6": run_figure6,
-    "figure7": run_figure7,
-    "figure8": run_figure8,
-    "figure9": run_figure9,
-    "figure_adaptive": run_figure_adaptive,
-    "figure_canary": run_figure_canary,
-    "figure_faults": run_figure_faults,
-    "figure_fleet": run_figure_fleet,
-    "figure_interference": run_figure_interference,
-    "figure_order": run_figure_order,
-    "figure_oversub": run_figure_oversub,
-    "figure_tail": run_figure_tail,
-    "table2": run_table2,
-    "table3": run_table3,
+    name[len("run_"):]: getattr(experiments, name)
+    for name in experiments.__all__
 }
 
 
@@ -107,13 +79,10 @@ def _build_parser():
     )
     parser.add_argument(
         "experiment",
-        choices=sorted(_RUNNERS) + ["all", "stats", "timeline", "health",
-                                    "qdisc", "fleet", "slo", "promote",
-                                    "tenants", "cores"],
+        choices=sorted(_RUNNERS) + ["all"] + list(syrupctl.VIEWS),
         help=(
-            "which experiment to run ('all' runs every one; 'stats', "
-            "'timeline', 'health', 'qdisc', 'fleet', 'slo', 'promote', "
-            "'tenants' and 'cores' render the syrupctl demos)"
+            "which experiment to run ('all' runs every one; "
+            f"{', '.join(syrupctl.VIEWS)} render the syrupctl views)"
         ),
     )
     parser.add_argument(
@@ -190,45 +159,13 @@ _PLOT_AXES = {
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    if args.experiment in ("stats", "timeline", "health", "qdisc", "fleet",
-                           "slo", "promote", "tenants", "cores"):
-        from repro import syrupctl
-
-        kwargs = {}
+    if args.experiment in syrupctl.VIEWS:
+        view_args = syrupctl.build_parser().parse_args([args.experiment])
         if args.loads is not None:
-            kwargs["load"] = args.loads[0]
-        if args.duration_ms is not None:
-            kwargs["duration_ms"] = args.duration_ms
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
-        if args.experiment == "stats":
-            machine = syrupctl.run_stats_demo(**kwargs)
-            text = syrupctl.render_stats(machine)
-        elif args.experiment == "health":
-            machine = syrupctl.run_faults_demo(**kwargs)
-            text = syrupctl.render_health(machine)
-        elif args.experiment == "qdisc":
-            machine = syrupctl.run_qdisc_demo(**kwargs)
-            text = syrupctl.render_qdisc(machine)
-        elif args.experiment == "fleet":
-            fleet = syrupctl.run_fleet_demo(**kwargs)
-            text = syrupctl.render_fleet(fleet)
-        elif args.experiment == "slo":
-            machine = syrupctl.run_slo_demo(**kwargs)
-            text = syrupctl.render_slo(machine)
-        elif args.experiment == "promote":
-            machine = syrupctl.run_promote_demo(**kwargs)
-            text = syrupctl.render_promote(machine)
-        elif args.experiment == "tenants":
-            machine = syrupctl.run_tenants_demo(**kwargs)
-            text = syrupctl.render_tenants(machine)
-        elif args.experiment == "cores":
-            machine = syrupctl.run_cores_demo(**kwargs)
-            text = syrupctl.render_cores(machine)
-        else:
-            machine = syrupctl.run_timeline_demo(**kwargs)
-            text = syrupctl.render_timeline(machine)
-        print(text)
+            view_args.load = args.loads[0]
+        view_args.duration_ms = args.duration_ms
+        view_args.seed = args.seed
+        text = syrupctl.run_view(view_args)
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(text + "\n")

@@ -12,7 +12,7 @@ from repro.policies.builtin import ROUND_ROBIN
 from repro.stats.results import Table
 from repro.workload.mixes import GET_ONLY
 
-__all__ = ["DEFAULT_LOADS", "run_figure2"]
+__all__ = ["DEFAULT_LOADS", "POLICIES", "run_figure2", "testbed"]
 
 DEFAULT_LOADS = [50_000 * i for i in range(1, 11)]  # 50K..500K RPS
 
@@ -20,6 +20,15 @@ POLICIES = {
     "vanilla": None,
     "round_robin": (ROUND_ROBIN, Hook.SOCKET_SELECT, {"NUM_THREADS": 6}),
 }
+
+
+def testbed(name, seed=2, **overrides):
+    """A fresh RocksDB testbed under the named policy.
+
+    ``overrides`` are further :class:`RocksDbTestbed` keywords (thread
+    count, telemetry tiers).
+    """
+    return RocksDbTestbed(policy=POLICIES[name], seed=seed, **overrides)
 
 
 def run_figure2(
@@ -37,14 +46,11 @@ def run_figure2(
         ["policy", "load_rps", "p99_us", "drop_pct", "goodput_rps"],
     )
     for name in names:
-        policy = POLICIES[name]
         for load in loads:
-            def factory():
-                return RocksDbTestbed(
-                    policy=policy, num_threads=num_threads, seed=seed
-                )
-
-            _tb, gen = run_point(factory, load, GET_ONLY, duration_us, warmup_us)
+            _tb, gen = run_point(
+                lambda: testbed(name, seed, num_threads=num_threads),
+                load, GET_ONLY, duration_us, warmup_us,
+            )
             table.add(
                 policy=name,
                 load_rps=load,

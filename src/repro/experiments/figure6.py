@@ -12,9 +12,9 @@ from repro.experiments.runner import RocksDbTestbed, run_point
 from repro.policies.builtin import ROUND_ROBIN, SCAN_AVOID, SITA
 from repro.stats.results import Table
 from repro.workload.mixes import GET_SCAN_995_005
-from repro.workload.requests import SCAN
+from repro.workload.requests import GET, SCAN
 
-__all__ = ["DEFAULT_LOADS", "run_figure6"]
+__all__ = ["DEFAULT_LOADS", "POLICIES", "run_figure6", "testbed"]
 
 DEFAULT_LOADS = [25_000] + [50_000 * i for i in range(1, 9)]  # to 400K
 
@@ -36,6 +36,17 @@ POLICIES = {
 }
 
 
+def testbed(name, seed=3, **overrides):
+    """A fresh six-thread RocksDB testbed under the named policy.
+
+    ``overrides`` are further :class:`RocksDbTestbed` keywords (the
+    telemetry tiers, mostly) layered over the policy's own spec.
+    """
+    return RocksDbTestbed(
+        num_threads=N, seed=seed, **{**POLICIES[name], **overrides}
+    )
+
+
 def run_figure6(
     loads=None,
     duration_us=300_000.0,
@@ -50,24 +61,16 @@ def run_figure6(
         ["policy", "load_rps", "p99_us", "get_p99_us", "drop_pct"],
     )
     for name in names:
-        spec = POLICIES[name]
         for load in loads:
-            def factory():
-                return RocksDbTestbed(
-                    policy=spec.get("policy"),
-                    mark_scans=spec.get("mark_scans", False),
-                    num_threads=N,
-                    seed=seed,
-                )
-
             _tb, gen = run_point(
-                factory, load, GET_SCAN_995_005, duration_us, warmup_us
+                lambda: testbed(name, seed),
+                load, GET_SCAN_995_005, duration_us, warmup_us,
             )
             table.add(
                 policy=name,
                 load_rps=load,
                 p99_us=gen.latency.p99(),
-                get_p99_us=gen.latency.p99(tag=1),
+                get_p99_us=gen.latency.p99(tag=GET),
                 drop_pct=100.0 * gen.drop_fraction(),
             )
     return table

@@ -20,7 +20,12 @@ from repro.stats.results import Table
 from repro.workload.mixes import GET_SCAN_50_50
 from repro.workload.requests import GET, SCAN
 
-__all__ = ["DEFAULT_LOADS", "run_figure8", "run_figure8_dynamic"]
+__all__ = [
+    "DEFAULT_LOADS",
+    "run_figure8",
+    "run_figure8_dynamic",
+    "stage_dynamic",
+]
 
 DEFAULT_LOADS = [1_000 * i for i in (1, 2, 4, 6, 8, 10, 12, 14)]
 
@@ -95,17 +100,9 @@ def run_figure8(
     return table
 
 
-def run_figure8_dynamic(
-    load=6_000,
-    duration_us=600_000.0,
-    warmup_us=0.0,
-    switch_at_us=None,
-    seed=5,
-    metrics=False,
-    timeseries=None,
-    num_threads=NUM_THREADS,
-    run=True,
-):
+def stage_dynamic(load=6_000, duration_us=600_000.0, warmup_us=0.0,
+                  switch_at_us=None, seed=5, metrics=False, timeseries=None,
+                  num_threads=NUM_THREADS):
     """The dynamic Figure-8 scenario: a policy switch *mid-run*.
 
     Starts on Vanilla Linux (hash socket selection, CFS threads) under
@@ -117,9 +114,9 @@ def run_figure8_dynamic(
     rates jumping from zero at the switch instant, which
     ``syrupctl timeline`` renders as sparklines.
 
-    Returns ``(testbed, gen)``.  With ``run=False`` everything is staged
-    (load scheduled, switch armed) but the machine is left unrun, so a
-    harness can time the run itself (``tools/bench.py``).
+    Returns ``(testbed, gen)`` with everything staged (load scheduled,
+    switch armed) but the machine left unrun, so a harness can own the
+    run itself (``syrupctl timeline``, ``tools/bench.py``).
     """
     switch_at = switch_at_us if switch_at_us is not None else duration_us / 2.0
     testbed = RocksDbTestbed(
@@ -141,6 +138,21 @@ def run_figure8_dynamic(
     testbed.machine.engine.at(switch_at, _switch)
     gen = testbed.drive(load, GET_SCAN_50_50, duration_us, warmup_us)
     gen.start()
-    if run:
-        testbed.machine.run()
     return testbed, gen
+
+
+def run_figure8_dynamic(
+    load=6_000,
+    duration_us=600_000.0,
+    warmup_us=0.0,
+    switch_at_us=None,
+    seed=5,
+    metrics=False,
+    timeseries=None,
+    num_threads=NUM_THREADS,
+):
+    """:func:`stage_dynamic`, then run the machine to completion."""
+    staged = stage_dynamic(load, duration_us, warmup_us, switch_at_us, seed,
+                           metrics, timeseries, num_threads)
+    staged[0].machine.run()
+    return staged

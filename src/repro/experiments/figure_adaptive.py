@@ -39,7 +39,11 @@ seeded RNG streams everywhere; reruns are bit-identical.
 """
 
 from repro.core.hooks import Hook
-from repro.experiments.runner import RocksDbTestbed
+from repro.experiments.runner import (
+    SLO_AVAILABILITY_TARGET,
+    RocksDbTestbed,
+    wire_slo_sensors,
+)
 from repro.policies.adaptive import (
     ADAPTIVE_SELECT,
     SRPT_AUTO_THRESHOLD,
@@ -59,6 +63,7 @@ __all__ = [
     "SLO_GET_P99_US",
     "VARIANTS",
     "run_figure_adaptive",
+    "stage_variant",
 ]
 
 #: The latency objective: 99% of GETs within this many microseconds.
@@ -68,9 +73,6 @@ SLO_GET_P99_US = 600.0
 #: 0.75x the SLO, so the reported objective is met with headroom rather
 #: than ridden at the boundary.
 CONTROL_MARGIN = 0.75
-#: The availability objective: serve at least this fraction of requests
-#: (its 1% error budget is what the shed controller is allowed to spend).
-SLO_AVAILABILITY_TARGET = 0.99
 
 #: 200K RPS: comfortably under saturation, everyone passes.  280K RPS:
 #: past the knee — queues form faster than any static order can drain
@@ -108,7 +110,6 @@ def _wire_adaptive(testbed, gen, duration_us, shedding=True):
     machine = testbed.machine
     app = testbed.app
     server = testbed.server
-    registry = machine.obs.registry
 
     # Actuation maps (get-or-create: the deployed programs already pinned
     # these paths; controllers write the same objects the datapath reads).
@@ -118,58 +119,24 @@ def _wire_adaptive(testbed, gen, duration_us, shedding=True):
 
     # Sensors: streaming sketches in the registry (OpenMetrics-visible)
     # and the two SLO objectives, fed from the client completion path.
-    svc_sketch = registry.sketch("rocksdb", "service", "svc_time_us")
+    svc_sketch = machine.obs.registry.sketch(
+        "rocksdb", "service", "svc_time_us")
     server.svc_sketch = svc_sketch
-    lat_sketch = registry.sketch("rocksdb", "client", "get_latency_us")
-    lat_slo = machine.slo.latency(
-        "get_p99", threshold_us=CONTROL_MARGIN * SLO_GET_P99_US,
-        target=0.99,
-        short_window_us=20_000.0, long_window_us=80_000.0,
-        page_burn=5.0, warn_burn=1.0,
-    )
-    avail_slo = machine.slo.availability(
-        "served", target=SLO_AVAILABILITY_TARGET,
-        short_window_us=20_000.0, long_window_us=80_000.0,
-    )
-
-    def on_latency(request, latency_us):
-        avail_slo.record(True)
-        if request.rtype == GET:
-            lat_sketch.observe(latency_us)
-            lat_slo.observe(latency_us)
-
-    gen.on_latency = on_latency
-
     # Dropped requests spend the availability budget; the sources are
     # the shed valve (DROP decisions at SOCKET_SELECT) and drop-tail
-    # socket overflow.  Sampled as a cumulative signal, recorded as the
-    # per-tick delta of bad events.
+    # socket overflow.
     site = machine.syrupd._site(Hook.SOCKET_SELECT)
-    seen = {"drops": 0}
-
-    def read_drops():
-        total = site.drop_decisions + server.total_socket_drops()
-        delta = total - seen["drops"]
-        if delta > 0:
-            avail_slo.record(False, n=delta)
-        seen["drops"] = total
-        return total
+    lat_slo, avail_slo = wire_slo_sensors(
+        machine, gen, CONTROL_MARGIN * SLO_GET_P99_US,
+        lambda: site.drop_decisions + server.total_socket_drops(),
+    )
 
     bus = machine.signals
     # The bus must stop re-arming once the workload ends, or it and the
     # flight recorder would keep the heap alive forever.
     bus.active = lambda: machine.engine.now < duration_us
-    bus.add_signal("dropped_total", read_drops)
-    bus.add_signal(
-        "get_p99_us",
-        lambda: lat_sketch.percentile(99.0),
-        publish=lambda v: registry.gauge(
-            "rocksdb", "signals", "get_p99_us").set(v),
-    )
     bus.add_signal("queue_depth",
                    lambda: sum(len(s) for s in server.sockets))
-    bus.add_controller("slo_publish",
-                       lambda: machine.slo.publish(registry))
     shed = None
     if shedding:
         shed = ShedController(lat_slo, avail_slo, shed_map)
@@ -181,24 +148,39 @@ def _wire_adaptive(testbed, gen, duration_us, shedding=True):
         BlameController(server.sockets, blame_map,
                         scan_map=server.scan_map),
     )
-    return {"shed": shed, "thresh_map": thresh_map,
-            "lat_slo": lat_slo, "avail_slo": avail_slo}
+    return {"shed": shed, "thresh_map": thresh_map}
 
 
-def _build(variant, seed):
-    policy, qdisc = VARIANTS[variant]
-    adaptive = variant in _LOOP_VARIANTS
-    return RocksDbTestbed(
+def stage_variant(name, load, duration_us, warmup_us, seed):
+    """Build and wire one variant; generator started, machine NOT run.
+
+    Returns ``(testbed, gen, loop)`` — ``loop`` is None for the static
+    variants, else ``{"shed": ShedController-or-None, "thresh_map":
+    Map}``.  The ``syrupctl slo`` view and the bench harness use this
+    staged form so they own the ``machine.run()``.
+    """
+    policy, qdisc = VARIANTS[name]
+    looped = name in _LOOP_VARIANTS
+    testbed = RocksDbTestbed(
         policy=policy,
         qdisc=qdisc,
         mark_sizes=qdisc is not None,
-        mark_scans=adaptive,
+        mark_scans=looped,
         num_threads=N,
         seed=seed,
-        metrics=adaptive,
-        signals=SIGNAL_INTERVAL_US if adaptive else None,
-        slo=adaptive,
+        metrics=looped,
+        signals=SIGNAL_INTERVAL_US if looped else None,
+        slo=looped,
     )
+    gen = testbed.drive(
+        load, GET_SCAN_995_005, duration_us, warmup_us
+    ).start()
+    loop = (
+        _wire_adaptive(testbed, gen, duration_us,
+                       shedding=name == "adaptive")
+        if looped else None
+    )
+    return testbed, gen, loop
 
 
 def run_figure_adaptive(
@@ -223,14 +205,8 @@ def run_figure_adaptive(
     )
     for name in names:
         for load in loads:
-            testbed = _build(name, seed)
-            gen = testbed.drive(
-                load, GET_SCAN_995_005, duration_us, warmup_us
-            ).start()
-            loop = (
-                _wire_adaptive(testbed, gen, duration_us,
-                               shedding=name == "adaptive")
-                if name in _LOOP_VARIANTS else None
+            testbed, gen, loop = stage_variant(
+                name, load, duration_us, warmup_us, seed
             )
             testbed.machine.run()
             get_p99 = gen.latency.p99(tag=GET)

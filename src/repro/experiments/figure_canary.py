@@ -45,7 +45,11 @@ lifecycle keeps last-known-good for demotion.  The defaults here
 decisive and reproducible.
 """
 
-from repro.experiments.runner import RocksDbTestbed
+from repro.experiments.runner import (
+    SLO_AVAILABILITY_TARGET,
+    RocksDbTestbed,
+    wire_slo_sensors,
+)
 from repro.qdisc.policies import (
     SRPT_BY_SIZE,
     SRPT_MISRANK_GETS,
@@ -62,12 +66,12 @@ __all__ = [
     "SLO_AVAILABILITY_TARGET",
     "SLO_GET_P99_US",
     "run_figure_canary",
+    "stage_variant",
 ]
 
 #: The live objective the promotion pipeline must never sacrifice:
 #: 99% of GETs within 1.5 ms, at least 99% of requests served.
 SLO_GET_P99_US = 1_500.0
-SLO_AVAILABILITY_TARGET = 0.99
 
 #: Busy but under the knee — the active SRPT discipline holds the
 #: objective with headroom, so any breach during an attempt would be
@@ -103,8 +107,23 @@ GATES = dict(
 )
 
 
-def _build(seed):
-    return RocksDbTestbed(
+def stage_variant(submissions, load, duration_us, warmup_us, seed,
+                  gates=None):
+    """Build and wire one canary run; generator started, machine NOT run.
+
+    ``submissions`` is a sequence of ``(candidate, at_us)``: at each
+    ``at_us`` the operator submits ``CANDIDATES[candidate]`` through
+    :meth:`~repro.core.api.App.deploy_shadow` under :data:`GATES`
+    (overridden by ``gates``).  The figure stages one submission per
+    run; the ``syrupctl promote`` view stages two on one machine.
+
+    Returns ``(testbed, gen, records, states)``: ``records`` fills with
+    one PromotionRecord per submission as each fires, ``states`` with
+    the latency objective's alert state on every bus tick.  The
+    completion path routes every GET latency into the SLO objective and
+    into the latest record's cohort sketches.
+    """
+    testbed = RocksDbTestbed(
         qdisc=(SRPT_BY_SIZE, "socket", "pifo"),
         mark_sizes=True,
         num_threads=N,
@@ -113,63 +132,45 @@ def _build(seed):
         signals=SIGNAL_INTERVAL_US,
         slo=True,
     )
-
-
-def _wire(testbed, gen, duration_us, holder):
-    """SLO objectives, sensors, and the completion-path feed.
-
-    ``holder`` carries the PromotionRecord once the mid-run deploy
-    fires; the completion callback routes every GET latency into both
-    the SLO objective and the controller's cohort sketches.
-    """
     machine = testbed.machine
-    server = testbed.server
-    registry = machine.obs.registry
-
-    lat_sketch = registry.sketch("rocksdb", "client", "get_latency_us")
-    lat_slo = machine.slo.latency(
-        "get_p99", threshold_us=SLO_GET_P99_US, target=0.99,
-        short_window_us=20_000.0, long_window_us=80_000.0,
-        page_burn=5.0, warn_burn=1.0,
+    gen = testbed.drive(
+        load, GET_SCAN_995_005, duration_us, warmup_us
+    ).start()
+    # Socket overflow drops spend the availability budget.
+    lat_slo, _avail_slo = wire_slo_sensors(
+        machine, gen, SLO_GET_P99_US, testbed.server.total_socket_drops,
+        publish_p99=False,
     )
-    avail_slo = machine.slo.availability(
-        "served", target=SLO_AVAILABILITY_TARGET,
-        short_window_us=20_000.0, long_window_us=80_000.0,
-    )
+    records = []
+    feed_slo = gen.on_latency
 
     def on_latency(request, latency_us):
-        avail_slo.record(True)
-        if request.rtype == GET:
-            lat_sketch.observe(latency_us)
-            lat_slo.observe(latency_us)
-            record = holder.get("record")
-            if record is not None:
-                record.controller.observe(request, latency_us)
+        feed_slo(request, latency_us)
+        if records and request.rtype == GET:
+            records[-1].controller.observe(request, latency_us)
 
     gen.on_latency = on_latency
 
-    # Socket overflow drops spend the availability budget.
-    seen = {"drops": 0}
-
-    def read_drops():
-        total = server.total_socket_drops()
-        delta = total - seen["drops"]
-        if delta > 0:
-            avail_slo.record(False, n=delta)
-        seen["drops"] = total
-        return total
-
     bus = machine.signals
     bus.active = lambda: machine.engine.now < duration_us
-    bus.add_signal("dropped_total", read_drops)
-    bus.add_signal("get_p99_us", lambda: lat_sketch.percentile(99.0))
-    bus.add_controller("slo_publish",
-                       lambda: machine.slo.publish(registry))
     # Worst SLO state seen on any tick: the proof the live objective was
     # never paged during either promotion attempt.
     states = []
     bus.add_controller("slo_watch", lambda: states.append(lat_slo.state()))
-    return {"lat_slo": lat_slo, "avail_slo": avail_slo, "states": states}
+
+    gate_kwargs = dict(GATES)
+    if gates:
+        gate_kwargs.update(gates)
+
+    def submit(name):
+        records.append(testbed.app.deploy_shadow(
+            CANDIDATES[name], layer="socket",
+            constants={"SHORT_US": SHORT_US}, name=name, **gate_kwargs,
+        ))
+
+    for name, at_us in submissions:
+        machine.engine.at(at_us, lambda name=name: submit(name))
+    return testbed, gen, records, states
 
 
 def run_figure_canary(
@@ -186,9 +187,6 @@ def run_figure_canary(
     availability budget) plus the tick-sampled burn state — never on
     the controller's opinion of itself."""
     names = candidates or list(CANDIDATES)
-    gate_kwargs = dict(GATES)
-    if gates:
-        gate_kwargs.update(gates)
     table = Table(
         "figure_canary: shadow -> canary-10% -> active, SLO-gated; the "
         "good candidate promotes, the broken one is rejected in canary",
@@ -198,29 +196,17 @@ def run_figure_canary(
          "slo_breached"],
     )
     for name in names:
-        testbed = _build(seed)
-        machine = testbed.machine
-        gen = testbed.drive(
-            load, GET_SCAN_995_005, duration_us, warmup_us
-        ).start()
-        holder = {}
-        loop = _wire(testbed, gen, duration_us, holder)
+        testbed, gen, records, states = stage_variant(
+            [(name, SHADOW_AT_US)], load, duration_us, warmup_us, seed,
+            gates=gates,
+        )
+        testbed.machine.run()
 
-        def deploy(name=name):
-            holder["record"] = testbed.app.deploy_shadow(
-                CANDIDATES[name], layer="socket",
-                constants={"SHORT_US": SHORT_US},
-                name=name, **gate_kwargs,
-            )
-
-        machine.engine.at(SHADOW_AT_US, deploy)
-        machine.run()
-
-        record = holder["record"]
+        record = records[0]
         controller = record.controller
         get_p99 = gen.latency.p99(tag=GET)
         drop_frac = gen.drop_fraction()
-        page_ticks = loop["states"].count("page")
+        page_ticks = states.count("page")
         breached = (
             get_p99 > SLO_GET_P99_US
             or drop_frac > 1.0 - SLO_AVAILABILITY_TARGET

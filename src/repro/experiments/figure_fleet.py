@@ -32,10 +32,45 @@ from repro.cluster.fleet import Fleet
 from repro.faults import FaultPlan
 from repro.stats.results import Table
 
-__all__ = ["DEFAULT_VARIANTS", "run_figure_fleet"]
+__all__ = ["DEFAULT_VARIANTS", "run_figure_fleet", "stage_variant"]
 
 DEFAULT_VARIANTS = ("random", "flow_hash", "jsq", "power_of_two", "sed",
                     "program_p2c")
+
+
+def stage_variant(name, num_machines, rps, duration_us, warmup_us, seed,
+                  num_users=1_000_000, diurnal_depth=0.4, kill_machine=None,
+                  kill_at_frac=0.4, restore_at_frac=0.75, plan_seed=11,
+                  **fleet_kwargs):
+    """Build one rack under steering policy ``name``; load attached,
+    fleet NOT run.
+
+    ``kill_machine`` defaults to machine ``num_machines // 3`` (killed
+    at ``kill_at_frac`` of the run, rebooted at ``restore_at_frac``);
+    pass ``False`` to disable the mid-run kill entirely.
+    ``fleet_kwargs`` go to :class:`~repro.cluster.fleet.Fleet` (worker
+    count, sync-bus cadence, telemetry tiers).  Returns the driven
+    :class:`~repro.cluster.fleet.Fleet`; the ``syrupctl fleet`` view
+    and the bench harness use this staged form so they own the
+    ``fleet.run()``.
+    """
+    plan = None
+    if kill_machine is not False:
+        victim = (num_machines // 3 if kill_machine is None
+                  else kill_machine)
+        plan = FaultPlan(seed=plan_seed).machine_kill(
+            victim, at_us=duration_us * kill_at_frac,
+            restore_at_us=duration_us * restore_at_frac,
+        )
+    fleet = Fleet(
+        num_machines=num_machines, seed=seed, steering=name, faults=plan,
+        warmup_us=warmup_us, **fleet_kwargs,
+    )
+    fleet.drive(
+        duration_us=duration_us, rps=rps, num_users=num_users,
+        diurnal_period_us=duration_us, diurnal_depth=diurnal_depth,
+    )
+    return fleet
 
 
 def run_figure_fleet(
@@ -69,27 +104,13 @@ def run_figure_fleet(
          "p99_us", "resteers", "max_machine_share"],
     )
     for name in names:
-        plan = None
-        if kill_machine is not False:
-            victim = (num_machines // 3 if kill_machine is None
-                      else kill_machine)
-            plan = FaultPlan(seed=plan_seed).machine_kill(
-                victim, at_us=duration_us * kill_at_frac,
-                restore_at_us=duration_us * restore_at_frac,
-            )
-        fleet = Fleet(
-            num_machines=num_machines,
+        fleet = stage_variant(
+            name, num_machines, rps, duration_us, warmup_us, seed,
+            num_users=num_users, diurnal_depth=diurnal_depth,
+            kill_machine=kill_machine, kill_at_frac=kill_at_frac,
+            restore_at_frac=restore_at_frac, plan_seed=plan_seed,
             workers_per_machine=workers_per_machine,
-            seed=seed,
-            steering=name,
-            sync_interval_us=sync_interval_us,
-            sync_delay_us=sync_delay_us,
-            faults=plan,
-            warmup_us=warmup_us,
-        )
-        fleet.drive(
-            duration_us=duration_us, rps=rps, num_users=num_users,
-            diurnal_period_us=duration_us, diurnal_depth=diurnal_depth,
+            sync_interval_us=sync_interval_us, sync_delay_us=sync_delay_us,
         )
         fleet.run()
         offered = fleet.generator.offered

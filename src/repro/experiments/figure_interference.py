@@ -43,7 +43,11 @@ seeded RNG streams everywhere; reruns are bit-identical.
 """
 
 from repro.core.hooks import Hook
-from repro.experiments.runner import RocksDbTestbed
+from repro.experiments.runner import (
+    SLO_AVAILABILITY_TARGET,
+    RocksDbTestbed,
+    wire_slo_sensors,
+)
 from repro.obs.interference import (
     NoisyNeighborDetector,
     TenantShedController,
@@ -73,8 +77,6 @@ SLO_GET_P99_US = 600.0
 #: Controllers chase a tighter internal bound so the reported objective
 #: is met with headroom instead of ridden at the boundary.
 CONTROL_MARGIN = 0.5
-#: Victim availability objective: serve >= 99% of alpha's requests.
-SLO_AVAILABILITY_TARGET = 0.99
 #: The attribution bar: at least this share of the victim's contended
 #: queueing must be charged to the aggressor at the blamed layer.
 ATTRIBUTION_TARGET = 0.80
@@ -89,60 +91,6 @@ VARIANTS = ("isolated", "contended", "load_shed", "blame_shed")
 N = 6
 SIGNAL_INTERVAL_US = 2_000.0
 ALPHA_ID, BRAVO_ID = 1, 2
-
-
-def _wire_victim_slo(machine, gen_alpha, acct):
-    """Alpha's two objectives, fed from alpha's completions and drops.
-
-    Completions arrive via the generator's latency callback; drops are
-    read from alpha's accounting ledger (the per-tenant drop books the
-    accountant keeps across NIC/netstack/socket/valve), sampled as a
-    cumulative signal whose per-tick delta spends the availability
-    budget.
-    """
-    registry = machine.obs.registry
-    lat_sketch = registry.sketch("rocksdb", "client", "alpha_get_latency_us")
-    lat_slo = machine.slo.latency(
-        "alpha_get_p99", threshold_us=CONTROL_MARGIN * SLO_GET_P99_US,
-        target=0.99,
-        short_window_us=20_000.0, long_window_us=80_000.0,
-        page_burn=5.0, warn_burn=1.0,
-    )
-    avail_slo = machine.slo.availability(
-        "alpha_served", target=SLO_AVAILABILITY_TARGET,
-        short_window_us=20_000.0, long_window_us=80_000.0,
-    )
-
-    def on_latency(request, latency_us):
-        avail_slo.record(True)
-        if request.rtype == GET:
-            lat_sketch.observe(latency_us)
-            lat_slo.observe(latency_us)
-
-    gen_alpha.on_latency = on_latency
-
-    seen = {"drops": 0}
-
-    def read_alpha_drops():
-        ledger = acct.ledgers.get("alpha")
-        total = ledger.total_drops() if ledger is not None else 0
-        delta = total - seen["drops"]
-        if delta > 0:
-            avail_slo.record(False, n=delta)
-        seen["drops"] = total
-        return total
-
-    bus = machine.signals
-    bus.add_signal("alpha_dropped_total", read_alpha_drops)
-    bus.add_signal(
-        "alpha_get_p99_us",
-        lambda: lat_sketch.percentile(99.0),
-        publish=lambda v: registry.gauge(
-            "rocksdb", "signals", "alpha_get_p99_us").set(v),
-    )
-    bus.add_controller("slo_publish",
-                       lambda: machine.slo.publish(registry))
-    return lat_slo, avail_slo
 
 
 def _build(variant, seed):
@@ -207,11 +155,22 @@ def stage_variant(name, victim_rps, aggressor_rps, duration_us, warmup_us,
             stream="bravo", user_id=BRAVO_ID, tenant="bravo",
         )
         gens.append(gen_bravo)
+
+    def alpha_drops():
+        """Alpha's cumulative drops, from its accounting ledger (the
+        per-tenant drop books the accountant keeps across
+        NIC/netstack/socket/valve)."""
+        ledger = acct.ledgers.get("alpha")
+        return ledger.total_drops() if ledger is not None else 0
+
     detector = None
     if name in ("load_shed", "blame_shed"):
         machine.signals.active = \
             lambda m=machine: m.engine.now < duration_us
-        lat_slo, avail_slo = _wire_victim_slo(machine, gen_alpha, acct)
+        lat_slo, avail_slo = wire_slo_sensors(
+            machine, gen_alpha, CONTROL_MARGIN * SLO_GET_P99_US,
+            alpha_drops, prefix="alpha_",
+        )
         if name == "load_shed":
             shed_map = testbed.app.create_map("shed_map", size=1)
             machine.signals.add_controller(

@@ -31,7 +31,7 @@ from repro.stats.results import Table
 from repro.workload.mixes import GET_SCAN_995_005
 from repro.workload.requests import GET, SCAN
 
-__all__ = ["DEFAULT_LOADS", "DISCIPLINES", "run_figure_order"]
+__all__ = ["DEFAULT_LOADS", "DISCIPLINES", "run_figure_order", "testbed"]
 
 #: Queues are near-empty below ~160K RPS (ordering can't help an empty
 #: queue); 280K is just past where FIFO starts shedding load.
@@ -45,6 +45,20 @@ DISCIPLINES = {
     "srpt_pifo": (SRPT_BY_SIZE, "socket", "pifo"),
     "srpt_bucket": (SRPT_BY_SIZE, "socket", "bucket"),
 }
+
+
+def testbed(name, seed=3, **overrides):
+    """A fresh six-thread RocksDB testbed under the named discipline.
+
+    Requests carry their size marks exactly when a rank function is
+    deployed to read them.  ``overrides`` are further
+    :class:`RocksDbTestbed` keywords (telemetry tiers).
+    """
+    spec = DISCIPLINES[name]
+    return RocksDbTestbed(
+        qdisc=spec, mark_sizes=spec is not None, num_threads=N, seed=seed,
+        **overrides,
+    )
 
 
 def run_figure_order(
@@ -67,16 +81,9 @@ def run_figure_order(
     for name in names:
         spec = DISCIPLINES[name]
         for load in loads:
-            def factory():
-                return RocksDbTestbed(
-                    qdisc=spec,
-                    mark_sizes=spec is not None,
-                    num_threads=N,
-                    seed=seed,
-                )
-
             _tb, gen = run_point(
-                factory, load, GET_SCAN_995_005, duration_us, warmup_us
+                lambda: testbed(name, seed),
+                load, GET_SCAN_995_005, duration_us, warmup_us,
             )
             get_p99 = gen.latency.p99(tag=GET)
             if spec is None:

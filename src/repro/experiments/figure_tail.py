@@ -30,7 +30,7 @@ from repro.policies.builtin import SCAN_AVOID
 from repro.stats.results import Table
 from repro.workload.mixes import GET_SCAN_995_005
 
-__all__ = ["DEFAULT_LOADS", "run_figure_tail"]
+__all__ = ["DEFAULT_LOADS", "POLICIES", "run_figure_tail", "testbed"]
 
 DEFAULT_LOADS = [60_000, 120_000]
 
@@ -41,6 +41,20 @@ POLICIES = {
     "rss": None,
     "scan_avoid": (SCAN_AVOID, Hook.SOCKET_SELECT, {"NUM_THREADS": 6}),
 }
+
+
+def testbed(name, seed=7, sample_every=1, spans_capacity=1 << 18,
+            **overrides):
+    """A fresh span-traced RocksDB testbed under the named policy.
+
+    ``sample_every=N`` keeps every Nth request (head sampling).
+    ``overrides`` are further :class:`RocksDbTestbed` keywords (thread
+    count, metrics).
+    """
+    return RocksDbTestbed(
+        policy=POLICIES[name], seed=seed, mark_scans=True,
+        spans=sample_every, spans_capacity=spans_capacity, **overrides,
+    )
 
 
 def run_figure_tail(
@@ -70,19 +84,13 @@ def run_figure_tail(
     if export_dir:
         os.makedirs(export_dir, exist_ok=True)
     for name in names:
-        policy = POLICIES[name]
         for load in loads:
-            def factory():
-                return RocksDbTestbed(
-                    policy=policy, num_threads=num_threads, seed=seed,
-                    mark_scans=True, spans=sample_every,
-                    spans_capacity=spans_capacity,
-                )
-
-            testbed, _gen = run_point(
-                factory, load, GET_SCAN_995_005, duration_us, warmup_us
+            staged, _gen = run_point(
+                lambda: testbed(name, seed, sample_every, spans_capacity,
+                                num_threads=num_threads),
+                load, GET_SCAN_995_005, duration_us, warmup_us,
             )
-            tracer = testbed.machine.obs.spans
+            tracer = staged.machine.obs.spans
             trees = [
                 t for t in tracer.trees(complete=True)
                 if t["start"] >= warmup_us

@@ -1,12 +1,32 @@
-"""Shared experiment plumbing."""
+"""Shared experiment plumbing.
+
+The staging convention every experiment module follows: a ``stage_*``
+function builds the system, attaches the load and wires any control
+loop — generators started, **nothing run** — and the matching ``run_*``
+is that plus ``run()``.  ``syrupctl`` views and ``tools/bench.py``
+scenarios consume the staged form (they own the run, the rendering and
+the timing); the figures consume the run form.
+"""
 
 from repro.config import set_a
 from repro.core.hooks import Hook
 from repro.machine import Machine
 from repro.apps.rocksdb import RocksDbServer
 from repro.workload.generator import OpenLoopGenerator
+from repro.workload.requests import GET
 
-__all__ = ["RocksDbTestbed", "run_point"]
+__all__ = [
+    "SLO_AVAILABILITY_TARGET",
+    "RocksDbTestbed",
+    "run_point",
+    "stage_point",
+    "wire_slo_sensors",
+]
+
+#: The availability objective every closed-loop figure signs: serve at
+#: least this fraction of requests (the 1% error budget is what a shed
+#: controller is allowed to spend).
+SLO_AVAILABILITY_TARGET = 0.99
 
 
 class RocksDbTestbed:
@@ -100,9 +120,88 @@ class RocksDbTestbed:
         return gen
 
 
+def stage_point(testbed_factory, rate_rps, mix, duration_us, warmup_us,
+                tenant=None):
+    """Build a fresh testbed and start one load point; machine NOT run.
+
+    Returns ``(testbed, gen)``.  ``tenant`` labels the generator's
+    requests for per-tenant accounting.
+    """
+    testbed = testbed_factory()
+    gen = testbed.drive(rate_rps, mix, duration_us, warmup_us,
+                        tenant=tenant).start()
+    return testbed, gen
+
+
 def run_point(testbed_factory, rate_rps, mix, duration_us, warmup_us):
     """Build a fresh testbed, drive one load point to completion."""
-    testbed = testbed_factory()
-    gen = testbed.drive(rate_rps, mix, duration_us, warmup_us).start()
-    testbed.machine.run()
-    return testbed, gen
+    staged = stage_point(testbed_factory, rate_rps, mix, duration_us,
+                         warmup_us)
+    staged[0].machine.run()
+    return staged
+
+
+def wire_slo_sensors(machine, gen, threshold_us, read_drop_total,
+                     prefix="", publish_p99=True):
+    """The SLO sensor block every closed-loop figure shares.
+
+    Registers, on a machine built with ``metrics``/``signals``/``slo``:
+    a GET-latency sketch ``<prefix>get_latency_us`` and the two
+    objectives ``<prefix>get_p99`` (99% of GETs within
+    ``threshold_us``) and ``<prefix>served``
+    (:data:`SLO_AVAILABILITY_TARGET`), both fed from ``gen``'s
+    completion callback; the ``<prefix>dropped_total`` signal, which
+    samples the cumulative ``read_drop_total()`` and books each tick's
+    delta as bad events against the availability budget; the
+    ``<prefix>get_p99_us`` signal (also published as a registry gauge
+    when ``publish_p99``); and the ``slo_publish`` controller.
+
+    Registration order is part of the contract — it fixes metric-series
+    and signal order in every export.  Returns ``(lat_slo, avail_slo)``;
+    callers add their own signals and controllers after.
+    """
+    registry = machine.obs.registry
+    lat_sketch = registry.sketch(
+        "rocksdb", "client", f"{prefix}get_latency_us")
+    lat_slo = machine.slo.latency(
+        f"{prefix}get_p99", threshold_us=threshold_us, target=0.99,
+        short_window_us=20_000.0, long_window_us=80_000.0,
+        page_burn=5.0, warn_burn=1.0,
+    )
+    avail_slo = machine.slo.availability(
+        f"{prefix}served", target=SLO_AVAILABILITY_TARGET,
+        short_window_us=20_000.0, long_window_us=80_000.0,
+    )
+
+    def on_latency(request, latency_us):
+        avail_slo.record(True)
+        if request.rtype == GET:
+            lat_sketch.observe(latency_us)
+            lat_slo.observe(latency_us)
+
+    gen.on_latency = on_latency
+
+    seen = {"drops": 0}
+
+    def read_drops():
+        total = read_drop_total()
+        delta = total - seen["drops"]
+        if delta > 0:
+            avail_slo.record(False, n=delta)
+        seen["drops"] = total
+        return total
+
+    bus = machine.signals
+    bus.add_signal(f"{prefix}dropped_total", read_drops)
+    p99_name = f"{prefix}get_p99_us"
+    bus.add_signal(
+        p99_name,
+        lambda: lat_sketch.percentile(99.0),
+        publish=(
+            (lambda v: registry.gauge("rocksdb", "signals", p99_name).set(v))
+            if publish_p99 else None
+        ),
+    )
+    bus.add_controller("slo_publish",
+                       lambda: machine.slo.publish(registry))
+    return lat_slo, avail_slo

@@ -9,21 +9,35 @@ structured decision-event trace (:func:`render_events`).  Used
 interactively from examples/notebooks and by operators debugging a policy
 that "deployed fine but does nothing".
 
-Also a CLI (``syrupctl`` console script / ``python -m repro stats``):
-since there is no long-running daemon to attach to in a simulation,
-the CLI drives a canned Figure-6-style RocksDB scenario with metrics
-enabled and renders the requested view — the documented, runnable
-demonstration of the stats surface (docs/observability.md walks through
-the output).
+Also a CLI (``syrupctl`` console script / ``python -m repro <view>``).
+There is no long-running daemon to attach to in a simulation, so each
+view stages a canned scenario, runs it, and renders it — the
+documented, runnable demonstration of that surface
+(docs/observability.md walks through the output).  This module is
+rendering only: :data:`VIEWS` maps every view to its scenario, its
+``--json`` snapshot and its renderer; :data:`SCENARIOS` maps every
+scenario to a :mod:`repro.experiments` staging call at demo scale; and
+:func:`run_view` is the one parse -> stage -> run -> print -> export
+path both CLIs walk.  No testbed, fleet, fault plan or controller is
+constructed here.
 """
 
 import argparse
 import json
 import sys
 
+from repro import experiments
+from repro.experiments.runner import stage_point
+from repro.obs.export import write_openmetrics
+from repro.obs.tail import critical_path, render_critical_path
 from repro.stats.results import Table
+from repro.trace import RequestTracer
+from repro.workload.mixes import GET_SCAN_995_005
 
 __all__ = [
+    "SCENARIOS",
+    "VIEWS",
+    "build_parser",
     "dump_map",
     "main",
     "render_cores",
@@ -41,16 +55,8 @@ __all__ = [
     "render_tail",
     "render_tenants",
     "render_timeline",
-    "run_cores_demo",
-    "run_faults_demo",
-    "run_fleet_demo",
-    "run_promote_demo",
-    "run_qdisc_demo",
-    "run_slo_demo",
-    "run_spans_demo",
-    "run_stats_demo",
-    "run_tenants_demo",
-    "run_timeline_demo",
+    "run_view",
+    "stage_view",
 ]
 
 
@@ -624,8 +630,6 @@ def render_spans(machine, last=10):
 
 def render_tail(machine, lo_pct=50.0, hi_pct=99.0):
     """The p50-vs-p99 critical-path table for the sampled requests."""
-    from repro.obs.tail import critical_path, render_critical_path
-
     tracer = machine.obs.spans
     if not tracer.enabled:
         return (
@@ -640,288 +644,172 @@ def render_tail(machine, lo_pct=50.0, hi_pct=99.0):
     )
 
 
-def run_stats_demo(load=120_000, duration_ms=100.0, seed=7):
-    """Drive the canned observability demo: one Figure-6-style point.
-
-    A RocksDB server under the 99.5% GET / 0.5% SCAN mix with the SCAN
-    Avoid policy at the Socket Select hook, metrics enabled, and a
-    request tracer bridged into the event trace.  Returns the finished
-    machine for rendering.
-    """
-    from repro.experiments.runner import RocksDbTestbed
-    from repro.policies.builtin import SCAN_AVOID
-    from repro.trace import RequestTracer
-    from repro.workload.mixes import GET_SCAN_995_005
-
-    testbed = RocksDbTestbed(
-        policy=(SCAN_AVOID, "socket_select", {"NUM_THREADS": 6}),
-        mark_scans=True, seed=seed, metrics=True,
-    )
-    duration_us = duration_ms * 1000.0
-    RequestTracer(testbed.machine, testbed.server,
-                  warmup_us=duration_us * 0.25)
-    gen = testbed.drive(load, GET_SCAN_995_005, duration_us,
-                        warmup_us=duration_us * 0.25)
-    gen.start()
-    testbed.machine.run()
-    testbed.machine.demo_generator = gen
-    return testbed.machine
+# ----------------------------------------------------------------------
+# The CLI: one table of scenarios, one table of views, and a single
+# parse -> stage -> run -> print -> export path.  Every scenario is
+# staged by :mod:`repro.experiments`; the rows below only pin the
+# demo's scale and telemetry tiers.
+# ----------------------------------------------------------------------
+def _stats_testbed(seed, warmup_us):
+    testbed = experiments.figure6.testbed("scan_avoid", seed, metrics=True)
+    RequestTracer(testbed.machine, testbed.server, warmup_us=warmup_us)
+    return testbed
 
 
-def run_spans_demo(load=120_000, duration_ms=100.0, seed=7, spans_every=1):
-    """Drive the causal-span demo: the stats scenario with tracing on.
-
-    The same Figure-6-style SCAN Avoid point as :func:`run_stats_demo`,
-    with head-sampled span tracing (``spans_every`` keeps every Nth
-    request) *and* metrics enabled, so decision spans carry event
-    sequence numbers linking them back to the decision trace.  Returns
-    the finished machine for rendering (``syrupctl spans`` /
-    ``syrupctl tail``).
-    """
-    from repro.experiments.runner import RocksDbTestbed
-    from repro.policies.builtin import SCAN_AVOID
-    from repro.workload.mixes import GET_SCAN_995_005
-
-    testbed = RocksDbTestbed(
-        policy=(SCAN_AVOID, "socket_select", {"NUM_THREADS": 6}),
-        mark_scans=True, seed=seed, metrics=True,
-        spans=spans_every, spans_capacity=1 << 16,
-    )
-    duration_us = duration_ms * 1000.0
-    gen = testbed.drive(load, GET_SCAN_995_005, duration_us,
-                        warmup_us=duration_us * 0.25)
-    gen.start()
-    testbed.machine.run()
-    testbed.machine.demo_generator = gen
-    return testbed.machine
+def _point(factory, load, duration_us):
+    """One 99.5% GET / 0.5% SCAN load point, 25% warmup, staged."""
+    return stage_point(factory, load, GET_SCAN_995_005, duration_us,
+                       duration_us * 0.25)[0].machine
 
 
-def run_faults_demo(load=100_000, duration_ms=80.0, seed=3,
-                    fault_rate=0.05):
-    """Drive the canned robustness demo: a fault plan vs the lifecycle.
-
-    The Figure-6 SCAN Avoid point with a seeded
-    :class:`repro.faults.FaultPlan` injecting runtime faults into the
-    Socket Select program; the default
-    :class:`repro.core.health.HealthPolicy` quarantines the deployment
-    once the sliding-window threshold breaks, so ``syrupctl health``
-    shows a ``quarantined`` row and the event trace carries the
-    ``fault_injected`` → ``runtime_fault`` → ``quarantine`` sequence.
-    Returns the finished machine for rendering.
-    """
-    from repro.core.health import HealthPolicy
-    from repro.experiments.runner import RocksDbTestbed
-    from repro.faults import FaultPlan
-    from repro.policies.builtin import SCAN_AVOID
-    from repro.workload.mixes import GET_SCAN_995_005
-
-    plan = FaultPlan(seed=11).vmfault(
-        fault_rate, app="rocksdb", hook="socket_select"
-    )
-    testbed = RocksDbTestbed(
-        policy=(SCAN_AVOID, "socket_select", {"NUM_THREADS": 6}),
-        mark_scans=True, seed=seed, metrics=True, faults=plan,
-        health=HealthPolicy(window_us=10_000.0, max_faults=5),
-    )
-    duration_us = duration_ms * 1000.0
-    gen = testbed.drive(load, GET_SCAN_995_005, duration_us,
-                        warmup_us=duration_us * 0.25)
-    gen.start()
-    testbed.machine.run()
-    testbed.machine.demo_generator = gen
-    return testbed.machine
-
-
-def run_qdisc_demo(load=240_000, duration_ms=100.0, seed=3):
-    """Drive the canned queueing-discipline demo: one figure_order point.
-
-    The RocksDB bimodal mix with the SRPT-by-request-size rank function
-    (:data:`repro.qdisc.policies.SRPT_BY_SIZE`) deployed on the exact
-    PIFO backend at every socket backlog, metrics enabled, at a load
-    where queues actually form.  Returns the finished machine for
-    rendering (``syrupctl qdisc`` / ``python -m repro qdisc``).
-    """
-    from repro.experiments.runner import RocksDbTestbed
-    from repro.qdisc.policies import SRPT_BY_SIZE
-    from repro.workload.mixes import GET_SCAN_995_005
-
-    testbed = RocksDbTestbed(
-        qdisc=(SRPT_BY_SIZE, "socket", "pifo"), mark_sizes=True,
-        seed=seed, metrics=True,
-    )
-    duration_us = duration_ms * 1000.0
-    gen = testbed.drive(load, GET_SCAN_995_005, duration_us,
-                        warmup_us=duration_us * 0.25)
-    gen.start()
-    testbed.machine.run()
-    testbed.machine.demo_generator = gen
-    return testbed.machine
-
-
-def run_timeline_demo(load=6_000, duration_ms=600.0, seed=5,
-                      interval_ms=10.0):
-    """Drive the canned time-series demo: the dynamic Figure-8 scenario.
-
-    50/50 GET/SCAN on Vanilla Linux with SCAN Avoid deployed *mid-run*
-    (:func:`repro.experiments.figure8.run_figure8_dynamic`), metrics and
-    the flight recorder enabled — the policy switch shows up as hook
-    decision rates jumping from zero halfway through the timeline.
-    Returns the finished machine for rendering.
-    """
-    from repro.experiments.figure8 import run_figure8_dynamic
-
-    testbed, gen = run_figure8_dynamic(
-        load=load, duration_us=duration_ms * 1000.0, seed=seed,
-        metrics=True, timeseries=interval_ms * 1000.0,
-    )
-    testbed.machine.demo_generator = gen
-    return testbed.machine
-
-
-def run_slo_demo(load=240_000, duration_ms=120.0, seed=3):
-    """Drive the canned closed-loop demo: one adaptive figure point.
-
-    One ``figure_adaptive`` load point past the knee with the full
-    control loop — streaming sketches and SLO objectives sampled by the
-    :class:`~repro.core.signals.SignalBus`, burn-rate-driven shedding,
-    SRPT threshold auto-tuning, and blame steering — so ``syrupctl slo``
-    shows live burn rates, budget spend, and the controllers' last
-    actuation.  Returns the finished machine for rendering.
-    """
-    from repro.experiments.figure_adaptive import _build, _wire_adaptive
-    from repro.workload.mixes import GET_SCAN_995_005
-
-    duration_us = duration_ms * 1000.0
-    testbed = _build("adaptive", seed)
-    gen = testbed.drive(load, GET_SCAN_995_005, duration_us,
-                        warmup_us=duration_us * 0.25)
-    gen.start()
-    _wire_adaptive(testbed, gen, duration_us, shedding=True)
-    testbed.machine.run()
-    testbed.machine.demo_generator = gen
-    return testbed.machine
+#: scenario -> ((load, duration_ms, seed) defaults, stage).  ``stage``
+#: takes ``(load, duration_us, seed, args)`` and returns the staged
+#: system — a Machine or a Fleet with its load attached, nothing run.
+#: Each comment says what the view shows; the scenario itself is
+#: described where it is built, on the named staging function.
+SCENARIOS = {
+    # The canned observability scenario: one Figure-6-style point.  A
+    # RocksDB server under the 99.5% GET / 0.5% SCAN mix with the SCAN
+    # Avoid policy at the Socket Select hook, metrics enabled, and a
+    # request tracer bridged into the event trace.
+    "stats": ((120_000, 100.0, 7), lambda load, us, seed, a: _point(
+        lambda: _stats_testbed(seed, us * 0.25), load, us)),
+    # The causal-span scenario: the same Figure-6-style SCAN Avoid point
+    # as ``stats``, with head-sampled span tracing (``--spans-every``
+    # keeps every Nth request) *and* metrics enabled, so decision spans
+    # carry event sequence numbers linking them back to the decision
+    # trace.
+    "spans": ((120_000, 100.0, 7), lambda load, us, seed, a: _point(
+        lambda: experiments.figure_tail.testbed(
+            "scan_avoid", seed, sample_every=a.spans_every,
+            spans_capacity=1 << 16, metrics=True),
+        load, us)),
+    # The robustness scenario: a fault plan vs the lifecycle —
+    # figure_faults' ``quarantine`` variant, faulting hard enough (5% of
+    # Socket Select runs, 5 faults per 10 ms window) that the sliding
+    # window breaks early: ``syrupctl health`` shows a ``quarantined``
+    # row and the event trace carries the ``fault_injected`` ->
+    # ``runtime_fault`` -> ``quarantine`` sequence.
+    "faults": ((100_000, 80.0, 3), lambda load, us, seed, a: _point(
+        lambda: experiments.figure_faults.testbed(
+            "quarantine", seed, fault_rate=0.05, window_us=10_000.0,
+            max_faults=5),
+        load, us)),
+    # The queueing-discipline scenario: figure_order's ``srpt_pifo``
+    # point (the SRPT-by-request-size rank function on the exact PIFO
+    # backend at every socket backlog), metrics enabled, at a load where
+    # queues actually form.
+    "qdisc": ((240_000, 100.0, 3), lambda load, us, seed, a: _point(
+        lambda: experiments.figure_order.testbed(
+            "srpt_pifo", seed, metrics=True),
+        load, us)),
+    # The time-series scenario: the dynamic Figure-8 run with metrics
+    # and the flight recorder (one sample per ``--interval-ms``) on —
+    # SCAN Avoid is deployed *mid-run*, so hook decision rates jump from
+    # zero halfway through the timeline.
+    "timeline": ((6_000, 600.0, 5),
+                 lambda load, us, seed, a: experiments.figure8.stage_dynamic(
+                     load=load, duration_us=us, seed=seed, metrics=True,
+                     timeseries=a.interval_ms * 1000.0)[0].machine),
+    # The closed-loop scenario: figure_adaptive's ``adaptive`` variant
+    # at one load point past the knee, so ``syrupctl slo`` shows live
+    # burn rates, budget spend, and the controllers' last actuation.
+    "slo": ((240_000, 120.0, 3), lambda load, us, seed, a:
+            experiments.figure_adaptive.stage_variant(
+                "adaptive", load, us, us * 0.25, seed)[0].machine),
+    # The promotion scenario: two candidates, one machine.  A
+    # figure_canary run where the *broken* SRPT variant is submitted
+    # first (shadow at 27% of the run, 80 ms by default; auto-rejected
+    # in its canary window) and the *good* tiered variant second
+    # (shadow at 57%, 170 ms; auto-promoted to active and through
+    # probation) — so ``syrupctl promote`` renders a rejected row and
+    # an active row with their full stage histories side by side.
+    "promote": ((260_000, 300.0, 3), lambda load, us, seed, a:
+                experiments.figure_canary.stage_variant(
+                    [("broken", us * 0.27), ("good", us * 0.57)],
+                    load, us, us * 0.2, seed)[0].machine),
+    # The multi-tenant scenario: figure_interference's ``blame_shed``
+    # closed loop — victim *alpha* (at ``--load``) under an
+    # identical-looking 420K RPS GET flood from *bravo*, only bravo
+    # flagged and shed — so ``syrupctl tenants`` renders both tenants'
+    # bills and a blame matrix fingering bravo at the socket layer.
+    "tenants": ((60_000, 120.0, 3), lambda load, us, seed, a:
+                experiments.figure_interference.stage_variant(
+                    "blame_shed", load, 420_000, us, us * 0.25,
+                    seed)[0].machine),
+    # The elastic-arbitration scenario: figure_oversub's ``elastic``
+    # variant — *search* (a ghOSt enclave) and *batch* (CFS) under
+    # anti-correlated flash crowds — so ``syrupctl cores`` renders
+    # grants moving back and forth between the classes.  ``--load`` is
+    # each app's baseline RPS.
+    "cores": ((25_000, 200.0, 5), lambda load, us, seed, a:
+              experiments.figure_oversub.stage_variant(
+                  "elastic", load, experiments.figure_oversub.PEAK_FACTOR,
+                  us, us * 0.1, seed)[0]),
+    # The rack scenario: one figure_fleet power-of-two run on 48
+    # aggregate machines with metrics + flight recorder on; the mid-run
+    # machine kill (with reboot) puts the failover path in the console.
+    "fleet": ((500_000, 60.0, 7), lambda load, us, seed, a:
+              experiments.figure_fleet.stage_variant(
+                  "power_of_two", 48, load, us, us * 0.2, seed,
+                  metrics=True, timeseries=True)),
+}
 
 
-def run_promote_demo(load=260_000, duration_ms=300.0, seed=3):
-    """Drive the canned promotion demo: two candidates, one machine.
-
-    A figure_canary-style run where the *broken* SRPT variant is
-    submitted first (shadow at 80 ms, auto-rejected in its canary
-    window) and the *good* tiered variant second (shadow at 170 ms,
-    auto-promoted to active and through probation) — so
-    ``syrupctl promote`` renders a rejected row and an active row with
-    their full stage histories side by side.  Returns the finished
-    machine for rendering.
-    """
-    from repro.experiments.figure_canary import (
-        CANDIDATES, GATES, SHORT_US, _build, _wire,
-    )
-    from repro.workload.mixes import GET_SCAN_995_005
-
-    duration_us = duration_ms * 1000.0
-    testbed = _build(seed)
-    machine = testbed.machine
-    gen = testbed.drive(load, GET_SCAN_995_005, duration_us,
-                        warmup_us=duration_us * 0.2).start()
-    holder = {}
-    _wire(testbed, gen, duration_us, holder)
-
-    def submit(name):
-        holder["record"] = testbed.app.deploy_shadow(
-            CANDIDATES[name], layer="socket",
-            constants={"SHORT_US": SHORT_US}, name=name, **GATES,
-        )
-
-    machine.engine.at(duration_us * 0.27, lambda: submit("broken"))
-    machine.engine.at(duration_us * 0.57, lambda: submit("good"))
-    machine.run()
-    machine.demo_generator = gen
-    return machine
+def _event_cap(args):
+    return args.limit if args.limit is not None else args.last
 
 
-def run_tenants_demo(load=60_000, duration_ms=120.0, seed=3,
-                     aggressor_load=420_000):
-    """Drive the canned multi-tenant demo: one blame_shed point.
+#: view -> (scenario, ``--json`` snapshot, text renderer); the last two
+#: take ``(system, args)``.
+VIEWS = {
+    "stats": ("stats", lambda m, a: m.obs.snapshot(),
+              lambda m, a: render_stats(m)),
+    "status": ("stats", lambda m, a: m.syrupd.status(),
+               lambda m, a: render_status(m)),
+    "maps": ("stats",
+             lambda m, a: {path: dict(syrup_map.items()) for path, syrup_map
+                           in m.syrupd.registry._pinned.items()},
+             lambda m, a: render_maps(m)),
+    "events": ("stats",
+               lambda m, a: m.obs.events.events(
+                   kind=a.kind, since=a.since)[-_event_cap(a):],
+               lambda m, a: render_events(
+                   m, last=_event_cap(a), kind=a.kind, since=a.since)),
+    "timeline": ("timeline", lambda m, a: m.obs.recorder.snapshot(),
+                 lambda m, a: render_timeline(m, app=a.app, scope=a.scope)),
+    "health": ("faults", lambda m, a: m.syrupd.health(),
+               lambda m, a: render_health(m)),
+    "spans": ("spans", lambda m, a: m.obs.spans.trees()[-a.last:],
+              lambda m, a: render_spans(m, last=a.last)),
+    "tail": ("spans",
+             lambda m, a: critical_path(m.obs.spans.trees(complete=True)),
+             lambda m, a: render_tail(m)),
+    "qdisc": ("qdisc", lambda m, a: m.syrupd.qdiscs(),
+              lambda m, a: render_qdisc(m)),
+    "fleet": ("fleet", lambda f, a: f.fleet_view(),
+              lambda f, a: render_fleet(f)),
+    "slo": ("slo",
+            lambda m, a: {"slo": m.syrupd.slo(),
+                          "signals": m.syrupd.signals()},
+            lambda m, a: render_slo(m)),
+    "promote": ("promote", lambda m, a: m.syrupd.promotions(),
+                lambda m, a: render_promote(m)),
+    "tenants": ("tenants", lambda m, a: m.syrupd.tenants(),
+                lambda m, a: render_tenants(m)),
+    "cores": ("cores", lambda m, a: m.arbiter.view(),
+              lambda m, a: render_cores(m)),
+}
 
-    The ``figure_interference`` closed loop — victim *alpha* under an
-    identical-looking GET flood from *bravo*, per-tenant accounting on,
-    the :class:`~repro.obs.interference.NoisyNeighborDetector` flagging
-    the aggressor from windowed blame, and the
-    :class:`~repro.obs.interference.TenantShedController` shedding only
-    bravo — so ``syrupctl tenants`` renders both tenants' bills and a
-    blame matrix fingering bravo at the socket layer.  Returns the
-    finished machine for rendering.
-    """
-    from repro.experiments.figure_interference import run_variant
-
-    duration_us = duration_ms * 1000.0
-    testbed, gen_alpha, _gen_bravo, detector = run_variant(
-        "blame_shed", load, aggressor_load, duration_us,
-        duration_us * 0.25, seed,
-    )
-    machine = testbed.machine
-    machine.demo_generator = gen_alpha
-    machine.demo_detector = detector
-    return machine
-
-
-def run_cores_demo(load=25_000, duration_ms=200.0, seed=5):
-    """Drive the canned elastic-arbitration demo: one figure_oversub point.
-
-    The ``elastic`` variant of ``figure_oversub`` — *search* (a ghOSt
-    enclave) and *batch* (CFS) sharing the arbitrated core pool under
-    anti-correlated flash crowds, with the
-    :class:`~repro.kernel.arbiter.ElasticCoreController` chasing the
-    bursts — so ``syrupctl cores`` renders grants moving back and
-    forth between the classes.  ``load`` is each app's baseline RPS.
-    Returns the finished machine for rendering.
-    """
-    from repro.experiments.figure_oversub import PEAK_FACTOR, run_variant
-
-    duration_us = duration_ms * 1000.0
-    machine, gen_search, _gen_batch, controller = run_variant(
-        "elastic", load, PEAK_FACTOR, duration_us, duration_us * 0.1, seed,
-    )
-    machine.demo_generator = gen_search
-    machine.demo_controller = controller
-    return machine
-
-
-def run_fleet_demo(load=500_000, duration_ms=60.0, seed=7,
-                   num_machines=48, steering="power_of_two"):
-    """Drive the canned rack demo: one figure_fleet-style run.
-
-    ``num_machines`` aggregate machines under a diurnal open-loop load
-    from a million sampled users, power-of-two-choices steering at the
-    ToR, metrics + flight recorder on, and a mid-run machine kill (with
-    reboot) so the failover path shows up in the console.  Returns the
-    finished :class:`repro.cluster.fleet.Fleet` for rendering
-    (``syrupctl fleet`` / ``python -m repro fleet``).
-    """
-    from repro.cluster.fleet import Fleet
-    from repro.faults import FaultPlan
-
-    duration_us = duration_ms * 1000.0
-    plan = FaultPlan(seed=11).machine_kill(
-        num_machines // 3, at_us=duration_us * 0.4,
-        restore_at_us=duration_us * 0.75,
-    )
-    fleet = Fleet(
-        num_machines=num_machines, seed=seed, steering=steering,
-        metrics=True, timeseries=True, faults=plan,
-        warmup_us=duration_us * 0.2,
-    )
-    fleet.drive(
-        duration_us=duration_us, rps=load, num_users=1_000_000,
-        diurnal_period_us=duration_us, diurnal_depth=0.4,
-    )
-    fleet.run()
-    return fleet
+#: Views whose ``--json`` keeps insertion order (registry / recorder /
+#: lifecycle row order is the documented reading order); every other
+#: view sorts keys.
+_UNSORTED_JSON = frozenset({"stats", "timeline", "health"})
 
 
-def main(argv=None):
-    """CLI: ``syrupctl {stats,status,maps,events,timeline,health,spans,
-    tail,qdisc,fleet,slo,promote,tenants}``."""
+def build_parser():
+    """The ``syrupctl`` argument parser (``python -m repro <view>``
+    fills the same namespace)."""
     parser = argparse.ArgumentParser(
         prog="syrupctl",
         description=(
@@ -933,13 +821,8 @@ def main(argv=None):
             "see docs/observability.md and docs/robustness.md."
         ),
     )
-    parser.add_argument(
-        "view",
-        choices=["stats", "status", "maps", "events", "timeline", "health",
-                 "spans", "tail", "qdisc", "fleet", "slo", "promote",
-                 "tenants", "cores"],
-        help="which surface to render",
-    )
+    parser.add_argument("view", choices=list(VIEWS),
+                        help="which surface to render")
     parser.add_argument("--load", type=int, default=None,
                         help="demo offered load (RPS)")
     parser.add_argument("--duration-ms", type=float, default=None,
@@ -976,194 +859,58 @@ def main(argv=None):
                         metavar="PATH",
                         help=("also export the metrics registry in "
                               "OpenMetrics text format"))
-    args = parser.parse_args(argv)
+    return parser
 
-    if args.view == "timeline":
-        kwargs = {"interval_ms": args.interval_ms}
-        if args.load is not None:
-            kwargs["load"] = args.load
-        if args.duration_ms is not None:
-            kwargs["duration_ms"] = args.duration_ms
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
-        machine = run_timeline_demo(**kwargs)
-        if args.json:
-            print(json.dumps(machine.obs.recorder.snapshot(), indent=2))
-        else:
-            print(render_timeline(machine, app=args.app, scope=args.scope))
-    elif args.view == "health":
-        kwargs = {}
-        if args.load is not None:
-            kwargs["load"] = args.load
-        if args.duration_ms is not None:
-            kwargs["duration_ms"] = args.duration_ms
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
-        machine = run_faults_demo(**kwargs)
-        if args.json:
-            print(json.dumps(machine.syrupd.health(), indent=2))
-        else:
-            print(render_health(machine))
-    elif args.view == "qdisc":
-        kwargs = {}
-        if args.load is not None:
-            kwargs["load"] = args.load
-        if args.duration_ms is not None:
-            kwargs["duration_ms"] = args.duration_ms
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
-        machine = run_qdisc_demo(**kwargs)
-        if args.json:
-            print(json.dumps(machine.syrupd.qdiscs(), indent=2,
-                             sort_keys=True))
-        else:
-            print(render_qdisc(machine))
-    elif args.view == "slo":
-        kwargs = {}
-        if args.load is not None:
-            kwargs["load"] = args.load
-        if args.duration_ms is not None:
-            kwargs["duration_ms"] = args.duration_ms
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
-        machine = run_slo_demo(**kwargs)
-        if args.json:
-            print(json.dumps(
-                {"slo": machine.syrupd.slo(),
-                 "signals": machine.syrupd.signals()},
-                indent=2, sort_keys=True,
-            ))
-        else:
-            print(render_slo(machine))
-    elif args.view == "promote":
-        kwargs = {}
-        if args.load is not None:
-            kwargs["load"] = args.load
-        if args.duration_ms is not None:
-            kwargs["duration_ms"] = args.duration_ms
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
-        machine = run_promote_demo(**kwargs)
-        if args.json:
-            print(json.dumps(machine.syrupd.promotions(), indent=2,
-                             sort_keys=True))
-        else:
-            print(render_promote(machine))
-    elif args.view == "fleet":
-        kwargs = {}
-        if args.load is not None:
-            kwargs["load"] = args.load
-        if args.duration_ms is not None:
-            kwargs["duration_ms"] = args.duration_ms
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
-        fleet = run_fleet_demo(**kwargs)
-        if args.json:
-            print(json.dumps(fleet.fleet_view(), indent=2, sort_keys=True))
-        else:
-            print(render_fleet(fleet))
-        return 0
-    elif args.view == "tenants":
-        kwargs = {}
-        if args.load is not None:
-            kwargs["load"] = args.load
-        if args.duration_ms is not None:
-            kwargs["duration_ms"] = args.duration_ms
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
-        machine = run_tenants_demo(**kwargs)
-        if args.json:
-            print(json.dumps(machine.syrupd.tenants(), indent=2,
-                             sort_keys=True))
-        else:
-            print(render_tenants(machine))
-    elif args.view == "cores":
-        kwargs = {}
-        if args.load is not None:
-            kwargs["load"] = args.load
-        if args.duration_ms is not None:
-            kwargs["duration_ms"] = args.duration_ms
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
-        machine = run_cores_demo(**kwargs)
-        if args.json:
-            print(json.dumps(machine.arbiter.view(), indent=2,
-                             sort_keys=True))
-        else:
-            print(render_cores(machine))
-    elif args.view in ("spans", "tail"):
-        kwargs = {"spans_every": args.spans_every}
-        if args.load is not None:
-            kwargs["load"] = args.load
-        if args.duration_ms is not None:
-            kwargs["duration_ms"] = args.duration_ms
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
-        machine = run_spans_demo(**kwargs)
-        if args.view == "spans":
-            if args.json:
-                print(json.dumps(machine.obs.spans.trees()[-args.last:],
-                                 indent=2, sort_keys=True))
-            else:
-                print(render_spans(machine, last=args.last))
-        elif args.json:
-            from repro.obs.tail import critical_path
 
-            analysis = critical_path(machine.obs.spans.trees(complete=True))
-            print(json.dumps(analysis, indent=2, sort_keys=True))
-        else:
-            print(render_tail(machine))
-        if args.export_trace:
-            n = machine.obs.spans.to_chrome_trace(args.export_trace)
-            print(f"wrote {n} trace events to {args.export_trace}",
-                  file=sys.stderr)
+def stage_view(args):
+    """The view's scenario staged at the namespace's scale; nothing run.
+
+    ``args`` is a :func:`build_parser` namespace.  ``--load`` /
+    ``--duration-ms`` / ``--seed`` fall back to the scenario's defaults
+    in :data:`SCENARIOS`.  Returns the staged Machine or Fleet.
+    """
+    defaults, stage = SCENARIOS[VIEWS[args.view][0]]
+    load, duration_ms, seed = (
+        default if given is None else given
+        for given, default in zip(
+            (args.load, args.duration_ms, args.seed), defaults)
+    )
+    return stage(load, duration_ms * 1000.0, seed, args)
+
+
+def run_view(args):
+    """Stage, run, print and export one view; returns the printed text.
+
+    The exports read the staged system's own ``.obs``, so they work
+    for every view (a fleet included).
+    """
+    _scenario, snapshot, render = VIEWS[args.view]
+    system = stage_view(args)
+    system.run()
+    if args.json:
+        text = json.dumps(snapshot(system, args), indent=2,
+                          sort_keys=args.view not in _UNSORTED_JSON)
     else:
-        machine = run_stats_demo(
-            load=args.load if args.load is not None else 120_000,
-            duration_ms=(args.duration_ms
-                         if args.duration_ms is not None else 100.0),
-            seed=args.seed if args.seed is not None else 7,
-        )
-        if args.view == "stats":
-            if args.json:
-                print(json.dumps(machine.obs.snapshot(), indent=2))
-            else:
-                print(render_stats(machine))
-        elif args.view == "status":
-            if args.json:
-                print(json.dumps(machine.syrupd.status(), indent=2,
-                                 sort_keys=True))
-            else:
-                print(render_status(machine))
-        elif args.view == "maps":
-            if args.json:
-                registry = machine.syrupd.registry
-                print(json.dumps(
-                    {path: dict(registry._pinned[path].items())
-                     for path in registry.paths()},
-                    indent=2, sort_keys=True,
-                ))
-            else:
-                print(render_maps(machine))
-        else:
-            last = args.limit if args.limit is not None else args.last
-            if args.json:
-                events = machine.obs.events.events(
-                    kind=args.kind, since=args.since
-                )[-last:]
-                print(json.dumps(events, indent=2, sort_keys=True))
-            else:
-                print(render_events(machine, last=last, kind=args.kind,
-                                    since=args.since))
+        text = render(system, args)
+    print(text)
+    obs = system.obs
+    if args.export_trace and obs.spans.enabled:
+        n = obs.spans.to_chrome_trace(args.export_trace)
+        print(f"wrote {n} trace events to {args.export_trace}",
+              file=sys.stderr)
     if args.export_events:
-        n = machine.obs.events.to_jsonl(args.export_events)
+        n = obs.events.to_jsonl(args.export_events)
         print(f"wrote {n} events to {args.export_events}", file=sys.stderr)
     if args.openmetrics:
-        from repro.obs.export import write_openmetrics
-
-        n = write_openmetrics(machine.obs.registry, args.openmetrics)
+        n = write_openmetrics(obs.registry, args.openmetrics)
         print(f"wrote {n} OpenMetrics lines to {args.openmetrics}",
               file=sys.stderr)
+    return text
+
+
+def main(argv=None):
+    """CLI: ``syrupctl <view>`` for every key of :data:`VIEWS`."""
+    run_view(build_parser().parse_args(argv))
     return 0
 
 

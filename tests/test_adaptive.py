@@ -9,7 +9,7 @@ single signal object (sketch, bus, tracker, or objective).
 import pytest
 
 from repro.core.signals import NULL_SIGNALS, NullSignalBus, SignalBus
-from repro.experiments.figure8 import run_figure8_dynamic
+from repro.experiments.figure8 import stage_dynamic
 from repro.experiments.figure_adaptive import (
     SLO_AVAILABILITY_TARGET,
     SLO_GET_P99_US,
@@ -295,8 +295,8 @@ def test_disabled_runs_are_bit_identical_and_allocate_no_signal_objects(
     assert figure6_point() == figure6_point(signals=None, slo=None)
 
     def figure8_run():
-        testbed, gen = run_figure8_dynamic(
-            load=3_000, duration_us=60_000.0, seed=5, run=False
+        testbed, gen = stage_dynamic(
+            load=3_000, duration_us=60_000.0, seed=5
         )
         testbed.machine.run()
         return fingerprint(testbed, gen)

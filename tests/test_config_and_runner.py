@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import CostModel, MachineConfig, NicSpec, set_a, set_b, with_costs
 from repro.core.hooks import Hook
-from repro.experiments.runner import RocksDbTestbed, run_point
+from repro.experiments.runner import RocksDbTestbed, run_point, stage_point
 from repro.policies.builtin import ROUND_ROBIN
 from repro.policies.thread_policies import GetPriorityPolicy
 from repro.workload.mixes import GET_ONLY, GET_SCAN_50_50
@@ -39,6 +39,24 @@ def test_run_point_returns_finished_generator():
     testbed, gen = run_point(factory, 30_000, GET_ONLY, 20_000.0, 5_000.0)
     assert gen.latency.count > 0
     assert testbed.machine.engine.pending() == 0
+
+
+def test_stage_point_then_run_equals_run_point():
+    def fingerprint(testbed, gen):
+        return (tuple(gen.latency._samples), gen.drop_fraction(),
+                testbed.machine.now,
+                testbed.machine.engine.events_dispatched)
+
+    def point(fn):
+        return fn(lambda: RocksDbTestbed(seed=9), 30_000, GET_ONLY,
+                  20_000.0, 5_000.0)
+
+    testbed, gen = point(stage_point)
+    # staged means staged: load scheduled, nothing dispatched yet
+    assert testbed.machine.engine.events_dispatched == 0
+    assert gen.latency.count == 0
+    testbed.machine.run()
+    assert fingerprint(testbed, gen) == fingerprint(*point(run_point))
 
 
 def test_testbed_custom_port_and_threads():

@@ -26,7 +26,7 @@ from repro.obs import (
     Observability,
 )
 from repro.policies.builtin import SCAN_AVOID
-from repro.syrupctl import render_stats, run_stats_demo
+from repro.syrupctl import build_parser, render_stats, stage_view
 from repro.trace import RequestTracer
 from repro.workload.generator import OpenLoopGenerator
 from repro.workload.mixes import GET_SCAN_995_005
@@ -411,7 +411,10 @@ def test_render_stats_enabled_table():
 def test_stats_demo_and_cli(capsys, tmp_path):
     from repro.syrupctl import main as syrupctl_main
 
-    machine = run_stats_demo(load=40_000, duration_ms=10.0, seed=2)
+    machine = stage_view(build_parser().parse_args(
+        ["stats", "--load", "40000", "--duration-ms", "10", "--seed", "2"]
+    ))
+    machine.run()
     assert machine.obs.registry.value(
         "rocksdb", "socket_select", "schedule_calls") > 0
     out = tmp_path / "events.jsonl"

@@ -33,7 +33,7 @@ from repro.core.promote import (
     rank_label,
     steer_label,
 )
-from repro.experiments.figure8 import run_figure8_dynamic
+from repro.experiments.figure8 import stage_dynamic
 from repro.experiments.figure_canary import (
     SLO_GET_P99_US,
     run_figure_canary,
@@ -443,8 +443,7 @@ def test_default_runs_allocate_no_promotion_objects(monkeypatch):
     for deployed in testbed.machine.syrupd.deployed:
         for qdisc in deployed.qdiscs:
             assert qdisc.shadow is None
-    f8_testbed, _ = run_figure8_dynamic(load=3_000, duration_us=60_000.0,
-                                        seed=5, run=False)
+    f8_testbed, _ = stage_dynamic(load=3_000, duration_us=60_000.0, seed=5)
     f8_testbed.machine.run()
     fleet = Fleet(num_machines=8, seed=5)
     fleet.drive(duration_us=10_000.0, rps=100_000, num_users=1_000)

@@ -21,7 +21,7 @@ import pytest
 from repro.core.health import HealthPolicy
 from repro.faults import FaultPlan
 from repro.qdisc import FIFO_RANK, SRPT_BY_SIZE, qdisc_hook
-from repro.experiments.figure8 import run_figure8_dynamic
+from repro.experiments.figure8 import stage_dynamic
 from repro.experiments.figure_order import run_figure_order
 from repro.experiments.runner import RocksDbTestbed, run_point
 from repro.workload.mixes import GET_SCAN_995_005
@@ -75,8 +75,8 @@ def test_pass_everywhere_matches_vanilla_figure6_point(backend):
 
 def test_pass_everywhere_matches_vanilla_figure8_dynamic():
     def run(with_qdisc):
-        testbed, gen = run_figure8_dynamic(
-            load=3_000, duration_us=60_000.0, seed=5, run=False,
+        testbed, gen = stage_dynamic(
+            load=3_000, duration_us=60_000.0, seed=5,
         )
         if with_qdisc:
             testbed.app.deploy_qdisc(FIFO_RANK, "socket", backend="pifo")
@@ -200,7 +200,10 @@ def test_undeploy_detaches_every_socket():
 def test_syrupctl_qdisc_view():
     from repro import syrupctl
 
-    machine = syrupctl.run_qdisc_demo(load=60_000, duration_ms=20.0)
+    machine = syrupctl.stage_view(syrupctl.build_parser().parse_args(
+        ["qdisc", "--load", "60000", "--duration-ms", "20"]
+    ))
+    machine.run()
     text = syrupctl.render_qdisc(machine)
     assert "queueing disciplines" in text
     assert "sid:" in text and "pifo" in text and "active" in text

@@ -1,5 +1,7 @@
 """Tests for the syrupctl inspection tool."""
 
+import json
+
 import pytest
 
 from repro import Hook, Machine, set_a
@@ -7,17 +9,26 @@ from repro.apps.rocksdb import RocksDbServer
 from repro.core.maps import PermissionDenied
 from repro.policies.builtin import SCAN_AVOID
 from repro.syrupctl import (
+    VIEWS,
+    build_parser,
     dump_map,
+    main,
     render_deployments,
     render_maps,
     render_promote,
     render_slo,
     render_status,
-    run_promote_demo,
-    run_slo_demo,
+    stage_view,
 )
 from repro.workload.generator import OpenLoopGenerator
 from repro.workload.mixes import GET_SCAN_995_005
+
+
+def finished_view(*argv):
+    """Stage a view's scenario through the CLI's own parser, run it."""
+    system = stage_view(build_parser().parse_args(argv))
+    system.run()
+    return system
 
 
 @pytest.fixture
@@ -87,7 +98,7 @@ def test_render_slo_without_objectives(busy_machine):
 
 
 def test_slo_demo_renders_objectives_and_signal_footer():
-    machine = run_slo_demo(duration_ms=60.0)
+    machine = finished_view("slo", "--duration-ms", "60")
     text = render_slo(machine)
     assert "get_p99" in text and "served" in text
     assert "burn_short" in text and "budget_remaining" in text
@@ -101,7 +112,8 @@ def test_render_promote_without_attempts(busy_machine):
 
 
 def test_promote_demo_renders_both_candidates_with_histories():
-    machine = run_promote_demo(load=150_000, duration_ms=100.0)
+    machine = finished_view("promote", "--load", "150000",
+                            "--duration-ms", "100")
     text = render_promote(machine)
     assert "promotion pipeline" in text
     assert "broken" in text and "good" in text
@@ -109,3 +121,32 @@ def test_promote_demo_renders_both_candidates_with_histories():
     assert "shadow" in text
     assert "decision diff:" in text
     assert len(machine.syrupd.promotions()) == 2
+
+
+# ----------------------------------------------------------------------
+# Every view, through the single parse -> stage -> run -> print path
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("view", list(VIEWS))
+def test_every_view_renders_text_and_json_and_is_a_repro_subcommand(
+        view, capsys):
+    from repro.cli import main as cli_main
+
+    assert main([view, "--duration-ms", "20"]) == 0
+    text = capsys.readouterr().out
+    assert text.strip()
+    assert main([view, "--duration-ms", "20", "--json"]) == 0
+    json.loads(capsys.readouterr().out)
+    # python -m repro <view> walks the same path and prints the same text
+    assert cli_main([view, "--duration-ms", "20"]) == 0
+    assert capsys.readouterr().out == text
+
+
+def test_fleet_view_honours_the_export_flags(tmp_path, capsys):
+    # exports read the staged system's own .obs: a Fleet exports like a
+    # Machine
+    metrics, events = tmp_path / "fleet.om", tmp_path / "fleet.jsonl"
+    assert main(["fleet", "--duration-ms", "20", "--openmetrics",
+                 str(metrics), "--export-events", str(events)]) == 0
+    capsys.readouterr()
+    assert metrics.read_text().strip()
+    assert events.read_text().strip()

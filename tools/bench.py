@@ -68,7 +68,13 @@ _SRC = os.path.join(REPO_ROOT, "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
+from repro.core.promote import STAGE_CODES             # noqa: E402
+from repro import experiments                          # noqa: E402
+from repro.experiments.runner import stage_point       # noqa: E402
 from repro.obs.export import open_destination          # noqa: E402
+from repro.obs.tail import critical_path               # noqa: E402
+from repro.workload.mixes import GET_ONLY, GET_SCAN_995_005  # noqa: E402
+from repro.workload.requests import GET, SCAN          # noqa: E402
 
 __all__ = [
     "DEFAULT_HISTORY_DIR",
@@ -88,26 +94,27 @@ DEFAULT_HISTORY_DIR = os.path.join(REPO_ROOT, "benchmarks", "history")
 
 
 # ----------------------------------------------------------------------
-# Scenarios: each builder stages a machine (load scheduled, nothing run)
-# and returns (machine, collect) where collect() reads the sim metrics
-# after the run.  The harness owns timing, so builders must not run.
+# Scenarios: each builder picks the sizes, asks repro.experiments for
+# the staged system (load scheduled, nothing run) and returns
+# (system, collect) where collect() reads the sim metrics after the
+# run.  The harness owns timing, so builders must not run.
 # ----------------------------------------------------------------------
-def _figure6_steady(smoke):
-    """Figure 6 steady state: SCAN Avoid under 99.5% GET / 0.5% SCAN."""
-    from repro.core.hooks import Hook
-    from repro.experiments.runner import RocksDbTestbed
-    from repro.policies.builtin import SCAN_AVOID
-    from repro.workload.mixes import GET_SCAN_995_005
+def _sizes(smoke, load, duration_us):
+    """``(load, duration_us, warmup_us)`` from ``(smoke, full)`` pairs;
+    the first 20% of every run is warmup."""
+    duration_us = duration_us[0 if smoke else 1]
+    return load[0 if smoke else 1], duration_us, duration_us * 0.2
 
-    load = 60_000 if smoke else 150_000
-    duration_us = 40_000.0 if smoke else 300_000.0
-    warmup_us = duration_us * 0.2
-    testbed = RocksDbTestbed(
-        policy=(SCAN_AVOID, Hook.SOCKET_SELECT, {"NUM_THREADS": 6}),
-        mark_scans=True, num_threads=6, seed=3,
+
+def _figure6_steady(smoke, tenant=None, **telemetry):
+    """Figure 6 steady state: SCAN Avoid under 99.5% GET / 0.5% SCAN."""
+    load, duration_us, warmup_us = _sizes(
+        smoke, (60_000, 150_000), (40_000.0, 300_000.0))
+    testbed, gen = stage_point(
+        lambda: experiments.figure6.testbed("scan_avoid", 3, **telemetry),
+        load, GET_SCAN_995_005, duration_us, warmup_us,
+        tenant=tenant,
     )
-    gen = testbed.drive(load, GET_SCAN_995_005, duration_us, warmup_us)
-    gen.start()
 
     def collect():
         return {
@@ -133,31 +140,15 @@ def _figure6_steady_obs(smoke):
     cost of full observability, recorded as the results document's
     top-level ``obs_overhead`` block when both scenarios run.
     """
-    from repro.core.hooks import Hook
-    from repro.experiments.runner import RocksDbTestbed
-    from repro.policies.builtin import SCAN_AVOID
-    from repro.workload.mixes import GET_SCAN_995_005
-
-    load = 60_000 if smoke else 150_000
-    duration_us = 40_000.0 if smoke else 300_000.0
-    warmup_us = duration_us * 0.2
-    testbed = RocksDbTestbed(
-        policy=(SCAN_AVOID, Hook.SOCKET_SELECT, {"NUM_THREADS": 6}),
-        mark_scans=True, num_threads=6, seed=3,
+    machine, base_collect = _figure6_steady(
+        smoke, tenant="bench",
         metrics=True, timeseries=5_000.0, spans=16, accounting=True,
     )
-    gen = testbed.drive(load, GET_SCAN_995_005, duration_us, warmup_us,
-                        tenant="bench")
-    gen.start()
 
     def collect():
-        machine = testbed.machine
         ledger = machine.obs.acct.ledgers.get("bench")
         return {
-            "load_rps": load,
-            "p99_us": gen.latency.p99(),
-            "drop_pct": 100.0 * gen.drop_fraction(),
-            "goodput_rps": gen.goodput_rps(duration_us),
+            **base_collect(),
             "metric_series": len(machine.obs.registry.series()),
             "spans_sampled": machine.obs.spans.sampled,
             "tenant_completed": ledger.completed if ledger else 0,
@@ -166,18 +157,15 @@ def _figure6_steady_obs(smoke):
             ),
         }
 
-    return testbed.machine, collect
+    return machine, collect
 
 
 def _figure8_dynamic(smoke):
     """Figure 8 dynamics: Vanilla -> SCAN Avoid deployed mid-run."""
-    from repro.experiments.figure8 import run_figure8_dynamic
-    from repro.workload.requests import GET, SCAN
-
-    load = 3_000 if smoke else 6_000
-    duration_us = 60_000.0 if smoke else 600_000.0
-    testbed, gen = run_figure8_dynamic(
-        load=load, duration_us=duration_us, seed=5, run=False,
+    load, duration_us, _ = _sizes(
+        smoke, (3_000, 6_000), (60_000.0, 600_000.0))
+    testbed, gen = experiments.figure8.stage_dynamic(
+        load=load, duration_us=duration_us, seed=5,
     )
 
     def collect():
@@ -194,15 +182,12 @@ def _figure8_dynamic(smoke):
 
 def _figure2_imbalance(smoke):
     """Figure 2 imbalance: Vanilla hash selection in the drop regime."""
-    from repro.experiments.runner import RocksDbTestbed
-    from repro.workload.mixes import GET_ONLY
-
-    load = 150_000 if smoke else 360_000
-    duration_us = 40_000.0 if smoke else 200_000.0
-    warmup_us = duration_us * 0.2
-    testbed = RocksDbTestbed(policy=None, num_threads=6, seed=2)
-    gen = testbed.drive(load, GET_ONLY, duration_us, warmup_us)
-    gen.start()
+    load, duration_us, warmup_us = _sizes(
+        smoke, (150_000, 360_000), (40_000.0, 200_000.0))
+    testbed, gen = stage_point(
+        lambda: experiments.figure2.testbed("vanilla", 2),
+        load, GET_ONLY, duration_us, warmup_us,
+    )
 
     def collect():
         return {
@@ -217,27 +202,12 @@ def _figure2_imbalance(smoke):
 
 def _figure_faults(smoke):
     """Fault sweep's quarantine variant: injected VmFaults vs lifecycle."""
-    from repro.core.health import HealthPolicy
-    from repro.core.hooks import Hook
-    from repro.experiments.runner import RocksDbTestbed
-    from repro.faults import FaultPlan
-    from repro.policies.builtin import SCAN_AVOID
-    from repro.workload.mixes import GET_SCAN_995_005
-
-    load = 60_000 if smoke else 100_000
-    duration_us = 40_000.0 if smoke else 300_000.0
-    warmup_us = duration_us * 0.2
-    plan = FaultPlan(seed=11).vmfault(
-        0.02, app="rocksdb", hook=Hook.SOCKET_SELECT
+    load, duration_us, warmup_us = _sizes(
+        smoke, (60_000, 100_000), (40_000.0, 300_000.0))
+    testbed, gen = stage_point(
+        lambda: experiments.figure_faults.testbed("quarantine", 3),
+        load, GET_SCAN_995_005, duration_us, warmup_us,
     )
-    testbed = RocksDbTestbed(
-        policy=(SCAN_AVOID, Hook.SOCKET_SELECT, {"NUM_THREADS": 6}),
-        mark_scans=True, num_threads=6, seed=3, metrics=True,
-        faults=plan,
-        health=HealthPolicy(window_us=20_000.0, max_faults=8),
-    )
-    gen = testbed.drive(load, GET_SCAN_995_005, duration_us, warmup_us)
-    gen.start()
 
     def collect():
         health_rows = testbed.machine.syrupd.health()
@@ -258,19 +228,12 @@ def _figure_faults(smoke):
 
 def _figure_tail(smoke):
     """Tail attribution's RSS point: every request span-traced."""
-    from repro.experiments.runner import RocksDbTestbed
-    from repro.obs.tail import critical_path
-    from repro.workload.mixes import GET_SCAN_995_005
-
-    load = 60_000 if smoke else 120_000
-    duration_us = 40_000.0 if smoke else 300_000.0
-    warmup_us = duration_us * 0.2
-    testbed = RocksDbTestbed(
-        policy=None, num_threads=6, seed=7, mark_scans=True,
-        spans=1, spans_capacity=1 << 18,
+    load, duration_us, warmup_us = _sizes(
+        smoke, (60_000, 120_000), (40_000.0, 300_000.0))
+    testbed, gen = stage_point(
+        lambda: experiments.figure_tail.testbed("rss", 7),
+        load, GET_SCAN_995_005, duration_us, warmup_us,
     )
-    gen = testbed.drive(load, GET_SCAN_995_005, duration_us, warmup_us)
-    gen.start()
 
     def collect():
         trees = [
@@ -300,24 +263,11 @@ def _figure_fleet(smoke):
     switch reading sync-bus-replicated load, and a mid-run machine kill
     (with reboot) exercising the failover path.
     """
-    from repro.cluster.fleet import Fleet
-    from repro.faults import FaultPlan
-
     machines = 40 if smoke else 100
-    rps = 450_000 if smoke else 1_200_000
-    duration_us = 40_000.0 if smoke else 120_000.0
-    warmup_us = duration_us * 0.2
-    plan = FaultPlan(seed=11).machine_kill(
-        machines // 3, at_us=duration_us * 0.4,
-        restore_at_us=duration_us * 0.75,
-    )
-    fleet = Fleet(
-        num_machines=machines, seed=7, steering="power_of_two",
-        faults=plan, warmup_us=warmup_us,
-    )
-    fleet.drive(
-        duration_us=duration_us, rps=rps, num_users=1_000_000,
-        diurnal_period_us=duration_us, diurnal_depth=0.4,
+    rps, duration_us, warmup_us = _sizes(
+        smoke, (450_000, 1_200_000), (40_000.0, 120_000.0))
+    fleet = experiments.figure_fleet.stage_variant(
+        "power_of_two", machines, rps, duration_us, warmup_us, 7,
     )
 
     def collect():
@@ -343,17 +293,11 @@ def _figure_adaptive(smoke):
     Exercises the whole signal plane (sketch updates per request, SLO
     bins, controller ticks).
     """
-    from repro.experiments.figure_adaptive import _build, _wire_adaptive
-    from repro.workload.mixes import GET_SCAN_995_005
-    from repro.workload.requests import GET
-
-    load = 200_000 if smoke else 280_000
-    duration_us = 40_000.0 if smoke else 300_000.0
-    warmup_us = duration_us * 0.2
-    testbed = _build("adaptive", 3)
-    gen = testbed.drive(load, GET_SCAN_995_005, duration_us, warmup_us)
-    gen.start()
-    loop = _wire_adaptive(testbed, gen, duration_us, shedding=True)
+    load, duration_us, warmup_us = _sizes(
+        smoke, (200_000, 280_000), (40_000.0, 300_000.0))
+    testbed, gen, loop = experiments.figure_adaptive.stage_variant(
+        "adaptive", load, duration_us, warmup_us, 3,
+    )
 
     def collect():
         return {
@@ -370,20 +314,12 @@ def _figure_adaptive(smoke):
 
 def _figure_order_qdisc(smoke):
     """figure_order's SRPT point: the PIFO qdisc on every socket backlog."""
-    from repro.experiments.runner import RocksDbTestbed
-    from repro.qdisc.policies import SRPT_BY_SIZE
-    from repro.workload.mixes import GET_SCAN_995_005
-    from repro.workload.requests import GET
-
-    load = 160_000 if smoke else 240_000
-    duration_us = 40_000.0 if smoke else 300_000.0
-    warmup_us = duration_us * 0.2
-    testbed = RocksDbTestbed(
-        qdisc=(SRPT_BY_SIZE, "socket", "pifo"), mark_sizes=True,
-        num_threads=6, seed=3,
+    load, duration_us, warmup_us = _sizes(
+        smoke, (160_000, 240_000), (40_000.0, 300_000.0))
+    testbed, gen = stage_point(
+        lambda: experiments.figure_order.testbed("srpt_pifo", 3),
+        load, GET_SCAN_995_005, duration_us, warmup_us,
     )
-    gen = testbed.drive(load, GET_SCAN_995_005, duration_us, warmup_us)
-    gen.start()
 
     def collect():
         rows = testbed.machine.syrupd.qdiscs()
@@ -411,36 +347,14 @@ def _figure_canary_promotion(smoke):
     ``outcome_stage`` anchors the verdict (3 == rejected at full scale;
     the smoke window ends mid-canary, 1).
     """
-    from repro.core.promote import STAGE_CODES
-    from repro.experiments.figure_canary import (
-        CANDIDATES,
-        GATES,
-        SHORT_US,
-        _build,
-        _wire,
+    load, duration_us, warmup_us = _sizes(
+        smoke, (200_000, 260_000), (60_000.0, 300_000.0))
+    testbed, gen, records, _states = experiments.figure_canary.stage_variant(
+        [("broken", duration_us * 0.25)], load, duration_us, warmup_us, 3,
     )
-    from repro.workload.mixes import GET_SCAN_995_005
-    from repro.workload.requests import GET
-
-    load = 200_000 if smoke else 260_000
-    duration_us = 60_000.0 if smoke else 300_000.0
-    warmup_us = duration_us * 0.2
-    testbed = _build(3)
-    gen = testbed.drive(load, GET_SCAN_995_005, duration_us, warmup_us)
-    gen.start()
-    holder = {}
-    _wire(testbed, gen, duration_us, holder)
-
-    def deploy():
-        holder["record"] = testbed.app.deploy_shadow(
-            CANDIDATES["broken"], layer="socket",
-            constants={"SHORT_US": SHORT_US}, name="broken", **GATES,
-        )
-
-    testbed.machine.engine.at(duration_us * 0.25, deploy)
 
     def collect():
-        record = holder["record"]
+        record = records[0]
         return {
             "load_rps": load,
             "get_p99_us": gen.latency.p99(tag=GET),
@@ -464,15 +378,13 @@ def _figure_interference_blame(smoke):
     per-tenant valve.  Exercises the whole attribution plane (ledger
     seams, occupancy mirrors, pro-rata blame splits).
     """
-    from repro.experiments.figure_interference import stage_variant
-    from repro.workload.requests import GET
-
     victim = 60_000
-    aggressor = 300_000 if smoke else 420_000
-    duration_us = 40_000.0 if smoke else 200_000.0
-    warmup_us = duration_us * 0.2
-    testbed, gen_alpha, gen_bravo, detector = stage_variant(
-        "blame_shed", victim, aggressor, duration_us, warmup_us, seed=3,
+    aggressor, duration_us, warmup_us = _sizes(
+        smoke, (300_000, 420_000), (40_000.0, 200_000.0))
+    testbed, gen_alpha, gen_bravo, detector = (
+        experiments.figure_interference.stage_variant(
+            "blame_shed", victim, aggressor, duration_us, warmup_us, seed=3,
+        )
     )
 
     def collect():
@@ -503,12 +415,11 @@ def _figure_oversub_elastic(smoke):
     cores — prices grants/revocations (CFS queue migration, ghost
     commit-epoch aborts) plus occupancy bookkeeping.
     """
-    from repro.experiments.figure_oversub import stage_variant
-
     duration_us = 60_000.0 if smoke else 400_000.0
-    warmup_us = duration_us * 0.1
-    machine, gen_search, gen_batch, _controller = stage_variant(
-        "elastic", 25_000, 10.0, duration_us, warmup_us, seed=5,
+    machine, gen_search, gen_batch, _controller = (
+        experiments.figure_oversub.stage_variant(
+            "elastic", 25_000, 10.0, duration_us, duration_us * 0.1, seed=5,
+        )
     )
 
     def collect():
