@@ -10,7 +10,7 @@ from repro.config import set_a
 from repro.machine import Machine
 from repro.apps.rocksdb import RocksDbServer
 from repro.cluster.switch import ProgrammableSwitch
-from repro.net.packet import FiveTuple, Packet, build_payload
+from repro.net.packet import FiveTuple, Packet
 from repro.sim.engine import Engine
 from repro.sim.rng import RngStreams
 from repro.stats.latency import LatencyRecorder
@@ -101,7 +101,7 @@ class ClusterGenerator:
         self._next_rid = 0
 
     def start(self):
-        self.engine.schedule(
+        self.engine.post(
             self.rng.expovariate(1.0) * self._mean_gap_us, self._arrival
         )
         return self
@@ -111,30 +111,32 @@ class ClusterGenerator:
         if now >= self.duration_us:
             return
         self._send_one(now)
-        self.engine.schedule(
+        self.engine.post(
             self.rng.expovariate(1.0) * self._mean_gap_us, self._arrival
         )
 
     def _send_one(self, now):
         self._next_rid += 1
         rtype, service_us = self.mix.sample(self.service_rng)
+        key = self.rng.randrange(10000)
+        # The rack's wire format carries the key itself in the key-hash
+        # field; the packet builds those bytes from the request on demand.
         request = Request(self._next_rid, rtype, service_us,
-                          key=self.rng.randrange(10000))
+                          key=key, key_hash=key)
         request.sent_at = now
-        payload = build_payload(rtype, 0, request.key, self._next_rid)
         flow = self.flows[self.rng.randrange(len(self.flows))]
-        packet = Packet(flow, payload, sent_at=now, request=request)
+        packet = Packet(flow, None, now, request)
         self.sent.add(now, rtype)
         # client -> switch wire
         wire = self.cluster.switch.wire_us
-        self.engine.schedule(wire, self.cluster.switch.receive, packet)
+        self.engine.post(wire, self.cluster.switch.receive, packet)
 
     # ------------------------------------------------------------------
     def make_sink(self, server_index):
         def sink(request):
             # server -> switch -> client
             self.cluster.switch.response_passed(request)
-            self.engine.schedule(
+            self.engine.post(
                 self.cluster.switch.forward_us + 2 * self.cluster.switch.wire_us,
                 self._client_receive, request, server_index,
             )

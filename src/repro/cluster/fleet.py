@@ -424,7 +424,7 @@ class FleetGenerator:
         if now + gap >= self.duration_us:
             self.done = True
             return
-        self.fleet.engine.schedule(gap, self._arrive)
+        self.fleet.engine.post(gap, self._arrive)
 
     def _arrive(self):
         self._next_rid += 1
@@ -462,13 +462,14 @@ class FleetFaultInjector:
         engine = self.fleet.engine
         for spec in self.plan.specs:
             if spec.kind == FaultKind.MACHINE_KILL:
-                engine.at(spec.at_us, self._inject_kill, spec)
+                engine.post_at(spec.at_us, self._inject_kill, spec)
                 if spec.restore_at_us is not None:
-                    engine.at(spec.restore_at_us, self._inject_restore, spec)
+                    engine.post_at(spec.restore_at_us, self._inject_restore,
+                                   spec)
             elif spec.kind == FaultKind.LINK_DOWN:
-                engine.at(spec.at_us, self._inject_link_down, spec)
-                engine.at(spec.at_us + spec.duration_us,
-                          self._inject_link_restore, spec)
+                engine.post_at(spec.at_us, self._inject_link_down, spec)
+                engine.post_at(spec.at_us + spec.duration_us,
+                               self._inject_link_restore, spec)
         return self
 
     def _inject_kill(self, spec):
@@ -727,7 +728,7 @@ class Fleet:
         self.probe.switch_steer(request, index,
                                 getattr(policy, "name", "custom"), resteer)
         self.probe.xnet_begin(request, "request", index)
-        self.engine.schedule(
+        self.engine.post(
             self.forward_us + self.wire_us,
             self.machines[index].receive, request,
         )
@@ -735,7 +736,7 @@ class Fleet:
     def send_response(self, index, request):
         """A machine's response crosses the rack wire back to the client."""
         self.probe.xnet_begin(request, "response", index)
-        self.engine.schedule(self.wire_us, self._complete, request)
+        self.engine.post(self.wire_us, self._complete, request)
 
     def _complete(self, request):
         self.probe.xnet_end(request)
@@ -783,8 +784,7 @@ class Fleet:
             return
         machine.kill()
         # The switch keeps steering at the corpse until detection fires.
-        self.engine.schedule(self.failover_detect_us,
-                             self._notice_down, index)
+        self.engine.post(self.failover_detect_us, self._notice_down, index)
 
     def _notice_down(self, index):
         machine = self.machines[index]

@@ -123,7 +123,7 @@ class ProgrammableSwitch:
         self.forwarded[index] += 1
         machine = self.machines[index]
         self._server_of_request[id(packet.request)] = index
-        self.engine.schedule(
+        self.engine.post(
             self.forward_us + self.wire_us, machine.nic.receive, packet
         )
 

@@ -110,8 +110,7 @@ class MapSyncBus:
         now = self.engine.now
         for channel in self.channels:
             value = channel.snapshot()
-            self.engine.schedule(self.delay_us, self._apply, channel,
-                                 value, now)
+            self.engine.post(self.delay_us, self._apply, channel, value, now)
         if self.active():
             self.arm()
 

@@ -175,7 +175,7 @@ class LifecycleManager:
         attempt = health.restarts
         health.restarts += 1
         delay = self.policy.backoff_us(attempt)
-        self.syrupd.machine.engine.schedule(
+        self.syrupd.machine.engine.post(
             delay, self._restart_agent, deployed, attempt
         )
 

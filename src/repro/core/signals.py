@@ -113,7 +113,7 @@ class SignalBus:
         self.tick_once()
         # Re-arm while work remains (and the owner says so): the same
         # drain-to-termination rule as FlightRecorder / MapSyncBus.
-        if len(self.engine._heap) > 0 and (
+        if self.engine.queued() and (
             self.active is None or self.active()
         ):
             self.arm()

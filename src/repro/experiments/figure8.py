@@ -135,7 +135,7 @@ def stage_dynamic(load=6_000, duration_us=600_000.0, warmup_us=0.0,
             constants={"NUM_THREADS": num_threads},
         )
 
-    testbed.machine.engine.at(switch_at, _switch)
+    testbed.machine.engine.post_at(switch_at, _switch)
     gen = testbed.drive(load, GET_SCAN_50_50, duration_us, warmup_us)
     gen.start()
     return testbed, gen

@@ -169,7 +169,7 @@ def stage_variant(submissions, load, duration_us, warmup_us, seed,
         ))
 
     for name, at_us in submissions:
-        machine.engine.at(at_us, lambda name=name: submit(name))
+        machine.engine.post_at(at_us, lambda name=name: submit(name))
     return testbed, gen, records, states
 
 

@@ -285,18 +285,18 @@ class FaultInjector:
         engine = self.machine.engine
         for spec in self.plan.specs:
             if spec.kind == FaultKind.AGENT_CRASH:
-                engine.at(spec.at_us, self._inject_agent_crash, spec)
+                engine.post_at(spec.at_us, self._inject_agent_crash, spec)
             elif spec.kind == FaultKind.NIC_OFFLOAD_DOWN:
-                engine.at(spec.at_us, self._inject_offload_down, spec)
+                engine.post_at(spec.at_us, self._inject_offload_down, spec)
                 if spec.restore_at_us is not None:
-                    engine.at(
+                    engine.post_at(
                         spec.restore_at_us, self._inject_offload_restore,
                         spec,
                     )
             elif spec.kind == FaultKind.CORE_STALL:
-                engine.at(spec.at_us, self._inject_core_stall, spec)
+                engine.post_at(spec.at_us, self._inject_core_stall, spec)
             elif spec.kind == FaultKind.SOCKET_SATURATE:
-                engine.at(spec.at_us, self._inject_socket_saturate, spec)
+                engine.post_at(spec.at_us, self._inject_socket_saturate, spec)
             # VMFAULT is armed per-deployment via wrap_program.  Fleet
             # kinds (MACHINE_KILL, LINK_DOWN) are skipped here: a plan
             # can mix end-host and fleet specs and hand the same object
@@ -378,7 +378,7 @@ class FaultInjector:
                 socket.backlog = backlog
             self._note(FaultKind.SOCKET_RESTORE, port=spec.port)
 
-        self.machine.engine.schedule(spec.duration_us, restore)
+        self.machine.engine.post(spec.duration_us, restore)
 
     # ------------------------------------------------------------------
     def _note(self, kind, **fields):

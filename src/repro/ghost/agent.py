@@ -155,7 +155,7 @@ class GhostAgent:
         self.crashed = False
         self.restart_count += 1
         self._busy = True
-        self.engine.call_soon(self._decide)
+        self.engine.post(0.0, self._decide)
 
     # ------------------------------------------------------------------
     def notify(self, message):
@@ -166,7 +166,7 @@ class GhostAgent:
         self.inbox.append(message)
         if not self._busy:
             self._busy = True
-            self.engine.call_soon(self._drain)
+            self.engine.post(0.0, self._drain)
 
     def _drain(self):
         if self.crashed:
@@ -187,7 +187,7 @@ class GhostAgent:
             metrics["messages"].inc(n)
             if preempted:
                 metrics["preemptions"].inc(preempted)
-        self.engine.schedule(n * self.costs.ghost_msg_us, self._decide)
+        self.engine.post(n * self.costs.ghost_msg_us, self._decide)
 
     def _decide(self):
         if self.crashed:
@@ -220,11 +220,11 @@ class GhostAgent:
             core.pending_commit = thread
             self.scheduler.probe.placement_begin(thread, core_id)
             delay += self.costs.ghost_commit_us
-            self.engine.schedule(
+            self.engine.post(
                 delay + self.costs.ghost_ipi_us, self._commit_effect,
                 thread, core, self._epoch,
             )
-        self.engine.schedule(delay, self._after_work)
+        self.engine.post(delay, self._after_work)
 
     def _note_policy_error(self, exc):
         if self.metrics is not None:
@@ -251,12 +251,12 @@ class GhostAgent:
             # re-evaluate: the failed target may leave work stranded
             if not self._busy:
                 self._busy = True
-                self.engine.call_soon(self._redecide)
+                self.engine.post(0.0, self._redecide)
 
     def _redecide(self):
         if self.crashed:
             return
-        self.engine.schedule(self.costs.ghost_msg_us, self._decide)
+        self.engine.post(self.costs.ghost_msg_us, self._decide)
 
     def _after_work(self):
         if self.crashed:

@@ -233,7 +233,7 @@ class CoreArbiter:
         if cid in self._stalls:
             # stall extended: keep the original victim/loan bookkeeping
             self._stalls[cid]["until_us"] = self.engine.now + duration_us
-            self.engine.schedule(duration_us, self._unstall, cid, token)
+            self.engine.post(duration_us, self._unstall, cid, token)
             return self._stalls[cid]
         victim = self._owner[cid]
         if victim is not None:
@@ -259,7 +259,7 @@ class CoreArbiter:
                     record["lender"] = lender
         self._emit("core_stall", **{k: record[k] for k in
                                     ("cid", "victim", "backfill", "lender")})
-        self.engine.schedule(duration_us, self._unstall, cid, token)
+        self.engine.post(duration_us, self._unstall, cid, token)
         return record
 
     def _surplus_donor(self, exclude):

@@ -41,19 +41,16 @@ class FifoServer:
         self._queue.append((cost, fn, args))
         if not self._busy:
             self._busy = True
-            self._start_next()
+            self.engine.post(cost, self._finish)
         return True
 
-    def _start_next(self):
-        cost, _fn, _args = self._queue[0]
-        self.engine.schedule(cost, self._finish)
-
     def _finish(self):
-        cost, fn, args = self._queue.popleft()
+        queue = self._queue
+        cost, fn, args = queue.popleft()
         self.busy_us += cost
         self.served += 1
-        if self._queue:
-            self._start_next()
+        if queue:
+            self.engine.post(queue[0][0], self._finish)
         else:
             self._busy = False
         fn(*args)

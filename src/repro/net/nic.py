@@ -109,10 +109,10 @@ class Nic:
                 packet, qdisc.layer, result.rank, qdisc.backend_name
             )
             self.in_flight += 1
-            self.engine.schedule(delay, self._irq_drain, queue, qdisc)
+            self.engine.post(delay, self._irq_drain, queue, qdisc)
             return
         self.in_flight += 1
-        self.engine.schedule(delay, self._irq_deliver, queue, packet)
+        self.engine.post(delay, self._irq_deliver, queue, packet)
 
     def _irq_deliver(self, queue, packet):
         """IRQ delivery into the kernel: occupancy drops, nic_queue ends."""

@@ -1,8 +1,11 @@
 """Packets and flows.
 
-A simulated datagram carries real bytes so that Syrup policies genuinely
+A simulated datagram stands for real bytes so that Syrup policies genuinely
 parse packet contents (the paper's SITA and token policies "peek into the
-packet").  Layout (little-endian, documented divergence from network order):
+packet") — but most policies never look, so the bytes are materialised on
+the first ``data``/``load`` and a packet nobody reads costs no
+serialisation.  Layout (little-endian, documented divergence from network
+order), packed in exactly one place, :func:`wire_bytes`:
 
 ====== ===== =====================================================
 offset width field
@@ -18,6 +21,12 @@ The standard application header used by the paper's workloads (RocksDB and
 MICA requests) puts a u64 request type at payload offset 0 (packet offset
 8, "First 8 bytes are UDP header" — Fig. 5d), then u64 user id, u64 key
 hash, u64 request id.
+
+Everything the VM and the JIT read a packet through — ``length``, ``data``
+and the bounds-checked ``load`` — lives once, in :class:`WireView`;
+:class:`Packet`, :class:`PacketView` and the runqueue layer's
+:class:`repro.qdisc.discipline.ThreadCtx` differ only in where their bytes
+come from.
 """
 
 import struct
@@ -32,7 +41,9 @@ __all__ = [
     "FiveTuple",
     "Packet",
     "PacketView",
+    "WireView",
     "build_payload",
+    "wire_bytes",
 ]
 
 UDP_HEADER_LEN = 8
@@ -54,32 +65,29 @@ def build_payload(req_type, user_id=0, key_hash=0, req_id=0, extra=b""):
     return _APP.pack(req_type, user_id, key_hash, req_id) + extra
 
 
-class Packet:
-    """A UDP datagram in flight.
+def wire_bytes(src_port, dst_port, payload):
+    """The full datagram: UDP header + ``payload``."""
+    return _HEADER.pack(
+        src_port, dst_port, UDP_HEADER_LEN + len(payload), 0
+    ) + payload
 
-    ``data`` holds the full bytes (UDP header + payload); ``request`` is an
-    optional reference to the application-level request object so the
-    simulator does not need to re-parse bytes outside of policy code.
+
+class WireView:
+    """Bounds-checked little-endian reads over bytes built on first use.
+
+    Subclasses provide ``length`` (known without the bytes) and either
+    set ``_data`` up front or leave it None and define ``_build()``, which
+    returns the bytes on the first read.
     """
 
-    __slots__ = ("flow", "data", "length", "sent_at", "request", "rx_queue",
-                 "softirq_core")
-
-    def __init__(self, flow, payload, sent_at=0.0, request=None):
-        header = _HEADER.pack(
-            flow.src_port, flow.dst_port, UDP_HEADER_LEN + len(payload), 0
-        )
-        self.data = header + payload
-        self.length = len(self.data)
-        self.flow = flow
-        self.sent_at = sent_at
-        self.request = request
-        self.rx_queue = None      # filled in by the NIC delivery path
-        self.softirq_core = None  # which softirq core ran protocol processing
+    __slots__ = ("_data",)
 
     @property
-    def is_tcp(self):
-        return self.flow.proto == 6
+    def data(self):
+        data = self._data
+        if data is None:
+            data = self._data = self._build()
+        return data
 
     def load(self, offset, width):
         """Read ``width`` bytes at ``offset`` (little-endian unsigned).
@@ -90,70 +98,91 @@ class Packet:
         end = offset + width
         if offset < 0 or end > self.length:
             raise IndexError(
-                f"packet load [{offset}:{end}) out of bounds (len={self.length})"
+                f"load [{offset}:{end}) out of bounds (len={self.length})"
             )
-        return int.from_bytes(self.data[offset:end], "little")
+        data = self._data
+        if data is None:
+            data = self.data  # first read materialises
+        return int.from_bytes(data[offset:end], "little")
 
-    @property
-    def dst_port(self):
-        return self.flow.dst_port
+
+class Packet(WireView):
+    """A UDP datagram in flight.
+
+    ``payload`` is the application bytes, or None for the standard
+    application header of ``request`` (type, user id, key hash, request
+    id) — what the load generators send, spelled without building it.
+    ``data`` is the full datagram (UDP header + payload); ``request`` is an
+    optional reference to the application-level request object so the
+    simulator does not need to re-parse bytes outside of policy code.
+    """
+
+    __slots__ = ("flow", "payload", "length", "sent_at", "request",
+                 "dst_port", "is_tcp", "rx_queue", "softirq_core")
+
+    def __init__(self, flow, payload, sent_at=0.0, request=None):
+        if payload is not None:
+            self.length = UDP_HEADER_LEN + len(payload)
+        elif request is not None:
+            self.length = UDP_HEADER_LEN + _APP.size
+        else:
+            raise ValueError("a packet needs a payload or a request")
+        self._data = None
+        self.flow = flow
+        self.payload = payload
+        self.sent_at = sent_at
+        self.request = request
+        self.dst_port = flow.dst_port
+        self.is_tcp = flow.proto == 6
+        self.rx_queue = None      # filled in by the NIC delivery path
+        self.softirq_core = None  # which softirq core ran protocol processing
+
+    def _build(self):
+        payload = self.payload
+        if payload is None:
+            request = self.request
+            payload = build_payload(request.rtype, request.user_id,
+                                    request.key_hash, request.rid)
+        return wire_bytes(self.flow.src_port, self.dst_port, payload)
 
     def __repr__(self):
         return f"<Packet {self.flow} len={self.length}>"
 
 
-class PacketView:
-    """A packet facade over an aggregate-flow request (no bytes up front).
+class PacketView(WireView):
+    """A packet facade over an aggregate-flow request (no flow, no
+    ``Request`` object — just the header fields).
 
     The fleet tier (:mod:`repro.cluster.fleet`) simulates hundreds of
-    machines under millions of users, so it cannot afford to serialize a
-    :class:`Packet` per request just in case a verified program wants to
-    peek at it.  A ``PacketView`` carries only the header fields and
-    materializes the standard wire layout lazily, the first time policy
-    code calls ``load`` — which only happens for requests that actually
-    reach a deployed program (a ToR steering program or a per-machine
-    rank function).  Duck-type-compatible with :class:`Packet` for the
-    VM, the JIT and :class:`repro.qdisc.discipline.Qdisc`.
+    machines under millions of users; its requests carry only these
+    fields, and the standard wire layout is materialised the first time
+    policy code calls ``load`` — which only happens for requests that
+    actually reach a deployed program (a ToR steering program or a
+    per-machine rank function).  Duck-type-compatible with
+    :class:`Packet` for the VM, the JIT and
+    :class:`repro.qdisc.discipline.Qdisc`.
     """
 
     __slots__ = ("src_port", "dst_port", "rtype", "user_id", "key_hash",
-                 "rid", "_data")
+                 "rid")
+
+    length = UDP_HEADER_LEN + _APP.size
 
     def __init__(self, rtype, user_id=0, key_hash=0, rid=0,
                  src_port=0, dst_port=0):
+        self._data = None
         self.src_port = src_port
         self.dst_port = dst_port
         self.rtype = rtype
         self.user_id = user_id
         self.key_hash = key_hash
         self.rid = rid
-        self._data = None
 
-    @property
-    def length(self):
-        return UDP_HEADER_LEN + _APP.size
-
-    @property
-    def data(self):
-        if self._data is None:
-            payload = build_payload(self.rtype, self.user_id,
-                                    self.key_hash, self.rid)
-            header = _HEADER.pack(
-                self.src_port, self.dst_port,
-                UDP_HEADER_LEN + len(payload), 0,
-            )
-            self._data = header + payload
-        return self._data
-
-    def load(self, offset, width):
-        """Read ``width`` bytes at ``offset``, materializing lazily."""
-        end = offset + width
-        if offset < 0 or end > self.length:
-            raise IndexError(
-                f"packet load [{offset}:{end}) out of bounds "
-                f"(len={self.length})"
-            )
-        return int.from_bytes(self.data[offset:end], "little")
+    def _build(self):
+        return wire_bytes(
+            self.src_port, self.dst_port,
+            build_payload(self.rtype, self.user_id, self.key_hash, self.rid),
+        )
 
     def __repr__(self):
         return (

@@ -5,9 +5,16 @@ the packed 5-tuple plus a salt, which shares the properties that matter for
 the paper's results: deterministic per flow, uniform over flows, and — with
 few flows and few buckets — prone to exactly the imbalance that makes
 "Vanilla Linux" drop requests in Figure 2.
+
+The hash is a pure function of ``(flow, salt)`` and a run sees a small pool
+of flows (the paper's clients use ~50) under one or two salts, so results
+are memoised: a packet on a known flow costs a dictionary lookup, not a
+``struct.pack`` and a 17-byte Python loop.  The memo is bounded
+(:data:`MEMO_SIZE`, least recently used evicted first).
 """
 
 import struct
+from functools import lru_cache
 
 __all__ = ["rss_hash", "rss_queue"]
 
@@ -17,7 +24,12 @@ _MASK = (1 << 64) - 1
 
 _PACK = struct.Struct("<IHIHBI")
 
+#: Memo capacity: far above flows x salts of any one run (about a hundred),
+#: small enough that a sweep over millions of distinct flows stays flat.
+MEMO_SIZE = 4096
 
+
+@lru_cache(maxsize=MEMO_SIZE)
 def rss_hash(flow, salt=0):
     """Hash a :class:`~repro.net.packet.FiveTuple` to a u32."""
     data = _PACK.pack(

@@ -123,9 +123,10 @@ class FlightRecorder:
         self._armed = None
         self.sample()
         # Re-arm only while other events remain: an idle heap must drain
-        # so Machine.run() terminates.  len() over-approximates (cancelled
-        # events linger until popped), costing at most a few empty ticks.
-        if len(self.engine._heap) > 0:
+        # so Machine.run() terminates.  queued() over-approximates
+        # (cancelled events linger until popped), costing at most a few
+        # empty ticks.
+        if self.engine.queued():
             self.arm()
 
     def sample(self):

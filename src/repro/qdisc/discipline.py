@@ -26,6 +26,7 @@ import re
 from repro.constants import DROP, PASS
 from repro.ebpf.compiler import compile_policy
 from repro.ebpf.errors import CompileError
+from repro.net.packet import WireView
 from repro.qdisc.backends import make_backend
 
 __all__ = [
@@ -93,7 +94,7 @@ def compile_rank(source, name=None, constants=None, unroll_limit=64):
     )
 
 
-class ThreadCtx:
+class ThreadCtx(WireView):
     """Packet-shaped view of a thread for runqueue-layer rank functions.
 
     Rank functions always read their element through the packet builtins;
@@ -103,22 +104,12 @@ class ThreadCtx:
     app uses to publish per-thread signals (service class, measured burst).
     """
 
-    __slots__ = ("data",)
+    __slots__ = ()
+
+    length = 16
 
     def __init__(self, tid):
-        self.data = int(tid).to_bytes(8, "little") + b"\x00" * 8
-
-    @property
-    def length(self):
-        return len(self.data)
-
-    def load(self, offset, width):
-        end = offset + width
-        if offset < 0 or end > len(self.data):
-            raise IndexError(
-                f"thread ctx load [{offset}:{end}) out of bounds (len=16)"
-            )
-        return int.from_bytes(self.data[offset:end], "little")
+        self._data = int(tid).to_bytes(8, "little") + b"\x00" * 8
 
     def __repr__(self):
         return f"<ThreadCtx tid={self.load(0, 8)}>"

@@ -1,12 +1,28 @@
 """The discrete-event engine.
 
-A minimal, fast event loop.  Events are callbacks scheduled at absolute
-simulated times (microseconds).  Cancellation is lazy: cancelled events stay
-in the heap but are skipped on pop, which keeps both operations O(log n)
-without heap surgery.
+A minimal, fast event loop.  Callbacks are scheduled at absolute simulated
+times (microseconds) on one heap and dispatched in ``(time, seq)`` order,
+``seq`` being the order of scheduling — FIFO among same-instant entries.
+
+Scheduling comes in two kinds, split by whether the caller keeps a handle:
+
+- :meth:`Engine.post` / :meth:`Engine.post_at` are fire-and-forget: nothing
+  is returned and nothing but the heap entry is allocated.  Most of the
+  simulator's events (arrivals, wire hops, IRQ delivery, FIFO service) are
+  never cancelled and take this path.
+- :meth:`Engine.schedule` / :meth:`Engine.at` / :meth:`Engine.call_soon`
+  return an :class:`Event` the caller may cancel.  Cancellation is lazy:
+  the entry stays in the heap and is skipped on pop, which keeps both
+  operations O(log n) without heap surgery.
+
+Every heap entry is a 4-tuple so heapq compares C-level floats and ints:
+``(time, seq, fn, args)`` for a posted callback and ``(time, seq, None,
+event)`` for a cancellable one; the dispatch loop tells them apart by the
+``None``.  Both kinds draw ``seq`` from one counter, so mixing them never
+reorders anything.
 """
 
-import heapq
+from heapq import heappop, heappush
 
 __all__ = ["Engine", "Event", "SimulationError"]
 
@@ -16,10 +32,10 @@ class SimulationError(RuntimeError):
 
 
 class Event:
-    """A scheduled callback.
+    """A scheduled, cancellable callback.
 
-    Instances are created via :meth:`Engine.schedule` / :meth:`Engine.at`;
-    user code only ever cancels them.
+    Instances are created via :meth:`Engine.schedule` / :meth:`Engine.at` /
+    :meth:`Engine.call_soon`; user code only ever cancels them.
     """
 
     __slots__ = ("time", "seq", "fn", "args", "cancelled")
@@ -35,12 +51,6 @@ class Event:
         """Mark this event so the engine skips it.  Idempotent."""
         self.cancelled = True
 
-    def __lt__(self, other):
-        # heapq tie-break: FIFO among events scheduled for the same instant.
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
     def __repr__(self):
         state = " cancelled" if self.cancelled else ""
         return f"<Event t={self.time:.3f} fn={getattr(self.fn, '__name__', self.fn)!r}{state}>"
@@ -51,7 +61,7 @@ class Engine:
 
     >>> eng = Engine()
     >>> hits = []
-    >>> _ = eng.schedule(5.0, hits.append, 1)
+    >>> eng.post(5.0, hits.append, 1)
     >>> eng.run()
     >>> (eng.now, hits)
     (5.0, [1])
@@ -65,29 +75,53 @@ class Engine:
         self.events_dispatched = 0
 
     # ------------------------------------------------------------------
-    # Scheduling
+    # Scheduling.  Each entry point validates and pushes inline: these are
+    # the hottest functions in the simulator and a shared helper would add
+    # a Python call per event.  ``not x >= y`` (rather than ``x < y``) also
+    # rejects NaN, which would otherwise poison every later heap compare.
     # ------------------------------------------------------------------
-    def schedule(self, delay, fn, *args):
-        """Schedule ``fn(*args)`` to run ``delay`` microseconds from now."""
-        if delay < 0:
+    def post(self, delay, fn, *args):
+        """Run ``fn(*args)`` ``delay`` microseconds from now; no handle."""
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule {delay} us in the past")
-        return self.at(self.now + delay, fn, *args)
+        self._seq = seq = self._seq + 1
+        heappush(self._heap, (self.now + delay, seq, fn, args))
 
-    def at(self, time, fn, *args):
-        """Schedule ``fn(*args)`` at absolute simulated ``time``."""
-        if time < self.now:
+    def post_at(self, time, fn, *args):
+        """Run ``fn(*args)`` at absolute simulated ``time``; no handle."""
+        if not time >= self.now:
             raise SimulationError(
                 f"cannot schedule at t={time} before now={self.now}"
             )
-        self._seq += 1
-        ev = Event(time, self._seq, fn, args)
-        # Heap entries are tuples so heapq compares C-level ints/floats
-        # instead of calling Event.__lt__ in Python — ~2x faster dispatch.
-        heapq.heappush(self._heap, (time, self._seq, ev))
+        self._seq = seq = self._seq + 1
+        heappush(self._heap, (time, seq, fn, args))
+
+    def schedule(self, delay, fn, *args):
+        """Schedule ``fn(*args)`` ``delay`` microseconds from now; returns
+        the cancellable :class:`Event`."""
+        if not delay >= 0:
+            raise SimulationError(f"cannot schedule {delay} us in the past")
+        time = self.now + delay
+        self._seq = seq = self._seq + 1
+        ev = Event(time, seq, fn, args)
+        heappush(self._heap, (time, seq, None, ev))
+        return ev
+
+    def at(self, time, fn, *args):
+        """Schedule ``fn(*args)`` at absolute simulated ``time``; returns
+        the cancellable :class:`Event`."""
+        if not time >= self.now:
+            raise SimulationError(
+                f"cannot schedule at t={time} before now={self.now}"
+            )
+        self._seq = seq = self._seq + 1
+        ev = Event(time, seq, fn, args)
+        heappush(self._heap, (time, seq, None, ev))
         return ev
 
     def call_soon(self, fn, *args):
-        """Schedule ``fn(*args)`` at the current instant (after pending work)."""
+        """Schedule ``fn(*args)`` at the current instant (after pending
+        work); returns the cancellable :class:`Event`."""
         return self.at(self.now, fn, *args)
 
     # ------------------------------------------------------------------
@@ -95,16 +129,9 @@ class Engine:
     # ------------------------------------------------------------------
     def step(self):
         """Dispatch the next non-cancelled event.  Returns False when idle."""
-        heap = self._heap
-        while heap:
-            time, _seq, ev = heapq.heappop(heap)
-            if ev.cancelled:
-                continue
-            self.now = time
-            self.events_dispatched += 1
-            ev.fn(*ev.args)
-            return True
-        return False
+        before = self.events_dispatched
+        self.run(max_events=1)
+        return self.events_dispatched != before
 
     def run(self, until=None, max_events=None):
         """Run until the heap drains, ``until`` is reached, or ``max_events``.
@@ -118,20 +145,23 @@ class Engine:
         self._running = True
         try:
             heap = self._heap
-            pop = heapq.heappop
             dispatched = 0
             while heap:
-                time, _seq, ev = heap[0]
-                if ev.cancelled:
-                    pop(heap)
-                    continue
+                time, _seq, fn, args = heap[0]
+                if fn is None:
+                    # Cancellable entry: ``args`` is the Event.
+                    if args.cancelled:
+                        heappop(heap)
+                        continue
+                    fn = args.fn
+                    args = args.args
                 if until is not None and time > until:
                     self.now = until
                     return
-                pop(heap)
+                heappop(heap)
                 self.now = time
                 self.events_dispatched += 1
-                ev.fn(*ev.args)
+                fn(*args)
                 dispatched += 1
                 if max_events is not None and dispatched >= max_events:
                     return
@@ -140,9 +170,18 @@ class Engine:
         finally:
             self._running = False
 
+    def queued(self):
+        """Heap entries still queued, cancelled ones included.  O(1); the
+        cheap "is anything else going to happen" test for self-re-arming
+        tick loops.  :meth:`pending` is the exact count."""
+        return len(self._heap)
+
     def pending(self):
-        """Number of live (non-cancelled) events still queued."""
-        return sum(1 for _t, _s, ev in self._heap if not ev.cancelled)
+        """Number of live (non-cancelled) events still queued.  O(n)."""
+        return sum(
+            1 for _t, _s, fn, ev in self._heap
+            if fn is not None or not ev.cancelled
+        )
 
     def __repr__(self):
         return f"<Engine now={self.now:.3f}us pending={len(self._heap)}>"

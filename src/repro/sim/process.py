@@ -47,7 +47,7 @@ class Process:
         self._gen = generator
         self.alive = True
         self.result = None
-        engine.call_soon(self._resume, None)
+        engine.post(0.0, self._resume, None)
 
     def _resume(self, value):
         if not self.alive:
@@ -59,12 +59,12 @@ class Process:
             self.result = stop.value
             return
         if isinstance(yielded, (int, float)):
-            self.engine.schedule(yielded, self._resume, None)
+            self.engine.post(yielded, self._resume, None)
         elif isinstance(yielded, Waiter):
             if yielded._woken:
                 # wake() raced ahead of the yield; resume immediately.
                 yielded._woken = False
-                self.engine.call_soon(self._resume, yielded._value)
+                self.engine.post(0.0, self._resume, yielded._value)
             else:
                 yielded._process = self
         else:

@@ -7,7 +7,7 @@ Figure 2).  Latency is measured client-side: from send to response receipt,
 including both wire traversals.
 """
 
-from repro.net.packet import FiveTuple, Packet, build_payload
+from repro.net.packet import FiveTuple, Packet
 from repro.stats.latency import LatencyRecorder
 from repro.stats.meters import Counter
 from repro.workload.requests import Request
@@ -103,7 +103,7 @@ class OpenLoopGenerator:
 
     def start(self):
         """Begin generating; returns self for chaining."""
-        self.engine.schedule(self._gap_us(), self._arrival)
+        self.engine.post(self._gap_us(), self._arrival)
         return self
 
     def stop(self):
@@ -115,7 +115,7 @@ class OpenLoopGenerator:
         if self._stopped or now >= self.duration_us:
             return
         self._send_one(now)
-        self.engine.schedule(self._gap_us(), self._arrival)
+        self.engine.post(self._gap_us(), self._arrival)
 
     def _send_one(self, now):
         self._next_rid += 1
@@ -128,12 +128,13 @@ class OpenLoopGenerator:
             tenant=self.tenant,
         )
         request.sent_at = now
-        payload = build_payload(rtype, self.user_id, key_hash, self._next_rid)
         flow = self.flows[self.rng.randrange(len(self.flows))]
-        packet = Packet(flow, payload, sent_at=now, request=request)
+        # No payload: the packet builds the request's standard header if
+        # and when a policy reads it.
+        packet = Packet(flow, None, now, request)
         self.sent.add(now, rtype)
         # one-way wire + client NIC cost before the server NIC sees it
-        self.engine.schedule(
+        self.engine.post(
             self.machine.costs.wire_us, self.machine.nic.receive, packet
         )
 
@@ -141,7 +142,7 @@ class OpenLoopGenerator:
     # Server-side completion sink: schedule client receipt after the wire.
     # ------------------------------------------------------------------
     def deliver_response(self, request):
-        self.engine.schedule(
+        self.engine.post(
             self.machine.costs.wire_us, self._client_receive, request
         )
 

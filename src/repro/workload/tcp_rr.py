@@ -65,13 +65,13 @@ class TcpRRGenerator:
         packet = Packet(self.flows[conn], payload, sent_at=now,
                         request=request)
         self.in_flight += 1
-        self.engine.schedule(
+        self.engine.post(
             self.machine.costs.wire_us, self.machine.nic.receive, packet
         )
 
     # ------------------------------------------------------------------
     def deliver_response(self, request):
-        self.engine.schedule(
+        self.engine.post(
             self.machine.costs.wire_us, self._client_receive, request
         )
 

@@ -105,7 +105,7 @@ def test_recorder_ticks_ride_the_engine():
     # the increment at t=35 lands in the (30, 40] sample
     assert recorder.points("app", "hook", "calls")[3] == (40.0, 4)
     # heap drained -> recorder stopped re-arming -> run terminated
-    assert not engine._heap
+    assert not engine.queued()
 
 
 def test_arm_is_idempotent_and_disarm_cancels():
