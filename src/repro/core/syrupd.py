@@ -6,9 +6,11 @@ call standing in for that RPC).  The daemon:
 
 1. tracks which UDP ports belong to which application and rejects
    cross-application port claims,
-2. compiles the policy file to bytecode and runs the verifier,
-3. creates/pins the policy's declared Maps under the owning app's path
-   (NIC-resident placement for offloaded programs),
+2. compiles the policy file to bytecode and runs the verifier (once per
+   distinct text and constants: :func:`repro.ebpf.program.image_of`),
+3. only then — a rejected text leaves no state behind — creates/pins the
+   policy's declared Maps under the owning app's path (NIC-resident for
+   offloaded programs) and binds a fresh program instance to them,
 4. installs the program behind the hook's root port-matching dispatcher so
    it only ever handles the owning app's inputs, and
 5. for the Thread Scheduler hook, launches a ghOSt agent restricted to the
@@ -46,8 +48,7 @@ from repro.core.promote import (
 )
 from repro.ebpf.compiler import compile_policy
 from repro.ebpf.errors import CompileError, VerifierError
-from repro.ebpf.insn import Program
-from repro.ebpf.program import load_program
+from repro.ebpf.program import LoadedProgram, image_of
 from repro.ghost.agent import GhostAgent
 from repro.ghost.enclave import Enclave
 from repro.ghost.sched import GhostScheduler
@@ -224,36 +225,27 @@ class Syrupd:
             return self._deploy_thread_policy(app, policy)
         return self._deploy_network_policy(app, policy, hook, constants, ports)
 
-    def _load_network_policy(self, app, policy, hook, constants,
-                             scope=None, stream=None):
-        """Compile → create/pin maps → verify + JIT.  Shared by deploy
-        and redeploy; raises CompileError/VerifierError after counting
-        the rejection.
-
-        ``scope`` / ``stream`` override the metrics + fault-plan scope
-        and RNG stream name — shadow candidates load under
-        ``shadow:<hook>`` / ``shadow/<app>/<hook>`` so their metrics,
-        injected faults, and random draws never mix with the active
-        deployment's.
+    def _load(self, app, policy, constants, hook, layer=None, shadow=False):
+        """Verified image → create/pin maps → bind → metrics → fault plan,
+        for every deploy entry point.  The image comes first, so a
+        CompileError/VerifierError is counted and raised before any map or
+        metric exists.  ``hook`` is a network hook, or ``qdisc_hook(layer)``
+        given with its ``layer`` (a rank function: ``compile_rank``, its own
+        RNG stream, host maps).  ``shadow`` candidates get their own scope
+        and stream, so their metrics, injected faults and random draws never
+        mix with the active deployment's.
         """
-        scope = scope if scope is not None else hook
-        stream = stream if stream is not None else f"policy/{app.name}"
-        try:
-            if isinstance(policy, Program):
-                program = policy
-            else:
-                program = compile_policy(policy, constants=constants)
+        if layer is None:
+            compiler, stream = compile_policy, f"policy/{app.name}"
             placement = OFFLOAD if hook == Hook.XDP_OFFLOAD else HOST
-            maps = {}
-            for map_name, size in zip(program.map_names, program.map_sizes):
-                syrup_map = self.registry.create(
-                    app.name, map_name, size=size, placement=placement
-                )
-                maps[map_name] = syrup_map.bpf_map
-            loaded = load_program(
-                program, maps=maps,
-                rng=self.machine.streams.get(stream),
-            )
+        else:
+            compiler, stream = compile_rank, f"qdisc/{app.name}/{layer}"
+            placement = HOST
+        scope = hook
+        if shadow:
+            scope, stream = f"shadow:{hook}", f"shadow/{app.name}/{hook}"
+        try:
+            image = image_of(policy, compiler, constants)
         except (CompileError, VerifierError) as exc:
             self.obs.registry.counter(
                 app.name, "syrupd", "verifier_rejections"
@@ -263,6 +255,13 @@ class Syrupd:
                 error=type(exc).__name__, detail=str(exc),
             )
             raise
+        program = image.program
+        maps = {}
+        for map_name, size in zip(program.map_names, program.map_sizes):
+            maps[map_name] = self.registry.create(
+                app.name, map_name, size=size, placement=placement
+            ).bpf_map
+        loaded = LoadedProgram(image, maps, self.machine.streams.get(stream))
         self._attach_program_metrics(app.name, scope, loaded)
         # Fault plan (Machine(faults=...)): wrap the program *after*
         # metrics attachment so the proxy delegates everything.
@@ -272,7 +271,7 @@ class Syrupd:
         return loaded
 
     def _deploy_network_policy(self, app, policy, hook, constants, ports):
-        loaded = self._load_network_policy(app, policy, hook, constants)
+        loaded = self._load(app, policy, constants, hook)
         executors = app.executor_map(hook)
         self._prepopulate_executors(hook, executors)
         site = self._site(hook)
@@ -300,10 +299,9 @@ class Syrupd:
                          "jit_runs")
         }
         reg.gauge(app_name, hook, "prog_n_insns").set(loaded.program.n_insns)
-        if loaded._jit is not None:
-            reg.gauge(app_name, hook, "jit_code_lines").set(
-                loaded._jit.jit_n_lines
-            )
+        jit = loaded.image.jit
+        if jit is not None:
+            reg.gauge(app_name, hook, "jit_code_lines").set(jit.jit_n_lines)
 
     def _note_deploy(self, deployed, **fields):
         self.obs.registry.counter(
@@ -373,7 +371,7 @@ class Syrupd:
 
         ``policy`` is rank-function source (``def rank(pkt):``) in the
         same safe subset as matching functions; it travels the identical
-        compile → verify → map-pinning → JIT path.  ``layer`` is one of
+        compile → verify → JIT → map-pinning path.  ``layer`` is one of
         :data:`repro.qdisc.discipline.LAYERS`:
 
         - ``"socket"`` — attach to the app's registered Socket Select
@@ -393,7 +391,7 @@ class Syrupd:
         ports = list(ports) if ports is not None else list(app.ports)
         if layer != LAYER_RUNQUEUE:
             self._check_ports(app, ports)
-        loaded = self._load_rank_policy(app, policy, layer, constants)
+        loaded = self._load(app, policy, constants, hook, layer)
         deployed = DeployedPolicy(
             self._alloc_fd(), app.name, hook, program=loaded, ports=ports,
         )
@@ -420,48 +418,6 @@ class Syrupd:
             name=loaded.name,
         )
         return deployed
-
-    def _load_rank_policy(self, app, policy, layer, constants,
-                          scope=None, stream=None):
-        """Compile a rank function through the policy pipeline (rename
-        ``rank`` → ``schedule``, then the standard verify + maps + JIT).
-
-        ``scope`` / ``stream`` override the metrics + fault-plan scope
-        and RNG stream name (shadow candidates; see
-        :meth:`_load_network_policy`).
-        """
-        hook = qdisc_hook(layer)
-        scope = scope if scope is not None else hook
-        stream = stream if stream is not None else f"qdisc/{app.name}/{layer}"
-        try:
-            if isinstance(policy, Program):
-                program = policy
-            else:
-                program = compile_rank(policy, constants=constants)
-            maps = {}
-            for map_name, size in zip(program.map_names, program.map_sizes):
-                syrup_map = self.registry.create(
-                    app.name, map_name, size=size, placement=HOST
-                )
-                maps[map_name] = syrup_map.bpf_map
-            loaded = load_program(
-                program, maps=maps,
-                rng=self.machine.streams.get(stream),
-            )
-        except (CompileError, VerifierError) as exc:
-            self.obs.registry.counter(
-                app.name, "syrupd", "verifier_rejections"
-            ).inc()
-            self.obs.events.emit(
-                "verifier_reject", app=app.name, hook=scope,
-                error=type(exc).__name__, detail=str(exc),
-            )
-            raise
-        self._attach_program_metrics(app.name, scope, loaded)
-        injector = getattr(self.machine, "faults", None)
-        if injector is not None:
-            loaded = injector.wrap_program(loaded, app.name, scope)
-        return loaded
 
     def _new_qdisc(self, deployed, layer, backend, loaded, ports,
                    backend_kwargs):
@@ -637,11 +593,12 @@ class Syrupd:
     def redeploy(self, app, policy, hook, constants=None, ports=None):
         """Hot-swap the program behind an active network deployment.
 
-        The previous program is kept as ``last_good``: if the
-        replacement fails verification nothing is swapped (the rollback
-        is trivially the still-installed program), and if it raises a
-        runtime fault once live the lifecycle manager swaps the old
-        program back (docs/robustness.md).
+        The previous binding is kept as ``last_good``: if the
+        replacement fails verification nothing is swapped or created
+        (the rollback is trivially the still-installed program), and if
+        it raises a runtime fault once live the lifecycle manager swaps
+        the old binding back (docs/robustness.md).  Every port of the
+        deployment is swapped; ``ports``, if given, must be that set.
         """
         if hook == Hook.THREAD_SCHED or hook not in Hook.ALL:
             raise ValueError(
@@ -654,8 +611,14 @@ class Syrupd:
             )
         if ports is not None:
             self._check_ports(app, list(ports))
+            if set(ports) != set(deployed.ports):
+                raise ValueError(
+                    f"redeploy swaps every port of app {app.name!r} at "
+                    f"{hook}: ports {sorted(ports)} are not the active "
+                    f"deployment's {sorted(deployed.ports)}"
+                )
         try:
-            loaded = self._load_network_policy(app, policy, hook, constants)
+            loaded = self._load(app, policy, constants, hook)
         except (CompileError, VerifierError) as exc:
             deployed.health.rollbacks += 1
             self.obs.registry.counter(
@@ -802,18 +765,10 @@ class Syrupd:
                 f"app {app.name!r} has no active program at {target_hook} "
                 "to shadow"
             )
-        scope = f"shadow:{target_hook}"
-        stream = f"shadow/{app.name}/{target_hook}"
-        if hook is not None:
-            candidate = self._load_network_policy(
-                app, policy, hook, constants, scope=scope, stream=stream,
-            )
-            classify = hook_label
-        else:
-            candidate = self._load_rank_policy(
-                app, policy, layer, constants, scope=scope, stream=stream,
-            )
-            classify = rank_label
+        candidate = self._load(
+            app, policy, constants, target_hook, layer, shadow=True,
+        )
+        classify = hook_label if hook is not None else rank_label
         record = PromotionRecord(
             name if name is not None else candidate.name,
             app.name, target_hook, candidate, deployed,

@@ -2,8 +2,7 @@
 
 Round-trips with :mod:`repro.ebpf.disasm`: ``assemble(disassemble(p))``
 reproduces ``p``'s instructions, metadata included.  Useful for golden
-tests, for hand-authoring verifier test cases, and as the storage format
-for compiled policies (syrupd could cache these on disk).
+tests and for hand-authoring verifier test cases.
 
 Syntax (one instruction per line)::
 
@@ -38,10 +37,9 @@ class AsmError(ValueError):
 def assemble(text, name=None):
     """Parse an IR listing into a :class:`Program`.
 
-    The returned Program has no source/AST (it was authored as IR); it can
-    be verified and interpreted, but not JIT-compiled — ``load_program``
-    falls back to... actually the JIT requires an AST, so IR-authored
-    programs run on the interpreter (exactly like non-JITed eBPF).
+    The returned Program has no source/AST (it was authored as IR): its
+    image carries no JIT function, so it is verified and runs on the
+    interpreter only (exactly like non-JITed eBPF).
     """
     insns = []
     global_names = []

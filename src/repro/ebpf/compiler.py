@@ -32,7 +32,7 @@ from repro.constants import DROP, PASS
 from repro.ebpf.errors import CompileError
 from repro.ebpf.insn import Insn, Program, U64
 
-__all__ = ["compile_policy", "count_loc"]
+__all__ = ["compile_policy", "count_loc", "function_source"]
 
 _LOAD_WIDTHS = {"load_u8": 1, "load_u16": 2, "load_u32": 4, "load_u64": 8}
 
@@ -71,6 +71,13 @@ def count_loc(source):
     return n
 
 
+def function_source(fn, name=None):
+    """``(text, name)`` of a policy written as a Python function, named
+    after the function unless ``name`` is given."""
+    text = textwrap.dedent(inspect.getsource(fn))
+    return text, (fn.__name__ if name is None else name)
+
+
 def compile_policy(source, name=None, constants=None, unroll_limit=64):
     """Compile policy ``source`` (text or a Python function) to a Program.
 
@@ -78,9 +85,7 @@ def compile_policy(source, name=None, constants=None, unroll_limit=64):
     is a compile-time parameter").
     """
     if callable(source):
-        if name is None:
-            name = getattr(source, "__name__", "policy")
-        source = textwrap.dedent(inspect.getsource(source))
+        source, name = function_source(source, name)
     try:
         module = ast.parse(source)
     except SyntaxError as exc:

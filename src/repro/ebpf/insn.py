@@ -90,11 +90,13 @@ class Insn:
 
 
 class Program:
-    """A compiled, not-yet-loaded program.
+    """A compiled, not-yet-loaded program, frozen once built: every load of
+    a text shares one verified Program (:mod:`repro.ebpf.program`), so its
+    instruction stream can be neither edited nor re-pointed afterwards.
 
     Attributes:
         name: program name (usually the policy file/function name).
-        insns: list of :class:`Insn`.
+        insns: tuple of :class:`Insn`.
         n_locals: number of local-variable slots.
         global_names / globals_init: module-level mutable state (the
             analogue of an eBPF ``.data`` section; the paper's round-robin
@@ -105,6 +107,9 @@ class Program:
         func_ast: the (validated) AST of ``schedule``, kept for the JIT.
         loc: non-blank, non-comment source lines (reported in Table 2).
     """
+
+    __slots__ = ("name insns n_locals global_names globals_init map_names "
+                 "map_sizes map_vars source func_ast loc constants").split()
 
     def __init__(
         self,
@@ -121,18 +126,22 @@ class Program:
         loc,
         constants=None,
     ):
-        self.name = name
-        self.insns = insns
-        self.n_locals = n_locals
-        self.global_names = list(global_names)
-        self.globals_init = list(globals_init)
-        self.map_names = list(map_names)
-        self.map_sizes = list(map_sizes)
-        self.map_vars = list(map_vars)
-        self.source = source
-        self.func_ast = func_ast
-        self.loc = loc
-        self.constants = dict(constants or {})
+        init = super().__setattr__
+        init("name", name)
+        init("insns", tuple(insns))
+        init("n_locals", n_locals)
+        init("global_names", list(global_names))
+        init("globals_init", list(globals_init))
+        init("map_names", list(map_names))
+        init("map_sizes", list(map_sizes))
+        init("map_vars", list(map_vars))
+        init("source", source)
+        init("func_ast", func_ast)
+        init("loc", loc)
+        init("constants", dict(constants or {}))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Program is frozen; cannot set {name!r}")
 
     @property
     def n_insns(self):

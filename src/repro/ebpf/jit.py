@@ -9,12 +9,9 @@ both route all tricky operations (wrapping division, map helpers) through
 on randomized programs and inputs.
 
 Place in the dispatch path: hooks never call this module directly.
-:func:`repro.ebpf.program.load_program` (the ``BPF_PROG_LOAD`` analogue)
-calls :func:`jit_compile` once at load time; per input,
-``LoadedProgram.run`` interprets the first ``profile_runs`` invocations to
-measure real cycle counts (:mod:`repro.ebpf.vm`), then switches to the
-compiled function here for the steady state — so the datapath gets JIT
-speed while the hook charges interpreter-calibrated costs.  Programs
+:mod:`repro.ebpf.program` calls :func:`jit_compile` once per program image
+— the generated function is stateless, so every binding of a text shares
+it — and says when a binding runs it instead of the interpreter.  Programs
 authored directly as IR (:mod:`repro.ebpf.asm`) carry no AST and skip the
 JIT entirely, like eBPF on a kernel with the JIT disabled.
 

@@ -11,8 +11,8 @@ Three semantics-preserving passes, run to a fixed point:
 
 Equivalence with the unoptimized program is enforced by property tests
 (tests/test_ebpf_optimizer.py).  The compiler does not run this by default;
-``load_program(optimize=True)`` opts in — mirroring how clang -O2 and the
-kernel's verifier-time rewrites sit outside the core load path.
+``load_program(optimize(program))`` opts in — mirroring how clang -O2 and
+the kernel's verifier-time rewrites sit outside the core load path.
 """
 
 from repro.ebpf import helpers

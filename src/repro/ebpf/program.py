@@ -1,47 +1,125 @@
-"""Loaded programs: verified, JIT-compiled, map-bound, ready to attach.
+"""Program images and their bindings: verify once, attach many.
 
-``load_program`` mirrors the kernel's ``bpf(BPF_PROG_LOAD, ...)``: it runs
-the verifier, resolves declared maps, and JIT-compiles.  The returned
-:class:`LoadedProgram` is what hooks invoke per input.
+Loading mirrors the kernel's ``bpf(BPF_PROG_LOAD, ...)`` in two steps:
 
-Cycle accounting: the first ``profile_runs`` invocations go through the
-interpreter to measure real executed cycles (different policies execute very
-different instruction counts — e.g. SCAN Avoid usually exits its unrolled
-loop on the first probe).  After profiling, invocations use the JIT and the
-hook charges the measured average.
+- A :class:`ProgramImage` is what is a pure function of the program text:
+  the :class:`~repro.ebpf.insn.Program`, its verifier stats, the JIT
+  function (stateless: ``globals, maps, rng`` are arguments) and the static
+  cycle sum.  It is immutable and shared; :func:`image_of` memoises it on
+  all that compilation reads — entry point, text, name, every supplied
+  constant — so redeploying a text the process has loaded before compiles
+  and verifies nothing.  Verification is never skipped, only not repeated:
+  each memoised image came out of compile → verify → JIT on exactly its
+  key, rejections are not memoised, and a caller's own ``Program`` (which
+  the caller can still edit) is verified on every load.
+- A :class:`LoadedProgram` is one *binding* of an image, what hooks invoke
+  per input.  It owns all an attachment can change — map bindings, globals,
+  RNG stream, invocation count, cycle profile, metric handles — so two
+  loads of one text never see each other's state.
+
+Cycle accounting: each binding's first ``profile_runs`` invocations go
+through the interpreter to measure real executed cycles (SCAN Avoid usually
+exits its unrolled loop on the first probe; the count depends on map state
+and random draws, so a profile is never carried across loads).  After that,
+invocations use the JIT and the hook charges the measured average.
 """
 
+import functools
 import random
+from collections import namedtuple
 
-from repro.ebpf.errors import VerifierError
+from repro.ebpf.compiler import compile_policy, function_source
+from repro.ebpf.insn import Program
 from repro.ebpf.jit import jit_compile
 from repro.ebpf.maps import ArrayMap, HashMap
 from repro.ebpf.verifier import verify
 from repro.ebpf.vm import CYCLE_COSTS, execute
 
-__all__ = ["LoadedProgram", "load_program"]
+__all__ = ["LoadedProgram", "ProgramImage", "image_of", "load_program",
+           "text_image"]
 
 DEFAULT_PROFILE_RUNS = 32
+#: Images kept (LRU): a run loads a handful; a fuzzing sweep stays flat.
+IMAGE_MEMO_SIZE = 128
+
+
+class ProgramImage(
+    namedtuple("ProgramImage", "program verifier_stats jit static_cycles")
+):
+    """A verified program and what derives from it alone.  ``jit`` is None
+    for IR-authored programs (:mod:`repro.ebpf.asm`): no AST, so interpreter
+    only, like eBPF on a non-JIT kernel.  ``static_cycles`` is the estimate a
+    binding reports before its first profiled run."""
+
+    __slots__ = ()
+
+    @classmethod
+    def build(cls, program):
+        """Verify + JIT ``program``; raises VerifierError."""
+        stats = verify(program)
+        jit = jit_compile(program) if program.func_ast is not None else None
+        cycles = sum(CYCLE_COSTS[insn.op] for insn in program.insns)
+        return cls(program, stats, jit, cycles)
+
+
+@functools.lru_cache(maxsize=IMAGE_MEMO_SIZE)
+def text_image(compiler, text, name, constants):
+    """The memo behind :func:`image_of` (``constants``: sorted item tuple);
+    ``__wrapped__`` / ``cache_clear()`` give tests a cold build."""
+    return ProgramImage.build(
+        compiler(text, name=name, constants=dict(constants))
+    )
+
+
+def image_of(policy, compiler=compile_policy, constants=None):
+    """The :class:`ProgramImage` for ``policy``: text, or a Python function
+    resolved to its text, compiled by ``compiler`` (the entry point —
+    :func:`repro.qdisc.discipline.compile_rank` for ``def rank``) and
+    memoised; a ``Program`` is verified afresh, never memoised.  Raises
+    CompileError/VerifierError."""
+    if isinstance(policy, Program):
+        return ProgramImage.build(policy)
+    name = None
+    if callable(policy):
+        policy, name = function_source(policy)
+    constants = tuple(sorted((constants or {}).items()))
+    try:
+        hash(constants)
+    except TypeError:
+        # Unhashable values cannot key the memo; they reach the compiler,
+        # whose error is the one the user should see.
+        return text_image.__wrapped__(compiler, policy, name, constants)
+    return text_image(compiler, policy, name, constants)
 
 
 class LoadedProgram:
-    """A verified program bound to its maps and global state."""
+    """One binding of a verified image: its maps and its mutable state.
 
-    def __init__(self, program, maps, rng=None, profile_runs=DEFAULT_PROFILE_RUNS):
-        self.program = program
-        self.maps = list(maps)
+    ``maps`` maps declared map *names* to existing BpfMap objects (share a
+    map between programs by passing the same object); missing ones are
+    created, an :class:`ArrayMap` for names ending ``"_array"``, else a
+    :class:`HashMap`.
+    """
+
+    def __init__(self, image, maps=None, rng=None,
+                 profile_runs=DEFAULT_PROFILE_RUNS):
+        self.image = image
+        self.program = program = image.program
+        self.verifier_stats = image.verifier_stats
+        self._jit = image.jit
+        maps = dict(maps or {})
+        self.maps = []
+        for name, size in zip(program.map_names, program.map_sizes):
+            if name not in maps:
+                kind = ArrayMap if name.endswith("_array") else HashMap
+                maps[name] = kind(name, size)
+            self.maps.append(maps[name])
         self.globals = list(program.globals_init)
         self.rng = rng if rng is not None else random.Random(0)
         self.profile_runs = profile_runs
-        # IR-authored programs (repro.ebpf.asm) carry no AST: they run on
-        # the interpreter only, like eBPF on a non-JIT kernel.
-        self._jit = jit_compile(program) if program.func_ast is not None else None
         self.invocations = 0
         self._profiled_cycles = 0
         self._profiled_count = 0
-        # Pre-profiling fallback: static straight-line estimate.
-        self._static_cycles = sum(CYCLE_COSTS[i.op] for i in program.insns)
-        self.verifier_stats = None
         # Optional dict of obs metric objects ("invocations",
         # "insns_interp", "cycles_interp", "jit_runs"); set by syrupd at
         # deploy time when the machine runs with metrics enabled.
@@ -56,7 +134,7 @@ class LoadedProgram:
         """Average cycles per invocation (profiled, else static estimate)."""
         if self._profiled_count:
             return self._profiled_cycles / self._profiled_count
-        return float(self._static_cycles)
+        return float(self.image.static_cycles)
 
     def map_by_name(self, name):
         for bpf_map, declared in zip(self.maps, self.program.map_names):
@@ -100,48 +178,10 @@ class LoadedProgram:
         return f"<LoadedProgram {self.name!r} invocations={self.invocations}>"
 
 
-def load_program(
-    program,
-    maps=None,
-    rng=None,
-    map_factory=None,
-    profile_runs=DEFAULT_PROFILE_RUNS,
-    optimize=False,
-):
-    """Verify + JIT + bind maps; the BPF_PROG_LOAD analogue.
-
-    Args:
-        program: output of :func:`repro.ebpf.compiler.compile_policy`.
-        maps: dict mapping declared map *names* to existing BpfMap objects
-            (share a map between programs by passing the same object).
-            Missing maps are created via ``map_factory``.
-        map_factory: callable ``(name, size) -> BpfMap``; defaults to
-            :class:`HashMap` (an :class:`ArrayMap` is used when a program
-            suffixes the declared name with ``"_array"``).
-        optimize: run the IR peephole optimizer before verification.
-    """
-    if optimize:
-        from repro.ebpf.optimizer import optimize as run_optimizer
-
-        program = run_optimizer(program)
-    stats = verify(program)
-    maps = dict(maps or {})
-    if map_factory is None:
-        def map_factory(name, size):
-            if name.endswith("_array"):
-                return ArrayMap(name, size)
-            return HashMap(name, size)
-    bound = []
-    for name, size in zip(program.map_names, program.map_sizes):
-        if name not in maps:
-            maps[name] = map_factory(name, size)
-        bound.append(maps[name])
-    loaded = LoadedProgram(program, bound, rng=rng, profile_runs=profile_runs)
-    loaded.verifier_stats = stats
-    return loaded
-
-
-def require_verified(program):
-    """Raise VerifierError unless the program verifies (convenience)."""
-    verify(program)
-    return program
+def load_program(program, maps=None, rng=None,
+                 profile_runs=DEFAULT_PROFILE_RUNS):
+    """Verify + JIT + bind maps, the BPF_PROG_LOAD analogue: build the image
+    of ``program`` (:func:`repro.ebpf.compiler.compile_policy` output, or
+    :func:`repro.ebpf.optimizer.optimize` of it) and bind it; ``maps`` as
+    for :class:`LoadedProgram`."""
+    return LoadedProgram(ProgramImage.build(program), maps, rng, profile_runs)

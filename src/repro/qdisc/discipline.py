@@ -24,7 +24,7 @@ and drain normally, so a quarantined queue is never wedged.
 import re
 
 from repro.constants import DROP, PASS
-from repro.ebpf.compiler import compile_policy
+from repro.ebpf.compiler import compile_policy, function_source
 from repro.ebpf.errors import CompileError
 from repro.net.packet import WireView
 from repro.qdisc.backends import make_backend
@@ -77,12 +77,7 @@ def compile_rank(source, name=None, constants=None, unroll_limit=64):
     safe subset, same verifier, same JIT.
     """
     if callable(source):
-        import inspect
-        import textwrap
-
-        if name is None:
-            name = getattr(source, "__name__", "rank")
-        source = textwrap.dedent(inspect.getsource(source))
+        source, name = function_source(source, name)
     renamed, n = _RANK_DEF.subn("def schedule(", source, count=1)
     if n == 0:
         raise CompileError(

@@ -76,8 +76,15 @@ def _stmts(rng, depth, indent, names):
     return lines, names
 
 
-def random_policy_source(seed):
-    """A random, always-compilable policy in the safe subset."""
+def random_policy_source(seed, constants=(), unchecked_load=False):
+    """A random policy in the safe subset; by default it always compiles
+    and verifies.
+
+    ``constants`` names compile-time constants its expressions may read
+    (it then compiles only when the caller supplies each one it used);
+    ``unchecked_load`` makes the final return read the packet without a
+    ``pkt_len`` guard, which the verifier rejects wherever it is reachable.
+    """
     rng = random.Random(seed)
     lines = ['m = syr_map("m", 64)']
     for gname in _GLOBALS:
@@ -85,9 +92,12 @@ def random_policy_source(seed):
     lines.append("")
     lines.append("def schedule(pkt):")
     lines.append(f"    global {', '.join(_GLOBALS)}")
-    body, names = _stmts(rng, 2, 1, list(_GLOBALS))
+    body, names = _stmts(rng, 2, 1, list(_GLOBALS) + list(constants))
     lines.extend(body)
-    lines.append(f"    return {_expr(rng, 1, names)}")
+    result = _expr(rng, 1, names)
+    if unchecked_load:
+        result = f"load_u8(pkt, 7) + {result}"
+    lines.append(f"    return {result}")
     return "\n".join(lines) + "\n"
 
 

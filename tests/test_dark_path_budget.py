@@ -1,4 +1,5 @@
-"""The bare packet path's fixed cost, gated as exact call counts.
+"""Fixed costs gated as exact call counts: the bare packet path, and the
+deploy path's builds per distinct text.
 
 A 20 ms SCAN Avoid run with every telemetry tier off, under ``cProfile``:
 how many Python calls each request makes into the engine and the packet/NIC
@@ -11,10 +12,14 @@ least one call per request and fail it on any machine.
 import cProfile
 import pstats
 
+import pytest
+
 from repro import Hook
+from repro.ebpf.program import text_image
 from repro.experiments.runner import RocksDbTestbed
 from repro.net.rss import rss_hash
-from repro.policies.builtin import SCAN_AVOID
+from repro.policies.builtin import HASH_BY_FLOW, ROUND_ROBIN, SCAN_AVOID
+from repro.qdisc.policies import SRPT_BY_SIZE
 from repro.workload.mixes import GET_SCAN_995_005
 
 DURATION_US = 20_000.0
@@ -46,10 +51,12 @@ def profile_dark_run():
     return pstats.Stats(profile).stats, requests, len(gen.flows)
 
 
-def calls_into(stats, path_part):
+def calls_into(stats, path_part, function=None):
     return sum(
-        calls for (filename, _line, _name), (_cc, calls, *_rest)
-        in stats.items() if path_part in filename.replace("\\", "/")
+        calls for (filename, _line, name), (_cc, calls, *_rest)
+        in stats.items()
+        if path_part in filename.replace("\\", "/")
+        and function in (None, name)
     )
 
 
@@ -68,3 +75,40 @@ def test_dark_path_call_budget():
         if "'pack' of '_struct.Struct'" in name
     )
     assert packs <= flow_pool, packs
+
+
+# ----------------------------------------------------------------------
+# The deploy path: compile → verify → JIT runs once per distinct text
+# ----------------------------------------------------------------------
+CHURN_CONSTANTS = {"NUM_THREADS": 6, "NUM_EXECUTORS": 6}
+CHURN_ROTATION = (ROUND_ROBIN, HASH_BY_FLOW, SCAN_AVOID)
+#: Distinct (entry point, text, constants) keys below: the rotation's three
+#: policy texts (the initial deploy is one of them) plus one rank text.
+CHURN_KEYS = 4
+
+
+@pytest.mark.parametrize("swaps", [30, 60])
+def test_deploy_path_builds_each_distinct_text_once(swaps):
+    text_image.cache_clear()  # other tests may have loaded these texts
+    profile = cProfile.Profile()
+    profile.enable()
+    testbed = RocksDbTestbed(
+        policy=(SCAN_AVOID, Hook.SOCKET_SELECT, CHURN_CONSTANTS),
+        mark_scans=True, mark_sizes=True, num_threads=6, seed=3,
+    )
+    app = testbed.app
+    for swap in range(swaps):
+        app.redeploy_policy(CHURN_ROTATION[swap % 3], Hook.SOCKET_SELECT,
+                            constants=CHURN_CONSTANTS)
+    for _ in range(4):
+        app.deploy_qdisc(SRPT_BY_SIZE, "socket")
+        app.undeploy_qdisc("socket")
+    profile.disable()
+    stats = pstats.Stats(profile).stats
+
+    # 1 + swaps + 4 loads; a build per load would be 35 (65) of each
+    assert calls_into(stats, "/ebpf/program.py", "image_of") == 1 + swaps + 4
+    for path_part, function in (("/ebpf/compiler.py", "compile_policy"),
+                                ("/ebpf/verifier.py", "verify"),
+                                ("/ebpf/jit.py", "jit_compile")):
+        assert calls_into(stats, path_part, function) == CHURN_KEYS, function

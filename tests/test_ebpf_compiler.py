@@ -320,3 +320,20 @@ def test_fold_const_unknown_name_is_none():
 
     node = ast.parse("x + 1", mode="eval").body
     assert fold_const(node, {}) is None
+
+
+# ----------------------------------------------------------------------
+# A Program is frozen: verified images are shared between loads
+# ----------------------------------------------------------------------
+def test_a_compiled_program_cannot_be_edited_or_repointed():
+    program = compile_policy("def schedule(pkt):\n    return 3\n")
+    insn = program.insns[0]
+    with pytest.raises(AttributeError):
+        program.insns.append(insn)
+    with pytest.raises(TypeError):
+        del program.insns[0]
+    with pytest.raises(AttributeError):
+        program.insns = [insn]
+    with pytest.raises(AttributeError):
+        program.name = "other"
+    assert load_program(program).run_interp(None).value == 3

@@ -8,9 +8,10 @@ import pytest
 from repro.constants import PASS
 from repro.ebpf.compiler import compile_policy
 from repro.ebpf.maps import ArrayMap, HashMap
-from repro.ebpf.program import load_program
+from repro.ebpf.program import LoadedProgram, image_of, load_program
 from repro.ebpf.vm import execute
 from repro.net.packet import FiveTuple, Packet, build_payload
+from repro.qdisc.discipline import compile_rank
 
 
 FLOW = FiveTuple(0x0A000002, 40000, 0x0A000001, 8080, 17)
@@ -252,3 +253,40 @@ def test_paper_token_policy_drops_on_empty_bucket():
     assert first != DROP and second != DROP
     assert third == DROP
     assert token_map.lookup(1) == 0
+
+
+# ----------------------------------------------------------------------
+# image_of: what the memo keys on, and what never enters it
+# ----------------------------------------------------------------------
+def test_image_memo_keys_on_everything_compile_reads():
+    src = "def schedule(pkt):\n    return N\n"
+    image = image_of(src, constants={"N": 4})
+    assert image_of(src, constants={"N": 4}) is image
+    assert image_of(src, constants={"N": 5}) is not image
+    # every supplied constant, used or not: sound and simple beats clever
+    assert image_of(src, constants={"N": 4, "UNUSED": 1}) is not image
+    # the entry point: rank files and policy files never alias
+    rank = image_of("def rank(pkt):\n    return N\n", compile_rank,
+                    {"N": 4})
+    assert rank is not image and LoadedProgram(rank).run_jit(None) == 4
+
+    def schedule(pkt):
+        return 7
+
+    # a function is resolved to its text first, and keyed on that
+    assert image_of(schedule) is image_of(schedule)
+    assert image_of(schedule).program.name == "schedule"
+
+
+def test_image_memo_never_holds_a_callers_program_or_unhashable_key():
+    src = "def schedule(pkt):\n    return N\n"
+    program = compile_policy(src, constants={"N": 4})
+    assert image_of(program) is not image_of(program)
+    assert image_of(program).program is program
+    # an unhashable value cannot key the memo; it reaches the compiler,
+    # which here never reads it
+    odd = {"N": 4, "TABLE": [1, 2]}
+    assert image_of(src, constants=odd) is not image_of(src, constants=odd)
+    assert LoadedProgram(image_of(src, constants=odd)).run_jit(None) == 4
+    with pytest.raises(TypeError, match="int()"):
+        image_of(src, constants={"N": [4]})

@@ -18,7 +18,7 @@ lifecycle"):
 
 import pytest
 
-from repro import FaultPlan
+from repro import FaultPlan, Hook
 from repro.cluster import Fleet, FleetRequest, JsqSteering, ShadowSteering
 from repro.constants import DROP, PASS
 from repro.core.promote import (
@@ -39,6 +39,8 @@ from repro.experiments.figure_canary import (
     run_figure_canary,
 )
 from repro.experiments.runner import RocksDbTestbed, run_point
+from repro.net.packet import FiveTuple, Packet
+from repro.policies.builtin import ROUND_ROBIN
 from repro.qdisc.policies import SRPT_BY_SIZE, SRPT_TIERED
 from repro.workload.mixes import GET_SCAN_995_005
 from repro.workload.requests import GET
@@ -229,6 +231,40 @@ def test_shadow_verdicts_are_recorded_never_enforced():
     assert record.diff.agreement() > 0.9  # tiered agrees on the GETs
     assert record.canary_enforced == 0
     assert _fingerprint(testbed, gen) == vanilla()
+
+
+def test_shadow_of_the_active_text_shares_its_image_not_its_state():
+    constants = {"NUM_THREADS": 4}
+    testbed = RocksDbTestbed(
+        policy=(ROUND_ROBIN, Hook.SOCKET_SELECT, constants), num_threads=4,
+        seed=3,
+    )
+    machine, app = testbed.machine, testbed.app
+    testbed.drive(50_000, GET_SCAN_995_005, 10_000.0, 0.0).start()
+    machine.run()
+    active = machine.syrupd.status()[0]
+    assert active["invocations"] > 32  # past its profiling window
+
+    record = app.deploy_shadow(ROUND_ROBIN, hook=Hook.SOCKET_SELECT,
+                               constants=constants, min_decisions=10**9)
+    candidate, live = record.candidate, record.deployed.program
+    assert candidate is not live and candidate.image is live.image
+    # ... but its own globals, RNG stream and cycle profile
+    assert candidate.globals == [0] and live.globals != [0]
+    assert candidate.rng is machine.streams.get(
+        f"shadow/{app.name}/{Hook.SOCKET_SELECT}")
+    assert candidate.rng is not live.rng
+    assert candidate.invocations == 0
+    assert candidate.cycle_estimate == float(live.image.static_cycles)
+    assert live.cycle_estimate != candidate.cycle_estimate
+
+    before = list(live.globals)
+    site = machine.netstack.socket_select_hook
+    site.decide(Packet(FiveTuple(1, 2, 3, testbed.port, 17), b"x" * 16))
+    # one input, one run each: the tap advanced the candidate from 0,
+    # the live program from where it was
+    assert candidate.invocations == 1 and candidate.globals == [1]
+    assert live.globals == [before[0] + 1]
 
 
 def test_shadow_fault_rejects_candidate_without_touching_live_traffic():

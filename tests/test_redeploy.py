@@ -12,6 +12,7 @@ import pytest
 from repro import Hook, Machine, set_a, set_b
 from repro.apps.mica import MicaServer
 from repro.apps.rocksdb import RocksDbServer
+from repro.ebpf import VerifierError, compile_policy
 from repro.net.packet import FiveTuple, Packet
 from repro.policies.builtin import HASH_BY_FLOW, MICA_HASH, ROUND_ROBIN
 from repro.workload.generator import OpenLoopGenerator
@@ -158,3 +159,111 @@ def test_fds_are_per_daemon_not_global():
     # seed bug: a class-level counter made the second machine's fds
     # continue from the first's
     assert first_fd() == first_fd()
+
+
+# ----------------------------------------------------------------------
+# Load once, attach many: the image is shared, a binding's state is not
+# ----------------------------------------------------------------------
+def test_two_machines_share_an_image_but_not_round_robin_state():
+    def machine_with_round_robin():
+        harness = _Harness(Hook.SOCKET_SELECT)
+        return harness, harness.deploy()
+
+    first, deployed_1 = machine_with_round_robin()
+    first.drive()  # advances the first machine's idx well past 0
+    second, deployed_2 = machine_with_round_robin()
+    assert deployed_2.program.image is deployed_1.program.image
+    assert deployed_2.program is not deployed_1.program
+    assert deployed_1.program.globals != [0]
+    assert deployed_2.program.globals == [0]
+    # idx starts at 0 on every machine, so the first verdict is (0 + 1) % 4
+    # however far the other machine's binding has counted
+    packet = Packet(FiveTuple(1, 2, 3, second.port, 17), b"x" * 16)
+    assert second.site().decide(packet) == (
+        "target", second.server.sockets[1])
+
+
+def test_redeploy_a_b_a_keeps_b_as_last_good_and_restarts_a():
+    harness = _Harness(Hook.SOCKET_SELECT)
+    app = harness.app
+    deployed = harness.deploy()
+    first_a = deployed.program
+    harness.drive()
+    assert first_a.globals != [0] and first_a.invocations > 32
+
+    app.redeploy_policy(HASH_BY_FLOW, Hook.SOCKET_SELECT,
+                        constants={"NUM_EXECUTORS": 4})
+    b = deployed.program
+    assert deployed.last_good is first_a
+    app.redeploy_policy(ROUND_ROBIN, Hook.SOCKET_SELECT,
+                        constants=harness.constants)
+    second_a = deployed.program
+    assert deployed.last_good is b
+    # same verified image, a fresh binding: globals, profile and count
+    # start over instead of resuming where the first A stopped
+    assert second_a is not first_a and second_a.image is first_a.image
+    assert second_a.globals == second_a.program.globals_init == [0]
+    assert second_a.invocations == 0
+    assert second_a.cycle_estimate == float(second_a.image.static_cycles)
+    assert first_a.cycle_estimate != second_a.cycle_estimate
+
+
+def test_redeploy_ports_must_be_the_deployments_port_set():
+    machine = Machine(set_a(), seed=6)
+    app = machine.register_app("app", ports=[8080, 8081])
+    other = machine.register_app("other", ports=[9090])
+    RocksDbServer(machine, app, 8080, 4)
+    deployed = app.deploy_policy(ROUND_ROBIN, Hook.SOCKET_SELECT,
+                                 constants={"NUM_THREADS": 4})
+    before = deployed.program
+    # isolation first, as for deploy: a foreign port is denied outright
+    with pytest.raises(PermissionError):
+        app.redeploy_policy(HASH_BY_FLOW, Hook.SOCKET_SELECT,
+                            constants={"NUM_EXECUTORS": 4}, ports=[9090])
+    # a subset would silently swap 8081 too: refused, naming both sets
+    with pytest.raises(ValueError, match=r"\[8080\].*\[8080, 8081\]"):
+        app.redeploy_policy(HASH_BY_FLOW, Hook.SOCKET_SELECT,
+                            constants={"NUM_EXECUTORS": 4}, ports=[8080])
+    assert deployed.program is before and deployed.last_good is None
+    app.redeploy_policy(HASH_BY_FLOW, Hook.SOCKET_SELECT,
+                        constants={"NUM_EXECUTORS": 4}, ports=[8081, 8080])
+    assert deployed.program is not before and deployed.last_good is before
+    assert other.ports == [9090]
+
+
+def test_a_rejected_text_is_rejected_and_counted_on_every_attempt():
+    harness = _Harness(Hook.SOCKET_SELECT)
+    machine, app = harness.machine, harness.app
+    deployed = harness.deploy()
+    good = deployed.program
+    unsafe = "def schedule(pkt):\n    return load_u32(pkt, 0)\n"
+    for _ in range(3):
+        with pytest.raises(VerifierError):
+            app.redeploy_policy(unsafe, Hook.SOCKET_SELECT)
+    assert deployed.health.rollbacks == 3
+    assert deployed.program is good and deployed.last_good is None
+    registry = machine.obs.registry
+    assert registry.counter("app", "syrupd", "rollbacks").value == 3
+    assert registry.counter("app", "syrupd", "verifier_rejections").value == 3
+    assert len(machine.obs.events.events(kind="verifier_reject")) == 3
+
+
+def test_a_callers_program_object_is_verified_on_every_load():
+    machine = Machine(set_a(), seed=6)
+    app = machine.register_app("app", ports=[8080])
+    RocksDbServer(machine, app, 8080, 4)
+    program = compile_policy(
+        "def schedule(pkt):\n"
+        "    if pkt_len(pkt) < 8:\n"
+        "        return PASS\n"
+        "    return load_u32(pkt, 4) % 4\n"
+    )
+    first = app.deploy_policy(program, Hook.SOCKET_SELECT)
+    app.undeploy_policy(Hook.SOCKET_SELECT)
+    # the caller still holds the object: move the load past the proven
+    # packet length and load the very same Program again
+    load = next(insn for insn in program.insns if insn.op == "LDPKT")
+    load.a = 64
+    with pytest.raises(VerifierError):
+        app.deploy_policy(program, Hook.SOCKET_SELECT)
+    assert first.state == "undeployed" and machine.syrupd.status() == []

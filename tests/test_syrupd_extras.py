@@ -4,6 +4,7 @@ import pytest
 
 from repro import Hook, Machine, set_a, set_b
 from repro.apps.rocksdb import RocksDbServer
+from repro.ebpf import VerifierError
 from repro.policies.builtin import HASH_BY_FLOW, ROUND_ROBIN
 from repro.workload.generator import OpenLoopGenerator
 from repro.workload.mixes import GET_ONLY
@@ -97,3 +98,40 @@ def test_undeploy_restores_default():
 
     pkt = Packet(FiveTuple(1, 2, 3, 8080, 17), b"x" * 16)
     assert site.decide(pkt) == ("none", None)
+
+
+LEAKY = (
+    'leak_map = syr_map("leak_map", 64)\n\n'
+    "def schedule(pkt):\n"
+    "    return load_u32(pkt, 0)\n"   # no pkt_len guard: the verifier refuses
+)
+
+
+@pytest.mark.parametrize("entry_point", ["deploy", "redeploy", "shadow"])
+def test_a_rejected_program_leaves_no_maps_or_series_behind(entry_point):
+    """Seed bug: maps were created and pinned before verification, so a
+    refused text left ``/sys/fs/bpf/syrup/app/leak_map`` (and its six
+    registry series) in the daemon."""
+    machine = Machine(set_a(), seed=65, metrics=True)
+    app = machine.register_app("app", ports=[8080])
+    RocksDbServer(machine, app, 8080, 4)
+    if entry_point != "deploy":
+        app.deploy_policy(ROUND_ROBIN, Hook.SOCKET_SELECT,
+                          constants={"NUM_THREADS": 4})
+    attempt = {
+        "deploy": lambda: app.deploy_policy(LEAKY, Hook.SOCKET_SELECT),
+        "redeploy": lambda: app.redeploy_policy(LEAKY, Hook.SOCKET_SELECT),
+        "shadow": lambda: app.deploy_shadow(LEAKY, hook=Hook.SOCKET_SELECT),
+    }[entry_point]
+    registry = machine.obs.registry
+    # the rejection itself is counted; create that series up front so the
+    # comparison below sees only what the *load* left behind
+    for name in ("verifier_rejections", "rollbacks"):
+        registry.counter("app", "syrupd", name)
+    paths, series = machine.syrupd.registry.paths(), len(registry)
+
+    with pytest.raises(VerifierError):
+        attempt()
+    assert machine.syrupd.registry.paths() == paths
+    assert len(registry) == series
+    assert registry.counter("app", "syrupd", "verifier_rejections").value == 1
