@@ -532,7 +532,7 @@ class Fleet:
         self.workers_per_machine = workers_per_machine
 
         self.obs = Observability(
-            clock=lambda: self.engine.now, enabled=metrics, spans=spans,
+            clock=self.engine, enabled=metrics, spans=spans,
         )
         # Instrumentation seam (repro.obs.probe); machines reach it
         # through their fleet.

@@ -67,7 +67,7 @@ class Machine:
         # observes, so results stay bit-identical either way, and
         # tenant-less runs book nothing even when it is live.
         self.obs = Observability(
-            clock=lambda: self.engine.now, enabled=metrics,
+            clock=self.engine, enabled=metrics,
             event_capacity=event_capacity,
             spans=(0 if spans is None else spans),
             spans_capacity=spans_capacity,
@@ -104,7 +104,7 @@ class Machine:
             self.signals = SignalBus(self.engine, interval_us=interval)
         self.slo = None
         if slo:
-            self.slo = SloTracker(clock=lambda: self.engine.now)
+            self.slo = SloTracker(clock=self.engine)
         self.streams = RngStreams(seed)
         self.cores = [Core(i) for i in range(self.config.num_app_cores)]
         self.scheduler_kind = scheduler

@@ -20,7 +20,12 @@ Tenancy is carried by ``Request.tenant`` (a short string stamped by the
 load generator, or propagated down from the ToR's per-port owners at
 fleet scale).  Requests without a tenant are invisible to the
 accountant: every seam returns before touching any structure, so a
-live accountant over a tenant-less run books nothing.
+live accountant over a tenant-less run books nothing.  A tagged request
+is resolved **once**: the first seam that sees it (``nic_arrival`` on
+the ordinary path) opens one slotted flight record holding the tenant,
+its ledger and the open queueing stamps, every later seam finds that
+record with one dict probe on the request object, and
+``socket_dequeued`` or ``drop`` closes it.
 
 Cross-tenant *attribution* is delegated to the companion module: each
 softirq/socket queueing span also snapshots which tenants' work was
@@ -107,38 +112,48 @@ class TenantLedger:
         )
 
 
-def _tenant_of(packet):
-    request = packet.request
-    if request is None:
-        return None, None
-    return request, request.tenant
+class _Flight:
+    """One tenant-tagged request between its first seam and its last.
+
+    The tenant and its ledger are resolved once, when the record opens;
+    a stamp is the enqueue time of a queueing span that is open now
+    (``None`` when it is not), and ``*_ahead`` / ``*_mirror`` are only
+    meaningful while their stamp is set.
+    """
+
+    __slots__ = ("tenant", "ledger", "nic", "qdisc",
+                 "softirq", "softirq_ahead", "softirq_mirror",
+                 "socket", "socket_ahead", "socket_mirror")
+
+    def __init__(self, tenant, ledger):
+        self.tenant = tenant
+        self.ledger = ledger
+        self.nic = self.qdisc = self.softirq = self.socket = None
 
 
 class TenantAccountant:
     """Live per-tenant cost ledgers + blame feed over the span seams.
 
-    In-flight state is keyed by request *object identity* (``id()``),
-    never by rid — rids restart at zero per generator, and a
-    multi-tenant machine runs one generator per tenant.  Entries are
-    removed on dequeue or drop, before the request object can be
-    collected, so ids are never stale.
+    In-flight state is one :class:`_Flight` per request, keyed by the
+    request *object*, never by rid — rids restart at zero per generator,
+    and a multi-tenant machine runs one generator per tenant.  The
+    record opens at ``nic_arrival`` (or at the first seam that sees the
+    request, for packets injected past the NIC) and closes at
+    ``socket_dequeued`` or ``drop``; every seam in between is one dict
+    probe, and the dict holds the request alive until then.
     """
 
     enabled = True
 
     def __init__(self, clock):
-        self._clock = clock
+        self._clock = clock         # anything with ``.now`` (the engine)
         self.ledgers = {}           # tenant -> TenantLedger
         self.blame = BlameMatrix()
-        # In-flight queueing spans, keyed by id(request).
-        self._nic = {}              # id -> enqueue ts
-        self._softirq = {}          # id -> (ts, ahead, core_index)
-        self._socket = {}           # id -> (ts, ahead, sid)
-        self._qdisc = {}            # id -> enqueue ts
+        self._flights = {}          # request -> _Flight
         # Occupancy mirrors for blame snapshots: who is in each queue
         # right now, with the weight their presence imposes on arrivals.
-        self._cores = {}            # core_index -> {id: tenant}
-        self._sockq = {}            # sid -> {id: (tenant, weight)}
+        self._cores = {}            # core_index -> {request: tenant}
+        self._sockq = {}            # sid -> {request: (tenant, weight)}
         # Thread-layer state: wake timestamps (runqueue wait) and the
         # item cost captured at service begin (charged at completion).
         self._wakes = {}            # tid -> ts
@@ -150,6 +165,16 @@ class TenantAccountant:
         if led is None:
             led = self.ledgers[tenant] = TenantLedger(tenant)
         return led
+
+    def _open(self, request):
+        """Open the flight record of a request no seam has seen yet;
+        ``None`` for traffic that carries no tenant."""
+        if request is None or request.tenant is None:
+            return None
+        flight = self._flights[request] = _Flight(
+            request.tenant, self.ledger(request.tenant)
+        )
+        return flight
 
     def book_core_occupancy(self, tenant, us):
         """Credit ``us`` of held-core time to ``tenant`` (the arbiter
@@ -173,53 +198,61 @@ class TenantAccountant:
         for aggressor, weight in ahead.items():
             self.blame.charge(victim, aggressor, layer, weight * scale)
 
+    # The packet seams below charge waits inline — the two statements of
+    # TenantLedger.charge_wait — so each costs one frame per request.
+
     # -- NIC ------------------------------------------------------------
     def nic_arrival(self, packet):
-        request, tenant = _tenant_of(packet)
-        if tenant is None:
-            return
-        self._nic[id(request)] = self._clock()
+        request = packet.request
+        flight = self._flights.get(request) or self._open(request)
+        if flight is not None:
+            flight.nic = self._clock.now
 
     def nic_delivered(self, packet, queue):
-        request, tenant = _tenant_of(packet)
-        if tenant is None:
+        flight = self._flights.get(packet.request)
+        if flight is None or flight.nic is None:
             return
-        ts = self._nic.pop(id(request), None)
-        if ts is not None:
-            self.ledger(tenant).charge_wait("nic", self._clock() - ts)
+        ledger = flight.ledger
+        ledger.wait_us["nic"] += self._clock.now - flight.nic
+        ledger.wait_events["nic"] += 1
+        flight.nic = None
 
     # -- softirq --------------------------------------------------------
     def softirq_begin(self, packet, core, depth):
-        request, tenant = _tenant_of(packet)
-        if tenant is None:
+        request = packet.request
+        flight = self._flights.get(request) or self._open(request)
+        if flight is None:
             return
         mirror = self._cores.setdefault(core, {})
         ahead = {}
         # Softirq work is near-uniform per packet: weight each occupant 1.
         for occupant in mirror.values():
             ahead[occupant] = ahead.get(occupant, 0.0) + 1.0
-        self._softirq[id(request)] = (self._clock(), ahead, core)
-        mirror[id(request)] = tenant
+        flight.softirq = self._clock.now
+        flight.softirq_ahead = ahead
+        flight.softirq_mirror = mirror
+        mirror[request] = flight.tenant
 
     def softirq_end(self, packet):
-        request, tenant = _tenant_of(packet)
-        if tenant is None:
+        request = packet.request
+        flight = self._flights.get(request)
+        if flight is None or flight.softirq is None:
             return
-        entry = self._softirq.pop(id(request), None)
-        if entry is None:
-            return
-        ts, ahead, core_index = entry
-        mirror = self._cores.get(core_index)
-        if mirror is not None:
-            mirror.pop(id(request), None)
-        wait = self._clock() - ts
-        self.ledger(tenant).charge_wait("softirq", wait)
-        self._charge_blame(tenant, "softirq", wait, ahead)
+        flight.softirq_mirror.pop(request, None)
+        wait = self._clock.now - flight.softirq
+        flight.softirq = None
+        ledger = flight.ledger
+        ledger.wait_us["softirq"] += wait
+        ledger.wait_events["softirq"] += 1
+        if flight.softirq_ahead:    # nobody ahead: spare the frame
+            self._charge_blame(flight.tenant, "softirq", wait,
+                               flight.softirq_ahead)
 
     # -- socket backlog -------------------------------------------------
     def socket_enqueued(self, packet, socket, depth):
-        request, tenant = _tenant_of(packet)
-        if tenant is None:
+        request = packet.request
+        flight = self._flights.get(request) or self._open(request)
+        if flight is None:
             return
         mirror = self._sockq.setdefault(socket.sid, {})
         ahead = {}
@@ -234,42 +267,44 @@ class TenantAccountant:
                 ahead[in_service] = (
                     ahead.get(in_service, 0.0) + max(thread.remaining, 0.0)
                 )
-        self._socket[id(request)] = (self._clock(), ahead, socket.sid)
-        mirror[id(request)] = (tenant, request.service_us)
+        flight.socket = self._clock.now
+        flight.socket_ahead = ahead
+        flight.socket_mirror = mirror
+        mirror[request] = (flight.tenant, request.service_us)
 
     def socket_dequeued(self, packet, socket):
-        request, tenant = _tenant_of(packet)
-        if tenant is None:
+        request = packet.request
+        flight = self._flights.pop(request, None)
+        if flight is None or flight.socket is None:
             return
-        entry = self._socket.pop(id(request), None)
-        if entry is None:
-            return
-        ts, ahead, sid = entry
-        mirror = self._sockq.get(sid)
-        if mirror is not None:
-            mirror.pop(id(request), None)
-        wait = self._clock() - ts
-        self.ledger(tenant).charge_wait("socket", wait)
-        self._charge_blame(tenant, "socket", wait, ahead)
+        flight.socket_mirror.pop(request, None)
+        wait = self._clock.now - flight.socket
+        ledger = flight.ledger
+        ledger.wait_us["socket"] += wait
+        ledger.wait_events["socket"] += 1
+        if flight.socket_ahead:
+            self._charge_blame(flight.tenant, "socket", wait,
+                               flight.socket_ahead)
 
     # -- qdisc (sub-span of the surrounding nic/socket wait) ------------
     def qdisc_enqueued(self, packet, layer, rank, backend):
-        request, tenant = _tenant_of(packet)
-        if tenant is None:
-            return
-        self._qdisc[id(request)] = self._clock()
+        request = packet.request
+        flight = self._flights.get(request) or self._open(request)
+        if flight is not None:
+            flight.qdisc = self._clock.now
 
     def qdisc_dequeued(self, packet):
-        request, tenant = _tenant_of(packet)
-        if tenant is None:
+        flight = self._flights.get(packet.request)
+        if flight is None or flight.qdisc is None:
             return
-        ts = self._qdisc.pop(id(request), None)
-        if ts is not None:
-            self.ledger(tenant).charge_wait("qdisc", self._clock() - ts)
+        ledger = flight.ledger
+        ledger.wait_us["qdisc"] += self._clock.now - flight.qdisc
+        ledger.wait_events["qdisc"] += 1
+        flight.qdisc = None
 
     # -- thread layer ---------------------------------------------------
     def thread_runnable(self, thread):
-        self._wakes[thread.tid] = self._clock()
+        self._wakes[thread.tid] = self._clock.now
 
     def service_begin(self, thread, token):
         ts = self._wakes.pop(thread.tid, None)
@@ -278,7 +313,7 @@ class TenantAccountant:
             return
         if ts is not None:
             self.ledger(tenant).charge_wait(
-                "runqueue", self._clock() - ts
+                "runqueue", self._clock.now - ts
             )
         # Capture the item's modeled cost now; charge it at completion
         # so preemption/timeslicing never double-counts CPU time.
@@ -298,33 +333,26 @@ class TenantAccountant:
     def policy_exec(self, packet, cost_us):
         if cost_us <= 0.0:
             return
-        request, tenant = _tenant_of(packet)
-        if tenant is None:
-            return
-        self.ledger(tenant).policy_exec_us += cost_us
+        request = packet.request
+        flight = self._flights.get(request) or self._open(request)
+        if flight is not None:
+            flight.ledger.policy_exec_us += cost_us
 
     # -- drops ----------------------------------------------------------
     def drop(self, packet, reason):
-        request, tenant = _tenant_of(packet)
-        if tenant is None:
+        request = packet.request
+        flight = self._flights.get(request) or self._open(request)
+        if flight is None:
             return
-        led = self.ledger(tenant)
-        led.drops[reason] = led.drops.get(reason, 0) + 1
+        del self._flights[request]
+        drops = flight.ledger.drops
+        drops[reason] = drops.get(reason, 0) + 1
         # Retire any open queueing span (a qdisc eviction removes an
         # element that is still mirrored in its socket's occupancy).
-        rid = id(request)
-        self._nic.pop(rid, None)
-        self._qdisc.pop(rid, None)
-        entry = self._softirq.pop(rid, None)
-        if entry is not None:
-            mirror = self._cores.get(entry[2])
-            if mirror is not None:
-                mirror.pop(rid, None)
-        entry = self._socket.pop(rid, None)
-        if entry is not None:
-            mirror = self._sockq.get(entry[2])
-            if mirror is not None:
-                mirror.pop(rid, None)
+        if flight.softirq is not None:
+            flight.softirq_mirror.pop(request, None)
+        if flight.socket is not None:
+            flight.socket_mirror.pop(request, None)
 
     # ------------------------------------------------------------------
     # Views / export

@@ -37,12 +37,9 @@ import json
 from collections import deque
 
 from repro.obs.export import open_destination
+from repro.obs.registry import ZERO_CLOCK
 
 __all__ = ["EventTrace", "NULL_EVENTS", "NullEventTrace"]
-
-
-def _zero_clock():
-    return 0.0
 
 
 class EventTrace:
@@ -51,7 +48,7 @@ class EventTrace:
     enabled = True
 
     def __init__(self, clock=None, capacity=4096):
-        self.clock = clock if clock is not None else _zero_clock
+        self.clock = clock if clock is not None else ZERO_CLOCK
         self.capacity = capacity
         self._ring = deque(maxlen=capacity)
         self.emitted = 0
@@ -60,7 +57,7 @@ class EventTrace:
     def emit(self, kind, app=None, hook=None, **fields):
         """Record one event stamped with the current simulated time."""
         self.emitted += 1
-        event = {"ts": self.clock(), "kind": kind}
+        event = {"ts": self.clock.now, "kind": kind}
         if app is not None:
             event["app"] = app
         if hook is not None:

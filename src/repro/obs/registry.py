@@ -31,6 +31,7 @@ RNG draws, no event scheduling, no behavioral change).
 """
 
 import math
+from types import SimpleNamespace
 
 from repro.obs.sketch import Sketch
 
@@ -44,6 +45,7 @@ __all__ = [
     "NULL_REGISTRY",
     "NullMetric",
     "NullRegistry",
+    "ZERO_CLOCK",
 ]
 
 #: Number of geometric histogram buckets; bucket i covers values in
@@ -51,8 +53,9 @@ __all__ = [
 N_BUCKETS = 64
 
 
-def _zero_clock():
-    return 0.0
+#: The clock of a tier (registry, events, spans) constructed without
+#: one: simulated time stands still.
+ZERO_CLOCK = SimpleNamespace(now=0.0)
 
 
 class Counter:
@@ -69,7 +72,7 @@ class Counter:
 
     def inc(self, n=1):
         self.value += n
-        self.updated_at = self._clock()
+        self.updated_at = self._clock.now
 
     def __repr__(self):
         return f"<Counter {'/'.join(self.key)}={self.value}>"
@@ -89,7 +92,7 @@ class Gauge:
 
     def set(self, value):
         self.value = value
-        self.updated_at = self._clock()
+        self.updated_at = self._clock.now
 
     def __repr__(self):
         return f"<Gauge {'/'.join(self.key)}={self.value}>"
@@ -130,7 +133,7 @@ class Histogram:
         else:
             index = min(N_BUCKETS - 1, int(math.log2(value)) + 1)
         self.buckets[index] += 1
-        self.updated_at = self._clock()
+        self.updated_at = self._clock.now
 
     def percentile(self, q):
         """Approximate percentile-q value (bucket upper edge)."""
@@ -212,9 +215,11 @@ class CardinalityError(RuntimeError):
 class MetricsRegistry:
     """Counters/gauges/histograms keyed by ``(app, scope, metric)``.
 
-    ``clock`` is a zero-argument callable returning the current simulated
-    time in microseconds (``lambda: engine.now``); metric updates are
-    stamped with it.
+    ``clock`` is any object whose ``now`` attribute is the current
+    simulated time in microseconds — the machine's
+    :class:`~repro.sim.engine.Engine` — read, never called; metric
+    updates are stamped with it.  Every tier in :mod:`repro.obs` takes
+    its clock under this one contract.
     """
 
     enabled = True
@@ -222,7 +227,7 @@ class MetricsRegistry:
               "sketch": Sketch}
 
     def __init__(self, clock=None, max_series=4096):
-        self.clock = clock if clock is not None else _zero_clock
+        self.clock = clock if clock is not None else ZERO_CLOCK
         self.max_series = max_series
         self._series = {}
 

@@ -181,7 +181,7 @@ class Sketch(DDSketch):
 
     def observe(self, value):
         self.add(value)
-        self.updated_at = self._clock()
+        self.updated_at = self._clock.now
 
     def __repr__(self):
         return f"<Sketch {'/'.join(self.key)} n={self.count}>"
@@ -213,18 +213,18 @@ class WindowedRate:
             del self._bins[index]
 
     def observe(self, n=1):
-        now = self.clock()
+        now = self.clock.now
         self._evict(now)
         index = int(now // self._width)
         self._bins[index] = self._bins.get(index, 0) + n
 
     def events_in_window(self):
-        self._evict(self.clock())
+        self._evict(self.clock.now)
         return sum(self._bins.values())
 
     def rate_per_s(self):
         """Events per second over the (elapsed-clamped) window."""
-        now = self.clock()
+        now = self.clock.now
         self._evict(now)
         span_us = min(self.window_us, now) if now > 0 else self.window_us
         if span_us <= 0:
@@ -259,7 +259,7 @@ class Ewma:
         self._last_at = None
 
     def update(self, sample):
-        now = self.clock()
+        now = self.clock.now
         if self.value is None:
             self.value = float(sample)
         else:

@@ -93,13 +93,15 @@ class Slo:
         self.total += n
         if good:
             self.good_total += n
-        now = self.clock()
-        horizon = int((now - self.long_window_us) // self._bin_us)
-        for index in [i for i in self._bins if i <= horizon]:
-            del self._bins[index]
+        now = self.clock.now
         index = int(now // self._bin_us)
         bin_ = self._bins.get(index)
         if bin_ is None:
+            # Expire only when a bin opens: counts() filters by its own
+            # horizon, so a stale bin kept until then is never read.
+            horizon = int((now - self.long_window_us) // self._bin_us)
+            for stale in [i for i in self._bins if i <= horizon]:
+                del self._bins[stale]
             bin_ = self._bins[index] = [0, 0]
         bin_[1] += n
         if good:
@@ -107,7 +109,7 @@ class Slo:
 
     def counts(self, window_us):
         """``(good, total)`` over the trailing ``window_us``."""
-        horizon = int((self.clock() - window_us) // self._bin_us)
+        horizon = int((self.clock.now - window_us) // self._bin_us)
         good = total = 0
         for index, (g, t) in self._bins.items():
             if index > horizon:
@@ -207,7 +209,7 @@ class AvailabilitySlo(Slo):
 class SloTracker:
     """A set of SLOs with registry publication and operator views.
 
-    ``clock`` is the usual zero-arg sim-time callable.  Objectives are
+    ``clock`` is the usual sim-time clock (``.now``).  Objectives are
     created once via :meth:`latency` / :meth:`availability` and then fed
     through :meth:`observe_latency` / :meth:`observe_ok` on the request
     completion path; :meth:`publish` mirrors burn state into registry

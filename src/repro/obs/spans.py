@@ -52,6 +52,7 @@ import json
 from collections import deque
 
 from repro.obs.export import open_destination
+from repro.obs.registry import ZERO_CLOCK
 
 __all__ = ["NULL_SPANS", "NullSpanTracer", "SpanTracer"]
 
@@ -68,7 +69,7 @@ class SpanTracer:
             raise ValueError(
                 f"sample_every must be >= 1, got {sample_every}"
             )
-        self.clock = clock if clock is not None else (lambda: 0.0)
+        self.clock = clock if clock is not None else ZERO_CLOCK
         self.sample_every = int(sample_every)
         self.capacity = capacity
         self.seen = 0            # request-bearing packets observed at the NIC
@@ -84,14 +85,10 @@ class SpanTracer:
         self._placements = {}
 
     # ------------------------------------------------------------------
-    # Tree bookkeeping
+    # Tree bookkeeping.  Every seam looks its tree up inline
+    # (``self._live.get(rid)``), never through a helper: most requests
+    # are unsampled and leave after that one miss, with no second frame.
     # ------------------------------------------------------------------
-    def _tree(self, packet):
-        request = packet.request
-        if request is None:
-            return None
-        return self._live.get(request.rid)
-
     def _open(self, tree, name, start, **attrs):
         span = {"name": name, "start": start, "end": None}
         if attrs:
@@ -117,7 +114,7 @@ class SpanTracer:
         return span
 
     def _finalize(self, tree, complete, reason=None):
-        now = self.clock()
+        now = self.clock.now
         for span in list(tree["_open"].values()):
             span["end"] = now
         del tree["_open"]
@@ -146,7 +143,7 @@ class SpanTracer:
         if request.rid in self._live:
             return  # retransmit of an already-sampled rid
         self.sampled += 1
-        now = self.clock()
+        now = self.clock.now
         tree = {
             "rid": request.rid,
             "rtype": request.rtype,
@@ -161,10 +158,11 @@ class SpanTracer:
         self._open(tree, "nic_queue", now)
 
     def nic_delivered(self, packet, queue):
-        tree = self._tree(packet)
+        request = packet.request
+        tree = self._live.get(request.rid) if request is not None else None
         if tree is None:
             return
-        self._close(tree, "nic_queue", self.clock(), queue=queue)
+        self._close(tree, "nic_queue", self.clock.now, queue=queue)
 
     # ------------------------------------------------------------------
     # Hook sites (repro.core.hooks)
@@ -172,10 +170,11 @@ class SpanTracer:
     def decision(self, packet, hook, outcome, value, fd, seq):
         """A policy decided this packet's fate: a zero-duration span
         linked to the decision event (``seq``) and the deployed ``fd``."""
-        tree = self._tree(packet)
+        request = packet.request
+        tree = self._live.get(request.rid) if request is not None else None
         if tree is None:
             return
-        now = self.clock()
+        now = self.clock.now
         attrs = {"outcome": outcome}
         if value is not None:
             attrs["value"] = value
@@ -189,28 +188,32 @@ class SpanTracer:
     # Kernel receive path (repro.kernel.netstack / sockets)
     # ------------------------------------------------------------------
     def softirq_begin(self, packet, core, depth):
-        tree = self._tree(packet)
+        request = packet.request
+        tree = self._live.get(request.rid) if request is not None else None
         if tree is None:
             return
-        self._open(tree, "softirq", self.clock(), core=core, depth=depth)
+        self._open(tree, "softirq", self.clock.now, core=core, depth=depth)
 
     def softirq_end(self, packet):
-        tree = self._tree(packet)
+        request = packet.request
+        tree = self._live.get(request.rid) if request is not None else None
         if tree is None:
             return
-        self._close(tree, "softirq", self.clock())
+        self._close(tree, "softirq", self.clock.now)
 
     def socket_enqueued(self, packet, socket, depth):
         """Datagram landed in a socket backlog ``depth`` entries deep."""
-        tree = self._tree(packet)
+        request = packet.request
+        tree = self._live.get(request.rid) if request is not None else None
         if tree is None:
             return
-        self._open(tree, "socket_wait", self.clock(), sid=socket.sid,
+        self._open(tree, "socket_wait", self.clock.now, sid=socket.sid,
                    depth=depth)
 
     def drop(self, packet, reason):
         """The stack dropped this packet; the tree ends incomplete."""
-        tree = self._tree(packet)
+        request = packet.request
+        tree = self._live.get(request.rid) if request is not None else None
         if tree is None:
             return
         self._finalize(tree, complete=False, reason=reason)
@@ -227,28 +230,24 @@ class SpanTracer:
         The NIC- and socket-layer waits never overlap, so one span name
         suffices.
         """
-        tree = self._tree(packet)
+        request = packet.request
+        tree = self._live.get(request.rid) if request is not None else None
         if tree is None:
             return
-        self._open(tree, "qdisc_wait", self.clock(), layer=layer,
+        self._open(tree, "qdisc_wait", self.clock.now, layer=layer,
                    rank=rank, backend=backend)
 
     def qdisc_dequeued(self, packet):
         """The qdisc released this packet; close its ``qdisc_wait`` span."""
-        tree = self._tree(packet)
+        request = packet.request
+        tree = self._live.get(request.rid) if request is not None else None
         if tree is None:
             return
-        self._close(tree, "qdisc_wait", self.clock())
+        self._close(tree, "qdisc_wait", self.clock.now)
 
     # ------------------------------------------------------------------
     # Fleet tier (repro.cluster.fleet): ToR steering + cross-rack wires
     # ------------------------------------------------------------------
-    def _rtree(self, request):
-        """Tree lookup keyed directly by a request (no packet wrapper)."""
-        if request is None:
-            return None
-        return self._live.get(request.rid)
-
     def switch_arrival(self, request):
         """Fleet head-sampling point: every Nth request at the ToR switch.
 
@@ -261,7 +260,7 @@ class SpanTracer:
         if request.rid in self._live:
             return
         self.sampled += 1
-        now = self.clock()
+        now = self.clock.now
         tree = {
             "rid": request.rid,
             "rtype": request.rtype,
@@ -278,10 +277,10 @@ class SpanTracer:
         """The ToR picked ``machine`` for this request: a zero-duration
         span carrying the policy name and whether this was a failover
         re-steer of an orphaned request."""
-        tree = self._rtree(request)
+        tree = self._live.get(request.rid)
         if tree is None:
             return
-        now = self.clock()
+        now = self.clock.now
         attrs = {"machine": machine, "policy": policy}
         if resteer:
             attrs["resteer"] = True
@@ -289,25 +288,25 @@ class SpanTracer:
 
     def xnet_begin(self, request, direction, machine):
         """The request (or its response) went onto a rack wire."""
-        tree = self._rtree(request)
+        tree = self._live.get(request.rid)
         if tree is None:
             return
-        self._open(tree, "xnet_wait", self.clock(), direction=direction,
+        self._open(tree, "xnet_wait", self.clock.now, direction=direction,
                    machine=machine)
 
     def xnet_end(self, request):
         """The rack wire delivered; close the in-flight ``xnet_wait``."""
-        tree = self._rtree(request)
+        tree = self._live.get(request.rid)
         if tree is None:
             return
-        self._close(tree, "xnet_wait", self.clock())
+        self._close(tree, "xnet_wait", self.clock.now)
 
     def machine_enqueued(self, request, machine, depth):
         """The request joined a fleet machine's queue ``depth`` deep."""
-        tree = self._rtree(request)
+        tree = self._live.get(request.rid)
         if tree is None:
             return
-        self._open(tree, "machine_queue", self.clock(), machine=machine,
+        self._open(tree, "machine_queue", self.clock.now, machine=machine,
                    depth=depth)
 
     def machine_requeued(self, request):
@@ -316,37 +315,37 @@ class SpanTracer:
         Closes any open ``machine_queue``/``service`` span so the
         re-steered attempt gets fresh ones.
         """
-        tree = self._rtree(request)
+        tree = self._live.get(request.rid)
         if tree is None:
             return
-        now = self.clock()
+        now = self.clock.now
         self._close(tree, "machine_queue", now, orphaned=True)
         self._close(tree, "service", now, orphaned=True)
 
     def fleet_service_begin(self, request, machine):
-        tree = self._rtree(request)
+        tree = self._live.get(request.rid)
         if tree is None:
             return
-        now = self.clock()
+        now = self.clock.now
         self._close(tree, "machine_queue", now)
         self._open(tree, "service", now, machine=machine)
 
     def fleet_service_end(self, request):
-        tree = self._rtree(request)
+        tree = self._live.get(request.rid)
         if tree is None:
             return
-        self._close(tree, "service", self.clock())
+        self._close(tree, "service", self.clock.now)
 
     def fleet_complete(self, request):
         """The response reached the client; the tree is complete."""
-        tree = self._rtree(request)
+        tree = self._live.get(request.rid)
         if tree is None:
             return
         self._finalize(tree, complete=True)
 
     def fleet_drop(self, request, reason):
         """The fleet shed this request; the tree ends incomplete."""
-        tree = self._rtree(request)
+        tree = self._live.get(request.rid)
         if tree is None:
             return
         self._finalize(tree, complete=False, reason=reason)
@@ -356,11 +355,11 @@ class SpanTracer:
     # ------------------------------------------------------------------
     def thread_runnable(self, thread):
         """A blocked thread went RUNNABLE (CFS/ghOSt wake)."""
-        self._wakes[thread.tid] = self.clock()
+        self._wakes[thread.tid] = self.clock.now
 
     def placement_begin(self, thread, core_id):
         """A ghOSt commit transaction is in flight for ``thread``."""
-        self._placements[thread.tid] = (self.clock(), core_id)
+        self._placements[thread.tid] = (self.clock.now, core_id)
 
     def placement_abort(self, thread):
         """The transaction aborted; discard the pending placement."""
@@ -376,7 +375,7 @@ class SpanTracer:
         tree = self._live.get(rid)
         if tree is None:
             return
-        now = self.clock()
+        now = self.clock.now
         self._close(tree, "socket_wait", now)
         if wake_ts is not None:
             wait_end = placement[0] if placement is not None else now
@@ -393,7 +392,7 @@ class SpanTracer:
         tree = self._live.get(rid)
         if tree is None:
             return
-        self._close(tree, "service", self.clock())
+        self._close(tree, "service", self.clock.now)
         self._finalize(tree, complete=True)
 
     # ------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Shared test helpers: random policy-program and packet generators.
+"""Shared test helpers: random policy-program and packet generators,
+and the settable clock every telemetry tier can be built over.
 
 Used by the hypothesis property suites (toolchain equivalence, optimizer
 equivalence).  Programs are random ASTs in the safe subset, so these also
@@ -8,6 +9,14 @@ fuzz the compiler and verifier.
 import random
 
 from repro.net.packet import FiveTuple, Packet
+
+
+class Clock:
+    """A settable sim clock for tiers built without an engine."""
+
+    def __init__(self, now=0.0):
+        self.now = now
+
 
 GEN_FLOW = FiveTuple(0x0A000002, 40001, 0x0A000001, 8080, 17)
 

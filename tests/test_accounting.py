@@ -19,7 +19,8 @@ import re
 
 import pytest
 
-from repro.experiments.figure_interference import run_variant
+from conftest import Clock
+from repro.experiments.figure_interference import run_variant, stage_variant
 from repro.experiments.runner import RocksDbTestbed, run_point
 from repro.obs.accounting import (
     LAYERS,
@@ -82,7 +83,7 @@ def test_blame_matrix_shares_and_diagonal():
 
 
 def test_accountant_splits_wait_pro_rata_into_blame():
-    acct = TenantAccountant(lambda: 0.0)
+    acct = TenantAccountant(Clock())
     acct._charge_blame("alpha", "socket", 100.0,
                        {"bravo": 3.0, "alpha": 1.0})
     assert acct.blame.matrix()["alpha"]["bravo"]["socket"] == 75.0
@@ -153,7 +154,7 @@ def test_per_tenant_sketch_exports_summary_series():
 
 
 def test_accountant_publish_mirrors_ledgers_into_tenant_gauges():
-    acct = TenantAccountant(lambda: 0.0)
+    acct = TenantAccountant(Clock())
     led = acct.ledger("alpha")
     led.cpu_service_us = 42.0
     led.completed = 3
@@ -436,3 +437,79 @@ def test_blame_shed_restores_the_victim_without_alpha_drops():
     assert bravo_drops > 0
     assert gen_alpha.drop_fraction() <= 0.01
     assert alpha_drops <= 0.01 * max(acct.ledgers["alpha"].completed, 1)
+
+
+# ----------------------------------------------------------------------
+# Flight records: every way a flight can end, nothing left behind
+# ----------------------------------------------------------------------
+#: A socket-layer rank function that spreads both tenants over eight
+#: priorities by key hash (u64 at payload offset 24), so a full backlog
+#: evicts queued elements of either tenant and refuses worst-rank arrivals.
+RANK_BY_KEY_HASH = '''
+def rank(pkt):
+    if pkt_len(pkt) < 32:
+        return PASS
+    return load_u64(pkt, 24) % 8
+'''
+
+
+def test_drained_run_leaves_no_flight_and_conserves_every_wait(monkeypatch):
+    """The blame_shed staging over a 32-deep backlog with a ranked socket
+    qdisc ends flights all four ways: pulled by a worker, evicted from the
+    qdisc, refused on overflow, dropped by the shed valve."""
+    testbed, _alpha, _bravo, _detector = stage_variant(
+        "blame_shed", 60_000, 420_000, 40_000.0, 0.0, seed=3,
+    )
+    machine = testbed.machine
+    for socket in testbed.server.sockets:
+        socket.backlog = 32
+    testbed.app.deploy_qdisc(RANK_BY_KEY_HASH, "socket")
+    acct = machine.obs.acct
+    charge_blame = acct._charge_blame
+    ahead_wait = {}     # (victim, layer) -> us waited behind something
+
+    def recording(victim, layer, wait_us, ahead):
+        if wait_us > 0.0 and sum(ahead.values()) > 0.0:
+            key = (victim, layer)
+            ahead_wait[key] = ahead_wait.get(key, 0.0) + wait_us
+        charge_blame(victim, layer, wait_us, ahead)
+
+    monkeypatch.setattr(acct, "_charge_blame", recording)
+    machine.run()
+
+    ledgers = acct.ledgers
+    drops = {}
+    for ledger in ledgers.values():
+        for reason, count in ledger.drops.items():
+            drops[reason] = drops.get(reason, 0) + count
+    assert set(drops) == {"qdisc_evict", "socket_overflow", "select_drop"}
+    assert all(ledger.completed > 0 for ledger in ledgers.values())
+
+    # nothing in flight, nobody mirrored in any queue
+    assert acct._flights == {}
+    assert not any(acct._cores.values()) and not any(acct._sockq.values())
+    assert acct._wakes == {} and acct._service == {}
+
+    # one wait event per dequeue, layer by layer
+    qdiscs = machine.syrupd.qdiscs()
+    delivered_by_nic = machine.nic.rx_packets - sum(machine.nic.drops.values())
+    dequeues = {
+        "nic": delivered_by_nic,
+        "softirq": delivered_by_nic - machine.netstack.drops["ring_overflow"],
+        "socket": testbed.server.stats.completed.total(),
+        "qdisc": sum(row["dequeues"] for row in qdiscs),
+    }
+    assert dequeues["qdisc"] == dequeues["socket"] > 0
+    assert sum(row["evictions"] for row in qdiscs) == drops["qdisc_evict"]
+    for layer, expected in dequeues.items():
+        booked = sum(led.wait_events[layer] for led in ledgers.values())
+        assert booked == expected, layer
+
+    # a victim's blame row at a layer is exactly the waiting it did behind
+    # somebody: the pro-rata split loses nothing and invents nothing
+    assert set(ahead_wait) == {(victim, layer) for victim in ledgers
+                               for layer in ("softirq", "socket")}
+    for (victim, layer), waited in ahead_wait.items():
+        row = acct.blame.imposed_on(victim, layer)
+        assert sum(row.values()) == pytest.approx(waited, rel=1e-9)
+        assert waited <= ledgers[victim].wait_us[layer]

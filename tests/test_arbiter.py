@@ -11,6 +11,7 @@ objects and simulates bit-identically.
 
 import pytest
 
+from conftest import Clock
 from repro.experiments.figure_oversub import (
     SLO_P99_US,
     run_figure_oversub,
@@ -117,7 +118,7 @@ def test_move_is_revoke_plus_grant():
 
 
 def test_occupancy_books_to_class_totals_and_tenant_ledgers():
-    acct = TenantAccountant(clock=lambda: engine.now)
+    acct = TenantAccountant(clock=Clock())
     engine, arbiter, _scheds = make_arbiter(n_cores=2, floors=(0, 0),
                                             acct=acct)
     arbiter.grant(0, "alpha")

@@ -129,3 +129,46 @@ def test_fault_injection_is_deterministic():
 
 def test_different_fault_plan_seeds_differ():
     assert faulty_fingerprint(11) != faulty_fingerprint(12)
+
+
+#: sha256 over ``acct.snapshot()`` + ``spans.trees()`` +
+#: ``registry.snapshot()`` (``updated_at`` included) of the run below,
+#: generated at the commit *before* the accountant's flight records, the
+#: inlined span lookups and the attribute clock landed (PR 20's parent,
+#: e0f1b48) — so passing proves those rewrites moved no ledger, blame
+#: cell, span or registry row by one bit.  Regenerate only in a PR that
+#: changes what telemetry records, and say so there.
+TELEMETRY_DIGEST = \
+    "1cf9a2495e50d781d8fcd7387b4bd8c3e09070a9f6f5180691fd7b62d0b1e2d1"
+
+
+def test_all_tiers_telemetry_is_pinned():
+    """20 ms, two tenants past saturation on 32-deep backlogs under an SRPT
+    socket qdisc, every tier on: ledgers, blame matrix, 2,440 span trees
+    (137 ended by a drop) and 59 registry rows, byte for byte."""
+    import dataclasses
+    import hashlib
+    import json
+
+    from repro.experiments.runner import RocksDbTestbed
+    from repro.qdisc.policies import SRPT_BY_SIZE
+
+    testbed = RocksDbTestbed(
+        policy=(SCAN_AVOID, Hook.SOCKET_SELECT, {"NUM_THREADS": 6}),
+        qdisc=(SRPT_BY_SIZE, "socket", "pifo"),
+        mark_scans=True, mark_sizes=True, num_threads=6, seed=3,
+        metrics=True, timeseries=5_000.0, spans=4, accounting=True,
+        config=dataclasses.replace(set_a(), socket_backlog=32),
+    )
+    for tenant, user_id, rate in (("alpha", 1, 60_000),
+                                  ("bravo", 2, 420_000)):
+        testbed.drive(rate, GET_SCAN_995_005, 20_000.0, 0.0, stream=tenant,
+                      user_id=user_id, tenant=tenant).start()
+    testbed.machine.run()
+    obs = testbed.machine.obs
+    assert obs.spans.aborted_count == 137 and len(obs.spans) == 2440
+    document = [obs.acct.snapshot(), obs.spans.trees(),
+                obs.registry.snapshot()]
+    digest = hashlib.sha256(
+        json.dumps(document, sort_keys=True).encode()).hexdigest()
+    assert digest == TELEMETRY_DIGEST

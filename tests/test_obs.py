@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from conftest import Clock
 from repro import Hook, Machine, set_a
 from repro.apps.rocksdb import RocksDbServer
 from repro.core.syrupd import IsolationError
@@ -36,12 +37,12 @@ from repro.workload.mixes import GET_SCAN_995_005
 # Registry semantics
 # ----------------------------------------------------------------------
 def test_counter_semantics():
-    now = [0.0]
-    reg = MetricsRegistry(clock=lambda: now[0])
+    clock = Clock()
+    reg = MetricsRegistry(clock=clock)
     c = reg.counter("app", "hook", "x")
     assert c.value == 0 and c.updated_at is None
     c.inc()
-    now[0] = 5.0
+    clock.now = 5.0
     c.inc(3)
     assert c.value == 4
     assert c.updated_at == 5.0
@@ -144,7 +145,7 @@ def test_histogram_bucket_zero_values():
 
 
 def test_snapshot_rows_are_json_safe_and_sorted():
-    reg = MetricsRegistry(clock=lambda: 1.5)
+    reg = MetricsRegistry(clock=Clock(1.5))
     reg.counter("b", "s", "n").inc()
     reg.gauge("a", "s", "g").set(2)
     reg.histogram("a", "s", "h").observe(3.0)
@@ -192,10 +193,10 @@ def test_machine_defaults_to_disabled_observability():
 # Event trace
 # ----------------------------------------------------------------------
 def test_event_ring_bounds_and_export(tmp_path):
-    now = [0.0]
-    trace = EventTrace(clock=lambda: now[0], capacity=4)
+    clock = Clock()
+    trace = EventTrace(clock=clock, capacity=4)
     for i in range(6):
-        now[0] = float(i)
+        clock.now = float(i)
         trace.emit("decision", app="a", hook="h", value=i)
     assert len(trace) == 4
     assert trace.emitted == 6
@@ -364,8 +365,8 @@ def test_ghost_agent_counters():
             ]
 
     eng = Engine()
-    reg = MetricsRegistry(clock=lambda: eng.now)
-    events = EventTrace(clock=lambda: eng.now)
+    reg = MetricsRegistry(clock=eng)
+    events = EventTrace(clock=eng)
     metrics = {
         name: reg.counter("ghostapp", "thread_sched", name)
         for name in ("messages", "preemptions", "commits",
@@ -502,7 +503,7 @@ def test_to_jsonl_accepts_path_and_file(tmp_path):
     """S2: every exporter takes a path or an open file object."""
     import io
 
-    trace = EventTrace(clock=lambda: 1.0)
+    trace = EventTrace(clock=Clock(1.0))
     trace.emit("decision", verdict="PASS")
     path = tmp_path / "events.jsonl"
     assert trace.to_jsonl(path) == 1

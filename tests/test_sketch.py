@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from conftest import Clock
 from repro.obs import FlightRecorder, MetricsRegistry
 from repro.obs.export import to_openmetrics
 from repro.obs.registry import NULL_METRIC, NullRegistry
@@ -144,38 +145,37 @@ def test_summary_and_mean():
 # Windowed estimators
 # ----------------------------------------------------------------------
 def test_windowed_rate_ages_out_old_events():
-    clock = {"now": 0.0}
-    rate = WindowedRate(lambda: clock["now"], window_us=100.0, buckets=10)
+    clock = Clock()
+    rate = WindowedRate(clock, window_us=100.0, buckets=10)
     for t in (5.0, 15.0, 25.0):
-        clock["now"] = t
+        clock.now = t
         rate.observe()
     assert rate.events_in_window() == 3
     assert rate.rate_per_s() == pytest.approx(3 * 1e6 / 25.0)
-    clock["now"] = 120.0   # first bins now beyond the window
+    clock.now = 120.0   # first bins now beyond the window
     assert rate.events_in_window() == 0
     with pytest.raises(ValueError):
-        WindowedRate(lambda: 0.0, window_us=0)
+        WindowedRate(Clock(), window_us=0)
 
 
 def test_ewma_halflife_decay():
-    clock = {"now": 0.0}
-    ewma = Ewma(lambda: clock["now"], halflife_us=100.0)
+    clock = Clock()
+    ewma = Ewma(clock, halflife_us=100.0)
     assert ewma.read(default=-1.0) == -1.0
     ewma.update(10.0)
     assert ewma.read() == 10.0
-    clock["now"] = 100.0   # exactly one half-life later
+    clock.now = 100.0   # exactly one half-life later
     ewma.update(20.0)
     assert ewma.read() == pytest.approx(15.0)
     with pytest.raises(ValueError):
-        Ewma(lambda: 0.0, halflife_us=0)
+        Ewma(Clock(), halflife_us=0)
 
 
 # ----------------------------------------------------------------------
 # Registry / recorder / exporter integration
 # ----------------------------------------------------------------------
 def test_registry_sketch_kind_and_get_or_create():
-    clock = {"now": 7.0}
-    registry = MetricsRegistry(clock=lambda: clock["now"])
+    registry = MetricsRegistry(clock=Clock(7.0))
     sketch = registry.sketch("app", "scope", "svc")
     assert registry.sketch("app", "scope", "svc") is sketch
     assert sketch.kind == "sketch"
@@ -196,7 +196,7 @@ def test_null_registry_sketch_is_null_metric():
 
 def test_recorder_samples_sketch_like_histogram():
     engine = Engine()
-    registry = MetricsRegistry(clock=lambda: engine.now)
+    registry = MetricsRegistry(clock=engine)
     recorder = FlightRecorder(registry, engine, interval_us=10.0)
     sketch = registry.sketch("app", "scope", "lat")
 

@@ -7,6 +7,7 @@ burn), and the SloTracker's registry publication path.
 
 import pytest
 
+from conftest import Clock
 from repro.obs import MetricsRegistry
 from repro.obs.slo import (
     STATE_CODES,
@@ -15,14 +16,6 @@ from repro.obs.slo import (
     Slo,
     SloTracker,
 )
-
-
-class Clock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
 
 
 def test_constructor_validation():

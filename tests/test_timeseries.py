@@ -24,7 +24,7 @@ from repro.workload.requests import GET
 # ----------------------------------------------------------------------
 def make_recorder(interval_us=10.0, capacity=1024):
     engine = Engine()
-    registry = MetricsRegistry(clock=lambda: engine.now)
+    registry = MetricsRegistry(clock=engine)
     recorder = FlightRecorder(registry, engine, interval_us=interval_us,
                               capacity=capacity)
     return engine, registry, recorder
