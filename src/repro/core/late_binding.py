@@ -25,7 +25,8 @@ Implementation, in dispatch order:
 Because the shim bypasses the regular hook site, it carries its own
 observability: with machine ``metrics=True`` the binder counts
 ``late_bind_buffered`` / ``late_bind_drops`` under the deploying app's
-``socket_select`` scope (docs/observability.md).
+``socket_select`` scope (docs/observability.md), and a packet refused by a
+full buffer reaches the probe as a ``late_bind_overflow`` drop.
 """
 
 from collections import deque
@@ -143,6 +144,7 @@ class LateBinder:
         if len(self.buffer) >= self.capacity:
             self.drops += 1
             self._m_drops.inc()
+            self.machine.netstack.probe.drop(packet, "late_bind_overflow")
             return False
         self.buffer.append(packet)
         self.buffered_total += 1

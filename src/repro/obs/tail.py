@@ -11,10 +11,12 @@ largest gap is the tail's critical path — "SCAN-Avoid collapses
 Entry points: :func:`critical_path` produces the analysis dict (JSON
 safe), :func:`render_critical_path` the operator table
 (``syrupctl tail`` and ``python -m repro figure_tail`` render it).
-Percentiles use the nearest-rank method over the exact sampled totals,
-so paired runs with identical simulations produce identical analyses.
+Cohort edges are nearest-rank (:func:`repro.stats.latency.nearest_rank`)
+over the exact sampled totals, so each edge is a real request and paired
+runs with identical simulations produce identical analyses.
 """
 
+from repro.stats.latency import nearest_rank
 from repro.stats.results import Table
 
 __all__ = ["critical_path", "percentile", "render_critical_path"]
@@ -22,11 +24,7 @@ __all__ = ["critical_path", "percentile", "render_critical_path"]
 
 def percentile(values, q):
     """Nearest-rank percentile of a sorted-or-not value list (0 < q ≤ 100)."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    rank = max(1, -(-len(ordered) * q // 100))  # ceil(n * q / 100)
-    return ordered[int(rank) - 1]
+    return nearest_rank(sorted(values), q) if values else 0.0
 
 
 def _span_totals(tree):
@@ -69,8 +67,9 @@ def critical_path(trees, lo_pct=50.0, hi_pct=99.0):
             "gap_us": 0.0, "rows": [],
         }
     totals = [t["end"] - t["start"] for t in complete]
-    lo_edge = percentile(totals, lo_pct)
-    hi_edge = percentile(totals, hi_pct)
+    ordered = sorted(totals)
+    lo_edge = nearest_rank(ordered, lo_pct)
+    hi_edge = nearest_rank(ordered, hi_pct)
     lo_cohort = [t for t, total in zip(complete, totals) if total <= lo_edge]
     hi_cohort = [t for t, total in zip(complete, totals) if total >= hi_edge]
 

@@ -105,3 +105,29 @@ def test_buffered_packets_route_through_server_accounting():
     # completions flowed through the server stats (inner source chaining)
     assert server.stats.completed.total() == gen.completed_in_window()
     assert gen.drop_fraction() == 0.0
+
+
+def test_refused_packet_closes_its_span_tree_and_flight():
+    """A full central buffer is a drop like any other: the probe hears it,
+    so no sampled tree or tenant flight record outlives the request."""
+    from repro.workload.generator import OpenLoopGenerator
+    from repro.workload.mixes import GET_ONLY
+
+    machine = Machine(set_a(), seed=71, spans=1, accounting=True)
+    app = machine.register_app("late", ports=[8080])
+    server = RocksDbServer(machine, app, 8080, 3)
+    binder = LateBinder(machine, app, server, capacity=2)
+    gen = OpenLoopGenerator(machine, 8080, 600_000, GET_ONLY,
+                            duration_us=5_000, tenant="alpha")
+    server.response_sink = gen.deliver_response
+    gen.start()
+    machine.run()
+
+    assert binder.drops > 0 and len(binder) == 0
+    assert machine.obs.acct._flights == {}
+    assert machine.obs.spans.live == 0
+    aborted = machine.obs.spans.trees(complete=False)
+    assert len(aborted) == binder.drops
+    assert {t["abort_reason"] for t in aborted} == {"late_bind_overflow"}
+    ledger = machine.obs.acct.ledgers["alpha"]
+    assert ledger.drops == {"late_bind_overflow": binder.drops}

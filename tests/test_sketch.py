@@ -7,7 +7,6 @@ the sketch of the concatenated stream; and the registry/recorder/
 OpenMetrics integrations treat the new ``sketch`` kind natively.
 """
 
-import math
 import random
 
 import pytest
@@ -18,15 +17,14 @@ from repro.obs.export import to_openmetrics
 from repro.obs.registry import NULL_METRIC, NullRegistry
 from repro.obs.sketch import DDSketch, DEFAULT_ALPHA, Ewma, WindowedRate
 from repro.sim.engine import Engine
+from repro.stats.latency import nearest_rank
 
 QUANTILES = [0.0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999, 1.0]
 
 
 def exact_nearest_rank(samples, p):
     """The oracle: the ceil(p*n)-th smallest sample (rank floored at 1)."""
-    ordered = sorted(samples)
-    rank = max(1, math.ceil(p * len(ordered)))
-    return ordered[rank - 1]
+    return nearest_rank(sorted(samples), 100.0 * p)
 
 
 def _uniform(rng, n):

@@ -22,6 +22,7 @@ from repro.obs.spans import NULL_SPANS, SpanTracer
 from repro.obs.tail import critical_path, percentile, render_critical_path
 from repro.policies.builtin import SCAN_AVOID
 from repro.policies.thread_policies import GetPriorityPolicy
+from repro.stats.latency import nearest_rank
 from repro.syrupctl import render_events, render_spans, render_stats, render_tail
 from repro.workload.generator import OpenLoopGenerator
 from repro.workload.mixes import GET_ONLY, GET_SCAN_50_50, GET_SCAN_995_005
@@ -309,10 +310,9 @@ def _synthetic_tree(rid, wait_us, service_us):
 
 
 def test_percentile_nearest_rank():
-    values = list(range(1, 101))
-    assert percentile(values, 50.0) == 50
-    assert percentile(values, 99.0) == 99
-    assert percentile(values, 100.0) == 100
+    values = list(range(100, 0, -1))    # unsorted: percentile sorts for you
+    for q in (50.0, 99.0, 100.0):
+        assert percentile(values, q) == nearest_rank(sorted(values), q) == q
     assert percentile([7.0], 99.0) == 7.0
     assert percentile([], 99.0) == 0.0
 
