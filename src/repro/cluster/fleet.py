@@ -560,12 +560,6 @@ class Fleet:
         self.outstanding = 0
         self.completed = 0
         self.dropped = 0
-        # Per-tenant rollups, populated only for requests that carry a
-        # tenant (stamped in admit() from an owned port rule) — empty
-        # dicts for every historical single-tenant run.
-        self.tenant_completed = {}
-        self.tenant_dropped = {}
-        self.tenant_latency = {}   # tenant -> DDSketch of completion us
 
         self.sync = MapSyncBus(
             self.engine, interval_us=sync_interval_us,
@@ -750,16 +744,9 @@ class Fleet:
         self.outstanding -= 1
         self.completed += 1
         self.obs.registry.counter("fleet", "fleet", "completed").inc()
-        tenant = request.tenant
-        if tenant is not None:
-            self.tenant_completed[tenant] = \
-                self.tenant_completed.get(tenant, 0) + 1
-            sketch = self.tenant_latency.get(tenant)
-            if sketch is None:
-                sketch = self.tenant_latency[tenant] = DDSketch()
-            sketch.add(now - request.sent_at)
+        if request.tenant is not None:
             self.obs.registry.counter(
-                "fleet", f"tenant:{tenant}", "completed"
+                "fleet", f"tenant:{request.tenant}", "completed"
             ).inc()
 
     def drop(self, request, reason):
@@ -768,8 +755,6 @@ class Fleet:
         self.dropped += 1
         self.obs.registry.counter("fleet", "fleet", "dropped").inc()
         if request.tenant is not None:
-            self.tenant_dropped[request.tenant] = \
-                self.tenant_dropped.get(request.tenant, 0) + 1
             self.obs.registry.counter(
                 "fleet", f"tenant:{request.tenant}", "dropped"
             ).inc()
@@ -873,29 +858,6 @@ class Fleet:
             "p50_us": self.latency.p50(),
             "p99_us": self.latency.p99(),
         }
-
-    def tenant_view(self):
-        """JSON-safe per-tenant rollup (``syrupctl tenants``, fleet tier).
-
-        One entry per tenant that owned a port rule and saw traffic:
-        completions, drops, and completion-latency quantiles from the
-        per-tenant DDSketch.  Empty list for single-tenant runs.
-        """
-        tenants = sorted(set(self.tenant_completed)
-                         | set(self.tenant_dropped))
-        out = []
-        for tenant in tenants:
-            sketch = self.tenant_latency.get(tenant)
-            out.append({
-                "tenant": tenant,
-                "completed": self.tenant_completed.get(tenant, 0),
-                "dropped": self.tenant_dropped.get(tenant, 0),
-                "p50_us": (round(sketch.percentile(50.0), 1)
-                           if sketch is not None and sketch.count else None),
-                "p99_us": (round(sketch.percentile(99.0), 1)
-                           if sketch is not None and sketch.count else None),
-            })
-        return out
 
     def __repr__(self):
         return (

@@ -116,7 +116,7 @@ def stage_dynamic(load=6_000, duration_us=600_000.0, warmup_us=0.0,
 
     Returns ``(testbed, gen)`` with everything staged (load scheduled,
     switch armed) but the machine left unrun, so a harness can own the
-    run itself (``syrupctl timeline``, ``tools/bench.py``).
+    run itself (``syrupctl timeline``, ``tests/test_golden_scenarios.py``).
     """
     switch_at = switch_at_us if switch_at_us is not None else duration_us / 2.0
     testbed = RocksDbTestbed(

@@ -25,7 +25,8 @@ The replicated views refresh on the sync-bus cadence
 knob: crank the staleness up and jsq collapses while power-of-two holds.
 
 Run via ``python -m repro fleet``; the miniature grid lives in
-tests/test_fleet.py and the bench scenario in tools/bench.py.
+tests/test_fleet.py and the pinned ``figure_fleet_steering`` scenario in
+tests/test_golden_scenarios.py.
 """
 
 from repro.cluster.fleet import Fleet

@@ -3,9 +3,9 @@
 The staging convention every experiment module follows: a ``stage_*``
 function builds the system, attaches the load and wires any control
 loop — generators started, **nothing run** — and the matching ``run_*``
-is that plus ``run()``.  ``syrupctl`` views and ``tools/bench.py``
-scenarios consume the staged form (they own the run, the rendering and
-the timing); the figures consume the run form.
+is that plus ``run()``.  ``syrupctl`` views and the golden scenarios of
+``tests/test_golden_scenarios.py`` consume the staged form (they own the
+run and what is read after it); the figures consume the run form.
 """
 
 from repro.config import set_a

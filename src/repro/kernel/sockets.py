@@ -183,9 +183,6 @@ class ReuseportGroup:
     def total_drops(self):
         return sum(s.drops for s in self.sockets)
 
-    def total_enqueued(self):
-        return sum(s.enqueued for s in self.sockets)
-
 
 class SocketTable:
     """Port -> reuseport group."""

@@ -6,8 +6,9 @@ Two things live here:
   accepts output targets.  A *destination* is either a filesystem path
   (``str`` / ``os.PathLike``; opened, then closed) or an already-open
   file-like object with ``write`` (used as-is, left open — the caller
-  owns it).  :meth:`repro.obs.events.EventTrace.to_jsonl`, the OpenMetrics
-  exporter below, and ``tools/bench.py`` all route through it.
+  owns it).  :meth:`repro.obs.events.EventTrace.to_jsonl`, the span
+  tracer's ``to_chrome_trace`` and the OpenMetrics exporter below all
+  route through it.
 - :func:`to_openmetrics` / :func:`write_openmetrics` — a
   :class:`~repro.obs.registry.MetricsRegistry` snapshot in the
   OpenMetrics / Prometheus text exposition format, so a registry dump

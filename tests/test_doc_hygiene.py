@@ -1,4 +1,4 @@
-"""Doc hygiene: repro.* symbols named in the docs must resolve.
+"""Doc hygiene: repro.* symbols and repo paths named in the docs must resolve.
 
 Runs tools/check_doc_symbols.py over docs/*.md + README.md so renames
 and removals can't silently strand the documentation.
@@ -55,7 +55,7 @@ def test_checker_resolves_methods_and_ignores_paths():
     assert check_doc_symbols.check_text(
         "`repro.core.syrupd.Syrupd.status`"
     ) == []
-    # file-path-style references are out of scope
+    # package-relative file references are out of scope
     assert check_doc_symbols.check_text(
         "```\nsee repro/ebpf/vm.py for details\n```"
     ) == []
@@ -63,3 +63,22 @@ def test_checker_resolves_methods_and_ignores_paths():
     assert check_doc_symbols.check_text(
         "the repro.not_a_module package (prose, unchecked)"
     ) == []
+
+
+def test_checker_resolves_repo_paths_and_skips_globs():
+    assert check_doc_symbols.check_text(
+        "run `python tools/check_doc_symbols.py`, see `tests/`, "
+        "`tests/test_doc_hygiene.py::test_doc_symbols_resolve`, "
+        "`src/repro/ebpf/vm.py:12`, `benchmarks/results/*.txt` and "
+        "`benchmarks/perf/out/trace_<workload>.json`.\n"
+        "```\npython benchmarks/perf/run.py --workload fleet_rack\n```\n"
+    ) == []
+
+
+def test_checker_flags_missing_repo_paths():
+    assert check_doc_symbols.check_text(
+        "gated by `python tools/no_such_tool.py --smoke` against "
+        "`benchmarks/no_such_dir/`; `repro/tools/x.py` and prose "
+        "tools/also_missing.py are not checked", origin="bogus.md",
+    ) == ["bogus.md:1: tools/no_such_tool.py -> no such path",
+          "bogus.md:1: benchmarks/no_such_dir/ -> no such path"]

@@ -1,12 +1,15 @@
 #!/usr/bin/env python
-"""Doc hygiene: every ``repro.*`` symbol named in the docs must resolve.
+"""Doc hygiene: every ``repro.*`` symbol and repo path named in the docs
+must resolve.
 
 Documentation rots silently: a module gets renamed, a function moves, and
 the docs keep naming the old path until a reader hits it.  This script
 scans markdown files for dotted ``repro.*`` names — inside fenced code
 blocks and inline code spans — and verifies each one resolves via
 importlib: the longest importable module prefix is imported and the
-remaining parts are resolved with ``getattr``.
+remaining parts are resolved with ``getattr``.  Back-ticked repo-relative
+paths beginning ``tools/``, ``tests/``, ``benchmarks/``, ``examples/``,
+``docs/`` or ``src/`` must exist (globs are skipped).
 
 Run standalone (exit 1 on failures)::
 
@@ -14,8 +17,8 @@ Run standalone (exit 1 on failures)::
     python tools/check_doc_symbols.py docs/x.md  # specific files
 
 or via the test suite (``tests/test_doc_hygiene.py``), which keeps CI
-honest.  File-path-style references (``repro/ebpf/vm.py``) are out of
-scope — only dotted symbols are checked.
+honest.  Package-relative references (``repro/ebpf/vm.py``) are out of
+scope.
 """
 
 import importlib
@@ -27,6 +30,13 @@ __all__ = ["check_file", "check_text", "default_targets", "main", "resolve"]
 
 #: A dotted name rooted at the repro package: ``repro.x``, ``repro.x.y``...
 SYMBOL = re.compile(r"\brepro(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
+
+#: A repo-relative path token: ``tools/x.py``, ``tests/test_x.py::test_y``.
+REPO_PATH = re.compile(
+    r"(?<![\w./-])(?:tools|tests|benchmarks|examples|docs|src)/[^\s`'\"(),;]*"
+)
+GLOB = re.compile(r"[*?\[<{$]")
+REPO_ROOT = pathlib.Path(__file__).parent.parent
 
 FENCE = re.compile(r"^(```|~~~)")
 INLINE_CODE = re.compile(r"`([^`\n]+)`")
@@ -76,10 +86,19 @@ def resolve(symbol):
 
 
 def check_text(text, origin="<text>"):
-    """Return a list of error strings for unresolvable symbols in ``text``."""
+    """Error strings for unresolvable symbols and missing paths in ``text``."""
     errors = []
     seen = set()
     for lineno, code in _iter_code_text(text):
+        for match in REPO_PATH.finditer(code):
+            # a ::test or :line suffix is not part of the path; globs and
+            # <placeholder> patterns are skipped
+            path = match.group(0).split(":", 1)[0].rstrip(".")
+            if path in seen or GLOB.search(match.group(0)):
+                continue
+            seen.add(path)
+            if not (REPO_ROOT / path).exists():
+                errors.append(f"{origin}:{lineno}: {path} -> no such path")
         for match in SYMBOL.finditer(code):
             symbol = match.group(0)
             if symbol in seen:
@@ -99,7 +118,7 @@ def check_file(path):
 
 def default_targets(root=None):
     """docs/*.md plus README.md, relative to the repo root."""
-    root = pathlib.Path(root) if root else pathlib.Path(__file__).parent.parent
+    root = pathlib.Path(root) if root else REPO_ROOT
     targets = sorted((root / "docs").glob("*.md"))
     readme = root / "README.md"
     if readme.exists():
@@ -116,8 +135,8 @@ def main(argv=None):
         errors.extend(check_file(target))
         checked += 1
     if errors:
-        print(f"doc hygiene: {len(errors)} unresolvable symbol(s) "
-              f"in {checked} file(s):")
+        print(f"doc hygiene: {len(errors)} unresolvable symbol(s) or "
+              f"path(s) in {checked} file(s):")
         for error in errors:
             print(f"  {error}")
         return 1
