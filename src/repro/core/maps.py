@@ -15,11 +15,12 @@ and application code in userspace share them.  This module wraps the raw
 Atomicity model (paper §4.1): no locks; per-key atomic read-modify-write via
 ``atomic_add``; benign races are expected and tolerated by policies.
 
-Observability: with ``Machine(metrics=True)``, every userspace map
-operation increments per-``(owner, "maps")`` counters
-(``<map>.lookups`` / ``.updates`` / ``.deletes`` / ``.atomic_adds`` plus
-``<map>.contended``) and feeds an ``<map>.op_latency_us`` histogram, so
-map contention and placement cost are visible in ``syrupctl stats``
+Accounting (``userspace_ops``, the modeled ``userspace_time_us``) is inline
+in each userspace op, one Python frame per op.  Observability: with
+``Machine(metrics=True)`` every op also increments per-``(owner, "maps")``
+counters (``<map>.lookups`` / ``.updates`` / ``.deletes`` / ``.atomic_adds``
+plus ``<map>.contended``) and feeds an ``<map>.op_latency_us`` histogram,
+so map contention and placement cost are visible in ``syrupctl stats``
 without touching Table-3 harness code.
 """
 
@@ -42,11 +43,13 @@ class SyrupMap:
     the simulation is single-threaded — but every call accrues the modeled
     access latency in ``userspace_time_us`` so harnesses (and Table 3) can
     account for it, and callers running inside simulated processes can
-    sleep ``op_latency_us()`` to model it inline.
+    sleep ``op_latency_us()`` to model it inline.  ``placement`` and the
+    cost models are read once, at pin time: a pinned map never moves, and
+    ``op_latency_us()`` always equals what the ops book.
     """
 
-    def __init__(self, bpf_map, owner, path, placement=HOST, costs=None,
-                 nic_spec=None, shared=False, metrics=None):
+    def __init__(self, bpf_map, owner, path, costs, nic_spec,
+                 placement=HOST, shared=False, metrics=None):
         self.bpf_map = bpf_map
         self.owner = owner
         self.path = path
@@ -58,6 +61,13 @@ class SyrupMap:
         self.userspace_time_us = 0.0
         # dict of obs metric objects (see MapRegistry.create), or None
         self._metrics = metrics
+        if placement == OFFLOAD:
+            base = nic_spec.offload_map_access_us
+            extra = nic_spec.offload_map_contended_extra_us
+        else:
+            base = costs.host_map_access_us
+            extra = costs.host_map_contended_extra_us
+        self._latency_us = (base + 0.0, base + extra)  # (plain, contended)
 
     @property
     def name(self):
@@ -65,40 +75,47 @@ class SyrupMap:
 
     def op_latency_us(self, contended=False):
         """Modeled latency of one userspace map operation."""
-        if self.placement == OFFLOAD:
-            base = self.nic_spec.offload_map_access_us
-            extra = self.nic_spec.offload_map_contended_extra_us
-        else:
-            base = self.costs.host_map_access_us
-            extra = self.costs.host_map_contended_extra_us
-        return base + (extra if contended else 0.0)
+        return self._latency_us[1 if contended else 0]
 
-    def _account(self, contended, op):
-        self.userspace_ops += 1
-        latency = self.op_latency_us(contended)
-        self.userspace_time_us += latency
+    def _observe(self, op, contended, latency):
         metrics = self._metrics
-        if metrics is not None:
-            metrics[op].inc()
-            if contended:
-                metrics["contended"].inc()
-            metrics["op_latency_us"].observe(latency)
+        metrics[op].inc()
+        if contended:
+            metrics["contended"].inc()
+        metrics["op_latency_us"].observe(latency)
 
     # -- userspace API (syr_map_* of Table 1) ---------------------------
+    # Each op books itself inline: one frame per op while metrics are off.
     def lookup(self, key, contended=False):
-        self._account(contended, "lookups")
+        self.userspace_ops += 1
+        latency = self._latency_us[1 if contended else 0]
+        self.userspace_time_us += latency
+        if self._metrics is not None:
+            self._observe("lookups", contended, latency)
         return self.bpf_map.lookup(key)
 
     def update(self, key, value, contended=False):
-        self._account(contended, "updates")
+        self.userspace_ops += 1
+        latency = self._latency_us[1 if contended else 0]
+        self.userspace_time_us += latency
+        if self._metrics is not None:
+            self._observe("updates", contended, latency)
         self.bpf_map.update(key, value)
 
     def delete(self, key, contended=False):
-        self._account(contended, "deletes")
+        self.userspace_ops += 1
+        latency = self._latency_us[1 if contended else 0]
+        self.userspace_time_us += latency
+        if self._metrics is not None:
+            self._observe("deletes", contended, latency)
         return self.bpf_map.delete(key)
 
     def atomic_add(self, key, delta, contended=False):
-        self._account(contended, "atomic_adds")
+        self.userspace_ops += 1
+        latency = self._latency_us[1 if contended else 0]
+        self.userspace_time_us += latency
+        if self._metrics is not None:
+            self._observe("atomic_adds", contended, latency)
         return self.bpf_map.atomic_add(key, delta)
 
     def items(self):

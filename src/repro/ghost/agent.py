@@ -18,7 +18,8 @@ __all__ = ["CoreView", "GhostAgent", "SchedStatus"]
 
 
 class CoreView:
-    """Read-only snapshot of a core for policy code."""
+    """One scheduler core as a thread policy sees it.  The agent rewrites
+    it in place every pass: valid only inside that ``schedule()`` call."""
 
     __slots__ = ("cid", "thread", "pending")
 
@@ -38,7 +39,9 @@ class CoreView:
 
 class SchedStatus:
     """What a thread policy sees when invoked: its app's runnable threads
-    and the state of the cores it may use."""
+    and the state of the cores it may use.  Valid only for the
+    ``schedule()`` call it is passed to: ``cores`` is the agent's own list
+    of :class:`CoreView`, rewritten in place by the next pass."""
 
     def __init__(self, now, runnable, cores):
         self.now = now
@@ -46,7 +49,11 @@ class SchedStatus:
         self.cores = cores             # list of CoreView
 
     def idle_cores(self):
-        return [c for c in self.cores if c.idle]
+        idle = []
+        for core in self.cores:
+            if core.thread is None and not core.pending:
+                idle.append(core)
+        return idle
 
     def __repr__(self):
         return (
@@ -69,6 +76,7 @@ class GhostAgent:
         self.inbox = deque()
         self._busy = False
         self._pending_threads = set()
+        self._views = []  # one CoreView per core, rewritten every pass
         # Crash-fault state (repro.faults): while crashed, the agent
         # ignores every callback until restart() (docs/robustness.md).
         self.crashed = False
@@ -158,16 +166,8 @@ class GhostAgent:
         self.engine.post(0.0, self._decide)
 
     # ------------------------------------------------------------------
-    def notify(self, message):
-        if self.crashed:
-            return  # a dead process receives nothing
-        if message.thread is not None and message.thread not in self.enclave:
-            return  # isolation: foreign-app events are invisible
-        self.inbox.append(message)
-        if not self._busy:
-            self._busy = True
-            self.engine.post(0.0, self._drain)
-
+    # Messages arrive through GhostScheduler._notify, which owns the
+    # crashed / foreign-thread guards and arms _drain.
     def _drain(self):
         if self.crashed:
             return
@@ -205,15 +205,21 @@ class GhostAgent:
             self._note_policy_error(exc)
             placements = []
         delay = 0.0
-        for thread, core_id in placements:
+        members = self.enclave.members
+        cores = self.scheduler.cores
+        for placement in placements:
             try:
-                self.enclave.check(thread)
-            except Exception as exc:  # EnclaveViolation: contained, counted
+                thread, core_id = placement
+                if thread.tid not in members:
+                    self.enclave.check(thread)  # raises EnclaveViolation
+                if type(core_id) is not int or not 0 <= core_id < len(cores):
+                    raise IndexError(f"no core {core_id!r} in the enclave")
+            except Exception as exc:  # noqa: BLE001 - contained, counted
                 self.policy_errors += 1
                 self.last_error = exc
                 self._note_policy_error(exc)
                 continue
-            core = self.scheduler.cores[core_id]
+            core = cores[core_id]
             if thread.tid in self._pending_threads or core.pending_commit:
                 continue  # stale decision; skip
             self._pending_threads.add(thread.tid)
@@ -268,11 +274,11 @@ class GhostAgent:
 
     # ------------------------------------------------------------------
     def _snapshot(self):
-        runnable = [
-            t
-            for t in self.enclave.threads()
-            if t.state == "runnable" and t.tid not in self._pending_threads
-        ]
+        pending = self._pending_threads
+        runnable = []
+        for thread in self.enclave.members.values():
+            if thread.state == "runnable" and thread.tid not in pending:
+                runnable.append(thread)
         qdisc = self.runqueue_qdisc
         if qdisc is not None and len(runnable) > 1:
             from repro.qdisc.discipline import ThreadCtx
@@ -284,8 +290,13 @@ class GhostAgent:
             runnable = qdisc.order(
                 runnable, ctx_factory=lambda t: ThreadCtx(t.tid)
             )
-        cores = [
-            CoreView(i, c.thread, c.pending_commit is not None)
-            for i, c in enumerate(self.scheduler.cores)
-        ]
-        return SchedStatus(self.engine.now, runnable, cores)
+        cores = self.scheduler.cores
+        views = self._views
+        if len(views) != len(cores):  # add_core / remove_core since last pass
+            views[:] = [CoreView(i, None, False) for i in range(len(cores))]
+        # cid too: whatever the last schedule() did to the list heals here
+        for i, (view, core) in enumerate(zip(views, cores)):
+            view.cid = i
+            view.thread = core.thread
+            view.pending = core.pending_commit is not None
+        return SchedStatus(self.engine.now, runnable, views)

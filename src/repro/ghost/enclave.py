@@ -14,9 +14,12 @@ class EnclaveViolation(PermissionError):
 
 
 class Enclave:
+    """``members`` (tid -> KThread) is read in place by the agent's pass and
+    the ghOSt class's ``_notify``; only register() / remove() write it."""
+
     def __init__(self, app):
         self.app = app
-        self._threads = {}
+        self.members = {}
 
     def register(self, thread):
         if thread.app != self.app:
@@ -24,23 +27,23 @@ class Enclave:
                 f"thread {thread.tid} belongs to app {thread.app!r}, "
                 f"not {self.app!r}"
             )
-        self._threads[thread.tid] = thread
+        self.members[thread.tid] = thread
 
     def remove(self, thread):
-        self._threads.pop(thread.tid, None)
+        self.members.pop(thread.tid, None)
 
     def __contains__(self, thread):
-        return thread.tid in self._threads
+        return thread.tid in self.members
 
     def threads(self):
-        return list(self._threads.values())
+        return list(self.members.values())
 
     def check(self, thread):
-        if thread.tid not in self._threads:
+        if thread.tid not in self.members:
             raise EnclaveViolation(
                 f"policy for app {self.app!r} tried to schedule foreign "
                 f"thread {thread.tid}"
             )
 
     def __len__(self):
-        return len(self._threads)
+        return len(self.members)

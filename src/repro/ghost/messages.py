@@ -14,7 +14,7 @@ class MessageKind:
     CORE_GRANTED = "core_granted"
     CORE_REVOKED = "core_revoked"
 
-    ALL = (
+    ALL = frozenset((
         THREAD_CREATED,
         THREAD_WAKEUP,
         THREAD_BLOCKED,
@@ -22,7 +22,7 @@ class MessageKind:
         THREAD_DEPARTED,
         CORE_GRANTED,
         CORE_REVOKED,
-    )
+    ))
 
 
 class Message:

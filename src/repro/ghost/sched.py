@@ -26,10 +26,16 @@ class GhostScheduler(ThreadScheduler):
 
     # -- event forwarding -------------------------------------------------
     def _notify(self, kind, thread, core=None):
-        if self.agent is not None:
-            self.agent.notify(
-                Message(kind, thread, core=core, time=self.engine.now)
-            )
+        # The agent's only message entry: queue it and arm the drain.
+        agent = self.agent
+        if agent is None or agent.crashed:
+            return  # a dead process receives nothing
+        if thread is not None and thread.tid not in agent.enclave.members:
+            return  # isolation: foreign-app events are invisible
+        agent.inbox.append(Message(kind, thread, core, self.engine.now))
+        if not agent._busy:
+            agent._busy = True
+            self.engine.post(0.0, agent._drain)
 
     def attach(self, thread):
         super().attach(thread)

@@ -33,30 +33,26 @@ class GetPriorityPolicy:
     def __init__(self, type_map):
         self.type_map = type_map
 
-    def _rtype(self, thread):
-        value = self.type_map.lookup(thread.tid)
-        return 0 if value is None else value
-
     def schedule(self, status):
-        gets = [t for t in status.runnable if self._rtype(t) == GET]
-        others = [t for t in status.runnable if self._rtype(t) != GET]
-        placements = []
-        idle = status.idle_cores()
+        # One type_map read per runnable thread per pass (an absent entry
+        # is neither GET nor SCAN, so it queues behind the GETs).
+        lookup = self.type_map.lookup
+        gets, others = [], []
+        for thread in status.runnable:
+            (gets if lookup(thread.tid) == GET else others).append(thread)
         # 1) idle cores: GETs first, then the rest.
-        queue = gets + others
-        for core in idle:
-            if not queue:
-                break
-            placements.append((queue.pop(0), core.cid))
+        placements = []
+        for thread, core in zip(gets + others, status.idle_cores()):
+            placements.append((thread, core.cid))
         # 2) remaining GETs may preempt cores running SCAN threads.
-        gets_left = [t for t in queue if self._rtype(t) == GET]
+        gets_left = gets[len(placements):]
         if gets_left:
             victims = [
                 core
                 for core in status.cores
                 if core.thread is not None
                 and not core.pending
-                and self._rtype(core.thread) == SCAN
+                and lookup(core.thread.tid) == SCAN
             ]
             for thread, core in zip(gets_left, victims):
                 placements.append((thread, core.cid))

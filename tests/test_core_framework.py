@@ -1,6 +1,7 @@
 """Tests for the Syrup core: maps, executors, hook sites, syrupd, API."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import DROP, Hook, IsolationError, Machine, PASS, set_a, set_b
 from repro.core.api import (
@@ -11,11 +12,13 @@ from repro.core.api import (
 )
 from repro.core.executors import ExecutorMap
 from repro.core.hooks import HookSite
-from repro.core.maps import MapRegistry, PermissionDenied
+from repro.core.maps import MapRegistry, PermissionDenied, SyrupMap
 from repro.config import CostModel, NicSpec
 from repro.ebpf.compiler import compile_policy
 from repro.ebpf.program import load_program
 from repro.net.packet import FiveTuple, Packet, build_payload
+from repro.obs import Observability
+from repro.obs.registry import MetricsRegistry
 
 FLOW = FiveTuple(0x0A000002, 40000, 0x0A000001, 8080, 17)
 
@@ -77,6 +80,79 @@ def test_map_userspace_accounting():
     m.delete(1)
     assert m.userspace_ops == 4
     assert m.userspace_time_us == pytest.approx(4.0)
+
+
+MAP_OPS = {"lookup": "lookups", "update": "updates", "delete": "deletes",
+           "atomic_add": "atomic_adds"}
+MAP_OP_ARGS = {"lookup": 1, "update": 2, "delete": 1, "atomic_add": 2}
+
+
+@settings(max_examples=100, deadline=None)
+@given(metrics=st.booleans(),
+       ops=st.lists(st.tuples(st.sampled_from(["host", "offload"]),
+                              st.sampled_from(sorted(MAP_OPS)),
+                              st.booleans(),
+                              st.integers(0, 3), st.integers(0, 9)),
+                    max_size=60))
+def test_inline_map_accounting_matches_a_reference_accumulator(metrics, ops):
+    """Every userspace op books exactly what the old ``_account`` chain
+    booked: the reference below is that chain, written from the public
+    ``op_latency_us()``, against a registry of its own."""
+    obs = Observability(enabled=metrics)
+    reg = MapRegistry(CostModel(), NicSpec(), obs=obs)
+    maps = {placement: reg.create("a", placement, placement=placement)
+            for placement in ("host", "offload")}
+    expected = MetricsRegistry()
+    expected_ops = dict.fromkeys(maps, 0)
+    expected_time = dict.fromkeys(maps, 0.0)
+    if metrics:   # MapRegistry.create registers every series up front
+        for name in maps:
+            for op in (*MAP_OPS.values(), "contended"):
+                expected.counter("a", "maps", f"{name}.{op}")
+            expected.histogram("a", "maps", f"{name}.op_latency_us")
+
+    for placement, op, contended, key, value in ops:
+        syrup_map = maps[placement]
+        args = (key, value)[:MAP_OP_ARGS[op]]
+        getattr(syrup_map, op)(*args, contended=contended)
+        latency = syrup_map.op_latency_us(contended)
+        expected_ops[placement] += 1
+        expected_time[placement] += latency
+        if metrics:
+            expected.counter("a", "maps", f"{placement}.{MAP_OPS[op]}").inc()
+            if contended:
+                expected.counter("a", "maps", f"{placement}.contended").inc()
+            expected.histogram(
+                "a", "maps", f"{placement}.op_latency_us").observe(latency)
+
+    for placement, syrup_map in maps.items():
+        assert syrup_map.userspace_ops == expected_ops[placement]
+        assert syrup_map.userspace_time_us == expected_time[placement]  # ==
+    assert obs.registry.snapshot() == expected.snapshot()
+
+
+def test_map_costs_are_read_once_at_pin_time():
+    """``op_latency_us()`` and the booked time share one source: changing
+    the cost model after ``create()`` moves neither."""
+    costs = CostModel()
+    m = MapRegistry(costs, NicSpec()).create("a", "m")
+    before = (m.op_latency_us(), m.op_latency_us(contended=True))
+    costs.host_map_access_us = 7.0
+    m.lookup(1)
+    m.update(1, 2, contended=True)
+    assert (m.op_latency_us(), m.op_latency_us(contended=True)) == before
+    assert m.userspace_time_us == 0.0 + before[0] + before[1]
+    with pytest.raises(TypeError):      # the cost models are not optional
+        SyrupMap(m.bpf_map, "a", "/p")
+
+
+def test_map_ops_still_reach_the_raw_map():
+    m = make_registry().create("a", "m")
+    m.update(1, 10, contended=True)
+    assert m.lookup(1) == 10 and m.lookup(2, contended=True) is None
+    assert m.atomic_add(1, 5) == 15
+    m.delete(1)
+    assert m.lookup(1) is None and m.userspace_ops == 6
 
 
 def test_map_kinds():

@@ -186,3 +186,204 @@ def test_status_snapshot_shapes():
     status = SchedStatus(5.0, [], [])
     assert status.idle_cores() == []
     assert "runnable=0" in repr(status)
+
+
+# ----------------------------------------------------------------------
+# Malformed placements are the deploying app's problem only
+# ----------------------------------------------------------------------
+class MisplacingPolicy:
+    """Returns ``bad(thread)`` for the lowest-tid runnable thread and a
+    well-behaved placement for the next one, in the same pass."""
+
+    def __init__(self, bad):
+        self.bad = bad
+
+    def schedule(self, status):
+        runnable = sorted(status.runnable, key=lambda t: t.tid)
+        idle = status.idle_cores()
+        if len(runnable) < 2 or not idle:
+            return []
+        return [self.bad(runnable[0]), (runnable[1], idle[0].cid)]
+
+
+@pytest.mark.parametrize("bad, error", [
+    (lambda thread: (thread, 7), IndexError),      # past the last core
+    (lambda thread: (thread, -1), IndexError),     # would wrap to the last
+    (lambda thread: thread, TypeError),            # not a (thread, core) pair
+], ids=["out_of_range", "negative", "bare_thread"])
+def test_malformed_placement_is_contained(bad, error):
+    eng, cores, sched, enclave, agent = make_ghost(
+        n_cores=2, policy=MisplacingPolicy(bad))
+    victim = add_thread(eng, sched, enclave, [(5.0, "victim")], tid=1)
+    good = add_thread(eng, sched, enclave, [(5.0, "good")], tid=2)
+    victim.wake()
+    good.wake()
+    eng.run()  # the parent raised out of here (or ran `victim` on core 1)
+    assert agent.policy_errors >= 1
+    assert isinstance(agent.last_error, error)
+    # the well-behaved placement of the same pass still went through
+    assert [token for token, _ in good.source.completed] == ["good"]
+    assert agent.commits == 1
+    # the misplaced thread ran nowhere: no wrap-around to the last core
+    assert victim.source.completed == [] and victim.state == RUNNABLE
+    assert all(core.thread is None for core in cores)
+
+
+def test_non_int_core_index_is_contained():
+    eng, cores, sched, enclave, agent = make_ghost(
+        n_cores=2, policy=MisplacingPolicy(lambda thread: (thread, "0")))
+    add_thread(eng, sched, enclave, [(5.0, "victim")], tid=1).wake()
+    good = add_thread(eng, sched, enclave, [(5.0, "good")], tid=2)
+    good.wake()
+    eng.run()
+    assert agent.policy_errors >= 1 and good.source.completed
+
+
+# ----------------------------------------------------------------------
+# The agent's view is refreshed in place and tracks kernel state
+# ----------------------------------------------------------------------
+class RecordingPolicy(FifoPolicy):
+    """FIFO placement that records what every pass was shown."""
+
+    def __init__(self):
+        self.passes = []
+
+    def schedule(self, status):
+        # copy out: a status is valid only inside this call
+        self.passes.append((
+            [t.tid for t in status.runnable],
+            [(c.cid, c.thread.tid if c.thread else None, c.pending)
+             for c in status.cores],
+            [c.cid for c in status.idle_cores()],
+        ))
+        return super().schedule(status)
+
+
+def kernel_view(sched):
+    return [(i, c.thread.tid if c.thread else None,
+             c.pending_commit is not None)
+            for i, c in enumerate(sched.cores)]
+
+
+def check_every_snapshot(agent, sched):
+    """Wrap ``agent._snapshot``: each pass's views must equal the kernel's
+    state at that instant.  Returns the list of ``status.cores`` seen."""
+    snapshot = agent._snapshot
+    seen = []
+
+    def checked():
+        status = snapshot()
+        seen.append(status.cores)
+        assert [(c.cid, c.thread.tid if c.thread else None, c.pending)
+                for c in status.cores] == kernel_view(sched)
+        for view in status.cores:
+            assert view.idle == (view in status.idle_cores())
+        return status
+
+    agent._snapshot = checked
+    return seen
+
+
+def test_status_cores_track_kernel_state_pass_after_pass():
+    policy = RecordingPolicy()
+    eng, cores, sched, enclave, agent = make_ghost(n_cores=2, policy=policy)
+    seen = check_every_snapshot(agent, sched)
+    threads = [add_thread(eng, sched, enclave, [(10.0, f"t{i}")], tid=i)
+               for i in range(3)]
+    for t in threads:
+        t.wake()
+    eng.run()
+    assert all(t.source.completed for t in threads)
+    assert len(policy.passes) >= 3
+    # one persistent view list, the same CoreView objects every pass
+    assert all(cores_seen is seen[0] for cores_seen in seen)
+    # FIFO filled idle cores in order on the first pass that saw all three
+    first = next(p for p in policy.passes if p[0] == [0, 1, 2])
+    assert first[2] == [0, 1]
+    # later passes saw a core running a thread, a core with a commit in
+    # flight (neither is idle), and at the end both idle again
+    assert any(row[1] is not None for p in policy.passes for row in p[1])
+    assert any(row[2] for p in policy.passes for row in p[1])
+    assert all(len(p[2]) == sum(1 for row in p[1]
+                                if row[1] is None and not row[2])
+               for p in policy.passes)
+    assert policy.passes[-1][2] == [0, 1]
+
+
+def test_status_cores_resize_across_add_and_remove_core_with_commit_in_flight():
+    policy = RecordingPolicy()
+    eng, cores, sched, enclave, agent = make_ghost(n_cores=2, policy=policy)
+    check_every_snapshot(agent, sched)
+    long_a = add_thread(eng, sched, enclave, [(50.0, "a")], tid=0)
+    long_b = add_thread(eng, sched, enclave, [(50.0, "b")], tid=1)
+    late = add_thread(eng, sched, enclave, [(5.0, "late")], tid=2)
+    long_a.wake()
+    long_b.wake()
+    # stop between the decision and the IPI: both commits are in flight
+    eng.run(until=2 * 0.5 + 4 * 0.5 + 0.1)
+    assert all(c.pending_commit is not None for c in cores)
+    extra = Core(2)
+    sched.add_core(extra)           # grant while commits are pending
+    late.wake()
+    eng.run(until=20.0)
+    assert [len(p[1]) for p in policy.passes][-1] == 3
+    assert late.source.completed    # placed on the granted core
+    sched.remove_core(cores[0])     # revoke a busy core
+    eng.run()
+    assert len(policy.passes[-1][1]) == 2
+    # cids are positions in the surviving core list, not kernel core ids
+    assert [row[0] for row in policy.passes[-1][1]] == [0, 1]
+    assert long_a.source.completed and long_b.source.completed
+    assert agent.revocation_aborts == 0 and agent.preemptions == 1
+
+
+def test_status_cores_shrink_when_a_core_is_revoked_under_a_commit():
+    policy = RecordingPolicy()
+    eng, cores, sched, enclave, agent = make_ghost(n_cores=2, policy=policy)
+    check_every_snapshot(agent, sched)
+    thread = add_thread(eng, sched, enclave, [(5.0, "a")], tid=0)
+    thread.wake()
+    eng.run(until=2 * 0.5 + 0.1)    # decided, IPI to core 0 not landed
+    assert cores[0].pending_commit is thread
+    sched.remove_core(cores[0])     # the revocation barrier aborts it
+    assert agent.revocation_aborts == 1 and cores[0].pending_commit is None
+    eng.run()
+    # re-decided over the one surviving core, shown as cid 0
+    assert policy.passes[-1][1] == [(0, None, False)]
+    assert [token for token, _ in thread.source.completed] == ["a"]
+    assert agent.commits == 1 and agent.failed_commits == 0
+
+
+def test_a_policy_scrambling_status_cores_is_healed_by_the_next_pass():
+    class Scrambling(RecordingPolicy):
+        def schedule(self, status):
+            placements = super().schedule(status)
+            status.cores.reverse()          # untrusted code owns nothing:
+            status.cores[0].cid = 99        # the next refresh rewrites both
+            return placements
+
+    policy = Scrambling()
+    eng, cores, sched, enclave, agent = make_ghost(n_cores=3, policy=policy)
+    check_every_snapshot(agent, sched)      # cid == position, every pass
+    threads = [add_thread(eng, sched, enclave, [(10.0, f"t{i}")], tid=i)
+               for i in range(4)]
+    for t in threads:
+        t.wake()
+    eng.run()
+    assert len(policy.passes) >= 3 and agent.policy_errors == 0
+    assert all(t.source.completed for t in threads)
+
+
+def test_fifo_thread_policy_fills_idle_cores_in_order():
+    from repro.policies.thread_policies import FifoThreadPolicy
+
+    eng, cores, sched, enclave, agent = make_ghost(
+        n_cores=3, policy=FifoThreadPolicy())
+    threads = [add_thread(eng, sched, enclave, [(10.0, f"t{i}")], tid=i)
+               for i in range(3)]
+    for t in threads:
+        t.wake()
+    eng.run(until=2.0 + 6 * 0.5 + 3 * 1.0 + 2.0 + 1.0 + 0.5)
+    assert [c.thread.tid for c in cores] == [0, 1, 2]
+    eng.run()
+    assert agent.commits == 3

@@ -1,6 +1,7 @@
 """Unit tests for the policy library (network sources + thread policies)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.constants import DROP, PASS
 from repro.ebpf.compiler import compile_policy
@@ -174,6 +175,91 @@ def test_get_priority_scan_threads_take_idle_cores():
     type_map = FakeMap({2: SCAN})
     status = make_status([ts], [None])
     assert GetPriorityPolicy(type_map).schedule(status) == [(ts, 0)]
+
+
+class CountingMap(FakeMap):
+    lookups = 0
+
+    def lookup(self, key):
+        self.lookups += 1
+        return self.values.get(key)
+
+
+def reference_get_priority(type_map, status):
+    """``GetPriorityPolicy.schedule`` as it stood before the single-read
+    rewrite, verbatim: the oracle the new body must agree with."""
+    def _rtype(thread):
+        value = type_map.lookup(thread.tid)
+        return 0 if value is None else value
+
+    gets = [t for t in status.runnable if _rtype(t) == GET]
+    others = [t for t in status.runnable if _rtype(t) != GET]
+    placements = []
+    idle = status.idle_cores()
+    # 1) idle cores: GETs first, then the rest.
+    queue = gets + others
+    for core in idle:
+        if not queue:
+            break
+        placements.append((queue.pop(0), core.cid))
+    # 2) remaining GETs may preempt cores running SCAN threads.
+    gets_left = [t for t in queue if _rtype(t) == GET]
+    if gets_left:
+        victims = [
+            core
+            for core in status.cores
+            if core.thread is not None
+            and not core.pending
+            and _rtype(core.thread) == SCAN
+        ]
+        for thread, core in zip(gets_left, victims):
+            placements.append((thread, core.cid))
+    return placements
+
+
+RTYPES = st.sampled_from([None, 0, GET, SCAN])   # None: no type_map entry
+CORE_STATES = st.sampled_from(
+    ["idle", "pending", "pending_busy", "busy_get", "busy_scan",
+     "busy_untyped"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(runnable_types=st.lists(RTYPES, max_size=36),
+       core_states=st.lists(CORE_STATES, min_size=1, max_size=6))
+def test_get_priority_matches_the_three_pass_reference(runnable_types,
+                                                       core_states):
+    values = {}
+    runnable = []
+    for tid, rtype in enumerate(runnable_types):
+        runnable.append(thread(tid))
+        if rtype is not None:
+            values[tid] = rtype
+    core_threads, pending = [], set()
+    for index, state in enumerate(core_states):
+        runner = None
+        if state not in ("idle", "pending"):
+            runner = thread(100 + index)
+            rtype = {"busy_get": GET, "busy_scan": SCAN}.get(state)
+            if rtype is not None:
+                values[runner.tid] = rtype
+        if state.startswith("pending"):
+            pending.add(index)
+        core_threads.append(runner)
+
+    expected = reference_get_priority(
+        FakeMap(values), make_status(list(runnable), core_threads, pending))
+    type_map = CountingMap(values)
+    status = make_status(list(runnable), core_threads, pending)
+    assert GetPriorityPolicy(type_map).schedule(status) == expected
+    assert status.runnable == runnable      # the policy consumed no input
+
+    gets = sum(1 for rtype in runnable_types if rtype == GET)
+    idle = sum(1 for state in core_states if state == "idle")
+    victims_read = sum(1 for state in core_states if state.startswith("busy"))
+    if gets <= idle:   # no GET left over: each runnable thread read once
+        assert type_map.lookups == len(runnable)
+    else:
+        assert type_map.lookups == len(runnable) + victims_read
 
 
 # ----------------------------------------------------------------------
