@@ -5,10 +5,10 @@ NICs, softirq cores, sockets, policy hooks — which is the right fidelity
 for rack-policy microbenchmarks and far too expensive for rack *scale*.
 This module is the aggregate tier: each server is a
 :class:`FleetMachine` (a queue plus ``workers`` service slots), each
-request a :class:`FleetRequest` (a few slots, no packet bytes unless a
-deployed program peeks via its lazy
-:class:`~repro.net.packet.PacketView`), and each user a sampled id out
-of ``num_users`` rather than an object.  That keeps a 100-machine,
+request a :class:`FleetRequest` (a few slots — itself the
+:class:`~repro.net.packet.PacketView` deployed programs read, no packet
+bytes unless one peeks), and each user a sampled id out of ``num_users``
+rather than an object.  That keeps a 100-machine,
 million-user diurnal run within a few hundred thousand engine events —
 ``figure_fleet`` territory — while preserving the pieces the paper's
 §6.1 extension actually argues about:
@@ -54,7 +54,7 @@ from repro.sim.engine import Engine
 from repro.sim.rng import RngStreams
 from repro.stats import LatencyRecorder
 from repro.workload.mixes import RequestMix
-from repro.workload.requests import GET, SCAN, type_name
+from repro.workload.requests import GET, SCAN, TYPE_NAMES, type_name
 
 __all__ = [
     "FLEET_MIX",
@@ -67,6 +67,8 @@ __all__ = [
 ]
 
 import math
+from collections import deque
+from functools import cached_property
 
 #: Default fleet workload: mostly short GETs with a heavy SCAN tail —
 #: the shape that separates load-aware steering from hashing.
@@ -80,15 +82,17 @@ DEFAULT_FORWARD_US = 1.0
 DEFAULT_FAILOVER_DETECT_US = 500.0
 
 
-class FleetRequest:
-    """One aggregate-flow request: slots only, packet bytes on demand."""
+class FleetRequest(PacketView):
+    """One aggregate-flow request: slots only, and itself the packet
+    facade programs read — wire bytes built on the first ``load``."""
 
-    __slots__ = ("rid", "rtype", "user_id", "service_us", "sent_at",
-                 "dst_port", "machine", "attempts", "completed_at", "_pv",
-                 "cohort", "tenant")
+    __slots__ = ("service_us", "sent_at", "machine", "attempts",
+                 "completed_at", "cohort", "tenant")
 
     def __init__(self, rid, rtype, service_us, user_id=0, sent_at=0.0,
                  dst_port=0, tenant=None):
+        self._data = None
+        self.src_port = self.key_hash = 0
         self.rid = rid
         self.rtype = rtype
         self.user_id = user_id
@@ -98,7 +102,6 @@ class FleetRequest:
         self.machine = None       # current steering target
         self.attempts = 0         # steer count (>1 means failover re-steer)
         self.completed_at = None
-        self._pv = None
         self.cohort = None        # canary-split bucket, stamped once
         # Owning tenant: stamped at admission from the ToR's per-port
         # rule owner (TorSwitch.install(port, policy, owner=...)) so the
@@ -108,10 +111,7 @@ class FleetRequest:
 
     def packet_view(self):
         """The lazy packet facade handed to deployed programs/qdiscs."""
-        if self._pv is None:
-            self._pv = PacketView(self.rtype, user_id=self.user_id,
-                                  rid=self.rid, dst_port=self.dst_port)
-        return self._pv
+        return self
 
     @property
     def latency_us(self):
@@ -131,12 +131,12 @@ class FleetMachine:
 
     The queue is a plain FIFO deque unless the fleet's ``qdisc_factory``
     supplies a :class:`~repro.qdisc.discipline.Qdisc` — then requests
-    are ranked by the deployed program (seeing the request's lazy
+    are ranked by the deployed program (reading the request as its own
     ``PacketView``), composing per-host ordering with ToR steering.
     """
 
     __slots__ = ("index", "fleet", "workers", "queue_cap", "qdisc",
-                 "_fifo", "busy", "alive", "link_up", "served",
+                 "_queue", "busy", "alive", "link_up", "served",
                  "orphans", "_service_events", "_held_responses")
 
     def __init__(self, index, fleet, workers, queue_cap=None, qdisc=None):
@@ -145,7 +145,7 @@ class FleetMachine:
         self.workers = workers
         self.queue_cap = queue_cap
         self.qdisc = qdisc
-        self._fifo = [] if qdisc is None else None
+        self._queue = deque() if qdisc is None else qdisc  # len() = depth
         self.busy = 0
         self.alive = True
         self.link_up = True
@@ -157,10 +157,10 @@ class FleetMachine:
     # ------------------------------------------------------------------
     def load(self):
         """Ground truth: queued + in-service (what the sync bus snapshots)."""
-        return self.queue_depth() + self.busy
+        return len(self._queue) + self.busy
 
     def queue_depth(self):
-        return len(self.qdisc) if self.qdisc is not None else len(self._fifo)
+        return len(self._queue)
 
     def expected_delay(self):
         """RackSched's steering signal: outstanding work per worker."""
@@ -183,7 +183,7 @@ class FleetMachine:
         if self.busy < self.workers:
             self._begin_service(request)
             return
-        depth = self.queue_depth()
+        depth = len(self._queue)
         if self.qdisc is not None:
             result = self.qdisc.offer(request, capacity=self.queue_cap,
                                       ctx=request.packet_view())
@@ -196,7 +196,7 @@ class FleetMachine:
             if self.queue_cap is not None and depth >= self.queue_cap:
                 fleet.drop(request, "overflow")
                 return
-            self._fifo.append(request)
+            self._queue.append(request)
         fleet.probe.machine_enqueued(request, self.index, depth)
 
     def _begin_service(self, request):
@@ -214,20 +214,19 @@ class FleetMachine:
         self.busy -= 1
         self.served += 1
         fleet.probe.fleet_service_end(request)
-        self._dispatch_next()
-        if self.link_up:
-            fleet.send_response(self.index, request)
+        if self.busy < self.workers:
+            if self.qdisc is not None:
+                nxt = self.qdisc.take()
+                if nxt is not None:
+                    self._begin_service(nxt)
+            elif self._queue:
+                self._begin_service(self._queue.popleft())
+        if self.link_up:            # Fleet.send_response, in this frame
+            fleet.probe.xnet_begin(request, "response", self.index)
+            fleet.engine.post(fleet.wire_us, fleet._complete, request)
         else:
             # Carrier is down; the finished response waits at the NIC.
             self._held_responses.append(request)
-
-    def _dispatch_next(self):
-        if self.busy >= self.workers:
-            return
-        nxt = (self.qdisc.take() if self.qdisc is not None
-               else (self._fifo.pop(0) if self._fifo else None))
-        if nxt is not None:
-            self._begin_service(nxt)
 
     # ------------------------------------------------------------------
     def kill(self):
@@ -242,10 +241,13 @@ class FleetMachine:
         if self.qdisc is not None:
             orphans.extend(self.qdisc.drain())
         else:
-            orphans.extend(self._fifo)
-            self._fifo.clear()
+            orphans.extend(self._queue)
+            self._queue.clear()
         self.orphans.extend(orphans)
-        self._held_responses.clear()  # a dead machine's responses are lost
+        # Held responses die with the machine: booked, or never drained.
+        for request in self._held_responses:
+            self.fleet.drop(request, "held_response_lost")
+        self._held_responses.clear()
         return orphans
 
     def restore(self):
@@ -337,14 +339,12 @@ class TorSwitch:
         """Sync-bus apply: refresh every replica from a snapshot."""
         self.load_view = loads
         self.delay_view = [load / workers[i] for i, load in enumerate(loads)]
-        for i, load in enumerate(loads):
-            self.load_map.update(i, load)
+        self.load_map.assign(loads)
 
     def apply_p99(self, p99s):
         """Sync-bus apply: refresh the per-machine tail-latency replica."""
         self.p99_view = p99s
-        for i, p99 in enumerate(p99s):
-            self.p99_map.update(i, p99)
+        self.p99_map.assign(p99s)
 
     def pick(self, request):
         """Run the matching policy; returns a machine index or None (drop)."""
@@ -382,6 +382,8 @@ class FleetGenerator:
             raise ValueError(
                 f"diurnal_depth must be in [0, 1), got {diurnal_depth}"
             )
+        if num_users < 1:
+            raise ValueError(f"need at least one user, got {num_users}")
         self.fleet = fleet
         self.rps = rps
         self.duration_us = duration_us
@@ -392,6 +394,7 @@ class FleetGenerator:
         self._arrivals = fleet.streams.get("arrivals")
         self._service = fleet.streams.get("service")
         self._users = fleet.streams.get("users")
+        self._user_bits = num_users.bit_length()
         # Multi-tenant traffic: each arrival's dst_port is drawn
         # uniformly from ``ports``, landing it on that port's ToR rule
         # (and its owner's tenant bill).  The draw uses its own named
@@ -414,35 +417,45 @@ class FleetGenerator:
         return rate
 
     def start(self):
-        self._schedule_next()
-
-    def _schedule_next(self):
-        now = self.fleet.engine.now
-        rate = self.rate_per_us(now)
+        """Draw the first gap; each arrival then draws the next."""
+        engine = self.fleet.engine
+        rate = self.rate_per_us(engine.now)
         gap = self._arrivals.expovariate(rate) if rate > 0 \
             else self.duration_us
-        if now + gap >= self.duration_us:
-            self.done = True
-            return
-        self.fleet.engine.post(gap, self._arrive)
+        self.done = engine.now + gap >= self.duration_us
+        if not self.done:
+            engine.post(gap, self._arrive)
 
     def _arrive(self):
+        fleet = self.fleet
+        engine = fleet.engine
+        now = engine.now
         self._next_rid += 1
         rtype, service_us = self.mix.sample(self._service)
-        request = FleetRequest(
-            rid=self._next_rid,
-            rtype=rtype,
-            service_us=service_us,
-            user_id=self._users.randrange(self.num_users),
-            sent_at=self.fleet.engine.now,
-        )
+        # users.randrange(num_users): its rejection loop, in this frame
+        draw, bits = self._users.getrandbits, self._user_bits
+        user_id = draw(bits)
+        while user_id >= self.num_users:
+            user_id = draw(bits)
+        request = FleetRequest(self._next_rid, rtype, service_us, user_id, now)
         if self.ports is not None:
             request.dst_port = self.ports[
                 self._ports_rng.randrange(len(self.ports))
             ]
         self.offered += 1
-        self.fleet.admit(request)
-        self._schedule_next()
+        fleet.admit(request)
+        # rate_per_us(now) and start()'s gap draw, in this frame
+        rate = self.rps / 1e6
+        if self.diurnal_period_us:
+            rate *= 1.0 - self.diurnal_depth * 0.5 * (
+                1.0 + math.cos(2.0 * math.pi * now / self.diurnal_period_us)
+            )
+        # arrivals.expovariate(rate), likewise
+        gap = -math.log(1.0 - self._arrivals.random()) / rate if rate > 0 \
+            else self.duration_us
+        self.done = now + gap >= self.duration_us
+        if not self.done:
+            engine.post(gap, self._arrive)
 
 
 class FleetFaultInjector:
@@ -567,7 +580,7 @@ class Fleet:
         )
         self.sync.add_channel(
             "load",
-            snapshot=lambda: [m.load() for m in self.machines],
+            snapshot=lambda: [len(m._queue) + m.busy for m in self.machines],
             apply=lambda loads, _stamp: self.switch.apply_load(
                 loads, self._workers
             ),
@@ -609,6 +622,13 @@ class Fleet:
     @property
     def num_machines(self):
         return len(self.machines)
+
+    # The two per-request series: resolved on first use, like the rare
+    # ones, so no series exists before something counted on it.
+    _forwarded = cached_property(
+        lambda self: self.obs.registry.counter("fleet", "switch", "forwarded"))
+    _completed = cached_property(
+        lambda self: self.obs.registry.counter("fleet", "fleet", "completed"))
 
     def steering_rng(self):
         """The named stream steering policies draw from (determinism)."""
@@ -691,34 +711,44 @@ class Fleet:
     # ------------------------------------------------------------------
     def admit(self, request):
         """A client request reaches the rack: sample, steer, forward."""
-        if request.tenant is None:
-            # ToR tenant stamping: a port rule installed with an owner
-            # makes that owner the request's tenant for the rest of its
-            # life (per-tenant counters, blame views).  No owned rule →
-            # tenant stays None and no per-tenant state is ever touched.
-            request.tenant = self.switch.owner_for(request)
+        rule = self.switch._port_rules.get(request.dst_port)
+        if rule is not None and request.tenant is None:
+            # ToR tenant stamping (``owner_for``): a port rule installed
+            # with an owner makes that owner the request's tenant for the
+            # rest of its life (per-tenant counters, blame views).  No owned
+            # rule → tenant stays None, no per-tenant state is ever touched.
+            request.tenant = rule[1]
         self.probe.switch_arrival(request)
         self.outstanding += 1
-        self._steer(request, resteer=False)
+        self._steer(request, rule, False)
 
     def resteer(self, request):
         """Failover: re-run steering for an orphaned request."""
         self.switch.resteers += 1
         self.obs.registry.counter("fleet", "switch", "resteers").inc()
         self.probe.machine_requeued(request)
-        self._steer(request, resteer=True)
+        self._steer(request,
+                    self.switch._port_rules.get(request.dst_port), True)
 
-    def _steer(self, request, resteer):
-        index = self.switch.pick(request)
+    def _steer(self, request, rule, resteer):
+        """``TorSwitch.pick`` from the port rule the caller looked up:
+        policy → default → fallback, ``None``/``DROP`` sheds."""
+        switch = self.switch
+        policy = rule[0] if rule is not None else switch.default
+        index = policy.pick(request, switch)
         if index is None:
-            self.switch.dropped += 1
+            if policy is not switch.default:
+                index = switch.default.pick(request, switch)
+            if index is None:
+                index = switch.fallback.pick(request, switch)
+        if index is None or index == DROP:
+            switch.dropped += 1
             self.drop(request, "steering_drop")
             return
         request.machine = index
         request.attempts += 1
-        self.switch.forwarded[index] += 1
-        self.obs.registry.counter("fleet", "switch", "forwarded").inc()
-        policy = self.switch.policy_for(request)
+        switch.forwarded[index] += 1
+        self._forwarded.inc()
         self.probe.switch_steer(request, index,
                                 getattr(policy, "name", "custom"), resteer)
         self.probe.xnet_begin(request, "request", index)
@@ -737,13 +767,14 @@ class Fleet:
         self.probe.fleet_complete(request)
         now = self.engine.now
         request.completed_at = now
+        rtype = request.rtype
         self.latency.record(now, now - request.sent_at,
-                            tag=type_name(request.rtype))
+                            tag=TYPE_NAMES.get(rtype) or type_name(rtype))
         if self.machine_sketches is not None and request.machine is not None:
             self.machine_sketches[request.machine].add(now - request.sent_at)
         self.outstanding -= 1
         self.completed += 1
-        self.obs.registry.counter("fleet", "fleet", "completed").inc()
+        self._completed.inc()
         if request.tenant is not None:
             self.obs.registry.counter(
                 "fleet", f"tenant:{request.tenant}", "completed"

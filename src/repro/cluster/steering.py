@@ -178,8 +178,8 @@ class SwitchProgramSteering:
     """A verified Syrup program deployed at the ToR switch.
 
     ``loaded`` is a :class:`repro.ebpf.program.LoadedProgram` whose maps
-    include the replicated ``machine_load_array``; the program sees the
-    request through its lazy :class:`repro.net.packet.PacketView` and
+    include the replicated ``machine_load_array``; the program reads the
+    request as the lazy :class:`repro.net.packet.PacketView` it is and
     returns a machine index, ``PASS`` or ``DROP`` — identical semantics
     to the same source running at a host hook.
     """
@@ -195,7 +195,7 @@ class SwitchProgramSteering:
         if value == DROP:
             return DROP
         index = value % switch.num_machines
-        if not switch.is_alive(index):
+        if index in switch._down:
             return None          # failover: fall through to the default
         return index
 

@@ -72,6 +72,16 @@ class ArrayMap(BpfMap):
             raise KeyError(f"array map {self.name!r}: key {key} out of range")
         self._values[key] = value & U64
 
+    def assign(self, values):
+        """``update(i, values[i])`` for every slot, in one call (the
+        sync bus republishes a whole replica each tick)."""
+        if len(values) != self.max_entries:
+            raise ValueError(
+                f"array map {self.name!r}: {len(values)} values for "
+                f"{self.max_entries} slots"
+            )
+        self._values[:] = [value & U64 for value in values]
+
     def delete(self, key):
         raise KeyError(f"array map {self.name!r} does not support delete")
 

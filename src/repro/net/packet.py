@@ -154,8 +154,8 @@ class PacketView(WireView):
     ``Request`` object — just the header fields).
 
     The fleet tier (:mod:`repro.cluster.fleet`) simulates hundreds of
-    machines under millions of users; its requests carry only these
-    fields, and the standard wire layout is materialised the first time
+    machines under millions of users; its ``FleetRequest`` subclasses
+    this, and the standard wire layout is materialised the first time
     policy code calls ``load`` — which only happens for requests that
     actually reach a deployed program (a ToR steering program or a
     per-machine rank function).  Duck-type-compatible with

@@ -5,17 +5,17 @@ so that policies can classify requests by peeking at bytes, as the paper's
 SITA policy does.
 """
 
-__all__ = ["GET", "PUT", "Request", "SCAN", "type_name"]
+__all__ = ["GET", "PUT", "Request", "SCAN", "TYPE_NAMES", "type_name"]
 
 GET = 1
 SCAN = 2
 PUT = 3
 
-_NAMES = {GET: "GET", SCAN: "SCAN", PUT: "PUT"}
+TYPE_NAMES = {GET: "GET", SCAN: "SCAN", PUT: "PUT"}
 
 
 def type_name(rtype):
-    return _NAMES.get(rtype, f"type-{rtype}")
+    return TYPE_NAMES.get(rtype, f"type-{rtype}")
 
 
 class Request:

@@ -1,6 +1,9 @@
 """Tests for the fleet tier: sync staleness, steering, failover, qdiscs."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from test_net import app_fields, assert_reads_like, eager_layout, u16
 
 from repro.cluster import (
     FLEET_MIX,
@@ -14,12 +17,20 @@ from repro.cluster import (
     MapSyncBus,
     PowerOfKSteering,
 )
-from repro.constants import DROP
+from repro.constants import DROP, PASS
+from repro.ebpf import ArrayMap, load_program
+from repro.ebpf.insn import U64
 from repro.experiments.figure_fleet import run_figure_fleet
 from repro.faults import FaultKind, FaultPlan
-from repro.net.packet import APP_USER_OFF, PacketView, UDP_HEADER_LEN
-from repro.qdisc import LAYER_SOCKET, Qdisc
+from repro.net.packet import (
+    APP_USER_OFF,
+    PacketView,
+    UDP_HEADER_LEN,
+    build_payload,
+)
+from repro.qdisc import LAYER_SOCKET, Qdisc, compile_rank
 from repro.sim.engine import Engine
+from repro.sim.rng import RngStreams
 from repro.workload.requests import GET
 
 
@@ -86,6 +97,23 @@ class TestMapSyncBus:
         assert bus.ticks == 1           # one tick, no re-arm, run ended
         assert engine.now == 11.0       # tick at 10 + last apply at 11
 
+    @given(st.lists(st.integers(0, (1 << 70)), min_size=1, max_size=12))
+    def test_array_map_assign_is_the_update_loop(self, values):
+        bulk = ArrayMap("bulk", len(values))
+        loop = ArrayMap("loop", len(values))
+        slots = bulk._values
+        bulk.assign(values)
+        for key, value in enumerate(values):
+            loop.update(key, value)
+        assert bulk.items() == loop.items()
+        assert bulk._values is slots            # in place: bound readers see it
+        for key, value in enumerate(values):
+            assert bulk.lookup(key) == loop.lookup(key) == value & U64
+        for wrong in (values[:-1], values + [0]):
+            with pytest.raises(ValueError):
+                bulk.assign(wrong)
+        assert bulk.items() == loop.items()     # a refused assign wrote nothing
+
     def test_rejects_bad_intervals(self):
         engine = Engine()
         with pytest.raises(ValueError):
@@ -109,6 +137,35 @@ class TestPacketView:
         view = PacketView(GET)
         with pytest.raises(IndexError):
             view.load(view.length - 4, 8)
+
+    @settings(max_examples=60, deadline=None)
+    @given(app_fields, u16, st.booleans())
+    def test_fleet_request_is_its_own_packet_view(self, fields, dst_port,
+                                                  late_port):
+        rtype, user_id, _key_hash, rid = fields
+        if late_port:
+            # the generator's multi-port path: dst_port set after __init__
+            request = FleetRequest(rid, rtype, 1.0, user_id=user_id)
+            request.dst_port = dst_port
+        else:
+            request = FleetRequest(rid, rtype, 1.0, user_id=user_id,
+                                   dst_port=dst_port)
+        assert request.packet_view() is request
+        assert isinstance(request, PacketView) and request._data is None
+        view = PacketView(rtype, user_id=user_id, rid=rid, dst_port=dst_port)
+        assert request.data == view.data
+        assert_reads_like(request, eager_layout(
+            0, dst_port, build_payload(rtype, user_id, 0, rid)))
+        # a per-machine rank program reads the port off the request itself
+        assert READ_PORT.run(request) == READ_PORT.run(view) == dst_port
+
+
+READ_PORT = load_program(compile_rank("""
+def rank(pkt):
+    if pkt_len(pkt) < 4:
+        return PASS
+    return load_u16(pkt, 2)
+""", name="read_port"))
 
 
 # ----------------------------------------------------------------------
@@ -202,6 +259,95 @@ class TestSwitchPrograms:
 
 
 # ----------------------------------------------------------------------
+# The merged hot path is the public statement of each rule
+# ----------------------------------------------------------------------
+STEER_CONST = """
+def schedule(pkt):
+    return OUTCOME
+"""
+
+
+class _Passes:
+    name = "passes"
+
+    def pick(self, request, switch):
+        return None
+
+
+class TestMergedPaths:
+    @settings(max_examples=80, deadline=None)
+    @given(outcome=st.sampled_from([PASS, DROP, 0, 1, 2, 3, 6]),
+           down=st.sets(st.integers(0, 3)),
+           port_rule=st.booleans(), default_passes=st.booleans(),
+           user_id=st.integers(0, 1 << 32))
+    def test_admit_steers_exactly_where_pick_says(
+            self, outcome, down, port_rule, default_passes, user_id):
+        fleet = Fleet(num_machines=4, seed=3, steering=None)
+        program = fleet.deploy_steering_program(
+            STEER_CONST, constants={"OUTCOME": outcome}, name="const")
+        if port_rule:
+            fleet.install_steering(program, port=7000, owner="alice")
+            if default_passes:          # rule -> default -> fallback
+                fleet.install_steering(_Passes())
+        else:
+            fleet.install_steering(program)
+        for index in down:
+            fleet.switch.mark_down(index)
+        steered = []
+        fleet.probe.switch_steer = lambda *args: steered.append(args)
+
+        def fresh():
+            return FleetRequest(1, GET, 10.0, user_id=user_id, dst_port=7000)
+
+        expected = fleet.switch.pick(fresh())
+        request = fresh()
+        fleet.admit(request)
+        owner = "alice" if port_rule else None
+        assert request.tenant == fleet.switch.owner_for(request) == owner
+        if expected is None:
+            assert (outcome == DROP or len(down) == 4) and not steered
+            assert (request.machine, request.attempts) == (None, 0)
+            assert (fleet.dropped, fleet.switch.dropped,
+                    fleet.outstanding) == (1, 1, 0)
+            return
+        label = getattr(fleet.switch.policy_for(request), "name", "custom")
+        assert request.machine == expected and expected not in down
+        assert fleet.switch.forwarded[expected] == 1
+        assert steered == [(request, expected, label, False)]
+        fleet.resteer(request)          # failover walks the same cascade
+        assert (request.machine, request.attempts) == (expected, 2)
+        assert steered[1] == (request, expected, label, True)
+
+    def test_generator_draws_are_the_random_modules(self):
+        # _arrive inlines rate_per_us, Random.randrange (the getrandbits
+        # rejection loop; 1000 is not a power of two, so it does reject)
+        # and Random.expovariate: replay all three through the library.
+        fleet = Fleet(num_machines=2, seed=11, steering="flow_hash")
+        gen = fleet.drive(duration_us=3_000.0, rps=500_000, num_users=1_000,
+                          diurnal_period_us=3_000.0, diurnal_depth=0.5)
+        seen = []
+        fleet.admit = lambda request: seen.append(
+            (request.rid, fleet.engine.now, request.user_id))
+        fleet.run()
+        streams = RngStreams(11)
+        arrivals, users = streams.get("arrivals"), streams.get("users")
+        now, expected = 0.0, []
+        while True:
+            gap = arrivals.expovariate(gen.rate_per_us(now))
+            if now + gap >= 3_000.0:
+                break
+            now += gap
+            expected.append((len(expected) + 1, now, users.randrange(1_000)))
+        assert seen == expected and len(seen) > 500
+        assert gen.done and gen.offered == len(seen)
+
+    def test_generator_needs_a_user(self):
+        fleet = Fleet(num_machines=2, seed=11)
+        with pytest.raises(ValueError):
+            fleet.drive(duration_us=1_000.0, rps=1_000, num_users=0)
+
+
+# ----------------------------------------------------------------------
 # Failure semantics
 # ----------------------------------------------------------------------
 class TestFailover:
@@ -248,6 +394,55 @@ class TestFailover:
         assert fleet.completed == fleet.generator.offered
         assert fleet.machines[0].link_up
         assert fleet.switch.is_alive(0)
+
+    def test_kill_behind_a_dead_link_books_the_held_responses(self):
+        # Responses finished behind a dead link wait at the NIC; killing
+        # the machine then loses them.  They must be booked as drops, or
+        # they stay outstanding and the sync bus re-arms forever (the
+        # ``until`` bounds that hang: a drained run ends long before it).
+        plan = (FaultPlan(seed=9)
+                .link_down(3, at_us=2_000.0, duration_us=5_000.0)
+                .machine_kill(3, at_us=3_000.0))
+        fleet = Fleet(num_machines=8, seed=5, faults=plan, metrics=True,
+                      spans=1)
+        fleet.drive(duration_us=12_000.0, rps=100_000)
+        fleet.run(until=200_000.0)
+        offered = fleet.generator.offered
+        assert fleet.dropped == 3
+        assert offered == fleet.completed + fleet.dropped == 1215
+        assert fleet.outstanding == 0 and fleet.engine.pending() == 0
+        assert fleet.sync.ticks < 400       # stopped with the work, at ~12 ms
+        lost = fleet.obs.events.events(kind="fleet_drop")
+        assert [e["reason"] for e in lost] == \
+            ["held_response_lost"] * 3
+        trees = fleet.obs.spans.trees()
+        assert len(trees) == offered        # every tree closed
+        assert [t["abort_reason"] for t in trees
+                if not t["complete"]] == ["held_response_lost"] * 3
+
+    def test_fifo_backlog_drains_and_strands_in_arrival_order(self):
+        def backlog():
+            fleet = Fleet(num_machines=1, workers_per_machine=1, seed=5,
+                          steering="jsq")
+            requests = [FleetRequest(rid, GET, 1.0)
+                        for rid in range(1, 10_002)]
+            for request in requests:
+                fleet.admit(request)
+            fleet.engine.run(until=6.5)     # all delivered, one in service
+            return fleet, requests
+
+        fleet, requests = backlog()
+        assert fleet.machines[0].queue_depth() == 10_000
+        assert fleet.machines[0].load() == 10_001
+        fleet.engine.run()
+        finished = [r.completed_at for r in requests]
+        assert finished == sorted(finished) and len(set(finished)) == 10_001
+        assert fleet.completed == 10_001 and fleet.outstanding == 0
+
+        fleet, requests = backlog()
+        assert fleet.machines[0].kill() == requests
+        assert fleet.machines[0].orphans == requests
+        assert fleet.machines[0].load() == 0
 
     def test_fleet_plan_is_inert_on_a_single_machine(self):
         # The same plan object can drive a Machine and a Fleet: the

@@ -1,0 +1,100 @@
+"""The rack path's fixed costs gated as exact call counts: the fifth
+sibling of ``test_dark_path_budget.py`` (bare packet path),
+``test_lit_path_budget.py`` (every telemetry tier on), the deploy budget
+in the former and ``test_agent_path_budget.py`` (userspace scheduling),
+for the aggregate tier.
+
+The benchmark's own ``fleet_rack`` staging (``benchmarks/perf/
+workloads.py``, imported, not copied) at tenth size — 100 aggregate
+machines behind a ToR running the verified ``program_p2c``, a machine
+kill at 40% and its restore at 75%, diurnal load — under ``cProfile``:
+how many Python calls each request makes into ``repro/cluster/``, the
+metrics registry and the eBPF runtime.  Counts, not seconds, so the gate
+is deterministic.
+
+Before the single rule lookup, the request-as-facade, the bound series and
+the bulk replica write the same run made 23.6 calls per request into
+``repro/cluster/`` (three port-rule lookups, ``_schedule_next`` +
+``rate_per_us``, ``_dispatch_next`` + ``send_response``, and 100 x
+(``load`` -> ``queue_depth``) every 50 us), 4.0 into ``obs/registry.py``
+(two ``counter()`` resolutions by name), 10.1 into ``repro/ebpf/`` (100
+``ArrayMap.update`` per sync tick) and one ``PacketView.__init__``.  A
+re-added rule lookup, helper hop, per-request series resolution, second
+request object or per-machine method call in the sync tick costs at least
+one call per request and fails this on any machine.
+"""
+
+import cProfile
+import pstats
+
+from test_dark_path_budget import calls_into
+from test_lit_path_budget import workloads   # benchmarks/perf/workloads.py
+
+# Per request, today, one frame each: FleetGenerator._arrive,
+# FleetRequest.__init__, Fleet.admit, Fleet._steer,
+# SwitchProgramSteering.pick, FleetRequest.packet_view,
+# FleetMachine.receive, _begin_service, _complete_service and
+# Fleet._complete (10).  The sync bus ticks 0.022 times per request and
+# costs nine frames a tick whatever the rack size (_tick, arm,
+# _work_pending, the snapshot lambda and its comprehension, _apply, the
+# apply lambda, apply_load and its comprehension): 0.2.  The kill's
+# re-steers and the flow-hash fallback are the last 0.02: 10.2, so one
+# re-added hop per request (11.2) fails.
+CLUSTER_CALLS_PER_REQ = 11
+# Counter.inc on the two bound series (forwarded, completed) and nothing
+# else: no counter() resolution by name per request.  The 15 re-steers
+# and the two fault injections resolve theirs lazily: 51 calls a run.
+REGISTRY_CALLS_PER_REQ = 2.1
+# Per request: LoadedProgram.run, and under the JIT's _policy frame two
+# mod_u64 and two map_lookup -> ArrayMap.lookup (7; JIT map binding is
+# ROADMAP item 6(a), not this path's).  The replica write is
+# ArrayMap.assign + its comprehension per tick: 0.04.
+EBPF_CALLS_PER_REQ = 8.1
+# The engine is not this path's to touch: per request three posts
+# (arrival, forward, response) and one cancellable schedule +
+# Event.__init__ for the service, plus the sync bus's 0.022 x (schedule +
+# Event.__init__ + post) — 73,651 post + 2 x 24,908 + 2 post_at + 3
+# cancel + run, the parent's count exactly.
+SIM_CALLS = 123_473
+# The parent commit's tenth-size seed-3 run, exactly: what the rack did
+# is pinned, only what it costs the host may fall.
+EVENTS = 98_558
+OFFERED = 24_365
+COMPLETED = 24_365
+RESTEERS = 15
+MAX_SERVED = 270
+
+
+def profile_rack_run():
+    staged = workloads.stage_fleet_rack(3, quick=True)
+    profile = cProfile.Profile()
+    profile.enable()
+    staged.system.run()
+    profile.disable()
+    outcome = staged.finish()
+    assert not outcome.breaches, outcome.breaches
+    return pstats.Stats(profile).stats, staged.system, outcome.offered
+
+
+def test_rack_path_call_budget():
+    stats, fleet, requests = profile_rack_run()
+
+    # what the rack did is the parent's run, count for count
+    assert requests == OFFERED
+    assert fleet.completed == COMPLETED and fleet.dropped == 0
+    assert fleet.switch.resteers == RESTEERS
+    assert max(m.served for m in fleet.machines) == MAX_SERVED
+    assert fleet.engine.events_dispatched == EVENTS
+    assert calls_into(stats, "/repro/sim/") == SIM_CALLS
+
+    cluster = calls_into(stats, "/repro/cluster/") / requests
+    registry = calls_into(stats, "/repro/obs/registry.py") / requests
+    ebpf = (calls_into(stats, "/repro/ebpf/")
+            + calls_into(stats, "<jit:")) / requests
+    assert cluster <= CLUSTER_CALLS_PER_REQ, cluster
+    assert registry <= REGISTRY_CALLS_PER_REQ, registry
+    assert ebpf <= EBPF_CALLS_PER_REQ, ebpf
+    # the request is the packet facade: no PacketView.__init__ for a second
+    # object per request, and program_p2c never reads a byte
+    assert calls_into(stats, "/repro/net/") == 0
+    assert calls_into(stats, "/repro/workload/") == requests   # mix.sample
