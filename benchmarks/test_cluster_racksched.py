@@ -5,7 +5,8 @@ Two tiers, matching :mod:`repro.cluster` (docs/cluster.md):
 - **Micro tier** — on a 4-server rack of *full* machines serving the
   99.5/0.5 GET/SCAN mix, compare flow-hash affinity (L4 load balancer
   default), round robin, and least-outstanding power-of-two-choices at
-  the programmable switch.  Also demonstrates cross-stack portability:
+  the programmable switch (the fleet tier's ``TorSwitch`` and steering
+  policies, reading an exact load view).  Also demonstrates cross-stack portability:
   the byte-identical verified ROUND_ROBIN program that schedules
   datagrams to sockets schedules requests to servers.
 - **Fleet tier** — a 60-machine aggregate rack under a diurnal load
@@ -24,10 +25,9 @@ from conftest import once
 from repro.cluster import (
     Cluster,
     Fleet,
-    HashFlowPolicy,
-    LeastOutstandingPolicy,
-    ProgramPolicy,
-    RoundRobinPolicy,
+    PowerOfKSteering,
+    RssSteering,
+    SwitchProgramSteering,
 )
 from repro.ebpf.compiler import compile_policy
 from repro.ebpf.program import load_program
@@ -48,13 +48,13 @@ FLEET_DURATION_US = 100_000.0
 
 def _policies():
     return {
-        "flow hash": lambda c: HashFlowPolicy(),
-        "round robin (program)": lambda c: ProgramPolicy(
+        "flow hash": lambda c: RssSteering(),
+        "round robin (program)": lambda c: SwitchProgramSteering(
             load_program(compile_policy(ROUND_ROBIN,
                                         constants={"NUM_THREADS": SERVERS}))
         ),
-        "least outstanding (p2c)": lambda c: LeastOutstandingPolicy(
-            c.streams.get("switch"), d=2
+        "least outstanding (p2c)": lambda c: PowerOfKSteering(
+            c.streams.get("switch"), k=2
         ),
     }
 

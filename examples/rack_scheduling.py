@@ -11,10 +11,9 @@ Run:  python examples/rack_scheduling.py
 
 from repro.cluster import (
     Cluster,
-    HashFlowPolicy,
-    LeastOutstandingPolicy,
-    ProgramPolicy,
-    RoundRobinPolicy,
+    PowerOfKSteering,
+    RssSteering,
+    SwitchProgramSteering,
 )
 from repro.ebpf.compiler import compile_policy
 from repro.ebpf.program import load_program
@@ -42,11 +41,12 @@ def main():
           f"per-server completions")
     print("-" * 78)
     policies = (
-        ("flow hash (LB default)", lambda c: HashFlowPolicy()),
-        ("round robin (program)", lambda c: ProgramPolicy(load_program(
-            compile_policy(ROUND_ROBIN, constants={"NUM_THREADS": SERVERS})))),
-        ("least outstanding (p2c)", lambda c: LeastOutstandingPolicy(
-            c.streams.get("switch"), d=2)),
+        ("flow hash (LB default)", lambda c: RssSteering()),
+        ("round robin (program)", lambda c: SwitchProgramSteering(
+            load_program(compile_policy(ROUND_ROBIN,
+                                        constants={"NUM_THREADS": SERVERS})))),
+        ("least outstanding (p2c)", lambda c: PowerOfKSteering(
+            c.streams.get("switch"), k=2)),
     )
     for name, factory in policies:
         gen = run(factory)

@@ -6,21 +6,21 @@ support such backends as they are fully compatible with Syrup's matching
 view of scheduling; similar to end-host components, they schedule inputs
 (jobs/requests/packets) to executors (servers)."
 
-This package implements that extension twice, at the two scales the
+This package implements that extension with one switch and one policy
+vocabulary — a :class:`~repro.cluster.fleet.TorSwitch` running the
+RackSched-style :mod:`repro.cluster.steering` policies, verified
+programs included — in front of two member models, at the two scales the
 argument needs (docs/cluster.md):
 
-- **Micro tier** (:mod:`repro.cluster.cluster`,
-  :mod:`repro.cluster.switch`): a :class:`~repro.cluster.switch.
-  ProgrammableSwitch` steering requests across a handful of *full*
+- **Micro tier** (:mod:`repro.cluster.cluster`): a handful of *full*
   :class:`~repro.machine.Machine` instances — every NIC queue, softirq
-  core and socket simulated.  Right for rack-policy microbenchmarks and
-  for showing a verified program deploying at the switch unchanged
-  (§6.2's P4-to-eBPF unification).
-- **Fleet tier** (:mod:`repro.cluster.fleet`,
-  :mod:`repro.cluster.steering`, :mod:`repro.cluster.sync`): aggregate
-  machines (queue + service slots) behind a :class:`~repro.cluster.
-  fleet.TorSwitch`, steered by RackSched-style policies reading
-  *replicated* load state with explicit staleness
+  core and socket simulated — with an exact load view at the switch.
+  Right for rack-policy microbenchmarks and for showing a verified
+  program deploying at the switch unchanged (§6.2's P4-to-eBPF
+  unification).
+- **Fleet tier** (:mod:`repro.cluster.fleet`, :mod:`repro.cluster.sync`):
+  aggregate machines (queue + service slots) whose load reaches the
+  switch as a *replica* with explicit staleness
   (:class:`~repro.cluster.sync.MapSyncBus`), failing over on
   ``machine_kill``/``link_down`` faults.  Right for 100s of machines
   under millions of users (``figure_fleet``).
@@ -46,16 +46,10 @@ from repro.cluster.steering import (
     LocalitySteering,
     PowerOfKSteering,
     RandomSteering,
+    RssSteering,
     ShadowSteering,
     ShortestExpectedDelaySteering,
     SwitchProgramSteering,
-)
-from repro.cluster.switch import (
-    HashFlowPolicy,
-    LeastOutstandingPolicy,
-    ProgrammableSwitch,
-    ProgramPolicy,
-    RoundRobinPolicy,
 )
 from repro.cluster.sync import MapSyncBus, SyncChannel
 
@@ -73,16 +67,12 @@ __all__ = [
     "FleetMachine",
     "FleetRequest",
     "FlowHashSteering",
-    "HashFlowPolicy",
     "JsqSteering",
-    "LeastOutstandingPolicy",
     "LocalitySteering",
     "MapSyncBus",
     "PowerOfKSteering",
-    "ProgramPolicy",
-    "ProgrammableSwitch",
     "RandomSteering",
-    "RoundRobinPolicy",
+    "RssSteering",
     "ShadowSteering",
     "ShortestExpectedDelaySteering",
     "SwitchProgramSteering",

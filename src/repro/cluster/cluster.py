@@ -2,14 +2,21 @@
 
 Every machine shares one discrete-event engine, so cross-machine timing is
 exact.  Each server runs a RocksDB-like service; within each server, any
-end-host Syrup policy can be deployed as usual — rack scheduling composes
+end-host Syrup policy can be deployed as usual
+(``cluster.servers[i].app.deploy_policy``) — rack scheduling composes
 with host scheduling, the full §6.1 picture.
+
+The switch is the fleet tier's :class:`~repro.cluster.fleet.TorSwitch`
+running the :mod:`repro.cluster.steering` policies.  Every response
+passes back through it, so here its ``load_view`` is exact (the
+information RackSched piggybacks), where the fleet's is a stale replica.
 """
 
 from repro.config import set_a
 from repro.machine import Machine
 from repro.apps.rocksdb import RocksDbServer
-from repro.cluster.switch import ProgrammableSwitch
+from repro.cluster.fleet import DEFAULT_FORWARD_US, TorSwitch
+from repro.cluster.steering import RssSteering
 from repro.net.packet import FiveTuple, Packet
 from repro.sim.engine import Engine
 from repro.sim.rng import RngStreams
@@ -19,48 +26,46 @@ from repro.workload.requests import Request
 
 __all__ = ["Cluster", "ClusterGenerator"]
 
+PORT = 8080
+NUM_THREADS = 6
+NUM_FLOWS = 256
+STREAM = "rack-client"
+
 
 class Cluster:
-    def __init__(
-        self,
-        num_servers=4,
-        port=8080,
-        num_threads=6,
-        seed=0,
-        config_factory=set_a,
-        host_policy=None,
-        mark_scans=False,
-    ):
+    def __init__(self, num_servers=4, seed=0):
         self.engine = Engine()
         self.streams = RngStreams(seed)
-        self.port = port
         self.machines = []
         self.servers = []
         for i in range(num_servers):
-            machine = Machine(config_factory(), seed=seed * 131 + i,
+            machine = Machine(set_a(), seed=seed * 131 + i,
                               engine=self.engine)
-            app = machine.register_app(f"rocksdb-{i}", ports=[port])
-            server = RocksDbServer(machine, app, port, num_threads,
-                                   mark_scans=mark_scans)
-            if host_policy is not None:
-                source, hook, constants = host_policy
-                app.deploy_policy(source, hook, constants=constants)
+            app = machine.register_app(f"rocksdb-{i}", ports=[PORT])
             self.machines.append(machine)
-            self.servers.append(server)
-        costs = self.machines[0].costs
-        self.switch = ProgrammableSwitch(
-            self.engine, self.machines, wire_us=costs.wire_us
-        )
+            self.servers.append(RocksDbServer(machine, app, PORT, NUM_THREADS))
+        self.forward_us = DEFAULT_FORWARD_US
+        self.wire_us = self.machines[0].costs.wire_us
+        self.switch = TorSwitch(num_servers, default=RssSteering())
 
-    def install_policy(self, policy, port=None, owner=None):
-        self.switch.install(port if port is not None else self.port,
-                            policy, owner=owner)
+    def install_policy(self, policy, port=PORT, owner=None):
+        self.switch.install(port, policy, owner=owner)
 
-    def drive(self, rate_rps, mix, duration_us, warmup_us=0.0,
-              num_flows=256, stream="rack-client"):
+    def receive(self, packet):
+        """A request arrives at the rack; steer it to a server."""
+        switch = self.switch
+        index = switch.pick(packet)
+        if index is None:
+            switch.dropped += 1
+            return
+        switch.load_view[index] += 1
+        switch.forwarded[index] += 1
+        self.engine.post(self.forward_us + self.wire_us,
+                         self.machines[index].nic.receive, packet)
+
+    def drive(self, rate_rps, mix, duration_us, warmup_us=0.0):
         gen = ClusterGenerator(self, rate_rps, mix, duration_us,
-                               warmup_us=warmup_us, num_flows=num_flows,
-                               stream=stream)
+                               warmup_us=warmup_us)
         for i, server in enumerate(self.servers):
             server.response_sink = gen.make_sink(i)
         return gen
@@ -72,26 +77,24 @@ class Cluster:
 class ClusterGenerator:
     """Open-loop load against the rack, measured end to end."""
 
-    def __init__(self, cluster, rate_rps, mix, duration_us, warmup_us=0.0,
-                 num_flows=256, stream="rack-client"):
+    def __init__(self, cluster, rate_rps, mix, duration_us, warmup_us=0.0):
         self.cluster = cluster
         self.engine = cluster.engine
         self.mix = mix
-        self.rate_rps = rate_rps
         self.duration_us = duration_us
         self.warmup_us = warmup_us
-        self.rng = cluster.streams.get(f"{stream}/arrivals")
-        self.service_rng = cluster.streams.get(f"{stream}/service")
-        flow_rng = cluster.streams.get(f"{stream}/flows")
+        self.rng = cluster.streams.get(f"{STREAM}/arrivals")
+        self.service_rng = cluster.streams.get(f"{STREAM}/service")
+        flow_rng = cluster.streams.get(f"{STREAM}/flows")
         self.flows = [
             FiveTuple(
                 src_ip=0x0A010000 | flow_rng.getrandbits(14),
                 src_port=flow_rng.randrange(32768, 61000),
                 dst_ip=0x0A0000FF,
-                dst_port=cluster.port,
+                dst_port=PORT,
                 proto=17,
             )
-            for _ in range(num_flows)
+            for _ in range(NUM_FLOWS)
         ]
         self.latency = LatencyRecorder(warmup_until=warmup_us)
         self.sent = Counter(warmup_until=warmup_us)
@@ -128,18 +131,18 @@ class ClusterGenerator:
         packet = Packet(flow, None, now, request)
         self.sent.add(now, rtype)
         # client -> switch wire
-        wire = self.cluster.switch.wire_us
-        self.engine.post(wire, self.cluster.switch.receive, packet)
+        self.engine.post(self.cluster.wire_us, self.cluster.receive, packet)
 
     # ------------------------------------------------------------------
     def make_sink(self, server_index):
+        cluster = self.cluster
+        delay = cluster.forward_us + 2 * cluster.wire_us
+
         def sink(request):
-            # server -> switch -> client
-            self.cluster.switch.response_passed(request)
-            self.engine.post(
-                self.cluster.switch.forward_us + 2 * self.cluster.switch.wire_us,
-                self._client_receive, request, server_index,
-            )
+            # server -> switch (one fewer outstanding there) -> client
+            cluster.switch.load_view[server_index] -= 1
+            self.engine.post(delay, self._client_receive, request,
+                             server_index)
         return sink
 
     def _client_receive(self, request, server_index):

@@ -1,8 +1,9 @@
 """The fleet tier: 100s of machines, millions of users, one ToR switch.
 
 :mod:`repro.cluster.cluster` co-simulates a handful of *full* Machines —
-NICs, softirq cores, sockets, policy hooks — which is the right fidelity
-for rack-policy microbenchmarks and far too expensive for rack *scale*.
+NICs, softirq cores, sockets, policy hooks — behind this module's
+:class:`TorSwitch`, which is the right fidelity for rack-policy
+microbenchmarks and far too expensive for rack *scale*.
 This module is the aggregate tier: each server is a
 :class:`FleetMachine` (a queue plus ``workers`` service slots), each
 request a :class:`FleetRequest` (a few slots — itself the
@@ -109,10 +110,6 @@ class FleetRequest(PacketView):
         # half of per-tenant accounting (repro.obs.accounting).
         self.tenant = tenant
 
-    def packet_view(self):
-        """The lazy packet facade handed to deployed programs/qdiscs."""
-        return self
-
     @property
     def latency_us(self):
         if self.completed_at is None:
@@ -162,10 +159,6 @@ class FleetMachine:
     def queue_depth(self):
         return len(self._queue)
 
-    def expected_delay(self):
-        """RackSched's steering signal: outstanding work per worker."""
-        return self.load() / self.workers
-
     # ------------------------------------------------------------------
     def receive(self, request):
         """A steered request arrives off the rack wire."""
@@ -186,7 +179,7 @@ class FleetMachine:
         depth = len(self._queue)
         if self.qdisc is not None:
             result = self.qdisc.offer(request, capacity=self.queue_cap,
-                                      ctx=request.packet_view())
+                                      ctx=request)
             if result.evicted is not None:
                 fleet.drop(result.evicted, "qdisc_evict")
             if not result.accepted:
@@ -269,14 +262,16 @@ class FleetMachine:
 
 
 class TorSwitch:
-    """The rack's programmable top-of-rack switch (aggregate tier).
+    """The rack's programmable top-of-rack switch (both tiers).
 
-    Holds the *replicated* steering state (``load_view``,
-    ``delay_view``, and the ``machine_load_array`` Map that deployed
-    programs read), the per-port tenant rules, and the liveness view.
-    ``mark_down``/``mark_up`` model what the switch can actually see:
-    carrier loss is instant, a wedged machine takes
-    ``failover_detect_us`` of silence to notice.
+    Holds the steering state (``load_view``, ``delay_view``, and the
+    ``machine_load_array`` Map that deployed programs read), the
+    per-port tenant rules, and the liveness view.  A :class:`Fleet`
+    refreshes the state from sync-bus *replicas*; a micro-rack
+    :class:`~repro.cluster.cluster.Cluster` keeps ``load_view`` exact by
+    counting requests out and responses back.  ``mark_down``/``mark_up``
+    model what the switch can actually see: carrier loss is instant, a
+    wedged machine takes ``failover_detect_us`` of silence to notice.
     """
 
     def __init__(self, num_machines, default=None):
@@ -311,11 +306,6 @@ class TorSwitch:
     def policy_for(self, request):
         rule = self._port_rules.get(request.dst_port)
         return rule[0] if rule is not None else self.default
-
-    def owner_for(self, request):
-        """The tenant owning the request's port rule, or None."""
-        rule = self._port_rules.get(request.dst_port)
-        return rule[1] if rule is not None else None
 
     # ------------------------------------------------------------------
     def alive_machines(self):
@@ -713,10 +703,10 @@ class Fleet:
         """A client request reaches the rack: sample, steer, forward."""
         rule = self.switch._port_rules.get(request.dst_port)
         if rule is not None and request.tenant is None:
-            # ToR tenant stamping (``owner_for``): a port rule installed
-            # with an owner makes that owner the request's tenant for the
-            # rest of its life (per-tenant counters, blame views).  No owned
-            # rule → tenant stays None, no per-tenant state is ever touched.
+            # ToR tenant stamping: a port rule installed with an owner
+            # makes that owner the request's tenant for the rest of its
+            # life (per-tenant counters, blame views).  No owned rule →
+            # tenant stays None, no per-tenant state is ever touched.
             request.tenant = rule[1]
         self.probe.switch_arrival(request)
         self.outstanding += 1

@@ -1,13 +1,17 @@
-"""ToR steering policies for the fleet tier (RackSched at rack scale).
+"""ToR steering policies for both rack tiers (RackSched at rack scale).
 
-The aggregate fleet simulator (:mod:`repro.cluster.fleet`) steers every
-request at a top-of-rack switch through one of these policies.  They
-follow the same matching shape as every other Syrup hook — ``pick``
-returns a machine index, ``None`` for "fall through to the default", or
-``DROP`` — and they read *replicated* load state (``switch.load_view``,
-``switch.delay_view``) that the :class:`repro.cluster.sync.MapSyncBus`
-refreshes on a cadence, so each policy operates under the bounded
-staleness a real in-network scheduler lives with.
+Both the aggregate fleet (:mod:`repro.cluster.fleet`) and the micro rack
+of full machines (:mod:`repro.cluster.cluster`) steer every request at
+one :class:`~repro.cluster.fleet.TorSwitch` through one of these
+policies.  They follow the same matching shape as every other Syrup hook
+— ``pick`` returns a machine index, ``None`` for "fall through to the
+default", or ``DROP`` — and they read the switch's load state
+(``switch.load_view``, ``switch.delay_view``).  On the fleet that state
+is a *replica* the :class:`repro.cluster.sync.MapSyncBus` refreshes on a
+cadence, so each policy operates under the bounded staleness a real
+in-network scheduler lives with; the micro rack keeps ``load_view``
+exact and nothing else, so ``sed``, ``locality`` and map-reading
+programs are fleet-only.
 
 Two deployment forms exist, mirroring the paper's portability claim:
 
@@ -27,6 +31,7 @@ and the CLI can sweep them by name.
 
 from repro.constants import DROP, PASS
 from repro.core.promote import CanarySplit, DecisionDiff, steer_label
+from repro.net.rss import rss_hash
 
 __all__ = [
     "STEERING_FACTORIES",
@@ -38,6 +43,7 @@ __all__ = [
     "LocalitySteering",
     "PowerOfKSteering",
     "RandomSteering",
+    "RssSteering",
     "ShadowSteering",
     "ShortestExpectedDelaySteering",
     "SwitchProgramSteering",
@@ -79,6 +85,25 @@ class FlowHashSteering:
             return DROP
         h = ((request.user_id ^ self.salt) * _GOLDEN) & 0xFFFFFFFF
         return alive[h % len(alive)]
+
+
+class RssSteering:
+    """The micro rack's default: the packet's 5-tuple RSS hash.
+
+    Flow affinity like :class:`FlowHashSteering`, keyed on what a real
+    packet carries (``packet.flow``) instead of a sampled user id.
+    """
+
+    name = "rss"
+
+    def __init__(self, salt=0x70F):
+        self.salt = salt
+
+    def pick(self, packet, switch):
+        alive = switch.alive_machines()
+        if not alive:
+            return DROP
+        return alive[rss_hash(packet.flow, self.salt) % len(alive)]
 
 
 class JsqSteering:
@@ -177,11 +202,13 @@ class LocalitySteering:
 class SwitchProgramSteering:
     """A verified Syrup program deployed at the ToR switch.
 
-    ``loaded`` is a :class:`repro.ebpf.program.LoadedProgram` whose maps
-    include the replicated ``machine_load_array``; the program reads the
-    request as the lazy :class:`repro.net.packet.PacketView` it is and
-    returns a machine index, ``PASS`` or ``DROP`` — identical semantics
-    to the same source running at a host hook.
+    ``loaded`` is a :class:`repro.ebpf.program.LoadedProgram` (on the
+    fleet its maps include the replicated ``machine_load_array``); the
+    program reads the request as the packet it is — a fleet request is
+    its own lazy :class:`repro.net.packet.PacketView`, a micro-rack
+    request a real :class:`repro.net.packet.Packet` — and returns a
+    machine index, ``PASS`` or ``DROP``: identical semantics to the same
+    source running at a host hook.
     """
 
     def __init__(self, loaded, name="program"):
@@ -189,7 +216,7 @@ class SwitchProgramSteering:
         self.name = name
 
     def pick(self, request, switch):
-        value = self.loaded.run(request.packet_view())
+        value = self.loaded.run(request)
         if value == PASS:
             return None
         if value == DROP:

@@ -140,8 +140,8 @@ class TestPacketView:
 
     @settings(max_examples=60, deadline=None)
     @given(app_fields, u16, st.booleans())
-    def test_fleet_request_is_its_own_packet_view(self, fields, dst_port,
-                                                  late_port):
+    def test_fleet_request_is_its_own_packet_facade(self, fields, dst_port,
+                                                    late_port):
         rtype, user_id, _key_hash, rid = fields
         if late_port:
             # the generator's multi-port path: dst_port set after __init__
@@ -150,7 +150,6 @@ class TestPacketView:
         else:
             request = FleetRequest(rid, rtype, 1.0, user_id=user_id,
                                    dst_port=dst_port)
-        assert request.packet_view() is request
         assert isinstance(request, PacketView) and request._data is None
         view = PacketView(rtype, user_id=user_id, rid=rid, dst_port=dst_port)
         assert request.data == view.data
@@ -302,8 +301,7 @@ class TestMergedPaths:
         expected = fleet.switch.pick(fresh())
         request = fresh()
         fleet.admit(request)
-        owner = "alice" if port_rule else None
-        assert request.tenant == fleet.switch.owner_for(request) == owner
+        assert request.tenant == ("alice" if port_rule else None)
         if expected is None:
             assert (outcome == DROP or len(down) == 4) and not steered
             assert (request.machine, request.attempts) == (None, 0)

@@ -32,15 +32,15 @@ from test_lit_path_budget import workloads   # benchmarks/perf/workloads.py
 
 # Per request, today, one frame each: FleetGenerator._arrive,
 # FleetRequest.__init__, Fleet.admit, Fleet._steer,
-# SwitchProgramSteering.pick, FleetRequest.packet_view,
-# FleetMachine.receive, _begin_service, _complete_service and
-# Fleet._complete (10).  The sync bus ticks 0.022 times per request and
+# SwitchProgramSteering.pick (which hands the request itself to the
+# program), FleetMachine.receive, _begin_service, _complete_service and
+# Fleet._complete (9).  The sync bus ticks 0.022 times per request and
 # costs nine frames a tick whatever the rack size (_tick, arm,
 # _work_pending, the snapshot lambda and its comprehension, _apply, the
 # apply lambda, apply_load and its comprehension): 0.2.  The kill's
-# re-steers and the flow-hash fallback are the last 0.02: 10.2, so one
-# re-added hop per request (11.2) fails.
-CLUSTER_CALLS_PER_REQ = 11
+# re-steers and the flow-hash fallback are the last 0.02: 9.22, so one
+# re-added hop per request (10.22) fails.
+CLUSTER_CALLS_PER_REQ = 10
 # Counter.inc on the two bound series (forwarded, completed) and nothing
 # else: no counter() resolution by name per request.  The 15 re-steers
 # and the two fault injections resolve theirs lazily: 51 calls a run.
