@@ -11,8 +11,10 @@ reproduces that pipeline end to end:
   guaranteed termination), instruction budget, abstract interpretation that
   *proves* every packet load is covered by an explicit ``pkt_len`` check —
   the reason the paper passes ``pkt_start``/``pkt_end`` pointers.
-- :mod:`repro.ebpf.vm` — reference interpreter with per-instruction cycle
-  accounting (used for Table 2).
+- :mod:`repro.ebpf.vm` — the interpreter: each verified program's IR
+  compiled once per image into one generated function that returns the
+  exact executed cycle and instruction counts, counting per basic block
+  (used for Table 2).
 - :mod:`repro.ebpf.jit` — generates an equivalent native Python function
   (the analogue of the kernel's eBPF JIT) used on the simulated datapath.
 - :mod:`repro.ebpf.maps` — array/hash/prog-array maps with pinning support.
@@ -28,7 +30,7 @@ from repro.ebpf.jit import jit_compile
 from repro.ebpf.maps import ArrayMap, HashMap, ProgArrayMap
 from repro.ebpf.program import LoadedProgram, load_program
 from repro.ebpf.verifier import verify
-from repro.ebpf.vm import ExecutionResult, execute
+from repro.ebpf.vm import ExecutionResult, compile_ir, execute
 
 __all__ = [
     "ArrayMap",
@@ -41,6 +43,7 @@ __all__ = [
     "Program",
     "VerifierError",
     "VmFault",
+    "compile_ir",
     "compile_policy",
     "execute",
     "jit_compile",

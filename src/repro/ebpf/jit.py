@@ -19,8 +19,10 @@ For observability and debugging, the returned function exposes
 ``jit_source`` (the exact generated Python) and ``jit_n_lines`` (code
 size, exported as the ``jit_code_lines`` gauge when metrics are on).
 
-The simulated datapath runs the JIT for speed; the interpreter remains the
-cycle-accounting reference (Table 2).
+The simulated datapath runs the JIT for speed; the interpreter — the same
+program's IR compiled once per image by :func:`repro.ebpf.vm.compile_ir`,
+counting cycles per basic block — remains the cycle-accounting reference
+(Table 2).
 """
 
 import ast

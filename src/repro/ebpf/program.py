@@ -4,24 +4,27 @@ Loading mirrors the kernel's ``bpf(BPF_PROG_LOAD, ...)`` in two steps:
 
 - A :class:`ProgramImage` is what is a pure function of the program text:
   the :class:`~repro.ebpf.insn.Program`, its verifier stats, the JIT
-  function (stateless: ``globals, maps, rng`` are arguments) and the static
-  cycle sum.  It is immutable and shared; :func:`image_of` memoises it on
-  all that compilation reads — entry point, text, name, every supplied
-  constant — so redeploying a text the process has loaded before compiles
-  and verifies nothing.  Verification is never skipped, only not repeated:
-  each memoised image came out of compile → verify → JIT on exactly its
-  key, rejections are not memoised, and a caller's own ``Program`` (which
-  the caller can still edit) is verified on every load.
+  function and the compiled IR runner (both stateless: ``globals, maps,
+  rng`` are arguments) and the static cycle sum.  It is immutable and
+  shared; :func:`image_of` memoises it on all that compilation reads —
+  entry point, text, name, every supplied constant — so redeploying a
+  text the process has loaded before compiles, verifies and generates
+  nothing.  Verification is never skipped, only not repeated: each
+  memoised image came out of compile → verify → IR compile + JIT on
+  exactly its key, rejections are not memoised, and a caller's own
+  ``Program`` (which the caller can still edit) is verified on every load.
 - A :class:`LoadedProgram` is one *binding* of an image, what hooks invoke
   per input.  It owns all an attachment can change — map bindings, globals,
   RNG stream, invocation count, cycle profile, metric handles — so two
   loads of one text never see each other's state.
 
 Cycle accounting: each binding's first ``profile_runs`` invocations go
-through the interpreter to measure real executed cycles (SCAN Avoid usually
-exits its unrolled loop on the first probe; the count depends on map state
-and random draws, so a profile is never carried across loads).  After that,
-invocations use the JIT and the hook charges the measured average.
+through the interpreter — the image's IR compiled once by
+:func:`repro.ebpf.vm.compile_ir`, counting per basic block — to measure
+real executed cycles (SCAN Avoid usually exits its unrolled loop on the
+first probe; the count depends on map state and random draws, so a
+profile is never carried across loads).  After that, invocations use the
+JIT and the hook charges the measured average.
 """
 
 import functools
@@ -33,7 +36,7 @@ from repro.ebpf.insn import Program
 from repro.ebpf.jit import jit_compile
 from repro.ebpf.maps import ArrayMap, HashMap
 from repro.ebpf.verifier import verify
-from repro.ebpf.vm import CYCLE_COSTS, execute
+from repro.ebpf.vm import CYCLE_COSTS, compile_ir, execute
 
 __all__ = ["LoadedProgram", "ProgramImage", "image_of", "load_program",
            "text_image"]
@@ -44,22 +47,26 @@ IMAGE_MEMO_SIZE = 128
 
 
 class ProgramImage(
-    namedtuple("ProgramImage", "program verifier_stats jit static_cycles")
+    namedtuple("ProgramImage",
+               "program verifier_stats jit interp static_cycles")
 ):
     """A verified program and what derives from it alone.  ``jit`` is None
     for IR-authored programs (:mod:`repro.ebpf.asm`): no AST, so interpreter
-    only, like eBPF on a non-JIT kernel.  ``static_cycles`` is the estimate a
-    binding reports before its first profiled run."""
+    only, like eBPF on a non-JIT kernel.  ``interp`` is the compiled IR
+    (:func:`~repro.ebpf.vm.compile_ir`), which every image has.
+    ``static_cycles`` is the estimate a binding reports before its first
+    profiled run."""
 
     __slots__ = ()
 
     @classmethod
     def build(cls, program):
-        """Verify + JIT ``program``; raises VerifierError."""
+        """Verify, compile the IR and JIT ``program``; raises
+        VerifierError."""
         stats = verify(program)
         jit = jit_compile(program) if program.func_ast is not None else None
         cycles = sum(CYCLE_COSTS[insn.op] for insn in program.insns)
-        return cls(program, stats, jit, cycles)
+        return cls(program, stats, jit, compile_ir(program), cycles)
 
 
 @functools.lru_cache(maxsize=IMAGE_MEMO_SIZE)
@@ -107,6 +114,7 @@ class LoadedProgram:
         self.program = program = image.program
         self.verifier_stats = image.verifier_stats
         self._jit = image.jit
+        self._interp = image.interp
         maps = dict(maps or {})
         self.maps = []
         for name, size in zip(program.map_names, program.map_sizes):
@@ -147,9 +155,8 @@ class LoadedProgram:
         self.invocations += 1
         metrics = self.metrics
         if self._jit is None or self._profiled_count < self.profile_runs:
-            result = execute(
-                self.program, packet, self.maps, self.globals, self.rng
-            )
+            result = execute(self.program, packet, self.maps, self.globals,
+                             self.rng, self._interp)
             self._profiled_cycles += result.cycles
             self._profiled_count += 1
             if metrics is not None:
@@ -164,7 +171,8 @@ class LoadedProgram:
 
     def run_interp(self, packet):
         """Force one interpreted run; returns the full ExecutionResult."""
-        return execute(self.program, packet, self.maps, self.globals, self.rng)
+        return execute(self.program, packet, self.maps, self.globals,
+                       self.rng, self._interp)
 
     def run_jit(self, packet):
         """Force one JIT run; returns the decision value only."""

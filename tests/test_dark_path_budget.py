@@ -1,5 +1,5 @@
-"""Fixed costs gated as exact call counts: the bare packet path, and the
-deploy path's builds per distinct text.
+"""Fixed costs gated as exact counts: the bare packet path, the deploy
+path's builds per distinct text, and the bytecodes of one interpreted run.
 
 A 20 ms SCAN Avoid run with every telemetry tier off, under ``cProfile``:
 how many Python calls each request makes into the engine and the packet/NIC
@@ -11,12 +11,15 @@ least one call per request and fail it on any machine.
 
 import cProfile
 import pstats
+import random
+import sys
 
 import pytest
 
 from repro import Hook
-from repro.ebpf.program import text_image
+from repro.ebpf.program import LoadedProgram, image_of, text_image
 from repro.experiments.runner import RocksDbTestbed
+from repro.net.packet import FiveTuple, Packet, build_payload
 from repro.net.rss import rss_hash
 from repro.policies.builtin import HASH_BY_FLOW, ROUND_ROBIN, SCAN_AVOID
 from repro.qdisc.policies import SRPT_BY_SIZE
@@ -78,7 +81,7 @@ def test_dark_path_call_budget():
 
 
 # ----------------------------------------------------------------------
-# The deploy path: compile → verify → JIT runs once per distinct text
+# The deploy path: compile → verify → IR compile + JIT, once per text
 # ----------------------------------------------------------------------
 CHURN_CONSTANTS = {"NUM_THREADS": 6, "NUM_EXECUTORS": 6}
 CHURN_ROTATION = (ROUND_ROBIN, HASH_BY_FLOW, SCAN_AVOID)
@@ -110,5 +113,55 @@ def test_deploy_path_builds_each_distinct_text_once(swaps):
     assert calls_into(stats, "/ebpf/program.py", "image_of") == 1 + swaps + 4
     for path_part, function in (("/ebpf/compiler.py", "compile_policy"),
                                 ("/ebpf/verifier.py", "verify"),
+                                ("/ebpf/vm.py", "compile_ir"),
                                 ("/ebpf/jit.py", "jit_compile")):
         assert calls_into(stats, path_part, function) == CHURN_KEYS, function
+
+
+# ----------------------------------------------------------------------
+# One interpreted run, in CPython bytecodes
+# ----------------------------------------------------------------------
+# Ceilings are a quarter of what the per-instruction dispatch loop
+# executed here (SCAN Avoid 1,675, round robin 675 on CPython 3.11); the
+# compiled IR runs 209 and 91, so 3.9-3.12 opcode differences stay well
+# inside.
+BYTECODE_CEILINGS = {"SCAN_AVOID": (SCAN_AVOID, 417),
+                     "ROUND_ROBIN": (ROUND_ROBIN, 167)}
+
+
+def bytecodes_of(call):
+    """Opcodes executed by ``call()`` in every Python frame it enters."""
+    count = 0
+
+    def per_opcode(frame, event, arg):
+        nonlocal count
+        if event == "opcode":
+            count += 1
+        return per_opcode
+
+    def per_frame(frame, event, arg):
+        frame.f_trace_opcodes = True
+        return per_opcode
+
+    sys.settrace(per_frame)
+    try:
+        call()
+    finally:
+        sys.settrace(None)
+    return count
+
+
+@pytest.mark.parametrize("policy", sorted(BYTECODE_CEILINGS))
+def test_interpreted_run_bytecode_budget(policy):
+    text, ceiling = BYTECODE_CEILINGS[policy]
+    loaded = LoadedProgram(image_of(text, constants={"NUM_THREADS": 6}),
+                           rng=random.Random(1))
+    packet = Packet(FiveTuple(0x0A000002, 40000, 0x0A000001, 8080, 17),
+                    build_payload(1))
+    loaded.run_interp(packet)  # warm: first-call effects stay out
+    counts = {bytecodes_of(lambda: loaded.run_interp(packet))
+              for _ in range(3)}
+    # SCAN Avoid's empty scan_map ends the probe loop on the first draw,
+    # so every run takes the same path and counts the same.
+    assert len(counts) == 1, counts
+    assert counts.pop() <= ceiling

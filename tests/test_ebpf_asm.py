@@ -4,22 +4,18 @@ import pytest
 
 from conftest import random_policy_source
 from hypothesis import given, settings, strategies as st
+from ir_reference import assert_matches_reference, datagram
 
 from repro.ebpf.asm import AsmError, assemble
 from repro.ebpf.compiler import compile_policy
 from repro.ebpf.disasm import disassemble
+from repro.ebpf.maps import HashMap
 from repro.ebpf.program import load_program
 from repro.ebpf.verifier import verify
 
+MINIMAL = "CONST 7\nRET\n"
 
-def test_assemble_minimal():
-    program = assemble("CONST 7\nRET\n")
-    verify(program)
-    assert load_program(program).run(None) == 7
-
-
-def test_assemble_with_pc_prefixes_and_comments():
-    text = """
+DEMO = """
 ; program demo: hand-written
 ; a plain comment
      0: CONST 5      ; push five
@@ -27,13 +23,8 @@ def test_assemble_with_pc_prefixes_and_comments():
      2: ADD
 L    3: RET
 """
-    program = assemble(text)
-    assert program.name == "demo"
-    assert load_program(program).run(None) == 7
 
-
-def test_assemble_metadata_directives():
-    text = """
+METADATA = """
 ; globals: idx, total
 ; map[0] scan_map max_entries=64
 LOADG 0
@@ -44,7 +35,25 @@ LOADG 0
 MAPLOOKUP 0
 RET
 """
-    program = assemble(text)
+
+#: Every IR-authored program in this file, for the interpreter oracle.
+ASM_PROGRAMS = (MINIMAL, DEMO, METADATA, "CONST 1\nRET\n")
+
+
+def test_assemble_minimal():
+    program = assemble(MINIMAL)
+    verify(program)
+    assert load_program(program).run(None) == 7
+
+
+def test_assemble_with_pc_prefixes_and_comments():
+    program = assemble(DEMO)
+    assert program.name == "demo"
+    assert load_program(program).run(None) == 7
+
+
+def test_assemble_metadata_directives():
+    program = assemble(METADATA)
     assert program.global_names == ["idx", "total"]
     assert program.map_names == ["scan_map"]
     assert program.map_sizes == [64]
@@ -55,7 +64,7 @@ RET
 
 
 def test_assembled_programs_are_interpreter_only():
-    loaded = load_program(assemble("CONST 1\nRET\n"))
+    loaded = load_program(assemble(ASM_PROGRAMS[-1]))
     with pytest.raises(RuntimeError):
         loaded.run_jit(None)
     # run() transparently uses the interpreter forever
@@ -107,3 +116,15 @@ def test_round_trip_random_programs(prog_seed):
     rebuilt = assemble(disassemble(program))
     assert rebuilt.insns == program.insns
     assert rebuilt.n_locals >= program.n_locals or program.n_locals == 0
+
+
+@pytest.mark.parametrize("text", ASM_PROGRAMS)
+def test_assembled_programs_match_the_reference_stepper(text):
+    program = assemble(text)
+    verify(program)
+    maps = [HashMap(name, size)
+            for name, size in zip(program.map_names, program.map_sizes)]
+    for bpf_map in maps:
+        bpf_map.update(1, 42)
+    assert_matches_reference(program, [None, datagram(0), datagram(40)] * 2,
+                             maps)

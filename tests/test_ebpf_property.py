@@ -96,6 +96,7 @@ def test_memoised_load_equals_cold_load(prog_seed, pkt_seeds, k0, k1, flaw):
     assert vars(warm.verifier_stats) == vars(cold.verifier_stats)
     assert warm.static_cycles == cold.static_cycles
     assert warm.jit.jit_source == cold.jit.jit_source
+    assert warm.interp.ir_source == cold.interp.ir_source
 
     def drive(image):
         """Interpreter, JIT, and the profiling path, one binding each."""

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.stats.latency import LatencyRecorder, mean, nearest_rank, percentile
-from repro.stats.meters import Counter, WindowedRate
+from repro.stats.meters import Counter
 from repro.stats.results import Table, format_table
 
 
@@ -229,16 +229,6 @@ def test_counter_warmup_and_totals():
     assert counter.get("b") == 3
     assert counter.total() == 4
     assert counter.as_dict() == {"a": 1, "b": 3}
-
-
-def test_windowed_rate():
-    rate = WindowedRate(start=1000.0)
-    rate.add(500.0)   # before window
-    rate.add(1500.0)
-    rate.add(2000.0)
-    # 2 events over a 1000 us window = 2000 events/s
-    assert rate.per_second(end=2000.0) == pytest.approx(2000.0)
-    assert WindowedRate(0.0).per_second(0.0) == 0.0
 
 
 def test_table_add_and_columns():
