@@ -10,6 +10,8 @@ real application work and to publish scheduling state into Syrup Maps (the
 "userspace component" of policies like SCAN Avoid, Fig. 5b).
 """
 
+import functools
+
 from repro.kernel.threads import KThread
 from repro.stats.meters import Counter
 
@@ -53,6 +55,7 @@ class UdpServer:
 
     def __init__(self, machine, app, port, num_threads):
         self.machine = machine
+        self.engine = machine.engine
         self.app = app
         self.port = port
         self.num_threads = num_threads
@@ -68,18 +71,13 @@ class UdpServer:
             thread = KThread(tid=i, name=f"{app.name}-worker-{i}", app=app.name)
             thread.source = SocketWorkSource(self, i, socket)
             socket.thread = thread
-            socket.on_enqueue = self._make_enqueue_hook(i)
+            socket.on_enqueue = functools.partial(self.on_enqueue, i)
             app.register_thread(thread)
             machine.scheduler.attach(thread)
             self.sockets.append(socket)
             self.threads.append(thread)
 
     # ------------------------------------------------------------------
-    def _make_enqueue_hook(self, index):
-        def hook(packet):
-            self.on_enqueue(index, packet)
-        return hook
-
     def request_cost(self, request, packet=None, thread_index=None):
         costs = self.machine.costs
         cost = costs.recv_syscall_us + request.service_us + costs.send_syscall_us
@@ -103,16 +101,14 @@ class UdpServer:
         """Called when a datagram lands in thread ``thread_index``'s socket."""
 
     def on_request_start(self, thread_index, request):
-        self.stats.started.add(self.machine.now, request.rtype)
+        self.stats.started.add(self.engine.now, request.rtype)
 
     def on_request_complete(self, thread_index, request):
-        self.stats.completed.add(self.machine.now, request.rtype)
-        self.respond(request)
-
-    # ------------------------------------------------------------------
-    def respond(self, request):
+        """Book the completion and send the response."""
+        self.stats.completed.add(self.engine.now, request.rtype)
         if self.response_sink is not None:
             self.response_sink(request)
 
+    # ------------------------------------------------------------------
     def total_socket_drops(self):
         return sum(s.drops for s in self.sockets)

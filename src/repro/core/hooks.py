@@ -15,8 +15,10 @@ wrong):
 1. ``decide(packet)`` looks up the packet's destination port in the port
    rules.  No rule → ``("none", None)`` and the substrate falls back to
    its default behavior (a *dispatch miss*, counted per hook).
-2. The matched attachment's program is fetched from the ``PROG_ARRAY``
-   and run (:class:`repro.ebpf.program.LoadedProgram` — interpreter while
+2. The matched attachment's program — the one its ``PROG_ARRAY`` slot
+   holds: ``install`` / ``replace`` / ``uninstall`` keep the two in step,
+   and a slot is freed once no port rule references its attachment — is
+   run (:class:`repro.ebpf.program.LoadedProgram` — interpreter while
    profiling, JIT after).
 3. The u32 decision is enforced: ``PASS`` defers to the default policy,
    ``DROP`` discards, and any other value indexes the app's executor map.
@@ -102,7 +104,6 @@ class HookSite:
         self.probe = probe
         self.prog_array = ProgArrayMap(f"{hook}:prog_array", max_programs)
         self._port_rules = {}       # dst port -> _Attachment
-        self._next_index = 0
         self.pass_decisions = 0
         self.drop_decisions = 0
         self.runtime_faults = 0
@@ -118,14 +119,11 @@ class HookSite:
 
     # ------------------------------------------------------------------
     def install(self, app_name, ports, loaded_program, executors):
-        """Insert port-matching rules tail-calling the app's program."""
-        index = self._next_index
-        self._next_index += 1
-        self.prog_array.update(index, loaded_program)
-        attachment = _Attachment(
-            app_name, loaded_program, executors, index, self.obs.registry,
-            self.hook,
-        )
+        """Insert port-matching rules tail-calling the app's program.
+
+        The program takes the lowest free PROG_ARRAY slot; a slot is freed
+        once no port rule references its attachment any more."""
+        ports = list(ports)
         for port in ports:
             existing = self._port_rules.get(port)
             if existing is not None and existing.app_name != app_name:
@@ -133,14 +131,43 @@ class HookSite:
                     f"port {port} already claimed by app "
                     f"{existing.app_name!r} at hook {self.hook}"
                 )
+        index = 0
+        while self.prog_array.lookup(index) is not None:
+            index += 1
+        # Past max_programs this raises KeyError: every slot is taken.
+        self.prog_array.update(index, loaded_program)
+        attachment = _Attachment(
+            app_name, loaded_program, executors, index, self.obs.registry,
+            self.hook,
+        )
+        displaced = self._unbind(app_name, ports)
+        for port in ports:
             self._port_rules[port] = attachment
+        self._free_slots(displaced)
         return attachment
 
     def uninstall(self, app_name, ports):
+        self._free_slots(self._unbind(app_name, ports))
+
+    def _unbind(self, app_name, ports):
+        """Drop ``app_name``'s rules on ``ports``; returns the attachments
+        they pointed at."""
+        removed = []
         for port in ports:
             attachment = self._port_rules.get(port)
             if attachment is not None and attachment.app_name == app_name:
                 del self._port_rules[port]
+                if attachment not in removed:
+                    removed.append(attachment)
+        return removed
+
+    def _free_slots(self, attachments):
+        """Release the PROG_ARRAY slot of each attachment no rule still
+        references."""
+        live = self._port_rules.values()
+        for attachment in attachments:
+            if attachment not in live:
+                self.prog_array.delete(attachment.prog_index)
 
     def replace(self, app_name, loaded_program):
         """Hot-swap ``app_name``'s program in place (redeploy/rollback).
@@ -178,8 +205,9 @@ class HookSite:
         if attachment is None:
             self._m_dispatch_miss.inc()
             return ("none", None)
-        # root dispatcher tail call
-        program = self.prog_array.lookup(attachment.prog_index)
+        # root dispatcher tail call: install / replace / uninstall keep the
+        # attachment's program and its PROG_ARRAY slot in step
+        program = attachment.program
         shadow = attachment.shadow
         if shadow is not None:
             # Canary stage: cohort flows run the candidate *enforced*;
@@ -267,7 +295,9 @@ class HookSite:
         attachment = self._port_rules.get(packet.dst_port)
         if attachment is None:
             return 0.0
-        cost = self.costs.cycles_to_us(attachment.program.cycle_estimate)
+        # CostModel.cycles_to_us, inlined: the same float expression
+        cost = attachment.program.cycle_estimate / (
+            self.costs.cpu_ghz * 1000.0)
         # Policy execution time is part of the owning tenant's bill: the
         # substrate charges this cost on the datapath, so the accountant
         # books it against the tenant whose packet triggered the program.

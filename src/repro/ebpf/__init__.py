@@ -16,7 +16,8 @@ reproduces that pipeline end to end:
   exact executed cycle and instruction counts, counting per basic block
   (used for Table 2).
 - :mod:`repro.ebpf.jit` — generates an equivalent native Python function
-  (the analogue of the kernel's eBPF JIT) used on the simulated datapath.
+  (the analogue of the kernel's eBPF JIT) used on the simulated datapath:
+  one stateless factory per image, closed over each binding's maps.
 - :mod:`repro.ebpf.maps` — array/hash/prog-array maps with pinning support.
 
 Programs and maps here are *mechanism*; policy deployment, isolation and the

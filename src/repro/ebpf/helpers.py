@@ -1,7 +1,9 @@
 """Runtime helper semantics shared by the interpreter and the JIT.
 
-Both execution engines call these exact functions so that their observable
-behaviour is identical by construction (and verified by property tests).
+The interpreter calls these exact functions.  The JIT calls the ones that
+carry an error code or a zero test, and inlines the rest — a map read, a
+division by a nonzero literal — as the same expressions written out;
+property tests check the two engines agree.
 Semantics follow eBPF: unsigned 64-bit wraparound, division/modulo by zero
 yield 0, map lookups of absent keys read as 0, and map errors (full map,
 out-of-range array index) surface as error return codes — a verified program

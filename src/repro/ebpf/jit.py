@@ -3,21 +3,29 @@
 The kernel JIT-compiles verified eBPF bytecode to machine code so invoking a
 program is "as cheap as a regular function call" (paper §4.1).  Our analogue
 generates Python source from the policy's validated AST and ``exec``s it.
-The generated function has exactly the semantics of the IR interpreter —
-both route all tricky operations (wrapping division, map helpers) through
-:mod:`repro.ebpf.helpers`, and a hypothesis property test asserts agreement
-on randomized programs and inputs.
+The generated function has exactly the semantics of the IR interpreter,
+and a hypothesis property test asserts agreement on randomized programs
+and inputs.  Map reads are inlined: ``map_lookup`` / ``map_has`` become a
+call of the map's bound ``lookup`` with :mod:`repro.ebpf.helpers`' ``& U64``
+mask and absent-key-reads-0 rule written out, and ``%`` / ``//`` by a
+nonzero literal are plain Python operators (``a % c`` needs no mask for
+``0 < c <= U64``).  A divisor that may be zero and the map writes, which
+carry the helpers' error codes, still call :mod:`repro.ebpf.helpers`.
 
 Place in the dispatch path: hooks never call this module directly.
-:mod:`repro.ebpf.program` calls :func:`jit_compile` once per program image
-— the generated function is stateless, so every binding of a text shares
-it — and says when a binding runs it instead of the interpreter.  Programs
-authored directly as IR (:mod:`repro.ebpf.asm`) carry no AST and skip the
-JIT entirely, like eBPF on a kernel with the JIT disabled.
+:mod:`repro.ebpf.program` calls :func:`jit_compile` once per program
+image, which holds the result: a stateless *factory*, shared by every
+binding of a text.  Each binding calls it once with its own maps and gets
+its own ``_policy`` closure over those maps' ``lookup`` methods — two
+bindings share no state — and :mod:`repro.ebpf.program` says when a
+binding runs it instead of the interpreter.  Programs authored directly as
+IR (:mod:`repro.ebpf.asm`) carry no AST and skip the JIT entirely, like
+eBPF on a kernel with the JIT disabled.
 
-For observability and debugging, the returned function exposes
-``jit_source`` (the exact generated Python) and ``jit_n_lines`` (code
-size, exported as the ``jit_code_lines`` gauge when metrics are on).
+For observability and debugging, the factory exposes ``jit_source`` (the
+exact generated Python, shared by the image's bindings) and
+``jit_n_lines`` (the policy function's code size, binding prologue
+excluded, exported as the ``jit_code_lines`` gauge when metrics are on).
 
 The simulated datapath runs the JIT for speed; the interpreter — the same
 program's IR compiled once per image by :func:`repro.ebpf.vm.compile_ir`,
@@ -53,23 +61,29 @@ _PY_CMP = {
 
 
 def jit_compile(program):
-    """Return ``fn(packet, globals_list, maps_list, rng) -> int``."""
+    """Return the stateless factory ``bind(maps_list) -> policy``, where
+    ``policy(packet, globals_list, rng) -> int`` is closed over the bound
+    ``lookup`` of every map the program reads."""
     gen = _CodeGen(program)
-    source = gen.generate()
+    policy = gen.generate()
+    source = "".join(
+        ["def _bind(M):\n"]
+        + [f"    _l{slot} = M[{slot}].lookup\n" for slot in sorted(gen.read_maps)]
+        + policy
+        + ["    return _policy\n"]
+    )
     namespace = {
         "_div": helpers.div_u64,
         "_mod": helpers.mod_u64,
-        "_ml": helpers.map_lookup,
-        "_mh": helpers.map_has,
         "_mu": helpers.map_update,
         "_md": helpers.map_delete,
         "_ma": helpers.atomic_add,
     }
     exec(compile(source, f"<jit:{program.name}>", "exec"), namespace)
-    fn = namespace["_policy"]
-    fn.jit_source = source
-    fn.jit_n_lines = source.count("\n")
-    return fn
+    factory = namespace["_bind"]
+    factory.jit_source = source
+    factory.jit_n_lines = len(policy)
+    return factory
 
 
 class _CodeGen:
@@ -98,17 +112,22 @@ class _CodeGen:
                 if isinstance(node.target, ast.Name):
                     self.assigned.add(node.target.id)
         self.lines = []
+        #: Map slots read by map_lookup / map_has: bound once per binding.
+        self.read_maps = set()
+        self.n_reads = 0
 
     # ------------------------------------------------------------------
     def generate(self):
-        self.lines.append("def _policy(u_pkt, G, M, _rng):")
+        """The policy function's lines, nested one level inside the
+        factory."""
+        self._emit(1, "def _policy(u_pkt, G, _rng):")
         body = self.program.func_ast.body
-        self._block(body, 1)
-        self.lines.append(f"    return {PASS}")
-        return "\n".join(self.lines) + "\n"
+        self._block(body, 2)
+        self._emit(2, f"return {PASS}")
+        return self.lines
 
     def _emit(self, indent, text):
-        self.lines.append("    " * indent + text)
+        self.lines.append("    " * indent + text + "\n")
 
     def _block(self, stmts, indent):
         emitted = False
@@ -173,9 +192,15 @@ class _CodeGen:
             masked = op in ("ADD", "SUB", "MUL")
             text = f"(({left}) {_PY_BINOP[op]} ({right}))"
             return f"({text} & {U64})" if masked else text
+        # A nonzero literal divisor (every literal is already masked to
+        # u64) needs no zero test, and ``a % c`` needs no mask either.
         if op == "DIV":
+            if right.isdigit() and int(right):
+                return f"((({left}) // {right}) & {U64})"
             return f"_div({left}, {right})"
         if op == "MOD":
+            if right.isdigit() and int(right):
+                return f"(({left}) % {right})"
             return f"_mod({left}, {right})"
         if op == "SHL":
             return f"(((({left}) << (({right}) & 63))) & {U64})"
@@ -242,10 +267,16 @@ class _CodeGen:
         if fname in _LOAD_WIDTHS:
             offset = fold_const(args[1], self.constants)
             return f"u_pkt.load({offset}, {_LOAD_WIDTHS[fname]})"
-        if fname == "map_lookup":
-            return f"_ml(M[{self.map_slots[args[0].id]}], {self._ex(args[1])})"
-        if fname == "map_has":
-            return f"_mh(M[{self.map_slots[args[0].id]}], {self._ex(args[1])})"
+        if fname in ("map_lookup", "map_has"):
+            # helpers.map_lookup / map_has inlined on the bound lookup
+            slot = self.map_slots[args[0].id]
+            self.read_maps.add(slot)
+            read = f"_l{slot}(({self._ex(args[1])}) & {U64})"
+            if fname == "map_has":
+                return f"(0 if {read} is None else 1)"
+            temp = f"_t{self.n_reads}"
+            self.n_reads += 1
+            return f"(0 if ({temp} := {read}) is None else {temp})"
         if fname == "map_update":
             return (
                 f"_mu(M[{self.map_slots[args[0].id]}], "

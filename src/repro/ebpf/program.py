@@ -4,19 +4,21 @@ Loading mirrors the kernel's ``bpf(BPF_PROG_LOAD, ...)`` in two steps:
 
 - A :class:`ProgramImage` is what is a pure function of the program text:
   the :class:`~repro.ebpf.insn.Program`, its verifier stats, the JIT
-  function and the compiled IR runner (both stateless: ``globals, maps,
-  rng`` are arguments) and the static cycle sum.  It is immutable and
-  shared; :func:`image_of` memoises it on all that compilation reads —
-  entry point, text, name, every supplied constant — so redeploying a
-  text the process has loaded before compiles, verifies and generates
-  nothing.  Verification is never skipped, only not repeated: each
+  factory and the compiled IR runner (both stateless: the runner takes
+  ``globals, maps, rng`` as arguments, the factory takes ``maps`` and
+  returns a policy taking ``globals, rng``) and the static cycle sum.  It
+  is immutable and shared; :func:`image_of` memoises it on all that
+  compilation reads — entry point, text, name, every supplied constant —
+  so redeploying a text the process has loaded before compiles, verifies
+  and generates nothing.  Verification is never skipped, only not repeated: each
   memoised image came out of compile → verify → IR compile + JIT on
   exactly its key, rejections are not memoised, and a caller's own
   ``Program`` (which the caller can still edit) is verified on every load.
 - A :class:`LoadedProgram` is one *binding* of an image, what hooks invoke
   per input.  It owns all an attachment can change — map bindings, globals,
   RNG stream, invocation count, cycle profile, metric handles — so two
-  loads of one text never see each other's state.
+  loads of one text never see each other's state.  Its JIT policy is its
+  own closure, made once by calling the image's factory with its maps.
 
 Cycle accounting: each binding's first ``profile_runs`` invocations go
 through the interpreter — the image's IR compiled once by
@@ -50,9 +52,10 @@ class ProgramImage(
     namedtuple("ProgramImage",
                "program verifier_stats jit interp static_cycles")
 ):
-    """A verified program and what derives from it alone.  ``jit`` is None
-    for IR-authored programs (:mod:`repro.ebpf.asm`): no AST, so interpreter
-    only, like eBPF on a non-JIT kernel.  ``interp`` is the compiled IR
+    """A verified program and what derives from it alone.  ``jit`` is the
+    JIT factory (:func:`~repro.ebpf.jit.jit_compile`), None for IR-authored
+    programs (:mod:`repro.ebpf.asm`): no AST, so interpreter only, like
+    eBPF on a non-JIT kernel.  ``interp`` is the compiled IR
     (:func:`~repro.ebpf.vm.compile_ir`), which every image has.
     ``static_cycles`` is the estimate a binding reports before its first
     profiled run."""
@@ -113,7 +116,6 @@ class LoadedProgram:
         self.image = image
         self.program = program = image.program
         self.verifier_stats = image.verifier_stats
-        self._jit = image.jit
         self._interp = image.interp
         maps = dict(maps or {})
         self.maps = []
@@ -122,12 +124,18 @@ class LoadedProgram:
                 kind = ArrayMap if name.endswith("_array") else HashMap
                 maps[name] = kind(name, size)
             self.maps.append(maps[name])
+        # The image's JIT factory closes this binding's policy over its
+        # own maps, so ``maps`` entries are never reassigned after this.
+        self._jit = image.jit(self.maps) if image.jit is not None else None
         self.globals = list(program.globals_init)
         self.rng = rng if rng is not None else random.Random(0)
         self.profile_runs = profile_runs
         self.invocations = 0
         self._profiled_cycles = 0
         self._profiled_count = 0
+        #: Average cycles per invocation: the static estimate until the
+        #: first profiled run, then the profiled average.
+        self.cycle_estimate = float(image.static_cycles)
         # Optional dict of obs metric objects ("invocations",
         # "insns_interp", "cycles_interp", "jit_runs"); set by syrupd at
         # deploy time when the machine runs with metrics enabled.
@@ -136,13 +144,6 @@ class LoadedProgram:
     @property
     def name(self):
         return self.program.name
-
-    @property
-    def cycle_estimate(self):
-        """Average cycles per invocation (profiled, else static estimate)."""
-        if self._profiled_count:
-            return self._profiled_cycles / self._profiled_count
-        return float(self.image.static_cycles)
 
     def map_by_name(self, name):
         for bpf_map, declared in zip(self.maps, self.program.map_names):
@@ -159,6 +160,7 @@ class LoadedProgram:
                              self.rng, self._interp)
             self._profiled_cycles += result.cycles
             self._profiled_count += 1
+            self.cycle_estimate = self._profiled_cycles / self._profiled_count
             if metrics is not None:
                 metrics["invocations"].inc()
                 metrics["insns_interp"].inc(result.insns_executed)
@@ -167,7 +169,7 @@ class LoadedProgram:
         if metrics is not None:
             metrics["invocations"].inc()
             metrics["jit_runs"].inc()
-        return self._jit(packet, self.globals, self.maps, self.rng)
+        return self._jit(packet, self.globals, self.rng)
 
     def run_interp(self, packet):
         """Force one interpreted run; returns the full ExecutionResult."""
@@ -180,7 +182,7 @@ class LoadedProgram:
             raise RuntimeError(
                 f"program {self.name!r} was authored as IR; no JIT available"
             )
-        return self._jit(packet, self.globals, self.maps, self.rng)
+        return self._jit(packet, self.globals, self.rng)
 
     def __repr__(self):
         return f"<LoadedProgram {self.name!r} invocations={self.invocations}>"

@@ -158,7 +158,7 @@ class NetStack:
                     self.delivered += 1
                 return
         group = self.socket_table.group(packet.dst_port)
-        if group is None or not len(group):
+        if group is None or not group.sockets:
             self.drops["no_socket"] += 1
             self.probe.drop(packet, "no_socket")
             return

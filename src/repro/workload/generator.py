@@ -7,6 +7,8 @@ Figure 2).  Latency is measured client-side: from send to response receipt,
 including both wire traversals.
 """
 
+from math import log
+
 from repro.net.packet import FiveTuple, Packet
 from repro.stats.latency import LatencyRecorder
 from repro.stats.meters import Counter
@@ -57,6 +59,8 @@ class OpenLoopGenerator:
     ):
         if rate_rps <= 0:
             raise ValueError("rate_rps must be positive")
+        if key_space < 1 or num_flows < 1:
+            raise ValueError("key_space and num_flows must be positive")
         self.machine = machine
         self.engine = machine.engine
         self.port = port
@@ -85,6 +89,10 @@ class OpenLoopGenerator:
         self.sent = Counter(warmup_until=warmup_us)
         self.completed = Counter(warmup_until=warmup_us)
         self._next_rid = 0
+        # randrange(n) draws getrandbits(n.bit_length()) until below n
+        self._key_bits = key_space.bit_length()
+        self._num_flows = num_flows
+        self._flow_bits = num_flows.bit_length()
         self._mean_gap_us = 1e6 / rate_rps
         self._stopped = False
         #: Optional per-completion callback ``fn(request, latency_us)``
@@ -111,32 +119,46 @@ class OpenLoopGenerator:
 
     # ------------------------------------------------------------------
     def _arrival(self):
-        now = self.engine.now
+        """Send one request and draw the next gap, all in this frame.
+
+        The draws are ``random``'s own expressions, in the same order —
+        service, key, flow, gap — so the stream is bit-identical to
+        ``mix.sample``, ``randrange`` twice and ``expovariate(1.0)``."""
+        engine = self.engine
+        now = engine.now
         if self._stopped or now >= self.duration_us:
             return
-        self._send_one(now)
-        self.engine.post(self._gap_us(), self._arrival)
-
-    def _send_one(self, now):
+        rng = self.rng
+        getrandbits = rng.getrandbits
         self._next_rid += 1
         rtype, service_us = self.mix.sample(self.service_rng)
-        key = self.rng.randrange(self.key_space)
-        key_hash = (key * 0x9E3779B97F4A7C15) & ((1 << 64) - 1)
+        # rng.randrange(key_space): its rejection loop
+        key = getrandbits(self._key_bits)
+        while key >= self.key_space:
+            key = getrandbits(self._key_bits)
         request = Request(
             self._next_rid, rtype, service_us,
-            user_id=self.user_id, key=key, key_hash=key_hash,
+            user_id=self.user_id, key=key,
+            key_hash=(key * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF,
             tenant=self.tenant,
         )
         request.sent_at = now
-        flow = self.flows[self.rng.randrange(len(self.flows))]
+        # rng.randrange(len(flows)), likewise
+        index = getrandbits(self._flow_bits)
+        while index >= self._num_flows:
+            index = getrandbits(self._flow_bits)
         # No payload: the packet builds the request's standard header if
         # and when a policy reads it.
-        packet = Packet(flow, None, now, request)
+        packet = Packet(self.flows[index], None, now, request)
         self.sent.add(now, rtype)
         # one-way wire + client NIC cost before the server NIC sees it
-        self.engine.post(
-            self.machine.costs.wire_us, self.machine.nic.receive, packet
-        )
+        machine = self.machine
+        engine.post(machine.costs.wire_us, machine.nic.receive, packet)
+        # _gap_us(): rng.expovariate(1.0) * mean gap, likewise
+        gap = -log(1.0 - rng.random()) / 1.0 * self._mean_gap_us
+        if self.envelope is not None:
+            gap /= max(self.envelope.rate_factor(now), 1e-9)
+        engine.post(gap, self._arrival)
 
     # ------------------------------------------------------------------
     # Server-side completion sink: schedule client receipt after the wire.

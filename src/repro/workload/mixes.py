@@ -85,21 +85,31 @@ class RequestMix:
         self.components = [
             (rtype, weight / total, dist) for rtype, weight, dist in components
         ]
+        # (cumulative weight, rtype, sampler or None, low, high): the
+        # thresholds are the same left-to-right float sums a linear scan
+        # accumulates, and a non-sampler dist is a (low, high) range.
+        self._table = []
+        acc = 0.0
+        for rtype, weight, dist in self.components:
+            acc += weight
+            if hasattr(dist, "sample"):
+                self._table.append((acc, rtype, dist, 0.0, 0.0))
+            else:
+                low, high = dist
+                self._table.append((acc, rtype, None, low, high))
 
     def sample(self, rng):
-        """Draw (rtype, service_us)."""
+        """Draw (rtype, service_us): a roll picks the first component whose
+        cumulative weight exceeds it (the last if none does), then its
+        service time is drawn — ``rng.uniform(low, high)``'s expression
+        for a range."""
         roll = rng.random()
-        acc = 0.0
-        rtype, _w, dist = self.components[-1]
-        for candidate, weight, cdist in self.components:
-            acc += weight
+        for acc, rtype, dist, low, high in self._table:
             if roll < acc:
-                rtype, dist = candidate, cdist
                 break
-        if hasattr(dist, "sample"):
+        if dist is not None:
             return rtype, dist.sample(rng)
-        low, high = dist
-        return rtype, rng.uniform(low, high)
+        return rtype, low + (high - low) * rng.random()
 
     def mean_service_us(self):
         return sum(

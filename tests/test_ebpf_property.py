@@ -29,11 +29,19 @@ FLOW = FiveTuple(0x0A000002, 40001, 0x0A000001, 8080, 17)
 @settings(max_examples=150, deadline=None)
 @given(prog_seed=st.integers(0, 10**9), pkt_seed=st.integers(0, 10**9))
 def test_interp_and_jit_agree_on_random_programs(prog_seed, pkt_seed):
+    """``run_jit`` is the bound form: the image's factory closed over this
+    binding's map.  The map starts with a few entries, so inlined reads
+    hit as well as miss."""
     source = random_policy_source(prog_seed)
     program = compile_policy(source)
     packet = random_packet(pkt_seed)
     interp = load_program(program, rng=random.Random(1))
     jitted = load_program(program, rng=random.Random(1))
+    fill = random.Random(pkt_seed)
+    for _ in range(8):
+        key, value = fill.randrange(64), fill.getrandbits(64)
+        interp.maps[0].update(key, value)
+        jitted.maps[0].update(key, value)
     for _ in range(3):
         a = interp.run_interp(packet).value
         b = jitted.run_jit(packet)

@@ -1,9 +1,14 @@
 """Edge cases across hook provisioning and cross-hook interactions."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import Hook, Machine, set_a, set_b
+from repro.apps.mica import MicaServer
 from repro.apps.rocksdb import RocksDbServer
+from repro.config import CostModel
+from repro.core.hooks import HookSite
+from repro.experiments.runner import RocksDbTestbed
 from repro.policies.builtin import HASH_BY_FLOW, ROUND_ROBIN
 from repro.workload.generator import OpenLoopGenerator
 from repro.workload.mixes import GET_ONLY
@@ -99,3 +104,82 @@ def test_hook_constants_closed_sets():
     assert set(Hook.NETWORK) < set(Hook.ALL)
     assert Hook.THREAD_SCHED in Hook.ALL
     assert set(Hook.INTEGER_EXECUTORS) <= set(Hook.NETWORK)
+
+
+# ----------------------------------------------------------------------
+# PROG_ARRAY slots: freed on uninstall, reused lowest-first
+# ----------------------------------------------------------------------
+def live_attachments(site, apps=("a", "b", "c", "rocksdb")):
+    return [a for app in apps for a in site.attachments_for(app)]
+
+
+def assert_slots_match(site):
+    """Every live attachment's slot holds its program, and nothing else
+    holds a slot."""
+    live = list(live_attachments(site))
+    for attachment in live:
+        assert site.prog_array.lookup(attachment.prog_index) \
+            is attachment.program
+    assert len(site.prog_array) == len(live)
+
+
+def test_deploy_undeploy_cycles_reuse_one_slot():
+    testbed = RocksDbTestbed(num_threads=6, seed=3)
+    app = testbed.app
+    for _ in range(200):  # 64 slots: the 65th cycle used to raise KeyError
+        app.deploy_policy(ROUND_ROBIN, Hook.SOCKET_SELECT,
+                          constants={"NUM_THREADS": 6})
+        site = testbed.machine.netstack.socket_select_hook
+        assert site.attachment_for_port(8080).prog_index == 0
+        assert_slots_match(site)
+        app.undeploy_policy(Hook.SOCKET_SELECT)
+        assert len(site.prog_array) == 0
+
+
+def test_offload_flaps_reuse_one_slot_per_site():
+    machine = Machine(set_b(8), seed=4)
+    app = machine.register_app("mica", ports=[9090])
+    server = MicaServer(machine, app, 9090, num_threads=8, mode="syrup_hw")
+    deployed = server.deploy_policy()
+    syrupd = machine.syrupd
+    for _ in range(70):
+        syrupd.handle_offload_failure()
+        assert deployed.hook == Hook.XDP_SKB and deployed.state == "active"
+        syrupd.handle_offload_restore()
+        assert deployed.hook == Hook.XDP_OFFLOAD
+    offload = syrupd._sites[Hook.XDP_OFFLOAD]
+    host = syrupd._sites[Hook.XDP_SKB]
+    assert offload.attachment_for_port(9090).program is deployed.program
+    assert len(offload.prog_array) == 1 and len(host.prog_array) == 0
+
+
+class _Program:
+    """A stand-in binding: install / replace / uninstall only store it."""
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(
+    st.tuples(st.sampled_from(["install", "replace", "uninstall"]),
+              st.sampled_from(["a", "b", "c"]),
+              st.sets(st.integers(0, 5), min_size=1, max_size=3)),
+    max_size=40,
+))
+def test_prog_array_tracks_live_attachments(ops):
+    site = HookSite(Hook.SOCKET_SELECT, CostModel(), max_programs=8)
+    for op, app_name, ports in ops:
+        if op == "install":
+            owners = {site.attachment_for_port(p).app_name for p in ports
+                      if site.attachment_for_port(p) is not None}
+            if owners - {app_name}:
+                with pytest.raises(PermissionError):
+                    site.install(app_name, ports, _Program(), None)
+            else:
+                taken = {a.prog_index for a in live_attachments(site)}
+                lowest = min(set(range(len(taken) + 1)) - taken)
+                attachment = site.install(app_name, ports, _Program(), None)
+                assert attachment.prog_index == lowest
+        elif op == "replace":
+            site.replace(app_name, _Program())
+        else:
+            site.uninstall(app_name, ports)
+        assert_slots_match(site)

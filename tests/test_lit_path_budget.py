@@ -43,6 +43,11 @@ SPANS_CALLS_PER_REQ = 11
 # Per request, today: two Slo.record and one LatencySlo.observe; the
 # signal bus's burn-rate reads every 2 ms are the remainder.
 SLO_CALLS_PER_REQ = 3.1
+# Per request, today (13.1): the ADAPTIVE_SELECT decision and the
+# SRPT_AUTO_THRESHOLD rank, each a LoadedProgram.run and a JIT frame,
+# plus one bound lookup per map read (eight) and the server's svc_time_map
+# update.  With two helper frames per read it was 25.0.
+EBPF_CALLS_PER_REQ = 14
 
 
 def profile_lit_run():
@@ -71,6 +76,9 @@ def test_lit_path_call_budget():
     assert accounting <= ACCOUNTING_CALLS_PER_REQ, accounting
     assert spans <= SPANS_CALLS_PER_REQ, spans
     assert slo <= SLO_CALLS_PER_REQ, slo
+    ebpf = (calls_into(stats, "/repro/ebpf/")
+            + calls_into(stats, "<jit:")) / requests
+    assert ebpf <= EBPF_CALLS_PER_REQ, ebpf
 
     # the clock is an attribute of the engine, never a call
     assert calls_into(stats, "/repro/machine.py", "<lambda>") == 0

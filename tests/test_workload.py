@@ -284,3 +284,125 @@ def test_pareto_mix_is_deterministic():
     assert GET_PARETO.mean_service_us() == pytest.approx(
         BoundedPareto(2.0, 6.0, 100.0).mean()
     )
+
+
+# ----------------------------------------------------------------------
+# The inlined draws: exactly what ``random`` would have drawn
+# ----------------------------------------------------------------------
+def reference_sample(mix, rng):
+    """``RequestMix.sample`` as it was written before the draws were
+    inlined, kept verbatim as the reference."""
+    roll = rng.random()
+    acc = 0.0
+    rtype, _w, dist = mix.components[-1]
+    for candidate, weight, cdist in mix.components:
+        acc += weight
+        if roll < acc:
+            rtype, dist = candidate, cdist
+            break
+    if hasattr(dist, "sample"):
+        return rtype, dist.sample(rng)
+    low, high = dist
+    return rtype, rng.uniform(low, high)
+
+
+#: Weights whose normalised sum is not exactly 1.0 (0.7, 0.7, 0.1 after
+#: division add up to 0.9999999999999999), so a roll can fall past every
+#: threshold and must land on the last component.
+ODD_MIX = RequestMix("odd", [(GET, 0.7, (10.0, 12.0)),
+                             (SCAN, 0.7, [650, 750]),
+                             (GET, 0.1, BoundedPareto(1.5, 6.0, 90.0))])
+
+
+@pytest.mark.parametrize("mix", [GET_ONLY, GET_PARETO, GET_SCAN_995_005,
+                                 GET_SCAN_50_50, ODD_MIX],
+                         ids=lambda m: m.name)
+def test_mix_sample_equals_the_reference_body(mix):
+    ours, theirs = random.Random(11), random.Random(11)
+    for _ in range(20_000):
+        assert mix.sample(ours) == reference_sample(mix, theirs)
+    assert ours.getstate() == theirs.getstate()
+
+
+def test_odd_mix_weights_do_not_sum_to_one():
+    assert sum(w for _, w, _ in ODD_MIX.components) < 1.0
+    # a roll above the last threshold still picks the last component
+    class Roll:
+        def __init__(self, values):
+            self.values = list(values)
+
+        def random(self):
+            return self.values.pop(0)
+
+    top = 1.0 - 2 ** -53
+    assert ODD_MIX.sample(Roll([top, 0.5])) == \
+        reference_sample(ODD_MIX, Roll([top, 0.5]))
+
+
+def twin_requests(seed, rate_rps, mix, duration_us, key_space, flows,
+                  envelope=None, stream="client"):
+    """What the generator must send, drawn through ``randrange``,
+    ``expovariate`` and ``uniform`` on twin streams."""
+    from repro.sim.rng import RngStreams
+
+    streams = RngStreams(seed)
+    arrivals = streams.get(f"{stream}/arrivals")
+    service = streams.get(f"{stream}/service")
+    mean_gap = 1e6 / rate_rps
+
+    def gap(now):
+        g = arrivals.expovariate(1.0) * mean_gap
+        if envelope is not None:
+            g /= max(envelope.rate_factor(now), 1e-9)
+        return g
+
+    sent, now, rid = [], 0.0, 0
+    now = now + gap(now)
+    while now < duration_us:
+        rid += 1
+        rtype, service_us = reference_sample(mix, service)
+        key = arrivals.randrange(key_space)
+        flow = flows[arrivals.randrange(len(flows))]
+        sent.append((rid, rtype, service_us, key,
+                     (key * 0x9E3779B97F4A7C15) & ((1 << 64) - 1), now, flow))
+        now = now + gap(now)
+    return sent
+
+
+@pytest.mark.parametrize("mix, envelope", [
+    (GET_SCAN_995_005, None),
+    (GET_SCAN_995_005, FlashCrowd(start_us=4_000.0, ramp_us=1_000.0,
+                                  hold_us=2_000.0, peak=3.0)),
+    (GET_PARETO, None),
+], ids=["plain", "flash_crowd", "pareto"])
+def test_generator_sends_what_random_would_draw(mix, envelope):
+    machine = Machine(set_a(), seed=5)
+    gen = OpenLoopGenerator(machine, 8080, 90_000, mix, duration_us=12_000,
+                            key_space=777, num_flows=37, user_id=3,
+                            tenant="t", envelope=envelope)
+    packets = []
+    machine.nic.receive = packets.append
+    gen.start()
+    machine.run()
+    expected = twin_requests(5, 90_000, mix, 12_000, 777, gen.flows,
+                             envelope=envelope)
+    assert len(expected) > 500
+    got = [(p.request.rid, p.request.rtype, p.request.service_us,
+            p.request.key, p.request.key_hash, p.request.sent_at, p.flow)
+           for p in packets]
+    assert got == expected
+    for packet in packets:
+        request = packet.request
+        assert (request.user_id, request.tenant) == (3, "t")
+        assert packet.sent_at == request.sent_at
+        assert packet.payload is None
+
+
+@pytest.mark.parametrize("bad", [{"key_space": 0}, {"num_flows": 0}])
+def test_generator_rejects_an_empty_key_space_or_flow_pool(bad):
+    # randrange(0) used to raise at the first arrival; the inlined
+    # rejection loop would never end, so construction refuses it
+    machine = Machine(set_a())
+    with pytest.raises(ValueError):
+        OpenLoopGenerator(machine, 8080, 1_000, GET_ONLY, duration_us=1000,
+                          **bad)
