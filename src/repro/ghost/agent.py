@@ -13,6 +13,7 @@ IPI latency before the remote core switches).
 from collections import deque
 
 from repro.ghost.messages import MessageKind
+from repro.obs.events import NULL_EVENTS
 
 __all__ = ["CoreView", "GhostAgent", "SchedStatus"]
 
@@ -66,7 +67,7 @@ class GhostAgent:
     """Drives a user thread policy over a :class:`GhostScheduler`."""
 
     def __init__(self, engine, scheduler, enclave, policy, costs,
-                 metrics=None, events=None):
+                 metrics=None, events=NULL_EVENTS):
         self.engine = engine
         self.scheduler = scheduler
         self.enclave = enclave
@@ -235,11 +236,10 @@ class GhostAgent:
     def _note_policy_error(self, exc):
         if self.metrics is not None:
             self.metrics["policy_errors"].inc()
-        if self.events is not None and self.events.enabled:
-            self.events.emit(
-                "policy_error", app=self.enclave.app, hook="thread_sched",
-                error=type(exc).__name__, detail=str(exc),
-            )
+        self.events.emit(
+            "policy_error", app=self.enclave.app, hook="thread_sched",
+            error=type(exc).__name__, detail=str(exc),
+        )
 
     def _commit_effect(self, thread, core, epoch=None):
         if self.crashed or (epoch is not None and epoch != self._epoch):

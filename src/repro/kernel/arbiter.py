@@ -43,6 +43,7 @@ from collections import deque
 
 from repro.ghost.sched import GhostScheduler
 from repro.kernel.cfs import CfsScheduler
+from repro.obs.events import NULL_EVENTS
 from repro.obs.probe import NULL_PROBE
 
 __all__ = [
@@ -89,7 +90,7 @@ class _CoreClass:
 class CoreArbiter:
     """Owns a pool of cores; grants them, revocably, to classes."""
 
-    def __init__(self, engine, cores, events=None, probe=NULL_PROBE):
+    def __init__(self, engine, cores, events=NULL_EVENTS, probe=NULL_PROBE):
         self.engine = engine
         self.pool = list(cores)
         self._by_cid = {core.cid: core for core in self.pool}
@@ -305,8 +306,7 @@ class CoreArbiter:
 
     # -- telemetry --------------------------------------------------------
     def _emit(self, kind, **fields):
-        if self.events is not None and self.events.enabled:
-            self.events.emit(kind, **fields)
+        self.events.emit(kind, **fields)
 
     def occupancy_us(self, name):
         """Closed + open-segment occupancy for class ``name``."""

@@ -8,8 +8,7 @@ complementary primitives, both stamped with *simulated* time:
   PASS/DROP/steer outcomes, map operation totals, ghOSt agent churn,
   verifier rejections — and
 - an :class:`~repro.obs.events.EventTrace`, a bounded ring of structured
-  decision events with a JSON-lines exporter, unified with
-  :class:`repro.trace.RequestTracer`'s per-request stage records.
+  decision events with a JSON-lines exporter.
 
 Both hang off an :class:`Observability` handle created by
 :class:`repro.machine.Machine`.  Observability is **off by default**:

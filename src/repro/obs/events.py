@@ -12,9 +12,6 @@ Event kinds emitted by the framework (schema in docs/observability.md):
 - ``isolation_denial`` / ``verifier_reject`` — rejected requests
 - ``decision`` — one hook-site policy invocation (outcome + value)
 - ``policy_error`` — a thread policy raised / violated its enclave
-- ``request`` — one traced request's per-stage latency breakdown,
-  bridged from :class:`repro.trace.RequestTracer` so request-lifecycle
-  tracing and decision tracing share a single, merge-sorted timeline.
 - ``fault_injected`` — the fault injector fired one planned fault
   (:mod:`repro.faults`); ``runtime_fault`` — a deployed program raised
   a :class:`repro.ebpf.errors.VmFault` at its hook site.

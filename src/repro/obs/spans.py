@@ -1,8 +1,7 @@
 """Causal span tracing: one sampled request, every layer it touches.
 
-Aggregates (:mod:`repro.obs.registry`) answer "how much, ever?" and the
-:class:`repro.trace.RequestTracer` answers "what stages, on average?" —
-neither can look at a *single* p99 request and say which hop queued it,
+Aggregates (:mod:`repro.obs.registry`) answer "how much, ever?" but
+cannot look at a *single* p99 request and say which hop queued it,
 under which policy decision, behind which queue depth.  A
 :class:`SpanTracer` follows each head-sampled request across the stack
 and records a flat tree of **spans** (name, start, end, attrs), all in
@@ -45,7 +44,8 @@ Enable with ``Machine(spans=N)`` (``True`` ⇒ every request).  Completed
 trees live in a bounded ring (``capacity``); export them for
 ``chrome://tracing`` / Perfetto with :meth:`SpanTracer.to_chrome_trace`
 and feed them to :func:`repro.obs.tail.critical_path` for the p50-vs-p99
-attribution table (``syrupctl spans`` / ``syrupctl tail``).
+attribution table (``syrupctl spans`` / ``syrupctl tail``) or to
+:func:`repro.obs.tail.stage_percentiles` for the per-stage breakdown.
 """
 
 import json
@@ -76,7 +76,10 @@ class SpanTracer:
         self.sampled = 0         # trees started
         self.completed_count = 0
         self.aborted_count = 0
-        self._live = {}          # rid -> open tree
+        # request -> open tree.  Keyed by the request object, not its
+        # rid: rids restart at 0 per generator, so two generators on one
+        # machine reuse them.
+        self._live = {}
         self._done = deque(maxlen=capacity)
         # Thread-side pending state, consumed at service_begin: tid -> ts
         # of the wake that made the thread RUNNABLE, and tid -> (ts, core)
@@ -86,9 +89,28 @@ class SpanTracer:
 
     # ------------------------------------------------------------------
     # Tree bookkeeping.  Every seam looks its tree up inline
-    # (``self._live.get(rid)``), never through a helper: most requests
+    # (``self._live.get(request)``), never through a helper: most requests
     # are unsampled and leave after that one miss, with no second frame.
+    # A packet without a request misses too (``_live.get(None)``).
     # ------------------------------------------------------------------
+    def _begin(self, request):
+        """Open a tree for a sampled request; ``_key`` and ``_open`` are
+        private bookkeeping that :meth:`_finalize` deletes."""
+        self.sampled += 1
+        tree = {
+            "rid": request.rid,
+            "rtype": request.rtype,
+            "start": self.clock.now,
+            "end": None,
+            "complete": False,
+            "abort_reason": None,
+            "spans": [],
+            "_open": {},
+            "_key": request,
+        }
+        self._live[request] = tree
+        return tree
+
     def _open(self, tree, name, start, **attrs):
         span = {"name": name, "start": start, "end": None}
         if attrs:
@@ -122,7 +144,7 @@ class SpanTracer:
         tree["complete"] = complete
         if reason is not None:
             tree["abort_reason"] = reason
-        self._live.pop(tree["rid"], None)
+        self._live.pop(tree.pop("_key"), None)
         self._done.append(tree)
         if complete:
             self.completed_count += 1
@@ -140,26 +162,13 @@ class SpanTracer:
         self.seen += 1
         if (self.seen - 1) % self.sample_every:
             return
-        if request.rid in self._live:
-            return  # retransmit of an already-sampled rid
-        self.sampled += 1
-        now = self.clock.now
-        tree = {
-            "rid": request.rid,
-            "rtype": request.rtype,
-            "start": now,
-            "end": None,
-            "complete": False,
-            "abort_reason": None,
-            "spans": [],
-            "_open": {},
-        }
-        self._live[request.rid] = tree
-        self._open(tree, "nic_queue", now)
+        if request in self._live:
+            return  # retransmit of an already-sampled request
+        tree = self._begin(request)
+        self._open(tree, "nic_queue", tree["start"])
 
     def nic_delivered(self, packet, queue):
-        request = packet.request
-        tree = self._live.get(request.rid) if request is not None else None
+        tree = self._live.get(packet.request)
         if tree is None:
             return
         self._close(tree, "nic_queue", self.clock.now, queue=queue)
@@ -170,8 +179,7 @@ class SpanTracer:
     def decision(self, packet, hook, outcome, value, fd, seq):
         """A policy decided this packet's fate: a zero-duration span
         linked to the decision event (``seq``) and the deployed ``fd``."""
-        request = packet.request
-        tree = self._live.get(request.rid) if request is not None else None
+        tree = self._live.get(packet.request)
         if tree is None:
             return
         now = self.clock.now
@@ -188,23 +196,20 @@ class SpanTracer:
     # Kernel receive path (repro.kernel.netstack / sockets)
     # ------------------------------------------------------------------
     def softirq_begin(self, packet, core, depth):
-        request = packet.request
-        tree = self._live.get(request.rid) if request is not None else None
+        tree = self._live.get(packet.request)
         if tree is None:
             return
         self._open(tree, "softirq", self.clock.now, core=core, depth=depth)
 
     def softirq_end(self, packet):
-        request = packet.request
-        tree = self._live.get(request.rid) if request is not None else None
+        tree = self._live.get(packet.request)
         if tree is None:
             return
         self._close(tree, "softirq", self.clock.now)
 
     def socket_enqueued(self, packet, socket, depth):
         """Datagram landed in a socket backlog ``depth`` entries deep."""
-        request = packet.request
-        tree = self._live.get(request.rid) if request is not None else None
+        tree = self._live.get(packet.request)
         if tree is None:
             return
         self._open(tree, "socket_wait", self.clock.now, sid=socket.sid,
@@ -212,8 +217,7 @@ class SpanTracer:
 
     def drop(self, packet, reason):
         """The stack dropped this packet; the tree ends incomplete."""
-        request = packet.request
-        tree = self._live.get(request.rid) if request is not None else None
+        tree = self._live.get(packet.request)
         if tree is None:
             return
         self._finalize(tree, complete=False, reason=reason)
@@ -230,8 +234,7 @@ class SpanTracer:
         The NIC- and socket-layer waits never overlap, so one span name
         suffices.
         """
-        request = packet.request
-        tree = self._live.get(request.rid) if request is not None else None
+        tree = self._live.get(packet.request)
         if tree is None:
             return
         self._open(tree, "qdisc_wait", self.clock.now, layer=layer,
@@ -239,8 +242,7 @@ class SpanTracer:
 
     def qdisc_dequeued(self, packet):
         """The qdisc released this packet; close its ``qdisc_wait`` span."""
-        request = packet.request
-        tree = self._live.get(request.rid) if request is not None else None
+        tree = self._live.get(packet.request)
         if tree is None:
             return
         self._close(tree, "qdisc_wait", self.clock.now)
@@ -257,27 +259,14 @@ class SpanTracer:
         self.seen += 1
         if (self.seen - 1) % self.sample_every:
             return
-        if request.rid in self._live:
-            return
-        self.sampled += 1
-        now = self.clock.now
-        tree = {
-            "rid": request.rid,
-            "rtype": request.rtype,
-            "start": now,
-            "end": None,
-            "complete": False,
-            "abort_reason": None,
-            "spans": [],
-            "_open": {},
-        }
-        self._live[request.rid] = tree
+        if request not in self._live:
+            self._begin(request)
 
     def switch_steer(self, request, machine, policy, resteer):
         """The ToR picked ``machine`` for this request: a zero-duration
         span carrying the policy name and whether this was a failover
         re-steer of an orphaned request."""
-        tree = self._live.get(request.rid)
+        tree = self._live.get(request)
         if tree is None:
             return
         now = self.clock.now
@@ -288,7 +277,7 @@ class SpanTracer:
 
     def xnet_begin(self, request, direction, machine):
         """The request (or its response) went onto a rack wire."""
-        tree = self._live.get(request.rid)
+        tree = self._live.get(request)
         if tree is None:
             return
         self._open(tree, "xnet_wait", self.clock.now, direction=direction,
@@ -296,14 +285,14 @@ class SpanTracer:
 
     def xnet_end(self, request):
         """The rack wire delivered; close the in-flight ``xnet_wait``."""
-        tree = self._live.get(request.rid)
+        tree = self._live.get(request)
         if tree is None:
             return
         self._close(tree, "xnet_wait", self.clock.now)
 
     def machine_enqueued(self, request, machine, depth):
         """The request joined a fleet machine's queue ``depth`` deep."""
-        tree = self._live.get(request.rid)
+        tree = self._live.get(request)
         if tree is None:
             return
         self._open(tree, "machine_queue", self.clock.now, machine=machine,
@@ -315,7 +304,7 @@ class SpanTracer:
         Closes any open ``machine_queue``/``service`` span so the
         re-steered attempt gets fresh ones.
         """
-        tree = self._live.get(request.rid)
+        tree = self._live.get(request)
         if tree is None:
             return
         now = self.clock.now
@@ -323,7 +312,7 @@ class SpanTracer:
         self._close(tree, "service", now, orphaned=True)
 
     def fleet_service_begin(self, request, machine):
-        tree = self._live.get(request.rid)
+        tree = self._live.get(request)
         if tree is None:
             return
         now = self.clock.now
@@ -331,21 +320,21 @@ class SpanTracer:
         self._open(tree, "service", now, machine=machine)
 
     def fleet_service_end(self, request):
-        tree = self._live.get(request.rid)
+        tree = self._live.get(request)
         if tree is None:
             return
         self._close(tree, "service", self.clock.now)
 
     def fleet_complete(self, request):
         """The response reached the client; the tree is complete."""
-        tree = self._live.get(request.rid)
+        tree = self._live.get(request)
         if tree is None:
             return
         self._finalize(tree, complete=True)
 
     def fleet_drop(self, request, reason):
         """The fleet shed this request; the tree ends incomplete."""
-        tree = self._live.get(request.rid)
+        tree = self._live.get(request)
         if tree is None:
             return
         self._finalize(tree, complete=False, reason=reason)
@@ -369,10 +358,7 @@ class SpanTracer:
         """``thread`` pulled a work item; close the wait-side spans."""
         wake_ts = self._wakes.pop(thread.tid, None)
         placement = self._placements.pop(thread.tid, None)
-        rid = getattr(token, "rid", None)
-        if rid is None:
-            return
-        tree = self._live.get(rid)
+        tree = self._live.get(token)
         if tree is None:
             return
         now = self.clock.now
@@ -386,10 +372,7 @@ class SpanTracer:
         self._open(tree, "service", now, thread=thread.name)
 
     def service_end(self, thread, token):
-        rid = getattr(token, "rid", None)
-        if rid is None:
-            return
-        tree = self._live.get(rid)
+        tree = self._live.get(token)
         if tree is None:
             return
         self._close(tree, "service", self.clock.now)

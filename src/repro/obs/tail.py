@@ -14,12 +14,16 @@ safe), :func:`render_critical_path` the operator table
 Cohort edges are nearest-rank (:func:`repro.stats.latency.nearest_rank`)
 over the exact sampled totals, so each edge is a real request and paired
 runs with identical simulations produce identical analyses.
+:func:`stage_percentiles` is the per-stage latency breakdown over the
+same trees ("only ``socket_wait`` moves", examples/latency_breakdown.py).
 """
 
 from repro.stats.latency import nearest_rank
+from repro.stats.latency import percentile as linear_percentile
 from repro.stats.results import Table
 
-__all__ = ["critical_path", "percentile", "render_critical_path"]
+__all__ = ["critical_path", "percentile", "render_critical_path",
+           "stage_percentiles"]
 
 
 def percentile(values, q):
@@ -36,6 +40,22 @@ def _span_totals(tree):
         duration = max(0.0, span_end - span["start"])
         totals[span["name"]] = totals.get(span["name"], 0.0) + duration
     return totals
+
+
+def stage_percentiles(trees, q=99.0):
+    """``{span name: p-q us, ..., "total": p-q of end - start}`` over the
+    complete trees.  A span missing from a tree counts as 0 us there, as in
+    :func:`critical_path`; percentiles are linear, the rule for printed
+    numbers.  Filter warm-up first: ``t["start"] >= warmup_us``."""
+    complete = [t for t in trees if t.get("complete")]
+    per_tree = [_span_totals(t) for t in complete]
+    result = {
+        name: linear_percentile(sorted(d.get(name, 0.0) for d in per_tree), q)
+        for name in sorted(set().union(*per_tree))
+    }
+    result["total"] = linear_percentile(
+        sorted(t["end"] - t["start"] for t in complete), q)
+    return result
 
 
 def critical_path(trees, lo_pct=50.0, hi_pct=99.0):

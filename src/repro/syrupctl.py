@@ -31,7 +31,6 @@ from repro.experiments.runner import stage_point
 from repro.obs.export import write_openmetrics
 from repro.obs.tail import critical_path, render_critical_path
 from repro.stats.results import Table
-from repro.trace import RequestTracer
 from repro.workload.mixes import GET_SCAN_995_005
 
 __all__ = [
@@ -650,12 +649,6 @@ def render_tail(machine, lo_pct=50.0, hi_pct=99.0):
 # staged by :mod:`repro.experiments`; the rows below only pin the
 # demo's scale and telemetry tiers.
 # ----------------------------------------------------------------------
-def _stats_testbed(seed, warmup_us):
-    testbed = experiments.figure6.testbed("scan_avoid", seed, metrics=True)
-    RequestTracer(testbed.machine, testbed.server, warmup_us=warmup_us)
-    return testbed
-
-
 def _point(factory, load, duration_us):
     """One 99.5% GET / 0.5% SCAN load point, 25% warmup, staged."""
     return stage_point(factory, load, GET_SCAN_995_005, duration_us,
@@ -670,10 +663,10 @@ def _point(factory, load, duration_us):
 SCENARIOS = {
     # The canned observability scenario: one Figure-6-style point.  A
     # RocksDB server under the 99.5% GET / 0.5% SCAN mix with the SCAN
-    # Avoid policy at the Socket Select hook, metrics enabled, and a
-    # request tracer bridged into the event trace.
+    # Avoid policy at the Socket Select hook and metrics enabled.
     "stats": ((120_000, 100.0, 7), lambda load, us, seed, a: _point(
-        lambda: _stats_testbed(seed, us * 0.25), load, us)),
+        lambda: experiments.figure6.testbed("scan_avoid", seed, metrics=True),
+        load, us)),
     # The causal-span scenario: the same Figure-6-style SCAN Avoid point
     # as ``stats``, with head-sampled span tracing (``--spans-every``
     # keeps every Nth request) *and* metrics enabled, so decision spans

@@ -132,14 +132,17 @@ def test_different_fault_plan_seeds_differ():
 
 
 #: sha256 over ``acct.snapshot()`` + ``spans.trees()`` +
-#: ``registry.snapshot()`` (``updated_at`` included) of the run below,
-#: generated at the commit *before* the accountant's flight records, the
-#: inlined span lookups and the attribute clock landed (PR 20's parent,
-#: e0f1b48) — so passing proves those rewrites moved no ledger, blame
-#: cell, span or registry row by one bit.  Regenerate only in a PR that
-#: changes what telemetry records, and say so there.
+#: ``registry.snapshot()`` (``updated_at`` included) of the run below.
+#: Regenerated once, for one reason: span trees became keyed by the
+#: request object instead of its rid.  rids restart at 0 per generator,
+#: so before that the trees for rids 1, 55 and 62 each held spans of an
+#: alpha and a bravo request.  The ledgers, the registry rows, the 2,440
+#: trees and the 137 aborted ones did not move; 40 tree positions did
+#: (the three merged trees and the completion order behind them).
+#: Regenerate only in a change that alters what telemetry records, and
+#: say why here.
 TELEMETRY_DIGEST = \
-    "1cf9a2495e50d781d8fcd7387b4bd8c3e09070a9f6f5180691fd7b62d0b1e2d1"
+    "8f1ad27d5772e82a6fe5503cb3190576ee8555717e88e834bff885f354ec0d27"
 
 
 def test_all_tiers_telemetry_is_pinned():

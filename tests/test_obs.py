@@ -28,7 +28,6 @@ from repro.obs import (
 )
 from repro.policies.builtin import SCAN_AVOID
 from repro.syrupctl import build_parser, render_stats, stage_view
-from repro.trace import RequestTracer
 from repro.workload.generator import OpenLoopGenerator
 from repro.workload.mixes import GET_SCAN_995_005
 
@@ -312,28 +311,6 @@ def schedule(pkt):
     assert machine.obs.registry.value("bad", "syrupd",
                                       "verifier_rejections") == 1
     assert machine.obs.events.events(kind="verifier_reject")
-
-
-def test_request_tracer_bridges_into_event_trace():
-    machine = Machine(set_a(), seed=101, metrics=True)
-    app = machine.register_app("rocksdb", ports=[8080])
-    server = RocksDbServer(machine, app, 8080, 6)
-    tracer = RequestTracer(machine, server)
-    gen = OpenLoopGenerator(machine, 8080, 40_000, GET_SCAN_995_005,
-                            duration_us=10_000)
-    server.response_sink = gen.deliver_response
-    gen.start()
-    machine.run()
-    requests = machine.obs.events.events(kind="request")
-    assert requests
-    event = requests[0]
-    for field in ("wire_nic", "stack", "socket_wait", "service", "total"):
-        assert field in event
-    assert event["total"] == pytest.approx(
-        event["wire_nic"] + event["stack"] + event["socket_wait"]
-        + event["service"]
-    )
-    assert tracer.stages["total"].count == len(requests)
 
 
 def test_ghost_agent_counters():

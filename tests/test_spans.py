@@ -5,12 +5,15 @@ at every seam (NIC, softirq, decision, socket wait, thread scheduling),
 the paired-run determinism contract (spans on/off gives bit-identical
 simulations), the Chrome Trace Event Format exporter, queue-state gauges
 agreeing with the sockets' own drop counters at saturation, the
-critical-path analyzer math, the syrupctl spans/tail/events surfaces,
-OpenMetrics label escaping, and the figure_tail harness.
+critical-path analyzer math, the per-stage breakdown over span trees
+(stamp-for-stamp equal to wrapping the NIC, sockets and server), the
+syrupctl spans/tail/events surfaces, OpenMetrics label escaping, and the
+figure_tail harness.
 """
 
 import io
 import json
+import math
 
 import pytest
 
@@ -19,8 +22,13 @@ from repro.apps.rocksdb import RocksDbServer
 from repro.experiments.figure_tail import run_figure_tail
 from repro.experiments.runner import RocksDbTestbed
 from repro.obs.spans import NULL_SPANS, SpanTracer
-from repro.obs.tail import critical_path, percentile, render_critical_path
-from repro.policies.builtin import SCAN_AVOID
+from repro.obs.tail import (
+    critical_path,
+    percentile,
+    render_critical_path,
+    stage_percentiles,
+)
+from repro.policies.builtin import ROUND_ROBIN, SCAN_AVOID
 from repro.policies.thread_policies import GetPriorityPolicy
 from repro.stats.latency import nearest_rank
 from repro.syrupctl import render_events, render_spans, render_stats, render_tail
@@ -29,18 +37,46 @@ from repro.workload.mixes import GET_ONLY, GET_SCAN_50_50, GET_SCAN_995_005
 
 
 def _traced_machine(spans=1, seed=101, load=60_000, duration_us=20_000,
-                    **machine_kwargs):
+                    policy=SCAN_AVOID, stamps=None, **machine_kwargs):
     machine = Machine(set_a(), seed=seed, spans=spans, **machine_kwargs)
     app = machine.register_app("rocksdb", ports=[8080])
-    server = RocksDbServer(machine, app, 8080, 6, mark_scans=True)
-    app.deploy_policy(SCAN_AVOID, Hook.SOCKET_SELECT,
+    server = RocksDbServer(machine, app, 8080, 6,
+                           mark_scans=policy is SCAN_AVOID)
+    app.deploy_policy(policy, Hook.SOCKET_SELECT,
                       constants={"NUM_THREADS": 6})
+    if stamps is not None:
+        _stamp_lifecycle(machine, server, stamps)
     gen = OpenLoopGenerator(machine, 8080, load, GET_SCAN_995_005,
                             duration_us=duration_us)
     server.response_sink = gen.deliver_response
     gen.start()
     machine.run()
     return machine, gen
+
+
+def _stamp_lifecycle(machine, server, stamps):
+    """Wrap the NIC, the sockets and the server, so ``stamps[request]``
+    holds [NIC arrival, socket enqueue, service start, completion]."""
+    engine, nic = machine.engine, machine.nic
+    receive = nic.receive
+
+    def arrived(packet):
+        if packet.request is not None:
+            stamps[packet.request] = [engine.now, None, None, None]
+        receive(packet)
+
+    def stamp(slot, inner, request_of=lambda request: request):
+        def wrapper(*args):
+            stamps[request_of(args[-1])][slot] = engine.now
+            inner(*args)
+        return wrapper
+
+    nic.receive = arrived
+    for socket in server.sockets:
+        socket.on_enqueue = stamp(1, socket.on_enqueue,
+                                  lambda packet: packet.request)
+    server.on_request_start = stamp(2, server.on_request_start)
+    server.on_request_complete = stamp(3, server.on_request_complete)
 
 
 # ----------------------------------------------------------------------
@@ -144,6 +180,25 @@ def test_ghost_placement_spans():
     assert placement["end"] > placement["start"]  # commit + IPI latency
     # runqueue_wait ends where the placement transaction begins
     assert by_name["runqueue_wait"]["end"] == placement["start"]
+
+
+def test_two_generators_never_share_a_tree():
+    """rids restart at 0 per generator, so trees are keyed by the request
+    object: no tree may hold a second request's spans."""
+    testbed = RocksDbTestbed(
+        policy=(SCAN_AVOID, Hook.SOCKET_SELECT, {"NUM_THREADS": 6}),
+        mark_scans=True, seed=3, spans=1, spans_capacity=1 << 14,
+    )
+    for tenant in ("alpha", "bravo"):
+        testbed.drive(60_000, GET_SCAN_995_005, 20_000.0, 0.0,
+                      stream=tenant, tenant=tenant).start()
+    testbed.machine.run()
+    tracer = testbed.machine.obs.spans
+    trees = tracer.trees()
+    assert tracer.sampled == tracer.seen == len(trees)
+    assert len({tree["rid"] for tree in trees}) < len(trees)  # rids repeat
+    for tree in trees:
+        assert [s["name"] for s in tree["spans"]].count("service") <= 1
 
 
 def test_saturated_socket_trees_abort():
@@ -351,6 +406,76 @@ def test_render_critical_path_table():
     text = render_critical_path(critical_path(trees), title="t")
     assert "socket_wait" in text and "gap_share_pct" in text
     assert "21 sampled requests" in text
+
+
+# ----------------------------------------------------------------------
+# Per-stage breakdown (stage_percentiles)
+# ----------------------------------------------------------------------
+def test_stage_percentiles_math():
+    trees = [_synthetic_tree(i, float(i), 10.0) for i in range(101)]
+    trees.append(dict(_synthetic_tree(101, 500.0, 10.0), complete=False))
+    stages = stage_percentiles(trees, q=50.0)
+    assert stages == {"service": 10.0, "socket_wait": 50.0, "total": 60.0}
+    assert stage_percentiles(trees)["socket_wait"] == pytest.approx(99.0)
+    assert math.isnan(stage_percentiles([])["total"])
+    # a span missing from a tree counts as 0 us there
+    bare = _synthetic_tree(0, 8.0, 10.0)
+    bare["spans"] = bare["spans"][1:]
+    assert stage_percentiles([bare, _synthetic_tree(1, 8.0, 10.0)],
+                             q=0.0)["socket_wait"] == 0.0
+
+
+def test_span_stamps_equal_the_request_lifecycle_stamps():
+    """Spans record the four boundaries a wrapper around the NIC, the
+    sockets and the server sees: NIC arrival, socket enqueue, service
+    start and completion, equal as floats for every completed request."""
+    stamps = {}
+    machine, _gen = _traced_machine(seed=9, load=120_000, duration_us=60_000,
+                                    stamps=stamps, spans_capacity=1 << 15)
+    trees = machine.obs.spans.trees(complete=True)
+    completed = [s for s in stamps.values() if s[3] is not None]
+    assert len(trees) == len(completed) > 5_000
+    by_rid = {request.rid: s for request, s in stamps.items()}
+    for tree in trees:
+        starts = {s["name"]: s["start"] for s in tree["spans"]}
+        assert by_rid[tree["rid"]] == [tree["start"], starts["socket_wait"],
+                                       starts["service"], tree["end"]]
+
+
+def test_stages_fit_inside_the_total():
+    machine, _gen = _traced_machine(load=20_000, duration_us=30_000)
+    trees = machine.obs.spans.trees(complete=True)
+    assert len(trees) > 400
+    for tree in trees:  # the packet path's spans never overlap
+        durations = [s["end"] - s["start"] for s in tree["spans"]]
+        assert sum(durations) <= (tree["end"] - tree["start"]) * (1 + 1e-12)
+    stages = stage_percentiles(trees, q=50.0)
+    assert all(0.0 <= v <= stages["total"] for v in stages.values())
+
+
+def test_all_stages_populated():
+    machine, _gen = _traced_machine(load=20_000, duration_us=30_000)
+    trees = machine.obs.spans.trees(complete=True)
+    assert len(trees) > 100
+    stages = stage_percentiles(trees)
+    assert set(stages) == {"nic_queue", "softirq", "decision:socket_select",
+                           "socket_wait", "service", "total"}
+    assert all(not math.isnan(v) for v in stages.values())
+
+
+def test_stage_percentiles_attribute_hol_blocking_to_socket_wait():
+    """SCAN Avoid's whole effect shows up in the socket_wait stage."""
+    rr, sa = (
+        stage_percentiles(t for t in _traced_machine(
+            policy=policy, load=120_000, duration_us=120_000,
+            spans_capacity=1 << 15)[0].obs.spans.trees()
+            if t["start"] >= 30_000)
+        for policy in (ROUND_ROBIN, SCAN_AVOID)
+    )
+    assert sa["socket_wait"] < rr["socket_wait"] / 3
+    # the other stages barely move
+    for stage in ("nic_queue", "softirq", "service"):
+        assert sa[stage] == pytest.approx(rr[stage], rel=0.5)
 
 
 # ----------------------------------------------------------------------

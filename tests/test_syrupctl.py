@@ -1,5 +1,6 @@
 """Tests for the syrupctl inspection tool."""
 
+import hashlib
 import json
 
 import pytest
@@ -126,6 +127,56 @@ def test_promote_demo_renders_both_candidates_with_histories():
 # ----------------------------------------------------------------------
 # Every view, through the single parse -> stage -> run -> print path
 # ----------------------------------------------------------------------
+#: sha256 of each view's stdout at ``--duration-ms 20``: (text, ``--json``).
+#: Every view is seeded and repeats byte for byte, so any moved value,
+#: row, order or format fails here by name.  Regenerate an entry only
+#: for a change meant to move that view, and say why.
+VIEW_SHA256 = {
+    "stats":
+        ("19c8032e62d4be0bc7c4aa917e6caa536ec80bfa25e7b2e473c194b871ce0533",
+         "d45a902611d3d5911addc3110a112b93d9850663cf8d235ab8c8f5bc30be5439"),
+    "status":
+        ("706a8df7517351c2a53b1e4aae8a03098729e49281bcc7fef202865ca4810624",
+         "ce734969cc6e05e27a8971d532fa3bae6ed9227e5b88d13c6f1d14808d2ad444"),
+    "maps":
+        ("0fb400e968ff273ceee9c858285cd5194717be7364ffa56bc5f6491cfdf16a4e",
+         "d0eb6e3eb3b3365a2cb3f9438ce534210849dc697d6750a12b8175438735665b"),
+    "events":
+        ("3d2418f01f0775be282d56a2a608002deafbf66178cb6434a9ab9adcee281d4c",
+         "f4a8a1e75787f3a63b02c4f7e832216d8c3b6d7abf24cad41de4b801f724d4f2"),
+    "timeline":
+        ("75549282726061fd6e7e3e545ec5ab5efafe6d42e7f1c8c6a0e3e009ddcf2c4d",
+         "9a6c78124be31c51f5c7b868fd2254b2d33f8674bb85ae29c09851ffd1850c4f"),
+    "health":
+        ("bbb740a273f8e4eae3971510ac9d502bc9abb5675942ef36687be248de6065cb",
+         "297183fa3cdbf0c4d666d15c4fc7146c7915481db2b364f28c63bae7e2f4b482"),
+    "spans":
+        ("02fd1614ed20c3fb3fcd58cb8782b3cae6c93e4d7f01ff4e6ffcec20537e92d1",
+         "a905e068931641b2eb23418f49ff80dd2f078d20b79677190767b5a028f4877d"),
+    "tail":
+        ("e7b9264534f0cc71f932e4f40c785a4d0faa46ff08d2b82f8147756c8047bfe7",
+         "9815897dc46e8c751b79df2936b0af165d16aadefe5ce9e1919996a59dcd6e19"),
+    "qdisc":
+        ("4275711eccf9994a0f71e1582fb4644cc286d69e7c2d8f10bb93224fee01379f",
+         "a9720bf7b39a1fc0b631cfa3dca9fed495af2253bc49aa247b1964023fbc3b6d"),
+    "fleet":
+        ("69cd2841b3abe017f6e99ce9e9b688a75bae6c9f8ff80a3ff280edc0ed8aab90",
+         "d5c7da13f0cfde3cda3b7c2fc3290089f542dc187175072042ea5ec1402dfac4"),
+    "slo":
+        ("2ef84b8fb1b81506d8405c411e9bca73f96f1d1fd95e10be0b85f2d5faafa3ac",
+         "0cdfb2077de6f40321819b4c3af4883e5fb52ee3e5d3d13452910b45228ea21a"),
+    "promote":
+        ("183521ea0e1f358f055f6439d4e9adb50f08f0d211ccee44bfab39a57cf88fa6",
+         "94e81e2c824acdaf1db739f92223ebdb0f65cba1e5773721c75a05f65b4f278f"),
+    "tenants":
+        ("66f03be87a2bb1a6be375e181812dd297d058395128940f52def8ae01a87d356",
+         "1520adf0f8eb1cd5e8f7e88bfa13e957fad283e5e03615e47400fef32fb2e0ff"),
+    "cores":
+        ("efcc99a81ebc8c2cd9a8b739e34accf3cba1a580b8d7b365432b6208e020e90e",
+         "c232308b781a111d8e1fc0c4bfa2457de90c159d6917116bd2dc0085c9bd661f"),
+}
+
+
 @pytest.mark.parametrize("view", list(VIEWS))
 def test_every_view_renders_text_and_json_and_is_a_repro_subcommand(
         view, capsys):
@@ -135,7 +186,10 @@ def test_every_view_renders_text_and_json_and_is_a_repro_subcommand(
     text = capsys.readouterr().out
     assert text.strip()
     assert main([view, "--duration-ms", "20", "--json"]) == 0
-    json.loads(capsys.readouterr().out)
+    snapshot = capsys.readouterr().out
+    json.loads(snapshot)
+    assert tuple(hashlib.sha256(out.encode()).hexdigest()
+                 for out in (text, snapshot)) == VIEW_SHA256[view]
     # python -m repro <view> walks the same path and prints the same text
     assert cli_main([view, "--duration-ms", "20"]) == 0
     assert capsys.readouterr().out == text
