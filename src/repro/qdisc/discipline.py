@@ -266,9 +266,10 @@ class Qdisc:
                 return OfferResult(False, rank=None, reason="overflow")
             # An older, lower-priority element made room for the arrival.
             self.evictions += 1
+            self.enqueues += 1
             if self.metrics is not None:
                 self.metrics["evictions"].inc()
-            self.enqueues += 1
+                self.metrics["enqueues"].inc()
             self._note_rank(rank)
             self._set_depth()
             return OfferResult(True, evicted=victim, rank=rank,
@@ -327,6 +328,9 @@ class Qdisc:
             ordered.append(item)
         self.enqueues += len(ordered)
         self.dequeues += len(ordered)
+        if self.metrics is not None:
+            self.metrics["enqueues"].inc(len(ordered))
+            self.metrics["dequeues"].inc(len(ordered))
         return ordered
 
     # ------------------------------------------------------------------

@@ -16,14 +16,19 @@ Locks the tentpole's end-to-end contracts:
   on both backends.
 """
 
+import dataclasses
+
 import pytest
 
+from repro import Hook, set_a
 from repro.core.health import HealthPolicy
 from repro.faults import FaultPlan
 from repro.qdisc import FIFO_RANK, SRPT_BY_SIZE, qdisc_hook
 from repro.experiments.figure8 import stage_dynamic
 from repro.experiments.figure_order import run_figure_order
 from repro.experiments.runner import RocksDbTestbed, run_point
+from repro.policies.builtin import SCAN_AVOID
+from repro.policies.thread_policies import GetPriorityPolicy
 from repro.workload.mixes import GET_SCAN_995_005
 
 LOAD = 100_000
@@ -150,8 +155,6 @@ def test_nic_rx_layer_ranks_and_delivers_everything():
 
 
 def test_runqueue_layer_orders_ghost_snapshots():
-    from repro.policies.thread_policies import GetPriorityPolicy
-
     testbed = RocksDbTestbed(
         thread_policy_factory=lambda server: GetPriorityPolicy(
             server.type_map
@@ -173,6 +176,57 @@ def test_runqueue_layer_orders_ghost_snapshots():
         if d.agent is not None
     ]
     assert agents and all(a.runqueue_qdisc is None for a in agents)
+
+
+QDISC_COUNTERS = ("enqueues", "dequeues", "sched_drops", "overflow_drops",
+                  "evictions", "runtime_faults")
+
+
+def assert_registry_matches_rows(machine):
+    """Every ``(app, qdisc:<layer>)`` registry counter equals the sum of
+    the plain counters of that deployment's queues."""
+    rows = machine.syrupd.qdiscs()
+    registry = machine.obs.registry
+    for app, hook in {(row["app"], row["hook"]) for row in rows}:
+        mine = [row for row in rows if (row["app"], row["hook"]) == (app, hook)]
+        for name in QDISC_COUNTERS:
+            assert registry.value(app, hook, name) == sum(
+                row[name] for row in mine), (app, hook, name)
+
+
+def test_registry_counters_match_rows_when_arrivals_evict():
+    """Two tenants past saturation on 32-deep backlogs: an arrival
+    admitted by evicting an older element is an enqueue in both books."""
+    testbed = RocksDbTestbed(
+        policy=(SCAN_AVOID, Hook.SOCKET_SELECT, {"NUM_THREADS": 6}),
+        qdisc=(SRPT_BY_SIZE, "socket", "pifo"),
+        mark_scans=True, mark_sizes=True, num_threads=6, seed=3,
+        metrics=True, config=dataclasses.replace(set_a(), socket_backlog=32),
+    )
+    for tenant, user_id, rate in (("alpha", 1, 60_000),
+                                  ("bravo", 2, 420_000)):
+        testbed.drive(rate, GET_SCAN_995_005, 20_000.0, 0.0, stream=tenant,
+                      user_id=user_id, tenant=tenant).start()
+    testbed.machine.run()
+    assert sum(row["evictions"] for row in testbed.machine.syrupd.qdiscs()) > 0
+    assert_registry_matches_rows(testbed.machine)
+
+
+def test_registry_counters_match_rows_at_the_runqueue():
+    """The runqueue layer orders snapshots instead of queueing: each
+    ordered element is an enqueue and a dequeue in both books."""
+    testbed = RocksDbTestbed(
+        thread_policy_factory=lambda server: GetPriorityPolicy(
+            server.type_map
+        ),
+        scheduler="ghost", mark_types=True, num_threads=36, seed=5,
+        metrics=True,
+    )
+    qdisc = testbed.app.deploy_qdisc(RANK_BY_TID, "runqueue").qdiscs[0]
+    testbed.drive(4_000, GET_SCAN_995_005, DURATION_US, WARMUP_US).start()
+    testbed.machine.run()
+    assert qdisc.enqueues > 0
+    assert_registry_matches_rows(testbed.machine)
 
 
 def test_runqueue_layer_requires_thread_scheduler():
