@@ -28,14 +28,17 @@ class ServerStats:
 
 
 class SocketWorkSource:
-    """Thread work source backed by a socket queue."""
+    """Thread work source backed by a socket queue; ``complete`` is the
+    server's ``on_request_complete`` bound to the thread's index."""
 
-    __slots__ = ("server", "thread_index", "socket")
+    __slots__ = ("server", "thread_index", "socket", "complete")
 
     def __init__(self, server, thread_index, socket):
         self.server = server
         self.thread_index = thread_index
         self.socket = socket
+        self.complete = functools.partial(server.on_request_complete,
+                                          thread_index)
 
     def pull(self):
         packet = self.socket.pop()
@@ -45,9 +48,6 @@ class SocketWorkSource:
         cost = self.server.request_cost(request, packet, self.thread_index)
         self.server.on_request_start(self.thread_index, request)
         return (cost, request)
-
-    def complete(self, request):
-        self.server.on_request_complete(self.thread_index, request)
 
 
 class UdpServer:

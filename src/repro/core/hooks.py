@@ -33,21 +33,24 @@ Observability: when the machine runs with ``metrics=True``, every
 attachment carries per-``(app, hook)`` counters — ``schedule_calls``,
 ``pass`` / ``drop`` / ``steer`` outcomes, ``index_miss`` — and each
 decision is recorded in the structured event trace (kind ``decision``).
-With observability off these are shared no-op objects
-(:data:`repro.obs.registry.NULL_METRIC`), keeping the per-packet path
-allocation-free.  See docs/observability.md for the full catalogue.
+With observability off an attachment holds None for each counter, so a
+dark decision touches no metric object at all.  See docs/observability.md
+for the full catalogue.
 """
 
 from repro.constants import DROP, PASS
 from repro.ebpf.errors import VmFault
 from repro.ebpf.maps import ProgArrayMap
-from repro.obs import DISABLED
+from repro.obs import DISABLED, NULL_METRIC
 from repro.obs.probe import NULL_PROBE
 
 __all__ = ["Hook", "HookSite"]
 
 #: App label for site-level metrics not attributable to one application.
 ROOT_APP = "(root)"
+
+#: The verdicts that name no target, shared by every decision.
+_PASS, _DROP = ("pass", None), ("drop", None)
 
 
 class Hook:
@@ -83,12 +86,13 @@ class _Attachment:
         # Optional repro.core.promote.ShadowTap running a candidate
         # policy side-by-side; installed/cleared by Syrupd.deploy_shadow.
         self.shadow = None
-        self.m_sched = registry.counter(app_name, hook, "schedule_calls")
-        self.m_pass = registry.counter(app_name, hook, "pass")
-        self.m_drop = registry.counter(app_name, hook, "drop")
-        self.m_steer = registry.counter(app_name, hook, "steer")
-        self.m_miss = registry.counter(app_name, hook, "index_miss")
-        self.m_fault = registry.counter(app_name, hook, "runtime_faults")
+        counters = [registry.counter(app_name, hook, name) for name in (
+            "schedule_calls", "pass", "drop", "steer", "index_miss",
+            "runtime_faults")]
+        # None for the null registry's no-op metric: a dark decision
+        # skips its counters without a call.
+        (self.m_sched, self.m_pass, self.m_drop, self.m_steer, self.m_miss,
+         self.m_fault) = [None if c is NULL_METRIC else c for c in counters]
 
 
 class HookSite:
@@ -226,41 +230,48 @@ class HookSite:
             # verdict is recorded in the decision diff, never enforced,
             # and its faults are contained inside the tap.
             shadow.observe(value, packet)
-        attachment.m_sched.inc()
         if value == PASS:
             self.pass_decisions += 1
-            attachment.m_pass.inc()
-            self._record(attachment, packet, "pass")
-            return ("pass", None)
-        if value == DROP:
+            outcome, counter, verdict = "pass", attachment.m_pass, _PASS
+            value = None  # neither the event nor the seam carries one
+        elif value == DROP:
             self.drop_decisions += 1
-            attachment.m_drop.inc()
-            self._record(attachment, packet, "drop")
-            return ("drop", None)
-        executor = attachment.executors.resolve(value)
-        if executor is None:
-            # index the app never populated: safest is the default policy
-            self.pass_decisions += 1
-            attachment.m_miss.inc()
-            self._record(attachment, packet, "index_miss", value)
-            return ("pass", None)
-        attachment.m_steer.inc()
-        self._record(attachment, packet, "steer", value)
-        return ("target", executor)
-
-    def _record(self, attachment, packet, outcome, value=None):
-        """One decision: a ``decision`` event (carrying ``value`` only
-        when the outcome has one) and the probe's ``decision`` seam,
-        linked by the event's ``seq`` when the trace is live."""
+            outcome, counter, verdict = "drop", attachment.m_drop, _DROP
+            value = None
+        else:
+            executors = attachment.executors  # ExecutorMap.resolve, inlined
+            executor = executors._slots.get(value)
+            if executor is None:
+                # index the app never populated: safest is the default policy
+                executors.invalid_lookups += 1
+                self.pass_decisions += 1
+                outcome, counter = "index_miss", attachment.m_miss
+                verdict = _PASS
+            else:
+                outcome, counter = "steer", attachment.m_steer
+                verdict = ("target", executor)
+        m_sched = attachment.m_sched
+        if m_sched is not None:
+            # Counter.inc() of schedule_calls and the outcome, written out
+            m_sched.value += 1
+            counter.value += 1
+            m_sched.updated_at = counter.updated_at = m_sched._clock.now
+        # One decision: a ``decision`` event (``value`` only when the
+        # outcome has one, EventTrace.emit written out) and the probe's
+        # ``decision`` seam, linked by the event's ``seq`` when live.
         events = self._events
         seq = None
         if events.enabled:
-            extra = {} if value is None else {"value": value}
-            events.emit("decision", app=attachment.app_name, hook=self.hook,
-                        port=packet.dst_port, outcome=outcome, **extra)
-            seq = events.emitted
+            event = {"ts": events.clock.now, "kind": "decision",
+                     "app": attachment.app_name, "hook": self.hook,
+                     "port": packet.dst_port, "outcome": outcome}
+            if value is not None:
+                event["value"] = value
+            events.emitted = seq = events.emitted + 1
+            events._ring.append(event)
         self.probe.decision(packet, self.hook, outcome, value, attachment.fd,
                             seq)
+        return verdict
 
     def _on_fault(self, attachment, packet, exc, program=None):
         """Contain a runtime fault: count, trace, notify, drop the input.
@@ -273,8 +284,9 @@ class HookSite:
         """
         self.runtime_faults += 1
         self.drop_decisions += 1
-        attachment.m_sched.inc()
-        attachment.m_fault.inc()
+        if attachment.m_sched is not None:
+            attachment.m_sched.inc()
+            attachment.m_fault.inc()
         events = self._events
         if events.enabled:
             events.emit(

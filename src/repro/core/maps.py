@@ -77,13 +77,6 @@ class SyrupMap:
         """Modeled latency of one userspace map operation."""
         return self._latency_us[1 if contended else 0]
 
-    def _observe(self, op, contended, latency):
-        metrics = self._metrics
-        metrics[op].inc()
-        if contended:
-            metrics["contended"].inc()
-        metrics["op_latency_us"].observe(latency)
-
     # -- userspace API (syr_map_* of Table 1) ---------------------------
     # Each op books itself inline: one frame per op while metrics are off.
     def lookup(self, key, contended=False):
@@ -91,7 +84,10 @@ class SyrupMap:
         latency = self._latency_us[1 if contended else 0]
         self.userspace_time_us += latency
         if self._metrics is not None:
-            self._observe("lookups", contended, latency)
+            self._metrics["lookups"].inc()
+            if contended:
+                self._metrics["contended"].inc()
+            self._metrics["op_latency_us"].observe(latency)
         return self.bpf_map.lookup(key)
 
     def update(self, key, value, contended=False):
@@ -99,7 +95,10 @@ class SyrupMap:
         latency = self._latency_us[1 if contended else 0]
         self.userspace_time_us += latency
         if self._metrics is not None:
-            self._observe("updates", contended, latency)
+            self._metrics["updates"].inc()
+            if contended:
+                self._metrics["contended"].inc()
+            self._metrics["op_latency_us"].observe(latency)
         self.bpf_map.update(key, value)
 
     def delete(self, key, contended=False):
@@ -107,7 +106,10 @@ class SyrupMap:
         latency = self._latency_us[1 if contended else 0]
         self.userspace_time_us += latency
         if self._metrics is not None:
-            self._observe("deletes", contended, latency)
+            self._metrics["deletes"].inc()
+            if contended:
+                self._metrics["contended"].inc()
+            self._metrics["op_latency_us"].observe(latency)
         return self.bpf_map.delete(key)
 
     def atomic_add(self, key, delta, contended=False):
@@ -115,7 +117,10 @@ class SyrupMap:
         latency = self._latency_us[1 if contended else 0]
         self.userspace_time_us += latency
         if self._metrics is not None:
-            self._observe("atomic_adds", contended, latency)
+            self._metrics["atomic_adds"].inc()
+            if contended:
+                self._metrics["contended"].inc()
+            self._metrics["op_latency_us"].observe(latency)
         return self.bpf_map.atomic_add(key, delta)
 
     def items(self):

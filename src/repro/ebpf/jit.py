@@ -5,10 +5,12 @@ program is "as cheap as a regular function call" (paper §4.1).  Our analogue
 generates Python source from the policy's validated AST and ``exec``s it.
 The generated function has exactly the semantics of the IR interpreter,
 and a hypothesis property test asserts agreement on randomized programs
-and inputs.  Map reads are inlined: ``map_lookup`` / ``map_has`` become a
-call of the map's bound ``lookup`` with :mod:`repro.ebpf.helpers`' ``& U64``
-mask and absent-key-reads-0 rule written out, and ``%`` / ``//`` by a
-nonzero literal are plain Python operators (``a % c`` needs no mask for
+and inputs.  Reads cost no Python frame: ``map_lookup`` / ``map_has`` call
+the map's slots dict's bound ``get`` with :mod:`repro.ebpf.helpers`'
+``& U64`` mask and absent-key-reads-0 rule written out, and a packet load
+slices the bytes behind ``WireView.load``'s bounds check (past the end it
+calls ``load``, for its ``IndexError``).  ``%`` / ``//`` by a nonzero
+literal are plain Python operators (``a % c`` needs no mask for
 ``0 < c <= U64``).  A divisor that may be zero and the map writes, which
 carry the helpers' error codes, still call :mod:`repro.ebpf.helpers`.
 
@@ -16,8 +18,8 @@ Place in the dispatch path: hooks never call this module directly.
 :mod:`repro.ebpf.program` calls :func:`jit_compile` once per program
 image, which holds the result: a stateless *factory*, shared by every
 binding of a text.  Each binding calls it once with its own maps and gets
-its own ``_policy`` closure over those maps' ``lookup`` methods — two
-bindings share no state — and :mod:`repro.ebpf.program` says when a
+its own ``_policy`` closure over those maps' reads — two bindings share
+no state — and :mod:`repro.ebpf.program` says when a
 binding runs it instead of the interpreter.  Programs authored directly as
 IR (:mod:`repro.ebpf.asm`) carry no AST and skip the JIT entirely, like
 eBPF on a kernel with the JIT disabled.
@@ -62,17 +64,19 @@ _PY_CMP = {
 
 def jit_compile(program):
     """Return the stateless factory ``bind(maps_list) -> policy``, where
-    ``policy(packet, globals_list, rng) -> int`` is closed over the bound
-    ``lookup`` of every map the program reads."""
+    ``policy(packet, globals_list, rng) -> int`` is closed over the slots
+    dict's ``get`` of every map the program reads."""
     gen = _CodeGen(program)
     policy = gen.generate()
     source = "".join(
         ["def _bind(M):\n"]
-        + [f"    _l{slot} = M[{slot}].lookup\n" for slot in sorted(gen.read_maps)]
+        + [f"    _l{slot} = M[{slot}]._values.get\n"
+           for slot in sorted(gen.read_maps)]
         + policy
         + ["    return _policy\n"]
     )
     namespace = {
+        "_fb": int.from_bytes,
         "_div": helpers.div_u64,
         "_mod": helpers.mod_u64,
         "_mu": helpers.map_update,
@@ -266,9 +270,13 @@ class _CodeGen:
             return "u_pkt.length"
         if fname in _LOAD_WIDTHS:
             offset = fold_const(args[1], self.constants)
-            return f"u_pkt.load({offset}, {_LOAD_WIDTHS[fname]})"
+            end = offset + _LOAD_WIDTHS[fname]  # the compiler: offset >= 0
+            # WireView.load inlined; out of bounds, it raises the error
+            return (f"(_fb((u_pkt._data or u_pkt.data)[{offset}:{end}], "
+                    f"'little') if {end} <= u_pkt.length "
+                    f"else u_pkt.load({offset}, {end - offset}))")
         if fname in ("map_lookup", "map_has"):
-            # helpers.map_lookup / map_has inlined on the bound lookup
+            # helpers.map_lookup / map_has inlined on the bound read
             slot = self.map_slots[args[0].id]
             self.read_maps.add(slot)
             read = f"_l{slot}(({self._ex(args[1])}) & {U64})"

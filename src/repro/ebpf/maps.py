@@ -8,6 +8,10 @@ Values are unsigned 64-bit integers (the paper: "we have found that 64-bit
 unsigned integer values are sufficient for our target applications").
 Updates use last-writer-wins with atomic read-modify-write available via
 :meth:`BpfMap.atomic_add` — eBPF maps expose no locks, only atomics.
+
+:class:`ArrayMap` and :class:`HashMap` both keep their slots in a dict,
+``_values``, that is never rebound: the JIT (:mod:`repro.ebpf.jit`) binds
+its ``get`` as a program's read, a lookup without a Python frame.
 """
 
 from repro.ebpf.insn import U64
@@ -54,13 +58,14 @@ class ArrayMap(BpfMap):
     """Fixed-size array of u64, keys 0..max_entries-1, zero-initialized.
 
     Like BPF_MAP_TYPE_ARRAY: lookups never miss, deletes are invalid.
+    Slots are keyed ``0..max_entries-1``: out of range, ``get`` is None.
     """
 
     kind = "array"
 
     def __init__(self, name, max_entries):
         super().__init__(name, max_entries)
-        self._values = [0] * max_entries
+        self._values = dict.fromkeys(range(max_entries), 0)
 
     def lookup(self, key):
         if 0 <= key < self.max_entries:
@@ -80,13 +85,13 @@ class ArrayMap(BpfMap):
                 f"array map {self.name!r}: {len(values)} values for "
                 f"{self.max_entries} slots"
             )
-        self._values[:] = [value & U64 for value in values]
+        self._values.update(enumerate([value & U64 for value in values]))
 
     def delete(self, key):
         raise KeyError(f"array map {self.name!r} does not support delete")
 
     def items(self):
-        return list(enumerate(self._values))
+        return list(self._values.items())
 
     def __len__(self):
         return self.max_entries

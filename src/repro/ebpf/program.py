@@ -18,7 +18,9 @@ Loading mirrors the kernel's ``bpf(BPF_PROG_LOAD, ...)`` in two steps:
   per input.  It owns all an attachment can change — map bindings, globals,
   RNG stream, invocation count, cycle profile, metric handles — so two
   loads of one text never see each other's state.  Its JIT policy is its
-  own closure, made once by calling the image's factory with its maps.
+  own closure, made once by calling the image's factory with its maps, and
+  the two counters a JIT run bumps are resolved when ``metrics`` is
+  assigned, so a run does no dict lookup and calls no ``inc``.
 
 Cycle accounting: each binding's first ``profile_runs`` invocations go
 through the interpreter — the image's IR compiled once by
@@ -136,10 +138,19 @@ class LoadedProgram:
         #: Average cycles per invocation: the static estimate until the
         #: first profiled run, then the profiled average.
         self.cycle_estimate = float(image.static_cycles)
-        # Optional dict of obs metric objects ("invocations",
-        # "insns_interp", "cycles_interp", "jit_runs"); set by syrupd at
-        # deploy time when the machine runs with metrics enabled.
         self.metrics = None
+
+    @property
+    def metrics(self):
+        """Optional dict of obs counters ("invocations", "insns_interp",
+        "cycles_interp", "jit_runs"), set by syrupd at deploy time when
+        metrics are on; assigning it binds the two a JIT run bumps."""
+        return self._metrics
+
+    @metrics.setter
+    def metrics(self, metrics):
+        self._metrics = metrics
+        self._m_jit = metrics and (metrics["invocations"], metrics["jit_runs"])
 
     @property
     def name(self):
@@ -154,21 +165,21 @@ class LoadedProgram:
     def run(self, packet):
         """Execute the policy on one input; returns the u32 decision."""
         self.invocations += 1
-        metrics = self.metrics
         if self._jit is None or self._profiled_count < self.profile_runs:
             result = execute(self.program, packet, self.maps, self.globals,
                              self.rng, self._interp)
             self._profiled_cycles += result.cycles
             self._profiled_count += 1
             self.cycle_estimate = self._profiled_cycles / self._profiled_count
-            if metrics is not None:
-                metrics["invocations"].inc()
-                metrics["insns_interp"].inc(result.insns_executed)
-                metrics["cycles_interp"].inc(result.cycles)
+            if self._metrics is not None:
+                self._metrics["invocations"].inc()
+                self._metrics["insns_interp"].inc(result.insns_executed)
+                self._metrics["cycles_interp"].inc(result.cycles)
             return result.value
-        if metrics is not None:
-            metrics["invocations"].inc()
-            metrics["jit_runs"].inc()
+        if self._m_jit:
+            for counter in self._m_jit:  # Counter.inc(), written out
+                counter.value += 1
+                counter.updated_at = counter._clock.now
         return self._jit(packet, self.globals, self.rng)
 
     def run_interp(self, packet):

@@ -97,7 +97,7 @@ class UdpSocket:
             probe.socket_enqueued(packet, self, len(self.queue))
             self.queue.append(packet)
         else:
-            depth = len(self.queue) + len(qdisc)
+            depth = len(self.queue) + len(qdisc.queue)
             capacity = max(0, self.backlog - len(self.queue))
             result = qdisc.offer(packet, capacity=capacity)
             if not result.accepted:

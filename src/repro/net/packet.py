@@ -5,7 +5,8 @@ parse packet contents (the paper's SITA and token policies "peek into the
 packet") — but most policies never look, so the bytes are materialised on
 the first ``data``/``load`` and a packet nobody reads costs no
 serialisation.  Layout (little-endian, documented divergence from network
-order), packed in exactly one place, :func:`wire_bytes`:
+order), packed by :func:`wire_bytes` — or, for the standard application
+header below, by one ``_WIRE`` pack of both headers:
 
 ====== ===== =====================================================
 offset width field
@@ -58,6 +59,7 @@ FiveTuple = namedtuple(
 
 _HEADER = struct.Struct("<HHHH")
 _APP = struct.Struct("<QQQQ")
+_WIRE = struct.Struct("<HHHHQQQQ")   # UDP header + standard app header
 
 
 def build_payload(req_type, user_id=0, key_hash=0, req_id=0, extra=b""):
@@ -138,12 +140,12 @@ class Packet(WireView):
         self.softirq_core = None  # which softirq core ran protocol processing
 
     def _build(self):
-        payload = self.payload
-        if payload is None:
-            request = self.request
-            payload = build_payload(request.rtype, request.user_id,
-                                    request.key_hash, request.rid)
-        return wire_bytes(self.flow.src_port, self.dst_port, payload)
+        if self.payload is not None:
+            return wire_bytes(self.flow.src_port, self.dst_port, self.payload)
+        request = self.request
+        return _WIRE.pack(self.flow.src_port, self.dst_port, self.length, 0,
+                          request.rtype, request.user_id, request.key_hash,
+                          request.rid)
 
     def __repr__(self):
         return f"<Packet {self.flow} len={self.length}>"
@@ -179,10 +181,8 @@ class PacketView(WireView):
         self.rid = rid
 
     def _build(self):
-        return wire_bytes(
-            self.src_port, self.dst_port,
-            build_payload(self.rtype, self.user_id, self.key_hash, self.rid),
-        )
+        return _WIRE.pack(self.src_port, self.dst_port, self.length, 0,
+                          self.rtype, self.user_id, self.key_hash, self.rid)
 
     def __repr__(self):
         return (

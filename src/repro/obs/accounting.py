@@ -171,9 +171,9 @@ class TenantAccountant:
         ``None`` for traffic that carries no tenant."""
         if request is None or request.tenant is None:
             return None
+        tenant = request.tenant
         flight = self._flights[request] = _Flight(
-            request.tenant, self.ledger(request.tenant)
-        )
+            tenant, self.ledgers.get(tenant) or self.ledger(tenant))
         return flight
 
     def book_core_occupancy(self, tenant, us):
@@ -195,8 +195,14 @@ class TenantAccountant:
         if total <= 0.0:
             return
         scale = wait_us / total
+        cells = self.blame._cells
         for aggressor, weight in ahead.items():
-            self.blame.charge(victim, aggressor, layer, weight * scale)
+            # BlameMatrix.charge, written out
+            us = weight * scale
+            if us <= 0.0:
+                continue
+            key = (victim, aggressor, layer)
+            cells[key] = cells.get(key, 0.0) + us
 
     # The packet seams below charge waits inline — the two statements of
     # TenantLedger.charge_wait — so each costs one frame per request.
@@ -312,7 +318,7 @@ class TenantAccountant:
         if tenant is None:
             return
         if ts is not None:
-            self.ledger(tenant).charge_wait(
+            (self.ledgers.get(tenant) or self.ledger(tenant)).charge_wait(
                 "runqueue", self._clock.now - ts
             )
         # Capture the item's modeled cost now; charge it at completion
@@ -324,7 +330,7 @@ class TenantAccountant:
         tenant = getattr(token, "tenant", None)
         if tenant is None:
             return
-        led = self.ledger(tenant)
+        led = self.ledgers.get(tenant) or self.ledger(tenant)
         led.completed += 1
         if entry is not None:
             led.cpu_service_us += entry[1]

@@ -180,7 +180,18 @@ class Sketch(DDSketch):
         self._clock = clock
 
     def observe(self, value):
-        self.add(value)
+        # DDSketch.add(value), written out
+        self.count += 1
+        self.sum += value
+        if self.vmin is None or value < self.vmin:
+            self.vmin = value
+        if self.vmax is None or value > self.vmax:
+            self.vmax = value
+        if value <= 0.0:
+            self.zero_count += 1
+        else:
+            index = math.ceil(math.log(value) * self._multiplier)
+            self.buckets[index] = self.buckets.get(index, 0) + 1
         self.updated_at = self._clock.now
 
     def __repr__(self):

@@ -95,17 +95,18 @@ class Slo:
             self.good_total += n
         now = self.clock.now
         index = int(now // self._bin_us)
-        bin_ = self._bins.get(index)
-        if bin_ is None:
-            # Expire only when a bin opens: counts() filters by its own
-            # horizon, so a stale bin kept until then is never read.
-            horizon = int((now - self.long_window_us) // self._bin_us)
-            for stale in [i for i in self._bins if i <= horizon]:
-                del self._bins[stale]
-            bin_ = self._bins[index] = [0, 0]
+        bin_ = self._bins.get(index) or self._open_bin(index, now)
         bin_[1] += n
         if good:
             bin_[0] += n
+
+    def _open_bin(self, index, now):
+        # Expire only when a bin opens: counts() filters by its own
+        # horizon, so a stale bin kept until then is never read.
+        horizon = int((now - self.long_window_us) // self._bin_us)
+        for stale in [i for i in self._bins if i <= horizon]:
+            del self._bins[stale]
+        return self._bins.setdefault(index, [0, 0])
 
     def counts(self, window_us):
         """``(good, total)`` over the trailing ``window_us``."""
@@ -193,7 +194,17 @@ class LatencySlo(Slo):
         self.threshold_us = float(threshold_us)
 
     def observe(self, latency_us):
-        self.record(latency_us <= self.threshold_us)
+        # record(latency_us <= threshold_us), written out
+        good = latency_us <= self.threshold_us
+        self.total += 1
+        if good:
+            self.good_total += 1
+        now = self.clock.now
+        index = int(now // self._bin_us)
+        bin_ = self._bins.get(index) or self._open_bin(index, now)
+        bin_[1] += 1
+        if good:
+            bin_[0] += 1
 
 
 class AvailabilitySlo(Slo):

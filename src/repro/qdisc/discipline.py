@@ -228,16 +228,6 @@ class Qdisc:
             return DROP
         return decision
 
-    def _note_rank(self, rank):
-        self.rank_count += 1
-        self.rank_sum += rank
-        if self.rank_min is None or rank < self.rank_min:
-            self.rank_min = rank
-        if self.rank_max is None or rank > self.rank_max:
-            self.rank_max = rank
-        if self.metrics is not None:
-            self.metrics["rank"].observe(rank)
-
     # ------------------------------------------------------------------
     def offer(self, item, capacity=None, ctx=None):
         """Rank + enqueue one element, honouring ``capacity``.
@@ -250,37 +240,46 @@ class Qdisc:
         the policy collapses to the substrate's historical drop-tail.
         """
         rank = self.rank_of(item, ctx=ctx)
+        metrics = self.metrics
         if rank == DROP:
             self.sched_drops += 1
-            if self.metrics is not None:
-                self.metrics["sched_drops"].inc()
+            if metrics is not None:
+                metrics["sched_drops"].inc()
             return OfferResult(False, rank=None, reason="sched_drop")
-        if capacity is not None and len(self.queue) >= capacity:
-            self.queue.push(rank, item)
-            _worst_rank, victim = self.queue.worst()
+        queue = self.queue
+        depth = len(queue)  # the backend's length, read once per offer
+        queue.push(rank, item)
+        victim = None
+        if capacity is not None and depth >= capacity:
+            _worst_rank, victim = queue.worst()
             self.overflow_drops += 1
-            if self.metrics is not None:
-                self.metrics["overflow_drops"].inc()
-            if victim is item:
-                self._set_depth()
-                return OfferResult(False, rank=None, reason="overflow")
+            if metrics is not None:
+                metrics["overflow_drops"].inc()
+        else:
+            depth += 1
+        gauge = self.depth_gauge
+        if gauge is not None:  # Gauge.set(), written out
+            gauge.value = depth
+            gauge.updated_at = gauge._clock.now
+        if victim is item:
+            return OfferResult(False, rank=None, reason="overflow")
+        if victim is not None:
             # An older, lower-priority element made room for the arrival.
             self.evictions += 1
-            self.enqueues += 1
-            if self.metrics is not None:
-                self.metrics["evictions"].inc()
-                self.metrics["enqueues"].inc()
-            self._note_rank(rank)
-            self._set_depth()
-            return OfferResult(True, evicted=victim, rank=rank,
-                               reason="overflow")
-        self.queue.push(rank, item)
+            if metrics is not None:
+                metrics["evictions"].inc()
         self.enqueues += 1
-        if self.metrics is not None:
-            self.metrics["enqueues"].inc()
-        self._note_rank(rank)
-        self._set_depth()
-        return OfferResult(True, rank=rank)
+        self.rank_count += 1
+        self.rank_sum += rank
+        if self.rank_min is None or rank < self.rank_min:
+            self.rank_min = rank
+        if self.rank_max is None or rank > self.rank_max:
+            self.rank_max = rank
+        if metrics is not None:
+            metrics["enqueues"].inc()
+            metrics["rank"].observe(rank)
+        return OfferResult(True, evicted=victim, rank=rank,
+                           reason=None if victim is None else "overflow")
 
     def take(self):
         """Dequeue the minimum-rank element (None if empty)."""
@@ -289,7 +288,10 @@ class Qdisc:
             self.dequeues += 1
             if self.metrics is not None:
                 self.metrics["dequeues"].inc()
-            self._set_depth()
+            gauge = self.depth_gauge
+            if gauge is not None:  # Gauge.set(), written out
+                gauge.value = len(self.queue)
+                gauge.updated_at = gauge._clock.now
         return item
 
     def drain(self):
@@ -318,7 +320,14 @@ class Qdisc:
             rank = self.rank_of(item, ctx=ctx)
             if rank == DROP:
                 rank = FIFO
-            self._note_rank(rank)
+            self.rank_count += 1
+            self.rank_sum += rank
+            if self.rank_min is None or rank < self.rank_min:
+                self.rank_min = rank
+            if self.rank_max is None or rank > self.rank_max:
+                self.rank_max = rank
+            if self.metrics is not None:
+                self.metrics["rank"].observe(rank)
             scratch.push(rank, item)
         ordered = []
         while True:
@@ -343,10 +352,6 @@ class Qdisc:
         """
         self.program = None
         return self
-
-    def _set_depth(self):
-        if self.depth_gauge is not None:
-            self.depth_gauge.set(len(self.queue))
 
     # ------------------------------------------------------------------
     def snapshot(self):

@@ -223,9 +223,11 @@ def test_hook_site_pass_drop():
 
 def test_hook_site_unpopulated_executor_falls_back_to_pass():
     site = HookSite(Hook.SOCKET_SELECT, CostModel())
+    executors = ExecutorMap("e")
     deploy_to_site(site, "a", [8080],
-                   "def schedule(pkt):\n    return 7\n", ExecutorMap("e"))
+                   "def schedule(pkt):\n    return 7\n", executors)
     assert site.decide(make_packet(8080)) == ("pass", None)
+    assert executors.invalid_lookups == 1 and site.pass_decisions == 1
 
 
 def test_hook_site_port_conflict_between_apps():

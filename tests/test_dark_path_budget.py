@@ -47,19 +47,24 @@ PATH_CALLS_PER_REQ = {
     # _client_receive
     "/repro/workload/": 5,
     # on_enqueue (a partial, no closure), request_cost, on_request_start,
-    # on_request_complete (which sends the response), KVStore.get, and
-    # SocketWorkSource.pull / complete
-    "/repro/apps/": 7.62,
+    # on_request_complete (which sends the response, and which the work
+    # source's complete is a partial of), KVStore.get and
+    # SocketWorkSource.pull
+    "/repro/apps/": 6.62,
     # netstack deliver_from_nic / _protocol_done, the socket's enqueue /
     # pop, SocketTable.group, the softirq FifoServer and the scheduler
     "/repro/kernel/": 15.82,
-    # decide, _record and cost_us: the program is the attachment's
-    "/repro/core/hooks": 3,
-    # LoadedProgram.run and the bound ArrayMap.lookup per probe; the
-    # remainder is the 32 interpreted profile runs
-    "/repro/ebpf/": 2.18,
+    # decide and cost_us: the program is the attachment's, and the
+    # decision's event and executor lookup are inline
+    "/repro/core/hooks": 2,
+    # LoadedProgram.run; a map read is the slots dict's get inside the
+    # JIT frame; the remainder is the 32 interpreted profile runs
+    "/repro/ebpf/": 1.07,
     # the JIT'd policy itself
     "<jit:": 1,
+    # the probe's ten no-op seams; a dark attachment holds no counters,
+    # so nothing reaches obs/registry.py
+    "/repro/obs/": 10,
     # no Machine.now property and no CostModel.cycles_to_us
     "/repro/machine.py": 0,
     "/repro/config.py": 0,

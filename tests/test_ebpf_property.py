@@ -172,3 +172,61 @@ def schedule(pkt):
         assert value == PASS
     else:
         assert value == packet.load(24, 8) % 7
+
+
+# ----------------------------------------------------------------------
+# The JIT's frame-free reads: a map read is the slots dict's ``get``, a
+# packet load slices the bytes in place (materialising them on first use)
+# ----------------------------------------------------------------------
+EDGE_READS = """
+h = syr_map("h", 64)
+a_array = syr_map("a_array", 8)
+
+def schedule(pkt):
+    if pkt_len(pkt) < 40:
+        return map_lookup(a_array, K) + map_has(h, K) * 3
+    t = load_u64(pkt, 8)
+    r = load_u64(pkt, 32)
+    return (map_lookup(a_array, t) ^ map_lookup(h, r) ^ map_has(a_array, t)
+            ^ map_has(h, r + K) ^ load_u16(pkt, 2) ^ load_u8(pkt, 39))
+"""
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rtype=st.integers(0, 20),
+    rid=st.integers(0, 70),
+    k=st.integers(0, 20),
+    fill=st.dictionaries(st.integers(0, 70), st.integers(0, 2**64 - 1),
+                         max_size=12),
+    standard=st.booleans(),
+)
+def test_frame_free_reads_equal_the_interpreter(rtype, rid, k, fill, standard):
+    """``ArrayMap`` keys past ``max_entries``, absent ``HashMap`` keys, and
+    packet loads before and after the bytes exist all read as in the
+    interpreter."""
+    from repro.net.packet import PacketView
+    from repro.workload.requests import Request
+
+    image = image_of(EDGE_READS, constants={"K": k})
+    interp, jitted = LoadedProgram(image), LoadedProgram(image)
+    for loaded in (interp, jitted):
+        for key, value in fill.items():
+            loaded.maps[0].update(key, value)
+            if key < 8:
+                loaded.maps[1].update(key, value)
+
+    def fresh():
+        if standard:
+            return Packet(FLOW, None, request=Request(rid, rtype, 1.0,
+                                                      user_id=3, key_hash=9))
+        return PacketView(rtype, 3, 9, rid, 40001, 8080)
+
+    expected = interp.run_interp(fresh()).value
+    packet = fresh()
+    assert packet._data is None
+    assert jitted.run_jit(packet) == expected      # bytes built by the read
+    assert packet._data is not None
+    assert jitted.run_jit(packet) == expected      # and read in place
+    short = Packet(FLOW, bytes(3))
+    assert jitted.run_jit(short) == interp.run_interp(short).value

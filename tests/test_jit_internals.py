@@ -15,10 +15,12 @@ from repro.ebpf import helpers
 from repro.ebpf.compiler import compile_policy
 from repro.ebpf.jit import jit_compile
 from repro.ebpf.program import LoadedProgram, image_of, load_program
-from repro.net.packet import FiveTuple, Packet
+from repro.ebpf.maps import ArrayMap
+from repro.net.packet import FiveTuple, Packet, PacketView
 from repro.policies import adaptive, builtin
 from repro.qdisc import policies as qdisc_policies
-from repro.qdisc.discipline import compile_rank
+from repro.qdisc.discipline import ThreadCtx, compile_rank
+from repro.workload.requests import Request
 
 
 def source_of(policy_src, constants=None):
@@ -240,7 +242,7 @@ def test_two_bindings_of_one_image_share_no_closure_state():
     length=st.integers(0, 70),
 )
 def test_bound_reads_equal_the_interpreter(fill, length):
-    """map_lookup / map_has inlined on the bound lookup: the & U64 mask,
+    """map_lookup / map_has inlined on the bound read: the & U64 mask,
     the absent-key 0 and an out-of-range array index all match."""
     image = image_of(BOUND_READS)
     jitted, interp = LoadedProgram(image), LoadedProgram(image)
@@ -270,13 +272,16 @@ def test_constant_divisors_equal_the_helpers(value, divisor):
 
 
 class _MapWrites(ast.NodeVisitor):
-    """Every statement that rebinds ``<x>.maps``, an entry of it, or calls
-    a list mutator on it, as ``Class.function`` qualnames."""
+    """Every statement that rebinds ``<x>.<attr>`` or, with ``in_place``,
+    an entry of it or calls a list mutator on it, as ``Class.function``
+    qualnames."""
 
     MUTATORS = ("append", "insert", "extend", "pop", "remove", "clear",
                 "sort", "reverse", "__setitem__")
 
-    def __init__(self):
+    def __init__(self, attr="maps", in_place=True):
+        self.attr = attr
+        self.in_place = in_place
         self.scope = []
         self.writers = []
 
@@ -287,11 +292,10 @@ class _MapWrites(ast.NodeVisitor):
 
     visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _scoped
 
-    @staticmethod
-    def _is_maps(target):
-        while isinstance(target, ast.Subscript):
+    def _is_maps(self, target):
+        while self.in_place and isinstance(target, ast.Subscript):
             target = target.value
-        return isinstance(target, ast.Attribute) and target.attr == "maps"
+        return isinstance(target, ast.Attribute) and target.attr == self.attr
 
     def _check(self, node, targets):
         if any(self._is_maps(target) for target in targets):
@@ -311,20 +315,81 @@ class _MapWrites(ast.NodeVisitor):
 
     def visit_Call(self, node):
         func = node.func
-        mutator = (isinstance(func, ast.Attribute)
+        mutator = (self.in_place and isinstance(func, ast.Attribute)
                    and func.attr in self.MUTATORS)
         self._check(node, [func.value] if mutator else [])
 
 
-def test_nothing_in_src_reassigns_a_bound_map():
-    """A binding's policy holds each map's ``lookup`` from bind time, so
-    only ``LoadedProgram.__init__`` — before it calls the image's factory —
-    may write ``.maps`` or an entry of it."""
+def src_writers(attr, in_place=True):
     root = Path(repro.__file__).parent
     writers = set()
     for path in sorted(root.rglob("*.py")):
-        visitor = _MapWrites()
+        visitor = _MapWrites(attr, in_place)
         visitor.visit(ast.parse(path.read_text()))
         writers.update(f"{path.relative_to(root).as_posix()}:{name}"
                        for name in visitor.writers)
-    assert writers == {"ebpf/program.py:LoadedProgram.__init__"}
+    return writers
+
+
+def test_nothing_in_src_reassigns_a_bound_map():
+    """A binding's policy holds each read map's slots ``get`` from bind
+    time, so only ``LoadedProgram.__init__`` — before it calls the image's
+    factory — may write ``.maps`` or an entry of it, and a map's slots dict
+    is bound once, by its constructor."""
+    assert src_writers("maps") == {"ebpf/program.py:LoadedProgram.__init__"}
+    assert src_writers("_values", in_place=False) == {
+        "ebpf/maps.py:ArrayMap.__init__", "ebpf/maps.py:HashMap.__init__"}
+
+
+# ----------------------------------------------------------------------
+# Packet loads in the JIT: the bounds check is the one WireView.load makes
+# ----------------------------------------------------------------------
+LOAD_AT = "def schedule(pkt):\n    return load_u64(pkt, OFF)\n"
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Packet(FLOW, bytes(3)),
+    lambda: Packet(FLOW, None, request=Request(5, 1, 1.0)),
+    lambda: PacketView(1, 2, 3, 4),
+    lambda: ThreadCtx(7),
+], ids=["packet", "lazy_packet", "packet_view", "thread_ctx"])
+@pytest.mark.parametrize("past_end", [-3, -1, 0, 1, 8])
+def test_jit_load_bounds_are_wireview_load(make, past_end):
+    """An unverified program (``jit_compile`` on the compiler's output) that
+    loads at or past ``length`` raises WireView.load's own IndexError; an
+    in-bounds load reads what WireView.load reads."""
+    view = make()
+    offset = view.length - 8 + past_end
+    policy = jit_compile(compile_policy(LOAD_AT, constants={"OFF": offset}))([])
+    if past_end <= 0:
+        assert policy(make(), [], None) == make().load(offset, 8)
+        return
+    with pytest.raises(IndexError) as jitted:
+        policy(view, [], None)
+    with pytest.raises(IndexError) as direct:
+        make().load(offset, 8)
+    assert str(jitted.value) == str(direct.value)
+
+
+def test_array_map_api_is_unchanged():
+    """Slots in a dict: lookup / update / items / assign / atomic_add / len
+    read and refuse exactly as the list-backed array did."""
+    array = ArrayMap("a_array", 4)
+    assert len(array) == 4 and array.items() == [(0, 0), (1, 0), (2, 0), (3, 0)]
+    assert [array.lookup(k) for k in (-1, 0, 3, 4, 1 << 70)] == [
+        None, 0, 0, None, None]
+    array.update(2, (1 << 64) + 5)
+    assert array.lookup(2) == 5 and array.has(2) and not array.has(4)
+    for key in (-1, 4):
+        with pytest.raises(KeyError):
+            array.update(key, 1)
+    with pytest.raises(KeyError):
+        array.delete(0)
+    assert array.atomic_add(3, 7) == 7 and array.atomic_add(3, U64) == 6
+    with pytest.raises(KeyError):
+        array.atomic_add(9, 1)
+    array.assign([9, 8, 7, U64 + 2])
+    assert array.items() == [(0, 9), (1, 8), (2, 7), (3, 1)]
+    with pytest.raises(ValueError):
+        array.assign([1, 2])
+    assert array.items() == [(0, 9), (1, 8), (2, 7), (3, 1)] and len(array) == 4

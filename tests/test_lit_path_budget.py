@@ -5,9 +5,11 @@ The benchmark's own ``control_loop`` staging (``benchmarks/perf/
 workloads.py``, imported the way ``tools/allocs.py`` imports it, not
 copied) at tenth size — 18.5 ms, spans 1-in-16, accounting, time series,
 SLOs and the signal bus, ``tenant="bench"`` — under ``cProfile``: how many
-Python calls each request makes into the accountant, the span tracer and
-the SLO engine, and how many ``<lambda>`` frames ``repro/machine.py``
-contributes.  Counts, not seconds, so the gate is deterministic.
+Python calls each request makes into the accountant, the span tracer, the
+SLO engine, the eBPF runtime and JIT, the hook site, the metrics
+registry, the qdisc and the packet path, and into ``repro`` as a whole,
+and how many ``<lambda>`` frames ``repro/machine.py`` contributes.
+Counts, not seconds, so the gate is deterministic.
 
 Before the flight record, the inlined tree lookup, the attribute clock and
 the lazy SLO-bin expiry the same run made 32.8 calls per request into
@@ -33,22 +35,41 @@ if PERF not in sys.path:
 import workloads   # noqa: E402  (benchmarks/perf/workloads.py)
 
 # Per request, today: the ten packet seams and the two service seams (12),
-# opening the flight record (_open + _Flight.__init__), ledger() twice
-# (once there, once at service_end), and for the 85% of requests that
-# waited behind something, _charge_blame and one BlameMatrix.charge.
-ACCOUNTING_CALLS_PER_REQ = 17
+# opening the flight record (_open + _Flight.__init__; the ledger lookups
+# are inline), and for the 90% of requests that waited behind something,
+# _charge_blame with BlameMatrix.charge written out.  Before that: 16.8.
+ACCOUNTING_CALLS_PER_REQ = 14
 # Per request, today: ten seams; the 1 in 16 that is sampled adds its
 # _open / _close / _add / _finalize.
 SPANS_CALLS_PER_REQ = 11
-# Per request, today: two Slo.record and one LatencySlo.observe; the
-# signal bus's burn-rate reads every 2 ms are the remainder.
-SLO_CALLS_PER_REQ = 3.1
-# Per request, today (13.1): the ADAPTIVE_SELECT decision and the
-# SRPT_AUTO_THRESHOLD rank, each a LoadedProgram.run and a JIT frame,
-# plus one bound lookup per map read (eight) and the server's svc_time_map
-# update.  With two helper frames per read it was 25.0.
-EBPF_CALLS_PER_REQ = 14
-
+# Per request, today: the availability Slo.record and LatencySlo.observe,
+# which books its event in its own frame (it was a second record: 3.08);
+# the signal bus's burn-rate reads every 2 ms are the remainder.
+SLO_CALLS_PER_REQ = 2.1
+# Per request, today (5.15): the ADAPTIVE_SELECT decision and the
+# SRPT_AUTO_THRESHOLD rank, each a LoadedProgram.run (its two counters
+# bumped inline) and a JIT frame, plus the server's svc_time_map update.
+# Map reads and packet loads are C calls inside the JIT frame.  With a
+# bound lookup frame per read and Counter.inc per bump it was 13.1.
+EBPF_CALLS_PER_REQ = 5.2
+# Per layer, today.  core/hooks: decide and cost_us; the decision's
+# counters, event and executor lookup are inline (it was 3).
+# obs/registry.py: the qdisc's enqueues / dequeues Counter.inc and rank
+# Histogram.observe, and the map update's counter and latency histogram
+# (5.2; it was 13.2, with a Counter.inc per program run and decision and
+# a Gauge.set per depth change).  qdisc/: offer, rank_of, OfferResult, the backend's push and
+# pop, take, and the backend's length once per offer, take and socket
+# enqueue (9.4; it was 14.4).  net/: Packet.__init__, Nic.receive,
+# rss_queue, _irq_deliver, and data + _build on the first read, which
+# packs both headers at once (6.0; it was 9.7 with a load frame per read).
+LAYER_CALLS_PER_REQ = {
+    "/repro/core/hooks": 2,
+    "/repro/obs/registry.py": 5.3,
+    "/repro/qdisc/": 9.4,
+    "/repro/net/": 6.1,
+}
+# Every call into repro plus the JIT frames (104.4; it was 138.9).
+ALL_CALLS_PER_REQ = 104.4
 
 def profile_lit_run():
     staged = workloads.stage_control_loop(3, quick=True)
@@ -79,6 +100,11 @@ def test_lit_path_call_budget():
     ebpf = (calls_into(stats, "/repro/ebpf/")
             + calls_into(stats, "<jit:")) / requests
     assert ebpf <= EBPF_CALLS_PER_REQ, ebpf
+    for path_part, ceiling in LAYER_CALLS_PER_REQ.items():
+        per_request = calls_into(stats, path_part) / requests
+        assert per_request <= ceiling, (path_part, per_request)
+    every = (calls_into(stats, "/repro/") + calls_into(stats, "<jit:")) / requests
+    assert every <= ALL_CALLS_PER_REQ, every
 
     # the clock is an attribute of the engine, never a call
     assert calls_into(stats, "/repro/machine.py", "<lambda>") == 0

@@ -44,11 +44,11 @@ def _traced_machine(spans=1, seed=101, load=60_000, duration_us=20_000,
                            mark_scans=policy is SCAN_AVOID)
     app.deploy_policy(policy, Hook.SOCKET_SELECT,
                       constants={"NUM_THREADS": 6})
-    if stamps is not None:
-        _stamp_lifecycle(machine, server, stamps)
     gen = OpenLoopGenerator(machine, 8080, load, GET_SCAN_995_005,
                             duration_us=duration_us)
     server.response_sink = gen.deliver_response
+    if stamps is not None:
+        _stamp_lifecycle(machine, server, stamps)
     gen.start()
     machine.run()
     return machine, gen
@@ -56,7 +56,10 @@ def _traced_machine(spans=1, seed=101, load=60_000, duration_us=20_000,
 
 def _stamp_lifecycle(machine, server, stamps):
     """Wrap the NIC, the sockets and the server, so ``stamps[request]``
-    holds [NIC arrival, socket enqueue, service start, completion]."""
+    holds [NIC arrival, socket enqueue, service start, completion].  The
+    completion stamp is taken where the server hands the response to its
+    ``response_sink``, at the same simulated instant it books the request
+    complete."""
     engine, nic = machine.engine, machine.nic
     receive = nic.receive
 
@@ -76,7 +79,7 @@ def _stamp_lifecycle(machine, server, stamps):
         socket.on_enqueue = stamp(1, socket.on_enqueue,
                                   lambda packet: packet.request)
     server.on_request_start = stamp(2, server.on_request_start)
-    server.on_request_complete = stamp(3, server.on_request_complete)
+    server.response_sink = stamp(3, server.response_sink)
 
 
 # ----------------------------------------------------------------------
