@@ -183,13 +183,9 @@ class LifecycleManager:
         if deployed.state != "active" or deployed.agent is None:
             return
         deployed.agent.restart()
-        obs = self.syrupd.obs
-        obs.registry.counter(
-            deployed.app_name, "syrupd", "watchdog_restarts"
-        ).inc()
-        obs.events.emit(
-            "watchdog_restart", app=deployed.app_name, hook=deployed.hook,
-            fd=deployed.fd, attempt=attempt,
+        self.syrupd._transition(
+            "watchdog_restart", deployed.app_name, deployed.hook,
+            "watchdog_restarts", fd=deployed.fd, attempt=attempt,
             backoff_us=self.policy.backoff_us(attempt),
         )
 
@@ -228,13 +224,9 @@ class LifecycleManager:
         machine = self.syrupd.machine
         if machine.scheduler is scheduler:
             machine.scheduler = fallback
-        obs = self.syrupd.obs
-        obs.registry.counter(
-            deployed.app_name, "syrupd", "agent_fallbacks"
-        ).inc()
-        obs.events.emit(
-            "enclave_fallback", app=deployed.app_name, hook=deployed.hook,
-            fd=deployed.fd, threads=len(enclave),
+        self.syrupd._transition(
+            "enclave_fallback", deployed.app_name, deployed.hook,
+            "agent_fallbacks", fd=deployed.fd, threads=len(enclave),
             restarts=deployed.health.restarts,
         )
         return fallback

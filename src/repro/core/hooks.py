@@ -41,7 +41,7 @@ for the full catalogue.
 from repro.constants import DROP, PASS
 from repro.ebpf.errors import VmFault
 from repro.ebpf.maps import ProgArrayMap
-from repro.obs import DISABLED, NULL_METRIC
+from repro.obs import DISABLED
 from repro.obs.probe import NULL_PROBE
 
 __all__ = ["Hook", "HookSite"]
@@ -86,13 +86,13 @@ class _Attachment:
         # Optional repro.core.promote.ShadowTap running a candidate
         # policy side-by-side; installed/cleared by Syrupd.deploy_shadow.
         self.shadow = None
-        counters = [registry.counter(app_name, hook, name) for name in (
+        counters = registry.counters(app_name, hook, (
             "schedule_calls", "pass", "drop", "steer", "index_miss",
-            "runtime_faults")]
-        # None for the null registry's no-op metric: a dark decision
-        # skips its counters without a call.
+            "runtime_faults"))
+        # None when dark: a dark decision skips its counters without a call.
         (self.m_sched, self.m_pass, self.m_drop, self.m_steer, self.m_miss,
-         self.m_fault) = [None if c is NULL_METRIC else c for c in counters]
+         self.m_fault) = (counters.values() if counters is not None
+                          else (None,) * 6)
 
 
 class HookSite:

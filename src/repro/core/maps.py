@@ -25,11 +25,15 @@ without touching Table-3 harness code.
 """
 
 from repro.ebpf.maps import ArrayMap, HashMap
+from repro.obs import DISABLED
 
 __all__ = ["MapRegistry", "PermissionDenied", "SyrupMap"]
 
 HOST = "host"
 OFFLOAD = "offload"
+
+#: The userspace ops each map counts as ``<map>.<op>`` (plus contention).
+_OPS = ("lookups", "updates", "deletes", "atomic_adds", "contended")
 
 
 class PermissionDenied(PermissionError):
@@ -136,7 +140,7 @@ class MapRegistry:
     def __init__(self, costs, nic_spec, obs=None):
         self.costs = costs
         self.nic_spec = nic_spec
-        self.obs = obs
+        self.obs = obs if obs is not None else DISABLED
         self._pinned = {}
 
     @staticmethod
@@ -160,14 +164,13 @@ class MapRegistry:
             raw = HashMap(map_name, size)
         else:
             raise ValueError(f"unknown map kind {kind!r}")
+        reg = self.obs.registry
+        group = reg.counters(
+            app_name, "maps", [f"{map_name}.{op}" for op in _OPS]
+        )
         metrics = None
-        if self.obs is not None and self.obs.enabled:
-            reg = self.obs.registry
-            metrics = {
-                op: reg.counter(app_name, "maps", f"{map_name}.{op}")
-                for op in ("lookups", "updates", "deletes", "atomic_adds",
-                           "contended")
-            }
+        if group is not None:
+            metrics = dict(zip(_OPS, group.values()))
             metrics["op_latency_us"] = reg.histogram(
                 app_name, "maps", f"{map_name}.op_latency_us"
             )

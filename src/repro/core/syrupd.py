@@ -27,14 +27,18 @@ program, **restart** a crashed ghOSt agent with bounded backoff, and
 migrate XDP_OFFLOAD deployments to the XDP_SKB host path when the NIC's
 offload engine fails (:meth:`handle_offload_failure`).
 
-Control-plane observability (machine ``metrics=True``): deploys,
-undeploys, redeploys, quarantines, rollbacks, isolation denials and
-verifier rejections are counted under the ``syrupd`` scope and recorded
-in the machine's event trace, and ``status()`` / ``health()`` rows carry
-the live per-``(app, hook)`` values that ``syrupctl stats`` /
-``syrupctl health`` render.  See docs/observability.md.
+Each control-plane step has one body: :meth:`Syrupd._register` for a
+deploy on every layer, :meth:`Syrupd._swap` for a program swap, and
+:meth:`Syrupd._transition` — the ``syrupd``-scope counter, then the
+event — for every recorded step (machine ``metrics=True``).
+``status()`` / ``health()`` rows carry the live per-``(app, hook)``
+values that ``syrupctl stats`` / ``syrupctl health`` render.  See
+docs/observability.md.
 """
 
+from functools import partial
+
+from repro.core.executors import ExecutorMap
 from repro.core.health import LifecycleManager
 from repro.core.hooks import ROOT_APP, Hook, HookSite
 from repro.core.loader import PolicyValidationError, check_policy_source
@@ -54,7 +58,6 @@ from repro.ghost.enclave import Enclave
 from repro.ghost.sched import GhostScheduler
 from repro.obs import DISABLED
 from repro.qdisc.discipline import (
-    LAYERS,
     LAYER_NIC_RX,
     LAYER_RUNQUEUE,
     LAYER_SOCKET,
@@ -64,6 +67,14 @@ from repro.qdisc.discipline import (
 )
 
 __all__ = ["DeployedPolicy", "IsolationError", "Syrupd"]
+
+#: Metric groups the registry resolves per deployment (None when dark).
+PROGRAM_COUNTERS = ("invocations", "insns_interp", "cycles_interp",
+                    "jit_runs")
+AGENT_COUNTERS = ("messages", "preemptions", "commits", "failed_commits",
+                  "policy_errors")
+QDISC_COUNTERS = ("enqueues", "dequeues", "sched_drops", "overflow_drops",
+                  "evictions", "runtime_faults")
 
 
 class IsolationError(PermissionError):
@@ -121,13 +132,16 @@ class Syrupd:
         # it schedules nothing and results stay bit-identical.
         self.lifecycle = LifecycleManager(self, policy=health)
 
-    def _alloc_fd(self):
-        fd = self._next_fd
-        self._next_fd += 1
-        return fd
+    def _transition(self, kind, app, hook, counter=None, **fields):
+        """Record one control-plane step: bump ``counter`` under the
+        app's ``syrupd`` scope (when the step has one), then emit the
+        ``kind`` event.  Every recorded step comes through here."""
+        if counter is not None:
+            self.obs.registry.counter(app, "syrupd", counter).inc()
+        self.obs.events.emit(kind, app=app, hook=hook, **fields)
 
     def _deny(self, detail, app=None):
-        """Count + trace an isolation denial, then raise."""
+        """Count (under the root app) + trace a denial, then raise."""
         self.obs.registry.counter(
             ROOT_APP, "syrupd", "isolation_denials"
         ).inc()
@@ -152,7 +166,7 @@ class Syrupd:
             self._port_owner[port] = name
         app = App(self, name, ports)
         self.apps[name] = app
-        self.obs.events.emit("app_registered", app=name, ports=list(ports))
+        self._transition("app_registered", name, None, ports=list(ports))
         return app
 
     def _check_ports(self, app, ports):
@@ -223,7 +237,20 @@ class Syrupd:
         self._check_ports(app, ports)
         if hook == Hook.THREAD_SCHED:
             return self._deploy_thread_policy(app, policy)
-        return self._deploy_network_policy(app, policy, hook, constants, ports)
+        loaded = self._load(app, policy, constants, hook)
+        executors = app.executor_map(hook)
+        self._prepopulate_executors(hook, executors)
+        attachment = self._site(hook).install(
+            app.name, ports, loaded, executors
+        )
+        deployed = self._register(
+            app, hook, {"ports": ports, "name": loaded.name}, program=loaded,
+            ports=ports, executors=executors,
+        )
+        # Decision spans (repro.obs.spans) link each policy invocation to
+        # the deployed fd, so the attachment learns it post-allocation.
+        attachment.fd = deployed.fd
+        return deployed
 
     def _load(self, app, policy, constants, hook, layer=None, shadow=False):
         """Verified image → create/pin maps → bind → metrics → fault plan,
@@ -247,11 +274,8 @@ class Syrupd:
         try:
             image = image_of(policy, compiler, constants)
         except (CompileError, VerifierError) as exc:
-            self.obs.registry.counter(
-                app.name, "syrupd", "verifier_rejections"
-            ).inc()
-            self.obs.events.emit(
-                "verifier_reject", app=app.name, hook=scope,
+            self._transition(
+                "verifier_reject", app.name, scope, "verifier_rejections",
                 error=type(exc).__name__, detail=str(exc),
             )
             raise
@@ -262,7 +286,16 @@ class Syrupd:
                 app.name, map_name, size=size, placement=placement
             ).bpf_map
         loaded = LoadedProgram(image, maps, self.machine.streams.get(stream))
-        self._attach_program_metrics(app.name, scope, loaded)
+        # Per-program counters for the VM/JIT dispatch path (None when
+        # the machine runs dark).
+        reg = self.obs.registry
+        metrics = reg.counters(app.name, scope, PROGRAM_COUNTERS)
+        if metrics is not None:
+            loaded.metrics = metrics
+            reg.gauge(app.name, scope, "prog_n_insns").set(program.n_insns)
+            if image.jit is not None:
+                reg.gauge(app.name, scope, "jit_code_lines").set(
+                    image.jit.jit_n_lines)
         # Fault plan (Machine(faults=...)): wrap the program *after*
         # metrics attachment so the proxy delegates everything.
         injector = getattr(self.machine, "faults", None)
@@ -270,47 +303,16 @@ class Syrupd:
             loaded = injector.wrap_program(loaded, app.name, scope)
         return loaded
 
-    def _deploy_network_policy(self, app, policy, hook, constants, ports):
-        loaded = self._load(app, policy, constants, hook)
-        executors = app.executor_map(hook)
-        self._prepopulate_executors(hook, executors)
-        site = self._site(hook)
-        attachment = site.install(app.name, ports, loaded, executors)
-        deployed = DeployedPolicy(
-            self._alloc_fd(), app.name, hook, program=loaded, ports=ports,
-            executors=executors,
-        )
-        # Decision spans (repro.obs.spans) link each policy invocation to
-        # the deployed fd, so the attachment learns it post-allocation.
-        attachment.fd = deployed.fd
+    def _register(self, app, hook, fields, **handles):
+        """Allocate the fd, attach a health record, enter the deployment
+        table and record the ``deploy`` transition (every layer)."""
+        fd = self._next_fd
+        self._next_fd += 1
+        deployed = DeployedPolicy(fd, app.name, hook, **handles)
         self.lifecycle.track(deployed)
         self.deployed.append(deployed)
-        self._note_deploy(deployed, ports=ports, name=loaded.name)
+        self._transition("deploy", app.name, hook, "deploys", fd=fd, **fields)
         return deployed
-
-    def _attach_program_metrics(self, app_name, hook, loaded):
-        """Wire per-program counters into the VM/JIT dispatch path."""
-        if not self.obs.enabled:
-            return
-        reg = self.obs.registry
-        loaded.metrics = {
-            name: reg.counter(app_name, hook, name)
-            for name in ("invocations", "insns_interp", "cycles_interp",
-                         "jit_runs")
-        }
-        reg.gauge(app_name, hook, "prog_n_insns").set(loaded.program.n_insns)
-        jit = loaded.image.jit
-        if jit is not None:
-            reg.gauge(app_name, hook, "jit_code_lines").set(jit.jit_n_lines)
-
-    def _note_deploy(self, deployed, **fields):
-        self.obs.registry.counter(
-            deployed.app_name, "syrupd", "deploys"
-        ).inc()
-        self.obs.events.emit(
-            "deploy", app=deployed.app_name, hook=deployed.hook,
-            fd=deployed.fd, **fields,
-        )
 
     def _prepopulate_executors(self, hook, executors):
         """Hardware executors are allocated by syrupd, not the app (§4.4)."""
@@ -342,25 +344,17 @@ class Syrupd:
         for thread in app.threads:
             enclave.register(thread)
         app.enclave = enclave
-        metrics = None
-        if self.obs.enabled:
-            reg = self.obs.registry
-            metrics = {
-                name: reg.counter(app.name, Hook.THREAD_SCHED, name)
-                for name in ("messages", "preemptions", "commits",
-                             "failed_commits", "policy_errors")
-            }
+        metrics = self.obs.registry.counters(
+            app.name, Hook.THREAD_SCHED, AGENT_COUNTERS
+        )
         agent = GhostAgent(
             self.machine.engine, scheduler, enclave, policy,
             self.machine.costs, metrics=metrics, events=self.obs.events,
         )
-        deployed = DeployedPolicy(
-            self._alloc_fd(), app.name, Hook.THREAD_SCHED, agent=agent,
+        return self._register(
+            app, Hook.THREAD_SCHED, {"policy": type(policy).__name__},
+            agent=agent,
         )
-        self.lifecycle.track(deployed)
-        self.deployed.append(deployed)
-        self._note_deploy(deployed, policy=type(policy).__name__)
-        return deployed
 
     # ------------------------------------------------------------------
     # Queueing disciplines (syr_deploy_qdisc; repro.qdisc)
@@ -391,100 +385,72 @@ class Syrupd:
         ports = list(ports) if ports is not None else list(app.ports)
         if layer != LAYER_RUNQUEUE:
             self._check_ports(app, ports)
-        loaded = self._load(app, policy, constants, hook, layer)
-        deployed = DeployedPolicy(
-            self._alloc_fd(), app.name, hook, program=loaded, ports=ports,
-        )
-        self.lifecycle.track(deployed)
-        qdisc_ports = ports if layer == LAYER_NIC_RX else None
-        attach = {
-            LAYER_SOCKET: self._attach_socket_qdiscs,
-            LAYER_NIC_RX: self._attach_nic_qdiscs,
-            LAYER_RUNQUEUE: self._attach_runqueue_qdisc,
-        }[layer]
-        qdiscs = attach(
-            app, deployed, backend, loaded, qdisc_ports, targets,
-            backend_kwargs,
-        )
-        if not qdiscs:
+        # Every queue is resolved and its owner checked before the image
+        # and maps exist: a refused deploy leaves no state behind.
+        queues = self._qdisc_queues(app, layer, targets)
+        if not queues:
             raise ValueError(
                 f"no attachable queues for qdisc layer {layer!r} "
                 f"(app {app.name!r}): register executors first"
             )
-        deployed.qdiscs = qdiscs
-        self.deployed.append(deployed)
-        self._note_deploy(
-            deployed, layer=layer, backend=backend, queues=len(qdiscs),
-            name=loaded.name,
+        loaded = self._load(app, policy, constants, hook, layer)
+        reg = self.obs.registry
+        metrics = reg.counters(app.name, hook, QDISC_COUNTERS)
+        if metrics is not None:
+            metrics["rank"] = reg.histogram(app.name, hook, "rank")
+        qdiscs = []
+        for attach, detach in queues:
+            qdisc = Qdisc(
+                app.name, layer, backend=backend, program=loaded,
+                ports=ports if layer == LAYER_NIC_RX else None,
+                backend_kwargs=backend_kwargs,
+            )
+            attach(qdisc)
+            qdisc._detach = detach
+            qdisc.metrics = metrics
+            if metrics is not None:
+                qdisc.depth_gauge = reg.gauge(
+                    app.name, hook, f"depth:{qdisc.target}"
+                )
+            qdiscs.append(qdisc)
+        deployed = self._register(
+            app, hook, {"layer": layer, "backend": backend,
+                        "queues": len(qdiscs), "name": loaded.name},
+            program=loaded, ports=ports,
         )
+        deployed.qdiscs = qdiscs
+        for qdisc in qdiscs:
+            qdisc.fault_listener = partial(self._on_qdisc_fault, deployed)
         return deployed
 
-    def _new_qdisc(self, deployed, layer, backend, loaded, ports,
-                   backend_kwargs):
-        qdisc = Qdisc(
-            deployed.app_name, layer, backend=backend, program=loaded,
-            ports=ports, backend_kwargs=backend_kwargs,
-        )
-        qdisc.fault_listener = (
-            lambda q, exc: self._on_qdisc_fault(deployed, q, exc)
-        )
-        return qdisc
-
-    def _attach_qdisc_metrics(self, qdisc):
-        if not self.obs.enabled:
-            return
-        reg = self.obs.registry
-        app, hook = qdisc.app_name, qdisc.hook
-        qdisc.metrics = {
-            name: reg.counter(app, hook, name)
-            for name in ("enqueues", "dequeues", "sched_drops",
-                         "overflow_drops", "evictions", "runtime_faults")
-        }
-        qdisc.metrics["rank"] = reg.histogram(app, hook, "rank")
-        qdisc.depth_gauge = reg.gauge(app, hook, f"depth:{qdisc.target}")
-
-    def _attach_socket_qdiscs(self, app, deployed, backend, loaded, ports,
-                              targets, backend_kwargs):
-        if targets is None:
-            targets = app.executor_map(Hook.SOCKET_SELECT).values()
-        qdiscs = []
-        for socket in targets:
-            if socket.app not in (None, app.name):
-                self._deny(
-                    f"socket {socket.sid} belongs to app {socket.app!r}",
-                    app=app.name,
-                )
-            qdisc = self._new_qdisc(
-                deployed, LAYER_SOCKET, backend, loaded, ports,
-                backend_kwargs,
-            )
-            socket.set_qdisc(qdisc)
-            qdisc._detach = socket.clear_qdisc
-            self._attach_qdisc_metrics(qdisc)
-            qdiscs.append(qdisc)
-        return qdiscs
-
-    def _attach_nic_qdiscs(self, app, deployed, backend, loaded, ports,
-                           targets, backend_kwargs):
-        nic = self.machine.nic
-        if targets is None:
-            targets = range(nic.spec.num_queues)
-        qdiscs = []
-        for queue_index in targets:
-            qdisc = self._new_qdisc(
-                deployed, LAYER_NIC_RX, backend, loaded, ports,
-                backend_kwargs,
-            )
-            nic.attach_qdisc(queue_index, qdisc)
-            qdisc._detach = (
-                lambda i=queue_index: nic.detach_qdisc(i)
-            )
-            self._attach_qdisc_metrics(qdisc)
-            qdiscs.append(qdisc)
-        return qdiscs
-
-    def _attach_runqueue_qdisc(self, app, deployed, backend, loaded, ports,
-                               targets, backend_kwargs):
+    def _qdisc_queues(self, app, layer, targets):
+        """``(attach, detach)`` per queue of ``layer`` that ``app`` may
+        order: its sockets, NIC RX queues, or its ghOSt enclave."""
+        if layer == LAYER_SOCKET:
+            if targets is None:
+                targets = app.executor_map(Hook.SOCKET_SELECT).values()
+            queues = []
+            for socket in targets:
+                if socket.app not in (None, app.name):
+                    self._deny(
+                        f"socket {socket.sid} belongs to app {socket.app!r}",
+                        app=app.name,
+                    )
+                queues.append((socket.set_qdisc, socket.clear_qdisc))
+            return queues
+        if layer == LAYER_NIC_RX:
+            nic = self.machine.nic
+            indices = range(nic.spec.num_queues)
+            queues = []
+            for index in indices if targets is None else targets:
+                if index not in indices:
+                    raise ValueError(
+                        f"RX queue {index} out of range for "
+                        f"{nic.spec.num_queues}-queue NIC"
+                    )
+                queues.append((partial(nic.attach_qdisc, index),
+                               partial(nic.detach_qdisc, index)))
+            return queues
         sched = self._active_deployment(app.name, Hook.THREAD_SCHED)
         if sched is None or sched.agent is None:
             raise ValueError(
@@ -492,28 +458,23 @@ class Syrupd:
                 "an active Thread Scheduler deployment (ghOSt agent)"
             )
         agent = sched.agent
-        qdisc = self._new_qdisc(
-            deployed, LAYER_RUNQUEUE, backend, loaded, ports, backend_kwargs,
-        )
-        qdisc.target = f"enclave:{app.name}"
-        agent.runqueue_qdisc = qdisc
+
+        def attach(qdisc):
+            qdisc.target = f"enclave:{app.name}"
+            agent.runqueue_qdisc = qdisc
 
         def detach():
-            if agent.runqueue_qdisc is qdisc:
-                agent.runqueue_qdisc = None
+            agent.runqueue_qdisc = None
 
-        qdisc._detach = detach
-        self._attach_qdisc_metrics(qdisc)
-        return [qdisc]
+        return [(attach, detach)]
 
     def _on_qdisc_fault(self, deployed, qdisc, exc):
         """A rank function faulted (already contained by the Qdisc: the
         element was enqueued FIFO).  Route into the lifecycle, which may
         quarantine the deployment — reverting every queue to pure FIFO."""
-        self.obs.events.emit(
-            "qdisc_fault", app=deployed.app_name, hook=deployed.hook,
-            fd=deployed.fd, target=qdisc.target,
-            error=type(exc).__name__, detail=str(exc),
+        self._transition(
+            "qdisc_fault", deployed.app_name, deployed.hook, fd=deployed.fd,
+            target=qdisc.target, error=type(exc).__name__, detail=str(exc),
         )
         self.lifecycle.note_runtime_fault(deployed, exc)
 
@@ -531,31 +492,34 @@ class Syrupd:
     # ------------------------------------------------------------------
     # Lifecycle: undeploy / redeploy / rollback / quarantine
     # ------------------------------------------------------------------
-    def _lifecycle_event(self, action, deployed, reason=None, **fields):
-        """One schema for every lifecycle transition (kind ``lifecycle``).
-
-        Quarantine, rollback, demotion, and every promotion-stage change
-        emit through here, so ``syrupctl health`` and ``syrupctl
-        promote`` render from a single shape: ``action`` names the
-        transition, ``reason`` why it fired, plus the deployment's
-        app/hook/fd/state.
-        """
-        self.obs.events.emit(
-            "lifecycle", app=deployed.app_name, hook=deployed.hook,
+    def _lifecycle_event(self, action, deployed, counter, reason, **fields):
+        """One schema for quarantine, rollback and every promotion stage
+        (kind ``lifecycle``), so ``syrupctl health`` / ``promote`` render
+        one shape: ``action``, ``reason`` and the deployment's
+        app/hook/fd/state."""
+        self._transition(
+            "lifecycle", deployed.app_name, deployed.hook, counter,
             action=action, fd=deployed.fd, state=deployed.state,
             reason=reason, **fields,
         )
 
-    def _deployments(self, app_name, hook, states=("active",)):
-        return [
-            d for d in self.deployed
-            if d.app_name == app_name and d.hook == hook
-            and (states is None or d.state in states)
-        ]
+    def _swap(self, deployed, program, last_good):
+        """Put ``program`` behind ``deployed`` wherever it runs — its
+        hook site's attachments or its queues — keeping ``last_good``
+        (redeploy, rollback and promotion)."""
+        site = self._sites.get(deployed.hook)
+        if site is not None:
+            site.replace(deployed.app_name, program)
+        for qdisc in deployed.qdiscs:
+            qdisc.program = program
+        deployed.last_good = last_good
+        deployed.program = program
 
     def _active_deployment(self, app_name, hook):
-        for deployed in self._deployments(app_name, hook):
-            return deployed
+        for deployed in self.deployed:
+            if (deployed.app_name == app_name and deployed.hook == hook
+                    and deployed.state == "active"):
+                return deployed
         return None
 
     def undeploy(self, app, hook):
@@ -566,9 +530,8 @@ class Syrupd:
         stops reporting them.
         """
         site = self._sites.get(hook)
-        victims = self._deployments(
-            app.name, hook, states=("active", "quarantined", "fallback")
-        )
+        victims = [d for d in self.deployed
+                   if d.app_name == app.name and d.hook == hook]
         for deployed in victims:
             if site is not None and deployed.state == "active":
                 ports = set(deployed.ports) | set(app.ports)
@@ -580,13 +543,11 @@ class Syrupd:
                 # Detach from the queue; buffered elements drain (socket
                 # qdiscs spill into the FIFO backlog, NIC qdiscs drain
                 # via their already-scheduled IRQs) — never stranded.
-                if qdisc._detach is not None:
-                    qdisc._detach()
+                qdisc._detach()
             deployed.state = "undeployed"
             self.deployed.remove(deployed)
-            self.obs.registry.counter(app.name, "syrupd", "undeploys").inc()
-            self.obs.events.emit(
-                "undeploy", app=app.name, hook=hook, fd=deployed.fd
+            self._transition(
+                "undeploy", app.name, hook, "undeploys", fd=deployed.fd
             )
         return len(victims)
 
@@ -621,21 +582,14 @@ class Syrupd:
             loaded = self._load(app, policy, constants, hook)
         except (CompileError, VerifierError) as exc:
             deployed.health.rollbacks += 1
-            self.obs.registry.counter(
-                app.name, "syrupd", "rollbacks"
-            ).inc()
             self._lifecycle_event(
-                "rollback", deployed, reason="verify_failed",
+                "rollback", deployed, "rollbacks", "verify_failed",
                 error=type(exc).__name__,
             )
             raise
-        site = self._site(hook)
-        site.replace(app.name, loaded)
-        deployed.last_good = deployed.program
-        deployed.program = loaded
-        self.obs.registry.counter(app.name, "syrupd", "redeploys").inc()
-        self.obs.events.emit(
-            "redeploy", app=app.name, hook=hook, fd=deployed.fd,
+        self._swap(deployed, loaded, deployed.program)
+        self._transition(
+            "redeploy", app.name, hook, "redeploys", fd=deployed.fd,
             name=loaded.name,
         )
         return deployed
@@ -644,20 +598,9 @@ class Syrupd:
         """Swap ``last_good`` back in after a bad redeploy/promotion."""
         if deployed.last_good is None:
             raise ValueError(f"{deployed!r} has no last-known-good program")
-        site = self._sites.get(deployed.hook)
-        if site is not None:
-            site.replace(deployed.app_name, deployed.last_good)
-        for qdisc in deployed.qdiscs:
-            # Qdisc deployments (hook "qdisc:<layer>") have no HookSite;
-            # swap the rank function on every attached queue directly.
-            qdisc.program = deployed.last_good
-        deployed.program = deployed.last_good
-        deployed.last_good = None
+        self._swap(deployed, deployed.last_good, None)
         deployed.health.rollbacks += 1
-        self.obs.registry.counter(
-            deployed.app_name, "syrupd", "rollbacks"
-        ).inc()
-        self._lifecycle_event("rollback", deployed, reason=reason)
+        self._lifecycle_event("rollback", deployed, "rollbacks", reason)
         return deployed
 
     def quarantine(self, deployed, reason):
@@ -675,11 +618,8 @@ class Syrupd:
             # — a quarantined queue is never wedged.
             qdisc.revert_to_fifo()
         deployed.state = "quarantined"
-        self.obs.registry.counter(
-            deployed.app_name, "syrupd", "quarantines"
-        ).inc()
         self._lifecycle_event(
-            "quarantine", deployed, reason=reason,
+            "quarantine", deployed, "quarantines", reason,
             runtime_faults=deployed.health.runtime_faults,
         )
         return deployed
@@ -737,28 +677,21 @@ class Syrupd:
         """
         if (hook is None) == (layer is None):
             raise ValueError("deploy_shadow takes exactly one of hook/layer")
+        target_hook = hook if hook is not None else qdisc_hook(layer)
         if validate and isinstance(policy, str):
             try:
                 check_policy_source(policy, allow_imports=allow_imports)
             except PolicyValidationError as exc:
-                self.obs.registry.counter(
-                    app.name, "syrupd", "loader_rejections"
-                ).inc()
-                self.obs.events.emit(
-                    "loader_reject", app=app.name,
-                    hook=hook if hook is not None else qdisc_hook(layer),
-                    issues=list(exc.issues),
+                self._transition(
+                    "loader_reject", app.name, target_hook,
+                    "loader_rejections", issues=list(exc.issues),
                 )
                 raise
-        if hook is not None:
-            if hook not in Hook.NETWORK:
-                raise ValueError(
-                    f"deploy_shadow targets network hooks or qdisc "
-                    f"layers, got {hook!r}"
-                )
-            target_hook = hook
-        else:
-            target_hook = qdisc_hook(layer)
+        if hook is not None and hook not in Hook.NETWORK:
+            raise ValueError(
+                f"deploy_shadow targets network hooks or qdisc "
+                f"layers, got {hook!r}"
+            )
         deployed = self._active_deployment(app.name, target_hook)
         if deployed is None or deployed.program is None:
             raise ValueError(
@@ -790,21 +723,16 @@ class Syrupd:
             if tracker is not None:
                 guard = tracker.guard()
         controller = CanaryController(
-            self, record, guard=guard,
-            registry=self.obs.registry if self.obs.enabled else None,
-            **gates,
+            self, record, guard=guard, registry=self.obs.registry, **gates,
         )
         record.controller = controller
-        signals = self.machine.signals
-        if signals.enabled:
-            signals.add_controller(controller.ctl_name, controller)
-            controller.bus = signals
+        # A machine without a SignalBus has the null bus: both no-ops.
+        controller.bus = self.machine.signals
+        controller.bus.add_controller(controller.ctl_name, controller)
         self._promotions.append(record)
-        self.obs.registry.counter(
-            app.name, "syrupd", "shadow_deploys"
-        ).inc()
         self._lifecycle_event(
-            "shadow", deployed, reason="deployed", candidate=record.name,
+            "shadow", deployed, "shadow_deploys", "deployed",
+            candidate=record.name,
         )
         return record
 
@@ -823,11 +751,8 @@ class Syrupd:
                 f"to {stage!r}"
             )
         record.advance("canary", self.machine.now, "shadow_gates_passed")
-        self.obs.registry.counter(
-            record.app_name, "syrupd", "canary_starts"
-        ).inc()
         self._lifecycle_event(
-            "canary", record.deployed, reason="shadow_gates_passed",
+            "canary", record.deployed, "canary_starts", "shadow_gates_passed",
             candidate=record.name, canary_pct=record.canary_pct,
         )
         return record
@@ -841,19 +766,10 @@ class Syrupd:
         """
         deployed = record.deployed
         self._clear_taps(record)
-        site = self._sites.get(deployed.hook)
-        if site is not None:
-            site.replace(deployed.app_name, record.candidate)
-        for qdisc in deployed.qdiscs:
-            qdisc.program = record.candidate
-        deployed.last_good = deployed.program
-        deployed.program = record.candidate
+        self._swap(deployed, record.candidate, deployed.program)
         record.advance("active", self.machine.now, "slo_gates_passed")
-        self.obs.registry.counter(
-            record.app_name, "syrupd", "promotions"
-        ).inc()
         self._lifecycle_event(
-            "promote", deployed, reason="slo_gates_passed",
+            "promote", deployed, "promotions", "slo_gates_passed",
             candidate=record.name,
         )
         return record
@@ -862,11 +778,9 @@ class Syrupd:
         """Remove the candidate's taps; the record keeps the verdict."""
         self._clear_taps(record)
         record.advance("rejected", self.machine.now, reason)
-        self.obs.registry.counter(
-            record.app_name, "syrupd", "shadow_rejects"
-        ).inc()
         self._lifecycle_event(
-            "reject", record.deployed, reason=reason, candidate=record.name,
+            "reject", record.deployed, "shadow_rejects", reason,
+            candidate=record.name,
         )
         return record
 
@@ -878,11 +792,9 @@ class Syrupd:
         good rollback when available, quarantine otherwise.
         """
         record.advance("demoted", self.machine.now, reason)
-        self.obs.registry.counter(
-            record.app_name, "syrupd", "demotions"
-        ).inc()
         self._lifecycle_event(
-            "demote", record.deployed, reason=reason, candidate=record.name,
+            "demote", record.deployed, "demotions", reason,
+            candidate=record.name,
         )
         self.lifecycle.demote(record.deployed, reason)
         return record
@@ -900,11 +812,8 @@ class Syrupd:
         if deployed is None or deployed.agent is None:
             return None
         deployed.agent.crash()
-        self.obs.registry.counter(
-            app_name, "syrupd", "agent_crashes"
-        ).inc()
-        self.obs.events.emit(
-            "agent_crash", app=app_name, hook=Hook.THREAD_SCHED,
+        self._transition(
+            "agent_crash", app_name, Hook.THREAD_SCHED, "agent_crashes",
             fd=deployed.fd,
         )
         self.lifecycle.note_agent_crash(deployed)
@@ -939,8 +848,6 @@ class Syrupd:
         # same indices must resolve to AF_XDP sockets.  The app's
         # queue→socket bindings (netstack.bind_af_xdp) provide exactly
         # that mapping; unbound indices become index misses (PASS).
-        from repro.core.executors import ExecutorMap
-
         bindings = self.machine.netstack.afxdp_bindings
         fallback_execs = ExecutorMap(
             f"{deployed.app_name}:{Hook.XDP_SKB}:offload_fallback"
@@ -950,36 +857,29 @@ class Syrupd:
         if not len(fallback_execs):
             self.quarantine(deployed, reason="no_afxdp_sockets")
             return
-        fallback_attachment = host_site.install(
-            deployed.app_name, deployed.ports, deployed.program,
-            fallback_execs,
-        )
-        fallback_attachment.fd = deployed.fd
+        host_site.install(
+            deployed.app_name, deployed.ports, deployed.program, fallback_execs
+        ).fd = deployed.fd
         deployed.fallback_from = Hook.XDP_OFFLOAD
         deployed.hook = Hook.XDP_SKB
-        self.obs.registry.counter(
-            deployed.app_name, "syrupd", "offload_fallbacks"
-        ).inc()
-        self.obs.events.emit(
-            "offload_fallback", app=deployed.app_name, hook=Hook.XDP_SKB,
-            fd=deployed.fd, from_hook=Hook.XDP_OFFLOAD,
+        self._transition(
+            "offload_fallback", deployed.app_name, Hook.XDP_SKB,
+            "offload_fallbacks", fd=deployed.fd, from_hook=Hook.XDP_OFFLOAD,
         )
 
     def _host_to_offload(self, deployed):
         host_site = self._sites.get(deployed.hook)
         if host_site is not None:
             host_site.uninstall(deployed.app_name, deployed.ports)
-        offload_site = self._site(Hook.XDP_OFFLOAD)
-        restored_attachment = offload_site.install(
+        self._site(Hook.XDP_OFFLOAD).install(
             deployed.app_name, deployed.ports, deployed.program,
             deployed.executors,
-        )
-        restored_attachment.fd = deployed.fd
+        ).fd = deployed.fd
         deployed.hook = Hook.XDP_OFFLOAD
         deployed.fallback_from = None
-        self.obs.events.emit(
-            "offload_restore", app=deployed.app_name,
-            hook=Hook.XDP_OFFLOAD, fd=deployed.fd,
+        self._transition(
+            "offload_restore", deployed.app_name, Hook.XDP_OFFLOAD,
+            fd=deployed.fd,
         )
 
     # ------------------------------------------------------------------
@@ -987,12 +887,8 @@ class Syrupd:
         """Inspection (bpftool-style): every deployment with live stats."""
         rows = []
         for deployed in self.deployed:
-            row = {
-                "fd": deployed.fd,
-                "app": deployed.app_name,
-                "hook": deployed.hook,
-                "state": deployed.state,
-            }
+            row = {"fd": deployed.fd, "app": deployed.app_name,
+                   "hook": deployed.hook, "state": deployed.state}
             if deployed.program is not None:
                 row.update(
                     name=deployed.program.name,
@@ -1040,12 +936,8 @@ class Syrupd:
         now = self.machine.now
         rows = []
         for deployed in self.deployed:
-            row = {
-                "fd": deployed.fd,
-                "app": deployed.app_name,
-                "hook": deployed.hook,
-                "state": deployed.state,
-            }
+            row = {"fd": deployed.fd, "app": deployed.app_name,
+                   "hook": deployed.hook, "state": deployed.state}
             if deployed.fallback_from is not None:
                 row["fallback_from"] = deployed.fallback_from
             if deployed.health is not None:

@@ -264,6 +264,13 @@ class MetricsRegistry:
         """A mergeable streaming quantile sketch (see repro.obs.sketch)."""
         return self._get_or_create("sketch", app, scope, name)
 
+    def counters(self, app, scope, names):
+        """``{name: Counter}`` for a named group, created in ``names``
+        order.  The null registry's is None: whether metrics exist is
+        decided here, not by each caller."""
+        return {name: self._get_or_create("counter", app, scope, name)
+                for name in names}
+
     # ------------------------------------------------------------------
     def get(self, app, scope, name):
         """The metric at a key, or None (never creates)."""
@@ -333,6 +340,9 @@ class NullRegistry:
 
     def sketch(self, app, scope, name):
         return NULL_METRIC
+
+    def counters(self, app, scope, names):
+        return None
 
     def get(self, app, scope, name):
         return None

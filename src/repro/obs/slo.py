@@ -228,8 +228,6 @@ class SloTracker:
     exporter and the SignalBus see it without knowing this class.
     """
 
-    enabled = True
-
     def __init__(self, clock, **defaults):
         self.clock = clock
         self.defaults = defaults     # window/burn kwargs for new SLOs

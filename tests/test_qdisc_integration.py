@@ -20,8 +20,10 @@ import dataclasses
 
 import pytest
 
-from repro import Hook, set_a
+from repro import Hook, Machine, set_a
+from repro.apps.rocksdb import RocksDbServer
 from repro.core.health import HealthPolicy
+from repro.core.syrupd import IsolationError
 from repro.faults import FaultPlan
 from repro.qdisc import FIFO_RANK, SRPT_BY_SIZE, qdisc_hook
 from repro.experiments.figure8 import stage_dynamic
@@ -233,6 +235,38 @@ def test_runqueue_layer_requires_thread_scheduler():
     testbed = RocksDbTestbed(seed=1)
     with pytest.raises(ValueError, match="Thread Scheduler"):
         testbed.app.deploy_qdisc(RANK_BY_TID, "runqueue")
+
+
+@pytest.mark.parametrize("refusal", ["foreign_socket", "no_queues",
+                                     "no_such_rx_queue"])
+def test_a_refused_qdisc_deploy_leaves_no_state(refusal):
+    """Seed bug: a deploy refused at attach time had already loaded the
+    rank function: a queue named before the refused one kept an active
+    qdisc no deployment owned, the app's maps stayed pinned and an fd was
+    spent.  Every queue is resolved and owner-checked before the image."""
+    machine = Machine(set_a(), seed=9, metrics=True)
+    mine = machine.register_app("a", ports=[8080])
+    theirs = machine.register_app("b", ports=[9090])
+    sockets = []
+    if refusal == "foreign_socket":
+        for app, port in ((mine, 8080), (theirs, 9090)):
+            sockets += RocksDbServer(machine, app, port, 2).sockets[:1]
+    layer, targets, error = {
+        "foreign_socket": ("socket", sockets, IsolationError),
+        "no_queues": ("socket", None, ValueError),
+        "no_such_rx_queue": ("nic_rx", [0, 99], ValueError),
+    }[refusal]
+    syrupd = machine.syrupd
+    deployed, fd = list(syrupd.deployed), syrupd._next_fd
+
+    with pytest.raises(error):
+        mine.deploy_qdisc(SRPT_BY_SIZE, layer, targets=targets)
+    assert all(socket.qdisc is None for socket in sockets)
+    assert not machine.nic.rx_qdiscs
+    assert syrupd.deployed == deployed
+    assert not [path for path in syrupd.registry.paths()
+                if path.startswith(mine.map_path(""))]
+    assert syrupd._next_fd == fd
 
 
 # ----------------------------------------------------------------------
