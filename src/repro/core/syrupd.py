@@ -293,9 +293,8 @@ class Syrupd:
         if metrics is not None:
             loaded.metrics = metrics
             reg.gauge(app.name, scope, "prog_n_insns").set(program.n_insns)
-            if image.jit is not None:
-                reg.gauge(app.name, scope, "jit_code_lines").set(
-                    image.jit.jit_n_lines)
+            reg.gauge(app.name, scope, "jit_code_lines").set(
+                image.jit.jit_n_lines)
         # Fault plan (Machine(faults=...)): wrap the program *after*
         # metrics attachment so the proxy delegates everything.
         injector = getattr(self.machine, "faults", None)

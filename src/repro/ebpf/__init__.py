@@ -11,13 +11,13 @@ reproduces that pipeline end to end:
   guaranteed termination), instruction budget, abstract interpretation that
   *proves* every packet load is covered by an explicit ``pkt_len`` check —
   the reason the paper passes ``pkt_start``/``pkt_end`` pointers.
-- :mod:`repro.ebpf.vm` — the interpreter: each verified program's IR
-  compiled once per image into one generated function that returns the
+- :mod:`repro.ebpf.vm` — one code generator over the verified IR, in two
+  modes, each compiled once per image: the interpreter, which returns the
   exact executed cycle and instruction counts, counting per basic block
-  (used for Table 2).
-- :mod:`repro.ebpf.jit` — generates an equivalent native Python function
-  (the analogue of the kernel's eBPF JIT) used on the simulated datapath:
-  one stateless factory per image, closed over each binding's maps.
+  (used for Table 2), and the JIT (the analogue of the kernel's eBPF JIT,
+  which translates verified bytecode), the same code without the counting
+  that the simulated datapath runs: one stateless factory per image,
+  closed over each binding's maps.
 - :mod:`repro.ebpf.maps` — array/hash/prog-array maps with pinning support.
 
 Programs and maps here are *mechanism*; policy deployment, isolation and the
@@ -27,11 +27,10 @@ Map API live in :mod:`repro.core`.
 from repro.ebpf.compiler import compile_policy
 from repro.ebpf.errors import CompileError, VerifierError, VmFault
 from repro.ebpf.insn import Insn, Program
-from repro.ebpf.jit import jit_compile
 from repro.ebpf.maps import ArrayMap, HashMap, ProgArrayMap
 from repro.ebpf.program import LoadedProgram, load_program
 from repro.ebpf.verifier import verify
-from repro.ebpf.vm import ExecutionResult, compile_ir, execute
+from repro.ebpf.vm import ExecutionResult, compile_ir, execute, jit_compile
 
 __all__ = [
     "ArrayMap",

@@ -37,9 +37,8 @@ class AsmError(ValueError):
 def assemble(text, name=None):
     """Parse an IR listing into a :class:`Program`.
 
-    The returned Program has no source/AST (it was authored as IR): its
-    image carries no JIT function, so it is verified and runs on the
-    interpreter only (exactly like non-JITed eBPF).
+    The returned Program was authored as IR; loading it verifies it and
+    compiles it in both modes, like any other program.
     """
     insns = []
     global_names = []
@@ -104,6 +103,5 @@ def assemble(text, name=None):
         map_sizes=map_sizes,
         map_vars=list(map_names),
         source=text,
-        func_ast=None,
         loc=len(insns),
     )

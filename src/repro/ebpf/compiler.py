@@ -106,7 +106,6 @@ def compile_policy(source, name=None, constants=None, unroll_limit=64):
         map_sizes=ctx.map_sizes,
         map_vars=ctx.map_vars,
         source=source,
-        func_ast=func,
         loc=count_loc(source),
         constants=ctx.constants,
     )

@@ -1,9 +1,11 @@
 """Runtime helper semantics shared by the interpreter and the JIT.
 
-The interpreter calls these exact functions.  The JIT calls the ones that
-carry an error code or a zero test, and inlines the rest — a map read, a
-division by a nonzero literal — as the same expressions written out;
-property tests check the two engines agree.
+Both modes of :mod:`repro.ebpf.vm` call the ones that carry an error code
+(map writes) or a zero test (a divisor that is not a literal in
+``1 .. U64``), and write a division by such a literal out in place.  For
+map reads the interpreter calls these exact functions and the JIT writes
+them out on the map's bound ``get``; property tests check the two modes
+agree.
 Semantics follow eBPF: unsigned 64-bit wraparound, division/modulo by zero
 yield 0, map lookups of absent keys read as 0, and map errors (full map,
 out-of-range array index) surface as error return codes — a verified program

@@ -104,12 +104,11 @@ class Program:
         map_names: map slot index -> declared map name.
         map_sizes: declared max_entries per map slot (None = unspecified).
         source: original policy source text.
-        func_ast: the (validated) AST of ``schedule``, kept for the JIT.
         loc: non-blank, non-comment source lines (reported in Table 2).
     """
 
     __slots__ = ("name insns n_locals global_names globals_init map_names "
-                 "map_sizes map_vars source func_ast loc constants").split()
+                 "map_sizes map_vars source loc constants").split()
 
     def __init__(
         self,
@@ -122,7 +121,6 @@ class Program:
         map_sizes,
         map_vars,
         source,
-        func_ast,
         loc,
         constants=None,
     ):
@@ -136,7 +134,6 @@ class Program:
         init("map_sizes", list(map_sizes))
         init("map_vars", list(map_vars))
         init("source", source)
-        init("func_ast", func_ast)
         init("loc", loc)
         init("constants", dict(constants or {}))
 

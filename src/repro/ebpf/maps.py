@@ -10,8 +10,9 @@ Updates use last-writer-wins with atomic read-modify-write available via
 :meth:`BpfMap.atomic_add` — eBPF maps expose no locks, only atomics.
 
 :class:`ArrayMap` and :class:`HashMap` both keep their slots in a dict,
-``_values``, that is never rebound: the JIT (:mod:`repro.ebpf.jit`) binds
-its ``get`` as a program's read, a lookup without a Python frame.
+``_values``, that is never rebound: the JIT
+(:func:`repro.ebpf.vm.jit_compile`) binds its ``get`` as a program's read,
+a lookup without a Python frame.
 """
 
 from repro.ebpf.insn import U64

@@ -10,7 +10,8 @@ Three semantics-preserving passes, run to a fixed point:
    dropped (e.g. branches the folder proved never taken).
 
 Equivalence with the unoptimized program is enforced by property tests
-(tests/test_ebpf_optimizer.py).  The compiler does not run this by default;
+(tests/test_ebpf_optimizer.py; tests/test_ebpf_property.py for both
+execution modes, which compile the optimized IR alike).  The compiler does not run this by default;
 ``load_program(optimize(program))`` opts in — mirroring how clang -O2 and
 the kernel's verifier-time rewrites sit outside the core load path.
 """
@@ -76,7 +77,6 @@ def optimize(program, max_rounds=8):
         map_sizes=program.map_sizes,
         map_vars=program.map_vars,
         source=program.source,
-        func_ast=program.func_ast,
         loc=program.loc,
         constants=program.constants,
     )

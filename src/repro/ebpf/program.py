@@ -3,10 +3,12 @@
 Loading mirrors the kernel's ``bpf(BPF_PROG_LOAD, ...)`` in two steps:
 
 - A :class:`ProgramImage` is what is a pure function of the program text:
-  the :class:`~repro.ebpf.insn.Program`, its verifier stats, the JIT
-  factory and the compiled IR runner (both stateless: the runner takes
-  ``globals, maps, rng`` as arguments, the factory takes ``maps`` and
-  returns a policy taking ``globals, rng``) and the static cycle sum.  It
+  the :class:`~repro.ebpf.insn.Program`, its verifier stats, the verified
+  IR compiled in both modes of :mod:`repro.ebpf.vm` — the JIT factory and
+  the interpreter runner, both stateless: the runner takes ``globals,
+  maps, rng`` as arguments, the factory takes ``maps`` and returns a
+  policy taking ``globals, rng`` — and the static cycle sum.  Every image
+  has both, IR-authored ones (:mod:`repro.ebpf.asm`) included.  It
   is immutable and shared; :func:`image_of` memoises it on all that
   compilation reads — entry point, text, name, every supplied constant —
   so redeploying a text the process has loaded before compiles, verifies
@@ -28,7 +30,8 @@ through the interpreter — the image's IR compiled once by
 real executed cycles (SCAN Avoid usually exits its unrolled loop on the
 first probe; the count depends on map state and random draws, so a
 profile is never carried across loads).  After that, invocations use the
-JIT and the hook charges the measured average.
+JIT — the same verified IR, without the counting — and the hook charges
+the measured average.
 """
 
 import functools
@@ -37,10 +40,9 @@ from collections import namedtuple
 
 from repro.ebpf.compiler import compile_policy, function_source
 from repro.ebpf.insn import Program
-from repro.ebpf.jit import jit_compile
 from repro.ebpf.maps import ArrayMap, HashMap
 from repro.ebpf.verifier import verify
-from repro.ebpf.vm import CYCLE_COSTS, compile_ir, execute
+from repro.ebpf.vm import CYCLE_COSTS, compile_ir, execute, jit_compile
 
 __all__ = ["LoadedProgram", "ProgramImage", "image_of", "load_program",
            "text_image"]
@@ -54,13 +56,11 @@ class ProgramImage(
     namedtuple("ProgramImage",
                "program verifier_stats jit interp static_cycles")
 ):
-    """A verified program and what derives from it alone.  ``jit`` is the
-    JIT factory (:func:`~repro.ebpf.jit.jit_compile`), None for IR-authored
-    programs (:mod:`repro.ebpf.asm`): no AST, so interpreter only, like
-    eBPF on a non-JIT kernel.  ``interp`` is the compiled IR
-    (:func:`~repro.ebpf.vm.compile_ir`), which every image has.
-    ``static_cycles`` is the estimate a binding reports before its first
-    profiled run."""
+    """A verified program and what derives from it alone: the two modes
+    of its compiled IR, ``jit`` (the factory of
+    :func:`~repro.ebpf.vm.jit_compile`) and ``interp``
+    (:func:`~repro.ebpf.vm.compile_ir`), and ``static_cycles``, the
+    estimate a binding reports before its first profiled run."""
 
     __slots__ = ()
 
@@ -69,9 +69,9 @@ class ProgramImage(
         """Verify, compile the IR and JIT ``program``; raises
         VerifierError."""
         stats = verify(program)
-        jit = jit_compile(program) if program.func_ast is not None else None
         cycles = sum(CYCLE_COSTS[insn.op] for insn in program.insns)
-        return cls(program, stats, jit, compile_ir(program), cycles)
+        return cls(program, stats, jit_compile(program), compile_ir(program),
+                   cycles)
 
 
 @functools.lru_cache(maxsize=IMAGE_MEMO_SIZE)
@@ -128,7 +128,7 @@ class LoadedProgram:
             self.maps.append(maps[name])
         # The image's JIT factory closes this binding's policy over its
         # own maps, so ``maps`` entries are never reassigned after this.
-        self._jit = image.jit(self.maps) if image.jit is not None else None
+        self._jit = image.jit(self.maps)
         self.globals = list(program.globals_init)
         self.rng = rng if rng is not None else random.Random(0)
         self.profile_runs = profile_runs
@@ -165,7 +165,7 @@ class LoadedProgram:
     def run(self, packet):
         """Execute the policy on one input; returns the u32 decision."""
         self.invocations += 1
-        if self._jit is None or self._profiled_count < self.profile_runs:
+        if self._profiled_count < self.profile_runs:
             result = execute(self.program, packet, self.maps, self.globals,
                              self.rng, self._interp)
             self._profiled_cycles += result.cycles
@@ -189,10 +189,6 @@ class LoadedProgram:
 
     def run_jit(self, packet):
         """Force one JIT run; returns the decision value only."""
-        if self._jit is None:
-            raise RuntimeError(
-                f"program {self.name!r} was authored as IR; no JIT available"
-            )
         return self._jit(packet, self.globals, self.rng)
 
     def __repr__(self):

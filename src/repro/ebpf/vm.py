@@ -1,25 +1,50 @@
-"""IR execution with exact cycle accounting: verified IR compiled once.
+"""IR execution: verified IR compiled once, by one code generator in two modes.
 
-Each verified :class:`~repro.ebpf.insn.Program` is compiled by
-:func:`compile_ir` into one generated Python function per program image
-(:class:`repro.ebpf.program.ProgramImage` holds it).  That function is the
-interpreter: it has the IR's exact semantics and returns the exact
-executed instruction and cycle counts, so it is the ground truth for
-program semantics and the source of the cycle numbers in Table 2.  The
-datapath normally runs the JIT (:mod:`repro.ebpf.jit`); the two are
-checked for agreement by property tests, and the tests keep a
-per-instruction reference stepper as the oracle for this compiler.
+Each verified :class:`~repro.ebpf.insn.Program` is compiled into Python
+once per program image (:class:`repro.ebpf.program.ProgramImage` holds
+both results):
+
+- :func:`compile_ir`, the interpreter, returns the exact executed
+  instruction and cycle counts in an :class:`ExecutionResult`: the ground
+  truth for program semantics and the source of Table 2's cycles.  The
+  tests keep a per-instruction reference stepper as its oracle.
+- :func:`jit_compile`, the JIT, is the same code without the counting, as
+  the kernel's eBPF JIT translates *verified bytecode* so a decision costs
+  "as cheap as a regular function call" (paper §4.1).  It is a stateless
+  factory ``bind(maps) -> policy`` closing each binding's policy over the
+  slots dict ``get`` of every map it reads.  So the datapath runs exactly
+  what :func:`~repro.ebpf.verifier.verify` checked and what
+  :func:`~repro.ebpf.optimizer.optimize` emitted.
 
 How the IR compiles.  The verifier proves forward-only jumps and one
 stack depth at every join, so one linear pass finds the stack height at
-each reachable pc and the stack becomes the locals ``s0 .. sK``.  Basic
-blocks are emitted in pc order, each behind ``if b == leader:``; every
-jump is forward, so one top-to-bottom pass executes any path.  A block
-opens with ``c += <its cycles>; e += <its instructions>`` — integers, so
-the totals equal per-instruction counting — and keeps one statement per
-instruction, in order, so side effects before a fault are unchanged.  A
-reachable backward jump, stack underflow or inconsistent join depth is a
-:class:`VmFault` at build time, before anything runs.
+each reachable pc and the locals every path to it has stored.  Inside a
+basic block the stack is symbolic: each push/pop chain becomes one
+Python expression, a compare feeding a branch becomes ``if a < b:``, and
+``%`` / ``//`` by a literal in ``1 .. U64`` are plain operators.  A value
+is stored early only when a later statement could change what it reads
+or overtake its side effects (random draws, map writes and packet faults
+keep their order); stack slots are the locals ``s0 .. sK`` only across
+block boundaries.  Blocks nest as ``if``/``else`` at each conditional's
+join, the first later block that no edge from the conditional's reach
+jumps over.  A jump to a returning block is a copy of that block, so
+``break`` followed by ``return x`` stays flat.  A program whose nesting
+would pass CPython's indentation limit, need a non-returning block twice
+or copy more instructions than it has runs flat instead: every block
+behind ``if b == leader:``, in pc order.  A reachable backward jump,
+stack underflow or inconsistent join depth is a :class:`VmFault` at build
+time, before anything runs.
+
+The modes differ where counting and faults live.  The interpreter opens
+each block with ``c += <its cycles>; e += <its instructions>`` (integers,
+so the totals equal per-instruction counting), raises :class:`VmFault`
+on a packet instruction with no packet, and calls
+:mod:`repro.ebpf.helpers` for map reads.  The JIT writes a map read out
+on the bound ``get`` (the helpers' ``& U64`` mask, absent keys read 0)
+and slices a packet load in place behind ``WireView.load``'s bounds check
+(past the end it calls ``load``, for its ``IndexError``).  Both call the
+helpers for map writes, which carry an error code, and for a divisor that
+may be zero.
 
 Cycle costs are a calibrated model of JIT-compiled eBPF on the paper's
 2.3 GHz Xeon: ~2 cycles per simple ALU op, more for packet loads, map
@@ -27,20 +52,22 @@ helpers, and atomics.  Decision *enforcement* cost (packet redirection etc.)
 is charged separately by the hook (paper §5.5: "most of this time is spent
 on enforcing ... rather than making ... each scheduling decision").
 
-Observability: each interpreted run returns its exact executed
-instruction and cycle counts in :class:`ExecutionResult`;
-:class:`repro.ebpf.program.LoadedProgram` feeds them into the
-per-``(app, hook)`` ``insns_interp`` / ``cycles_interp`` counters when
-the machine runs with metrics enabled (JIT runs, which have no
-per-instruction accounting by construction, are counted as ``jit_runs``).
-The generated source is the runner's ``ir_source``.
+Observability: :class:`repro.ebpf.program.LoadedProgram` feeds each
+interpreted run's counts into the ``insns_interp`` / ``cycles_interp``
+counters when metrics are on (JIT runs count as ``jit_runs``).  The
+source is the runner's ``ir_source`` and the factory's ``jit_source``;
+the factory's ``jit_n_lines`` (the policy function, binding prologue
+excluded) is the ``jit_code_lines`` gauge.
 """
+
+from collections import namedtuple
 
 from repro.ebpf import helpers
 from repro.ebpf.errors import VmFault
 from repro.ebpf.insn import OPCODES, U64
 
-__all__ = ["CYCLE_COSTS", "ExecutionResult", "compile_ir", "execute"]
+__all__ = ["CYCLE_COSTS", "ExecutionResult", "compile_ir", "execute",
+           "jit_compile"]
 
 #: Modeled cycles per instruction.
 CYCLE_COSTS = {
@@ -89,58 +116,42 @@ class ExecutionResult:
         )
 
 
-#: One statement per opcode: ``{top}`` is the stack top, ``{under}`` the
-#: slot below it, ``{push}`` the slot a push fills, ``{a}``/``{b}`` the
-#: immediates, ``{next}`` the fall-through pc, ``{mask}`` the u64 mask.
-_STATEMENTS = {
-    "CONST": "{push} = {a}",
-    "LOADL": "{push} = l{a}",
-    "STOREL": "l{a} = {top}",
-    "LOADG": "{push} = g[{a}]",
-    "STOREG": "g[{a}] = {top}",
-    "PKTLEN": "if packet is None: raise VmFault("
-              "'PKTLEN with no packet context')\n{push} = packet.length",
-    "LDPKT": "if packet is None: raise VmFault("
-             "'LDPKT with no packet context')\n{push} = packet.load({a}, {b})",
-    "ADD": "{under} = ({under} + {top}) & {mask}",
-    "SUB": "{under} = ({under} - {top}) & {mask}",
-    "MUL": "{under} = ({under} * {top}) & {mask}",
-    "DIV": "{under} = _div({under}, {top})",
-    "MOD": "{under} = _mod({under}, {top})",
-    "AND": "{under} &= {top}",
-    "OR": "{under} |= {top}",
-    "XOR": "{under} ^= {top}",
-    "SHL": "{under} = ({under} << ({top} & 63)) & {mask}",
-    "SHR": "{under} >>= {top} & 63",
-    "NEG": "{top} = -{top} & {mask}",
-    "INV": "{top} = ~{top} & {mask}",
-    "CMPEQ": "{under} = 1 if {under} == {top} else 0",
-    "CMPNE": "{under} = 1 if {under} != {top} else 0",
-    "CMPLT": "{under} = 1 if {under} < {top} else 0",
-    "CMPLE": "{under} = 1 if {under} <= {top} else 0",
-    "CMPGT": "{under} = 1 if {under} > {top} else 0",
-    "CMPGE": "{under} = 1 if {under} >= {top} else 0",
-    "BOOL": "{top} = 1 if {top} else 0",
-    "NOT": "{top} = 0 if {top} else 1",
-    "DUP": "{push} = {top}",
-    "POP": "",
-    "JMP": "b = {a}",
-    "JZ": "b = {next} if {top} else {a}",
-    "JNZ": "b = {a} if {top} else {next}",
-    "MAPLOOKUP": "{top} = _ml(maps[{a}], {top})",
-    "MAPHAS": "{top} = _mh(maps[{a}], {top})",
-    "MAPUPDATE": "{under} = _mu(maps[{a}], {under}, {top})",
-    "MAPDELETE": "{top} = _md(maps[{a}], {top})",
-    "ATOMICADD": "{under} = _ma(maps[{a}], {under}, {top})",
-    "RANDOM": "{push} = rng.getrandbits(32)",
-    "RET": "return _Result({top}, c, e)",
-}
-
 _JUMPS = ("JMP", "JZ", "JNZ")
+
+#: CPython's tokenizer limits: indentation levels (MAXINDENT) and nested
+#: brackets (MAXLEVEL).
+_MAX_INDENT = 100
+_MAX_PARENS = 200
+#: Brackets any expression template below adds around its operands.
+_DEPTH_STEP = 3
+
+#: Expression templates over the operands ``{x}`` (under) and ``{y}`` (top).
+_BINARY = {
+    "ADD": f"(({{x}} + {{y}}) & {U64})",
+    "SUB": f"(({{x}} - {{y}}) & {U64})",
+    "MUL": f"(({{x}} * {{y}}) & {U64})",
+    "DIV": "_div({x}, {y})",
+    "MOD": "_mod({x}, {y})",
+    "AND": "({x} & {y})",
+    "OR": "({x} | {y})",
+    "XOR": "({x} ^ {y})",
+    "SHL": f"(({{x}} << ({{y}} & 63)) & {U64})",
+    "SHR": "({x} >> ({y} & 63))",
+    "NEG": f"((-{{y}}) & {U64})",
+    "INV": f"((~{{y}}) & {U64})",
+}
+#: By a literal divisor in ``1 .. U64`` neither can fault, and ``%``
+#: needs no mask.
+_BY_LITERAL = {"DIV": f"(({{x}} // {{y}}) & {U64})", "MOD": "({x} % {y})"}
+_COMPARE = {"CMPEQ": "==", "CMPNE": "!=", "CMPLT": "<", "CMPLE": "<=",
+            "CMPGT": ">", "CMPGE": ">="}
+_WRITES = {"MAPUPDATE": "_mu", "MAPDELETE": "_md", "ATOMICADD": "_ma"}
+_FELL_OFF = "raise VmFault('control fell off the end (verifier bug?)')"
 
 _NAMESPACE = {
     "VmFault": VmFault,
     "_Result": ExecutionResult,
+    "_fb": int.from_bytes,
     "_div": helpers.div_u64,
     "_mod": helpers.mod_u64,
     "_ml": helpers.map_lookup,
@@ -150,13 +161,30 @@ _NAMESPACE = {
     "_ma": helpers.atomic_add,
 }
 
+_NONE = frozenset()
+#: Every side effect and fault writes ``io``, so they keep their order.
+_IO = frozenset({"io"})
 
-def _stack_heights(program):
-    """Stack height before each reachable pc (None: unreachable), and the
-    block leaders; raises VmFault on IR no bounded run could execute."""
+
+#: A value on the symbolic stack: its Python text, the state it reads and
+#: writes (``l3``, ``g[0]``, ``m1``, ``rng``, ``io``), its text as a branch
+#: condition when that is cheaper, and a bound on its bracket depth.
+_Expr = namedtuple("_Expr", "text reads writes cond depth",
+                   defaults=(_NONE, _NONE, None, 0))
+
+
+class _Flat(Exception):
+    """The program cannot nest: lay it out flat."""
+
+
+def _analyse(program):
+    """Stack height before each reachable pc (None: unreachable), the
+    locals stored on every path to it (a bit mask) and the block leaders;
+    raises VmFault on IR no bounded run could execute."""
     insns = program.insns
     n = len(insns)
     heights = [None] * (n + 1)
+    stored = [0] * (n + 1)
     heights[0] = 0
     leaders = {0}
     for pc, insn in enumerate(insns):
@@ -173,6 +201,7 @@ def _stack_heights(program):
         if height < pops:
             raise VmFault(f"pc {pc}: stack underflow at {insn}")
         height += pushes - pops
+        done = stored[pc] | (1 << insn.a if op == "STOREL" else 0)
         if op == "RET":
             targets = ()
         elif op == "JMP":
@@ -192,56 +221,327 @@ def _stack_heights(program):
             target = min(target, n)  # past the end: falls off
             if heights[target] is None:
                 heights[target] = height
+                stored[target] = done
             elif heights[target] != height:
                 raise VmFault(
                     f"pc {pc}: inconsistent stack depth at {target} "
                     f"({heights[target]} vs {height})"
                 )
-    return heights, leaders
+            else:
+                stored[target] &= done
+    return heights, stored, leaders
+
+
+class _Codegen:
+    """One program's source, in interpreter (``jit=False``) or JIT mode."""
+
+    def __init__(self, program, jit):
+        heights, stored, leaders = _analyse(program)
+        self.insns = insns = program.insns
+        self.n = n = len(insns)
+        self.jit = jit
+        self.heights = heights
+        #: Indentation level of the function body.
+        self.base = 2 if jit else 1
+        ordered = sorted(pc for pc in leaders if pc < n)
+        #: Reachable blocks: start -> stop, in pc order.
+        self.stops = {start: stop for start, stop
+                      in zip(ordered, ordered[1:] + [n])
+                      if heights[start] is not None}
+        self.starts = list(self.stops)
+        self.index = {start: i for i, start in enumerate(self.starts)}
+        #: Successors of each block, (if true, if false) for a branch;
+        #: pc ``n`` is falling off the end.
+        self.succ = {}
+        for start, stop in self.stops.items():
+            last = insns[stop - 1]
+            target = min(last.a, n) if last.op in _JUMPS else None
+            self.succ[start] = {
+                "RET": (), "JMP": (target,), "JZ": (stop, target),
+                "JNZ": (target, stop),
+            }.get(last.op, (stop,))
+        live = [pc for pc in range(n) if heights[pc] is not None]
+        loads = [(pc, insns[pc].a) for pc in live
+                 if insns[pc].op == "LOADL"]
+        self.read_locals = {slot for _pc, slot in loads}
+        self.unset = sorted({slot for pc, slot in loads
+                             if not stored[pc] >> slot & 1})
+        self.read_maps = sorted({insns[pc].a for pc in live
+                                 if insns[pc].op in ("MAPLOOKUP", "MAPHAS")})
+
+    def body(self):
+        """The function body's lines: nested if the program nests."""
+        self.emitted = set()
+        self.spare = self.n  # instructions returning-block copies may add
+        lines = []
+        try:
+            self._nested(0, None, 0, lines)
+        except _Flat:
+            lines = []
+            self._flat(lines)
+        return lines
+
+    # ------------------------------------------------------------------
+    # Layouts
+    # ------------------------------------------------------------------
+    def _nested(self, pc, stop, depth, lines):
+        """Emit what runs from block ``pc`` until control reaches block
+        ``stop``; returns False when every path returns first."""
+        if self.base + depth >= _MAX_INDENT:
+            raise _Flat
+        pad = "    " * (self.base + depth)
+        while pc != stop:
+            if pc == self.n:
+                lines.append(pad + _FELL_OFF)
+                return False
+            succ = self.succ[pc]
+            if pc in self.emitted:
+                self.spare -= self.stops[pc] - pc
+                if succ or self.spare < 0:
+                    raise _Flat
+            self.emitted.add(pc)
+            cond = self._block(pc, lines, pad)
+            if len(succ) < 2:
+                if not succ:
+                    return False
+                pc = succ[0]
+                continue
+            join = self._join(pc)
+            body, other = [], []
+            body_falls = self._nested(succ[0], join, depth + 1, body)
+            other_falls = self._nested(succ[1], join, depth + 1, other)
+            test = cond.cond or cond.text
+            # Never an empty ``if`` body; a body that returns needs no else.
+            if not body or (other and body_falls and not other_falls):
+                test = f"not {test}"
+                body, other = other, body
+                body_falls, other_falls = other_falls, body_falls
+            if body:
+                lines.append(f"{pad}if {test}:")
+                lines += body
+                if other and body_falls:
+                    lines.append(pad + "else:")
+                    lines += other
+                else:
+                    lines += [line[4:] for line in other]
+            elif cond.writes:
+                lines.append(pad + cond.text)
+            if not (body_falls or other_falls):
+                return False
+            pc = join
+        return True
+
+    def _join(self, pc):
+        """The first block after branch ``pc`` that no edge from its
+        reach jumps over; None when every path returns first.  Returning
+        blocks are copied, so edges into them do not count."""
+        reach = {s for s in self.succ[pc] if self.succ.get(s)}
+        if not reach:
+            return None
+        far = max(reach)
+        for start in self.starts[self.index[pc] + 1:]:
+            if start == far:
+                return far
+            if start in reach:
+                for s in self.succ[start]:
+                    if self.succ.get(s):
+                        reach.add(s)
+                        far = max(far, s)
+        return None  # pragma: no cover - ``far`` is a block start
+
+    def _flat(self, lines):
+        """Every block behind ``if b == leader:``, in pc order."""
+        for start in self.starts:
+            pad = "    " * (self.base + (start > 0))
+            if start:
+                lines.append(f"{pad[4:]}if b == {start}:")
+            cond = self._block(start, lines, pad)
+            succ = self.succ[start]
+            if len(succ) == 1:
+                lines.append(f"{pad}b = {succ[0]}")
+            elif succ:
+                lines.append(f"{pad}b = {succ[0]} if {cond.cond or cond.text}"
+                             f" else {succ[1]}")
+        lines.append("    " * self.base + _FELL_OFF)
+
+    # ------------------------------------------------------------------
+    # One block
+    # ------------------------------------------------------------------
+    def _block(self, start, lines, pad):
+        """Emit block ``start`` with every value it leaves on the stack in
+        its slot; returns its branch condition, if it ends in one."""
+        stop = self.stops[start]
+        insns = self.insns[start:stop]
+        if not self.jit:
+            cycles = sum(CYCLE_COSTS[insn.op] for insn in insns)
+            assign = "+=" if start else "="
+            lines.append(f"{pad}c {assign} {cycles}; e {assign} {len(insns)}")
+        stack = [_Expr(f"s{k}") for k in range(self.heights[start])]
+        for insn in insns[:-1]:
+            self._step(insn, stack, lines, pad)
+        last = insns[-1]
+        if last.op == "RET":
+            value = stack.pop()
+            text = value.text if self.jit else f"_Result({value.text}, c, e)"
+            self._emit(stack, lines, pad, f"return {text}", value.reads,
+                       value.writes | _IO)
+            return None
+        if last.op in _JUMPS:
+            cond = stack.pop() if last.op != "JMP" else None
+        else:
+            self._step(last, stack, lines, pad)
+            cond = None
+        self._store(stack, len(stack) - 1, lines, pad)
+        return cond
+
+    def _emit(self, stack, lines, pad, text, reads, writes):
+        """Emit statement ``text``, storing first every stack value it
+        must not overtake."""
+        top = -1
+        for k, value in enumerate(stack):
+            if value.writes & (reads | writes) or value.reads & writes:
+                top = k
+        self._store(stack, top, lines, pad)
+        lines.append(pad + text)
+
+    @staticmethod
+    def _store(stack, top, lines, pad):
+        """Store ``stack[0 .. top]`` in their slots, bottom first.  A value
+        reads a slot below its own only as a copy of that slot's unstored
+        name, so no store clobbers a slot a later value reads."""
+        for k in range(top + 1):
+            if stack[k].text != f"s{k}":
+                lines.append(f"{pad}s{k} = {stack[k].text}")
+                stack[k] = _Expr(f"s{k}")
+
+    def _step(self, insn, stack, lines, pad):
+        """One straight-line instruction on the symbolic stack."""
+        op, a = insn.op, insn.a
+        pops = OPCODES[op][1]
+        if pops and (max(value.depth for value in stack[-pops:])
+                     + _DEPTH_STEP >= _MAX_PARENS):
+            self._store(stack, len(stack) - 1, lines, pad)
+        operands = stack[len(stack) - pops:]
+        del stack[len(stack) - pops:]
+        reads = frozenset().union(*(value.reads for value in operands))
+        writes = frozenset().union(*(value.writes for value in operands))
+        depth = max((value.depth for value in operands), default=0) + _DEPTH_STEP
+        x, y = ([None, None] + [value.text for value in operands])[-2:]
+        cond = None
+        if op == "CONST":
+            stack.append(_Expr(str(a)))
+            return
+        if op == "LOADL":
+            stack.append(_Expr(f"l{a}", frozenset({f"l{a}"})))
+            return
+        if op == "LOADG":
+            stack.append(_Expr(f"g[{a}]", frozenset({f"g[{a}]"}), depth=1))
+            return
+        if op in ("PKTLEN", "LDPKT") and not self.jit:
+            self._emit(stack, lines, pad, "if packet is None: raise VmFault("
+                       f"'{op} with no packet context')", _NONE, _IO)
+        if op == "PKTLEN":
+            stack.append(_Expr("packet.length"))
+            return
+        if op == "LDPKT":
+            end = a + insn.b
+            text = (f"(_fb((packet._data or packet.data)[{a}:{end}], 'little')"
+                    f" if {end} <= packet.length else packet.load({a}, {insn.b}))"
+                    if self.jit else f"packet.load({a}, {insn.b})")
+            stack.append(_Expr(text, writes=_IO, depth=_DEPTH_STEP))
+            return
+        if op == "DUP":
+            stack.append(operands[0])
+            if operands[0].depth or writes:  # not a name: evaluate it once
+                self._store(stack, len(stack) - 1, lines, pad)
+            stack.append(stack[-1])
+            return
+        if op in ("POP", "STOREL", "STOREG"):  # a dead store is a POP
+            if op == "STOREG" or op == "STOREL" and a in self.read_locals:
+                target = f"l{a}" if op == "STOREL" else f"g[{a}]"
+                y, writes = f"{target} = {y}", writes | {target}
+            if writes:
+                self._emit(stack, lines, pad, y, reads, writes)
+            return
+        if op in _BY_LITERAL and y.isdigit() and 0 < int(y) <= U64:
+            text = _BY_LITERAL[op].format(x=x, y=y)
+        elif op in _BINARY:
+            text = _BINARY[op].format(x=x, y=y)
+        elif op in _COMPARE:
+            cond = f"({x} {_COMPARE[op]} {y})"
+            text = f"(1 if {cond} else 0)"
+        elif op == "BOOL":
+            if operands[0].cond:  # already 0 or 1
+                stack.append(operands[0])
+                return
+            cond = y
+            text = f"(1 if {y} else 0)"
+        elif op == "NOT":
+            test = operands[0].cond or y
+            cond = f"(not {test})"
+            text = f"(0 if {test} else 1)"
+        elif op == "RANDOM":
+            text = "rng.getrandbits(32)"
+            writes = frozenset({"rng", "io"})
+        elif op in ("MAPLOOKUP", "MAPHAS"):
+            reads |= {f"m{a}"}
+            key = y if y.isdigit() and int(y) <= U64 else f"{y} & {U64}"
+            if not self.jit:
+                helper = "_ml" if op == "MAPLOOKUP" else "_mh"
+                text = f"{helper}(maps[{a}], {y})"
+            elif op == "MAPLOOKUP":
+                text = f"_l{a}({key}, 0)"
+            else:
+                cond = f"(_l{a}({key}) is not None)"
+                text = f"(0 if _l{a}({key}) is None else 1)"
+        else:  # a map write: the helper returns its error code
+            args = y if pops == 1 else f"{x}, {y}"
+            text = f"{_WRITES[op]}(maps[{a}], {args})"
+            reads |= {f"m{a}"}
+            writes |= {f"m{a}", "io"}
+        if not (reads or writes) and all(v.isdigit() for v in (x, y) if v):
+            text, cond, depth = str(eval(text, _NAMESPACE)), None, 0
+        stack.append(_Expr(text, reads, writes, cond, depth))
+
+
+def _generate(program, jit):
+    gen = _Codegen(program, jit)
+    body = gen.body()
+    unset = ["    " * gen.base + " = ".join(f"l{slot}" for slot in gen.unset)
+             + " = 0"] if gen.unset else []
+    namespace = dict(_NAMESPACE)
+    if not jit:
+        source = "\n".join(["def _interp(packet, maps, g, rng):"] + unset
+                           + body) + "\n"
+        exec(compile(source, f"<ir:{program.name}>", "exec"), namespace)
+        runner = namespace["_interp"]
+        runner.ir_source = source
+        return runner
+    policy = ["    def _policy(packet, g, rng):"] + unset + body
+    source = "\n".join(
+        ["def _bind(maps):"]
+        + [f"    _l{slot} = maps[{slot}]._values.get" for slot in gen.read_maps]
+        + policy + ["    return _policy"]) + "\n"
+    exec(compile(source, f"<jit:{program.name}>", "exec"), namespace)
+    factory = namespace["_bind"]
+    factory.jit_source = source
+    factory.jit_n_lines = len(policy)
+    return factory
 
 
 def compile_ir(program):
-    """Compile ``program``'s IR into
+    """The interpreter: ``program``'s IR compiled into
     ``runner(packet, maps, globals_state, rng) -> ExecutionResult``;
     raises VmFault on IR that cannot run (see module docstring)."""
-    insns = program.insns
-    n = len(insns)
-    heights, leaders = _stack_heights(program)
-    slots = sorted({insn.a for pc, insn in enumerate(insns)
-                    if insn.op in ("LOADL", "STOREL")
-                    and heights[pc] is not None})
-    lines = ["def _interp(packet, maps, g, rng):"]
-    if slots:
-        lines.append("    " + " = ".join(f"l{slot}" for slot in slots) + " = 0")
-    starts = [pc for pc in range(n) if pc in leaders and heights[pc] is not None]
-    for start in starts:
-        stop = start + 1
-        while stop < n and stop not in leaders:
-            stop += 1
-        block = insns[start:stop]
-        indent = "    " if start == 0 else "        "
-        if start:
-            lines.append(f"    if b == {start}:")
-        cycles = sum(CYCLE_COSTS[insn.op] for insn in block)
-        assign = "=" if start == 0 else "+="
-        lines.append(f"{indent}c {assign} {cycles}; e {assign} {len(block)}")
-        for pc, insn in enumerate(block, start):
-            height = heights[pc]
-            statement = _STATEMENTS[insn.op].format(
-                a=insn.a, b=insn.b, next=pc + 1, top=f"s{height - 1}",
-                under=f"s{height - 2}", push=f"s{height}", mask=U64,
-            )
-            lines.extend(indent + line for line in statement.splitlines())
-        last = block[-1].op
-        if last != "RET" and last not in _JUMPS:
-            lines.append(f"{indent}b = {stop}")
-    lines.append("    raise VmFault('control fell off the end (verifier bug?)')")
-    source = "\n".join(lines) + "\n"
-    namespace = dict(_NAMESPACE)
-    exec(compile(source, f"<ir:{program.name}>", "exec"), namespace)
-    runner = namespace["_interp"]
-    runner.ir_source = source
-    return runner
+    return _generate(program, jit=False)
+
+
+def jit_compile(program):
+    """The JIT: ``program``'s IR compiled into the stateless factory
+    ``bind(maps_list) -> policy``, where
+    ``policy(packet, globals_list, rng) -> int`` is closed over the slots
+    dict's ``get`` of every map the program reads."""
+    return _generate(program, jit=True)
 
 
 def execute(program, packet, maps, globals_state, rng, runner=None):

@@ -173,7 +173,7 @@ def test_deploy_path_builds_each_distinct_text_once(swaps):
     for path_part, function in (("/ebpf/compiler.py", "compile_policy"),
                                 ("/ebpf/verifier.py", "verify"),
                                 ("/ebpf/vm.py", "compile_ir"),
-                                ("/ebpf/jit.py", "jit_compile")):
+                                ("/ebpf/vm.py", "jit_compile")):
         assert calls_into(stats, path_part, function) == CHURN_KEYS, function
 
     # The image memo is warm now: what each step costs is the control

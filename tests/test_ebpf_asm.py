@@ -63,12 +63,24 @@ def test_assemble_metadata_directives():
     assert loaded.globals[0] == 1
 
 
-def test_assembled_programs_are_interpreter_only():
-    loaded = load_program(assemble(ASM_PROGRAMS[-1]))
-    with pytest.raises(RuntimeError):
-        loaded.run_jit(None)
-    # run() transparently uses the interpreter forever
-    assert all(loaded.run(None) == 1 for _ in range(100))
+@pytest.mark.parametrize("text", ASM_PROGRAMS)
+def test_assembled_programs_jit_and_agree_with_the_interpreter(text):
+    """The JIT compiles verified IR, so a program authored as IR has one:
+    run() switches to it after the profiled runs, and it agrees with the
+    interpreter on value, globals and maps."""
+    interp, jitted = (load_program(assemble(text)) for _ in range(2))
+    for loaded in (interp, jitted):
+        for bpf_map in loaded.maps:
+            bpf_map.update(1, 42)
+    for _ in range(3):
+        assert jitted.run_jit(None) == interp.run_interp(None).value
+    assert jitted.globals == interp.globals
+    assert [m.items() for m in jitted.maps] == [m.items() for m in interp.maps]
+    assert jitted.image.jit.jit_source.startswith("def _bind(maps):")
+    mixed = load_program(assemble(text))
+    for _ in range(mixed.profile_runs + 5):
+        mixed.run(None)
+    assert mixed._profiled_count == mixed.profile_runs  # then the JIT ran
 
 
 @pytest.mark.parametrize(

@@ -96,7 +96,7 @@ def vars_of(result):
 def ir_program(insns, n_locals=1):
     return Program(name="hand", insns=insns, n_locals=n_locals,
                    global_names=["g"], globals_init=[0], map_names=[],
-                   map_sizes=[], map_vars=[], source="", func_ast=None,
+                   map_sizes=[], map_vars=[], source="",
                    loc=len(insns))
 
 

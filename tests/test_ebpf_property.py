@@ -1,9 +1,12 @@
 """Property-based tests (hypothesis) for the eBPF toolchain.
 
-The central property: for any program in the safe subset and any input, the
-interpreter and the JIT produce the same return value, the same global
-state, and the same map contents.  Programs are generated as random ASTs in
-the subset, so this also fuzzes the compiler and the verifier.
+The central property: for any program the verifier accepts and any input,
+the interpreter and the JIT — the two modes of one code generator over the
+verified IR — produce the same return value, the same global state, and
+the same map contents.  Programs are generated as random ASTs in the
+subset, so this also fuzzes the compiler and the verifier, and as random
+IR the verifier accepts (``test_verifier_fuzz.acceptable_insns``), which
+reaches layouts no compiled policy has.
 """
 
 import random
@@ -11,10 +14,13 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_packet, random_policy_source
+from ir_reference import datagram
+from test_verifier_fuzz import acceptable_insns, accepted
 
 from repro.constants import PASS
 from repro.ebpf.compiler import compile_policy
 from repro.ebpf.errors import CompileError, VerifierError
+from repro.ebpf.optimizer import optimize
 from repro.ebpf.program import (
     LoadedProgram,
     ProgramImage,
@@ -48,6 +54,49 @@ def test_interp_and_jit_agree_on_random_programs(prog_seed, pkt_seed):
         assert a == b, f"\n{source}\ninterp={a} jit={b}"
     assert interp.globals == jitted.globals
     assert interp.maps[0].items() == jitted.maps[0].items()
+
+
+def test_interp_and_jit_agree_on_accepted_ir():
+    """Every ``acceptable_insns`` program of the first 1,500 seeds that the
+    verifier accepts: value, globals, map and the RNG's next draw agree
+    after runs on packets of length 0-80."""
+    packets = [datagram(length, seed=length) for length in (0, 8, 24, 80)]
+    packets.append(Packet(FLOW, bytes(range(40))))
+    checked = 0
+    for seed, program in accepted(acceptable_insns, range(1500)):
+        image = ProgramImage.build(program)
+        interp, jitted = (LoadedProgram(image, rng=random.Random(seed))
+                          for _ in range(2))
+        for loaded in (interp, jitted):
+            for key in range(seed % 5):
+                loaded.maps[0].update(key, key * 7)
+        for packet in packets:
+            assert jitted.run_jit(packet) == interp.run_interp(packet).value
+        assert jitted.globals == interp.globals, seed
+        assert jitted.maps[0].items() == interp.maps[0].items(), seed
+        assert jitted.rng.getrandbits(32) == interp.rng.getrandbits(32)
+        checked += 1
+    assert checked >= 1000, checked
+
+
+@settings(max_examples=150, deadline=None)
+@given(prog_seed=st.integers(0, 10**9), pkt_seed=st.integers(0, 10**9))
+def test_optimizer_on_equals_optimizer_off(prog_seed, pkt_seed):
+    """ROADMAP 8(a): the JIT runs what the optimizer emits, so optimized
+    and unoptimized programs agree on value, globals and map state, in
+    both modes and through the profiling path."""
+    program = compile_policy(random_policy_source(prog_seed))
+    packet = random_packet(pkt_seed)
+    runs = []
+    for version in (program, optimize(program)):
+        loaded = load_program(version, rng=random.Random(1), profile_runs=2)
+        fill = random.Random(pkt_seed)
+        for _ in range(8):
+            loaded.maps[0].update(fill.randrange(64), fill.getrandbits(64))
+        values = [loaded.run(packet) for _ in range(4)]
+        values += [loaded.run_jit(packet), loaded.run_interp(packet).value]
+        runs.append((values, loaded.globals, loaded.maps[0].items()))
+    assert runs[0] == runs[1]
 
 
 @settings(max_examples=150, deadline=None)

@@ -19,7 +19,6 @@ def make_program(insns, n_locals=0, n_globals=0, n_maps=0):
         map_sizes=[16] * n_maps,
         map_vars=[f"m{i}" for i in range(n_maps)],
         source="",
-        func_ast=None,
         loc=0,
     )
 

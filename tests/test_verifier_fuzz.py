@@ -158,7 +158,6 @@ def make_program(insns):
         map_sizes=[16],
         map_vars=["m"],
         source="",
-        func_ast=None,
         loc=0,
     )
 
