@@ -133,11 +133,11 @@ def test_promote_demo_renders_both_candidates_with_histories():
 #: for a change meant to move that view, and say why.
 VIEW_SHA256 = {
     "stats":
-        ("19c8032e62d4be0bc7c4aa917e6caa536ec80bfa25e7b2e473c194b871ce0533",
-         "d45a902611d3d5911addc3110a112b93d9850663cf8d235ab8c8f5bc30be5439"),
+        ("61dfde69578bd4df574c17113291b026847478de433d52438bb398a3ca4b0ade",
+         "8d6180e46de790a65ca2ce29e79211d98da2dce16746906563320305ba0808ec"),
     "status":
         ("706a8df7517351c2a53b1e4aae8a03098729e49281bcc7fef202865ca4810624",
-         "ce734969cc6e05e27a8971d532fa3bae6ed9227e5b88d13c6f1d14808d2ad444"),
+         "c15ecb3cc04d446a0db19bb09b34c6c4e20df7a1654811db3cc3a49474ed0d1d"),
     "maps":
         ("0fb400e968ff273ceee9c858285cd5194717be7364ffa56bc5f6491cfdf16a4e",
          "d0eb6e3eb3b3365a2cb3f9438ce534210849dc697d6750a12b8175438735665b"),
@@ -145,8 +145,8 @@ VIEW_SHA256 = {
         ("3d2418f01f0775be282d56a2a608002deafbf66178cb6434a9ab9adcee281d4c",
          "f4a8a1e75787f3a63b02c4f7e832216d8c3b6d7abf24cad41de4b801f724d4f2"),
     "timeline":
-        ("75549282726061fd6e7e3e545ec5ab5efafe6d42e7f1c8c6a0e3e009ddcf2c4d",
-         "9a6c78124be31c51f5c7b868fd2254b2d33f8674bb85ae29c09851ffd1850c4f"),
+        ("95bcdad179df5c6082b45bdcd8c83104781c42b81f2708014fb829cdd866d557",
+         "16910457b1ead0660b82cfb2ef40af55386fe1b1e6153524d2af12af0f9525c3"),
     "health":
         ("bbb740a273f8e4eae3971510ac9d502bc9abb5675942ef36687be248de6065cb",
          "297183fa3cdbf0c4d666d15c4fc7146c7915481db2b364f28c63bae7e2f4b482"),
