@@ -427,7 +427,6 @@ class _Codegen:
         writes = frozenset().union(*(value.writes for value in operands))
         depth = max((value.depth for value in operands), default=0) + _DEPTH_STEP
         x, y = ([None, None] + [value.text for value in operands])[-2:]
-        cond = None
         if op == "CONST":
             stack.append(_Expr(str(a)))
             return
@@ -463,6 +462,7 @@ class _Codegen:
             if writes:
                 self._emit(stack, lines, pad, y, reads, writes)
             return
+        cond = None
         if op in _BY_LITERAL and y.isdigit() and 0 < int(y) <= U64:
             text = _BY_LITERAL[op].format(x=x, y=y)
         elif op in _BINARY:
