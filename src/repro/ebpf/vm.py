@@ -417,6 +417,28 @@ class _Codegen:
     def _step(self, insn, stack, lines, pad):
         """One straight-line instruction on the symbolic stack."""
         op, a = insn.op, insn.a
+        if op == "CONST":
+            stack.append(_Expr(str(a)))
+            return
+        if op == "LOADL":
+            stack.append(_Expr(f"l{a}", frozenset({f"l{a}"})))
+            return
+        if op == "LOADG":
+            stack.append(_Expr(f"g[{a}]", frozenset({f"g[{a}]"}), depth=1))
+            return
+        if op in ("PKTLEN", "LDPKT"):
+            if not self.jit:
+                self._emit(stack, lines, pad, "if packet is None: raise "
+                           f"VmFault('{op} with no packet context')", _NONE, _IO)
+            if op == "PKTLEN":
+                stack.append(_Expr("packet.length"))
+                return
+            end = a + insn.b
+            text = (f"(_fb((packet._data or packet.data)[{a}:{end}], 'little')"
+                    f" if {end} <= packet.length else packet.load({a}, {insn.b}))"
+                    if self.jit else f"packet.load({a}, {insn.b})")
+            stack.append(_Expr(text, writes=_IO, depth=_DEPTH_STEP))
+            return
         pops = OPCODES[op][1]
         if pops and (max(value.depth for value in stack[-pops:])
                      + _DEPTH_STEP >= _MAX_PARENS):
@@ -427,28 +449,6 @@ class _Codegen:
         writes = frozenset().union(*(value.writes for value in operands))
         depth = max((value.depth for value in operands), default=0) + _DEPTH_STEP
         x, y = ([None, None] + [value.text for value in operands])[-2:]
-        if op == "CONST":
-            stack.append(_Expr(str(a)))
-            return
-        if op == "LOADL":
-            stack.append(_Expr(f"l{a}", frozenset({f"l{a}"})))
-            return
-        if op == "LOADG":
-            stack.append(_Expr(f"g[{a}]", frozenset({f"g[{a}]"}), depth=1))
-            return
-        if op in ("PKTLEN", "LDPKT") and not self.jit:
-            self._emit(stack, lines, pad, "if packet is None: raise VmFault("
-                       f"'{op} with no packet context')", _NONE, _IO)
-        if op == "PKTLEN":
-            stack.append(_Expr("packet.length"))
-            return
-        if op == "LDPKT":
-            end = a + insn.b
-            text = (f"(_fb((packet._data or packet.data)[{a}:{end}], 'little')"
-                    f" if {end} <= packet.length else packet.load({a}, {insn.b}))"
-                    if self.jit else f"packet.load({a}, {insn.b})")
-            stack.append(_Expr(text, writes=_IO, depth=_DEPTH_STEP))
-            return
         if op == "DUP":
             stack.append(operands[0])
             if operands[0].depth or writes:  # not a name: evaluate it once

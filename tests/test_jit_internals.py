@@ -487,9 +487,9 @@ def deepest_indent(source):
                if line.strip()) // 4
 
 
-LENGTHS = [Packet(FLOW, build_payload(rtype, 7, 3, rtype) + bytes(extra))
+PACKETS = [Packet(FLOW, build_payload(rtype, 7, 3, rtype) + bytes(extra))
            for rtype in (0, 1, 2, 3, 101) for extra in (0, 30)]
-LENGTHS += [Packet(FLOW, b""), Packet(FLOW, bytes(9))]
+PACKETS += [Packet(FLOW, b""), Packet(FLOW, bytes(9))]
 
 #: Two ``break``s per iteration, with more than a ``return`` after the
 #: loop: every break adds one level of nesting, so N = 64 (the unroll
@@ -513,7 +513,7 @@ def schedule(pkt):
 
 @pytest.mark.parametrize("trips", [40, 64])
 def test_two_breaks_per_iteration_deploy_and_jit(trips):
-    source = assert_jit_agrees(TWO_BREAKS, {"N": trips}, LENGTHS[:2],
+    source = assert_jit_agrees(TWO_BREAKS, {"N": trips}, PACKETS[:2],
                                fills=range(8))
     if trips == 64:  # past the limit: the program is laid out flat
         assert "if b == " in source and deepest_indent(source) == 3
@@ -526,7 +526,7 @@ def test_a_break_before_a_return_stays_flat():
     ``return hits`` nest nothing."""
     text = TWO_BREAKS.replace("    if hits > 3:\n        return hits\n", "")
     source = assert_jit_agrees(text.replace("return PASS", "return hits"),
-                               {"N": 64}, LENGTHS[:2], fills=range(8))
+                               {"N": 64}, PACKETS[:2], fills=range(8))
     assert "if b == " not in source and deepest_indent(source) == 3
     assert source.count("return l0") == 129
 
@@ -545,7 +545,7 @@ def schedule(pkt):
             continue
         total += 1
     return total
-""", packets=LENGTHS[:2], fills=range(8))
+""", packets=PACKETS[:2], fills=range(8))
     # a continue's join is the end of its iteration: nesting does not grow
     assert "if b == " not in source and deepest_indent(source) <= 5
 
@@ -569,7 +569,7 @@ def schedule(pkt):
     else:
         r = 50
     return r + t
-""", packets=LENGTHS)
+""", packets=PACKETS)
 
 
 def test_boolean_and_conditional_values_live_across_joins():
@@ -587,7 +587,7 @@ def schedule(pkt):
     w = ((n > 30) and (a < 50)) + (not a) + (a and (n or g))
     g = (g + 1 if w else g * 2) % 1000
     return v * 2 + w + (map_has(m, 2) and map_lookup(m, 2) or 11)
-""", packets=LENGTHS)
+""", packets=PACKETS)
     assert "s0 = " in source and "if b == " not in source
 
 
@@ -608,8 +608,8 @@ def schedule(pkt):
         return total
     return PASS
 """
-    source = assert_jit_agrees(text, packets=LENGTHS[:2], fills=range(12))
+    source = assert_jit_agrees(text, packets=PACKETS[:2], fills=range(12))
     image = image_of(text)
     assert "if b == " in source and "if b == " in image.interp.ir_source
-    assert_matches_reference(image.program, LENGTHS[:2] + [None],
+    assert_matches_reference(image.program, PACKETS[:2] + [None],
                              [ArrayMap("m", 64)])
