@@ -592,7 +592,7 @@ class Fleet:
 
         self.injector = None
         if faults is not None:
-            self.injector = FleetFaultInjector(self, faults)
+            self.injector = FleetFaultInjector(self, faults).arm()
 
         self.steering_name = None
         if steering is not None:
@@ -824,20 +824,17 @@ class Fleet:
     # ------------------------------------------------------------------
     def drive(self, duration_us, rps, num_users=1_000_000, mix=None,
               diurnal_period_us=None, diurnal_depth=0.0, ports=None):
-        """Attach the aggregate open-loop generator (call before run)."""
+        """Attach and start the aggregate open-loop generator."""
         self.generator = FleetGenerator(
             self, rps=rps, duration_us=duration_us, num_users=num_users,
             mix=mix, diurnal_period_us=diurnal_period_us,
             diurnal_depth=diurnal_depth, ports=ports,
         )
+        self.generator.start()
         return self.generator
 
     def run(self, until=None):
-        """Arm everything and run the engine to completion."""
-        if self.injector is not None:
-            self.injector.arm()
-        if self.generator is not None:
-            self.generator.start()
+        """Arm the tick loops and run the engine (safe to call in slices)."""
         self.sync.arm()
         self.obs.recorder.arm()
         self.engine.run(until=until)

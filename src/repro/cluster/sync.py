@@ -24,10 +24,13 @@ Determinism: the bus draws no randomness and snapshots/applies channels
 in registration order; the engine's FIFO tie-break at equal timestamps
 makes replica application order reproducible, so two seeded runs make
 bit-identical steering decisions (tests/test_fleet.py locks this with
-paired runs).  The bus re-arms only while its ``active`` predicate holds
-(the fleet supplies "load still in flight"), so a drained run terminates
-exactly like one without a bus.
+paired runs).  The bus is a :class:`~repro.sim.timers.PeriodicTimer`
+that re-arms only while its ``active`` predicate holds (the fleet
+supplies "load still in flight"), so a drained run terminates exactly
+like one without a bus.
 """
+
+from repro.sim.timers import PeriodicTimer
 
 __all__ = ["MapSyncBus", "SyncChannel"]
 
@@ -54,30 +57,23 @@ class SyncChannel:
         )
 
 
-class MapSyncBus:
+class MapSyncBus(PeriodicTimer):
     """Periodic snapshot → delayed apply replication between machines.
 
     ``interval_us`` is the publish cadence, ``delay_us`` the propagation
     delay; ``active`` is a zero-arg predicate — the bus keeps ticking
-    while it returns True (in-flight snapshots still apply after it goes
-    False, they are one-shot events).
+    while it returns True (always, when None; in-flight snapshots still
+    apply after it goes False, they are one-shot events).
     """
 
     def __init__(self, engine, interval_us=DEFAULT_INTERVAL_US,
                  delay_us=DEFAULT_DELAY_US, active=None):
-        if interval_us <= 0:
-            raise ValueError(
-                f"interval_us must be positive, got {interval_us}"
-            )
+        super().__init__(engine, interval_us, self.publish, active)
         if delay_us < 0:
             raise ValueError(f"delay_us must be >= 0, got {delay_us}")
-        self.engine = engine
-        self.interval_us = float(interval_us)
         self.delay_us = float(delay_us)
-        self.active = active if active is not None else (lambda: True)
         self.channels = []
         self.ticks = 0
-        self._armed = None
 
     # ------------------------------------------------------------------
     def add_channel(self, name, snapshot, apply):
@@ -93,26 +89,13 @@ class MapSyncBus:
         raise KeyError(f"no sync channel named {name!r}")
 
     # ------------------------------------------------------------------
-    def arm(self):
-        """Schedule the next publish tick (idempotent)."""
-        if self._armed is not None and not self._armed.cancelled:
-            return
-        self._armed = self.engine.schedule(self.interval_us, self._tick)
-
-    def disarm(self):
-        if self._armed is not None:
-            self._armed.cancel()
-            self._armed = None
-
-    def _tick(self):
-        self._armed = None
+    def publish(self):
+        """One tick: snapshot every channel, apply each ``delay_us`` on."""
         self.ticks += 1
         now = self.engine.now
         for channel in self.channels:
             value = channel.snapshot()
             self.engine.post(self.delay_us, self._apply, channel, value, now)
-        if self.active():
-            self.arm()
 
     def _apply(self, channel, value, stamp_us):
         channel.apply(value, stamp_us)

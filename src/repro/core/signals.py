@@ -21,42 +21,45 @@ per-machine SignalBuses publish into local Maps and the sync bus
 replicates them to the ToR with bounded staleness.
 
 Determinism contract: the bus only ever runs when explicitly
-constructed (``Machine(signals=...)``).  Its ticks ride the engine like
-the flight recorder's and **do** change behavior — that is the point:
+constructed (``Machine(signals=...)``).  It is a
+:class:`~repro.sim.timers.PeriodicTimer`, like the flight recorder, but
+its ticks **do** change behavior — that is the point:
 controllers write Maps the datapath reads.  When absent, the
 :data:`NULL_SIGNALS` twin is a no-op and simulation output is
 bit-identical to builds without this module (the audit test in
 ``tests/test_adaptive.py`` holds this line).
 """
 
+from repro.sim.timers import PeriodicTimer
+
 __all__ = ["NULL_SIGNALS", "NullSignalBus", "SignalBus"]
 
 DEFAULT_INTERVAL_US = 5_000.0
 
 
-class SignalBus:
+class SignalBus(PeriodicTimer):
     """Periodic signal sampling + control laws over simulated time.
 
-    ``active`` is an optional zero-arg predicate; the bus re-arms only
-    while it returns True (and the engine heap is non-empty), so a
-    drained simulation still terminates — the
-    :class:`~repro.cluster.sync.MapSyncBus` idiom.
+    ``active`` is an optional zero-arg predicate, settable after
+    construction; the bus re-arms only while it returns True (and the
+    engine heap is non-empty), so a drained simulation still terminates
+    — the :class:`~repro.obs.timeseries.FlightRecorder` rule.
     """
 
     enabled = True
 
     def __init__(self, engine, interval_us=DEFAULT_INTERVAL_US, active=None):
-        if interval_us <= 0:
-            raise ValueError(f"interval_us must be positive, got {interval_us}")
-        self.engine = engine
-        self.interval_us = float(interval_us)
+        super().__init__(
+            engine, interval_us, self.tick_once,
+            lambda: engine.queued() and (
+                self.active is None or self.active()),
+        )
         self.active = active
         self.ticks = 0
         self.signals = []       # (name, read, publish-or-None)
         self.controllers = []   # (name, control)
         self.last = {}          # signal name -> last read value
         self.last_tick_at = None
-        self._armed = None
 
     # ------------------------------------------------------------------
     # Registration
@@ -97,27 +100,6 @@ class SignalBus:
     # ------------------------------------------------------------------
     # Ticking
     # ------------------------------------------------------------------
-    def arm(self):
-        """Schedule the next tick (idempotent)."""
-        if self._armed is not None and not self._armed.cancelled:
-            return
-        self._armed = self.engine.schedule(self.interval_us, self._tick)
-
-    def disarm(self):
-        if self._armed is not None:
-            self._armed.cancel()
-            self._armed = None
-
-    def _tick(self):
-        self._armed = None
-        self.tick_once()
-        # Re-arm while work remains (and the owner says so): the same
-        # drain-to-termination rule as FlightRecorder / MapSyncBus.
-        if self.engine.queued() and (
-            self.active is None or self.active()
-        ):
-            self.arm()
-
     def tick_once(self):
         """One sample + control pass, outside the schedule (tests too)."""
         self.ticks += 1
@@ -176,9 +158,6 @@ class NullSignalBus:
         return self
 
     def arm(self):
-        pass
-
-    def disarm(self):
         pass
 
     def tick_once(self):

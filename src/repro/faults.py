@@ -30,6 +30,7 @@ restart, offload fallback — lives in :mod:`repro.core.health` and
 
 from repro.core.hooks import ROOT_APP
 from repro.ebpf.errors import VmFault
+from repro.obs.registry import ZERO_CLOCK
 from repro.sim.rng import RngStreams
 
 __all__ = ["FaultInjector", "FaultKind", "FaultPlan", "FaultSpec",
@@ -224,18 +225,20 @@ class FaultyProgram:
     Wraps the program *after* syrupd has attached its metrics, so
     every attribute the rest of the system reads (``cycle_estimate``,
     ``invocations``, ``name``, ``maps``, ...) delegates to the inner
-    program via ``__getattr__``.  Only ``run`` is intercepted.
+    program via ``__getattr__``.  Only ``run`` is intercepted.  ``clock``
+    is anything with ``.now`` (the engine; ``ZERO_CLOCK`` standalone).
     """
 
-    def __init__(self, inner, specs, rng, on_fault=None):
+    def __init__(self, inner, specs, rng, on_fault=None, clock=None):
         self._inner = inner
         self._specs = list(specs)
         self._rng = rng
         self._on_fault = on_fault  # fn(app_hint) -> None, set by injector
+        self._clock = clock if clock is not None else ZERO_CLOCK
         self.faults_raised = 0
 
     def run(self, packet):
-        now = self._inner_clock()
+        now = self._clock.now
         for spec in self._specs:
             if now < spec.start_us:
                 continue
@@ -249,11 +252,6 @@ class FaultyProgram:
                     f"injected runtime fault in {self._inner.name!r}"
                 )
         return self._inner.run(packet)
-
-    def _inner_clock(self):
-        # set by the injector; falls back to 0 for standalone use/tests
-        clock = self.__dict__.get("_clock")
-        return clock() if clock is not None else 0.0
 
     def __getattr__(self, name):
         return getattr(self.__dict__["_inner"], name)
@@ -309,15 +307,13 @@ class FaultInjector:
         if not specs:
             return loaded
         rng = self.streams.get(f"vmfault/{app_name}/{hook}")
-        engine = self.machine.engine
 
         def on_fault(spec):
             self._note(FaultKind.VMFAULT, app=app_name, hook=hook,
                        rate=spec.rate)
 
-        wrapped = FaultyProgram(loaded, specs, rng, on_fault=on_fault)
-        wrapped.__dict__["_clock"] = lambda: engine.now
-        return wrapped
+        return FaultyProgram(loaded, specs, rng, on_fault=on_fault,
+                             clock=self.machine.engine)
 
     # -- timed injections ----------------------------------------------
     def _inject_agent_crash(self, spec):

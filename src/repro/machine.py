@@ -76,7 +76,10 @@ class Machine:
         # Time-series tier: timeseries=True (1 ms sampling) or a sample
         # interval in simulated us.  The recorder rides the event loop but
         # only reads the registry, so results stay bit-identical (see
-        # repro.obs.timeseries); run() (re-)arms it.
+        # repro.obs.timeseries); run() (re-)arms it.  Its probe reads the
+        # instantaneous queue depths (socket backlogs, softirq queues, NIC
+        # in-flight packets, runnable threads) into registry gauges at
+        # sample time: pure reads, so the datapath pays nothing.
         if timeseries:
             if not metrics:
                 raise ValueError(
@@ -88,6 +91,7 @@ class Machine:
                 self.obs.registry, self.engine, interval_us=interval,
                 capacity=timeseries_capacity,
             )
+            self.obs.recorder.probes.append(self._sample_queue_state)
         # The signal plane (repro.core.signals): signals=True (5 ms
         # cadence) or an interval in simulated us arms a SignalBus that
         # samples telemetry into Maps and runs control laws; slo=True
@@ -147,13 +151,6 @@ class Machine:
         self.netstack = NetStack(self.engine, self.config, probe=probe)
         self._next_sid = 1  # socket ids are per machine, like syrupd's fds
         self.nic.deliver = self.netstack.deliver_from_nic
-        # Queue-state telemetry: when the flight recorder is live, every
-        # sample() first reads the instantaneous queue depths (socket
-        # backlogs, softirq queue lengths, NIC in-flight packets, runnable
-        # threads) into registry gauges — pure reads at sample time, so
-        # the datapath pays nothing and determinism is untouched.
-        if self.obs.recorder.enabled:
-            self.obs.recorder.probes.append(self._sample_queue_state)
         # health: a repro.core.health.HealthPolicy (None = defaults) for
         # syrupd's self-healing lifecycle (quarantine thresholds,
         # watchdog backoff); faults: a repro.faults.FaultPlan armed at

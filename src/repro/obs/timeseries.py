@@ -16,9 +16,11 @@ interval and keeps, per metric series, a bounded ring of samples:
 
 Determinism contract (same as the rest of :mod:`repro.obs`): sampling
 rides the engine's event loop but only *reads* — it draws no randomness,
-mutates no simulation state, and re-arms itself only while other events
-remain, so the run still terminates and every simulation output is
-bit-identical with the recorder on or off.  (Recorder ticks do advance
+mutates no simulation state, and, as a
+:class:`~repro.sim.timers.PeriodicTimer` whose re-arm rule is
+``engine.queued``, re-arms only while other events remain, so the run
+still terminates and every simulation output is bit-identical with the
+recorder on or off.  (Recorder ticks do advance
 ``engine.now`` to the final tick instant and count in
 ``events_dispatched``; no workload-visible quantity depends on either.)
 
@@ -29,6 +31,8 @@ pattern.  Rendering lives in :func:`repro.syrupctl.render_timeline`
 """
 
 from collections import deque
+
+from repro.sim.timers import PeriodicTimer
 
 __all__ = [
     "FlightRecorder",
@@ -74,29 +78,27 @@ class SeriesSamples:
         )
 
 
-class FlightRecorder:
+class FlightRecorder(PeriodicTimer):
     """Samples a metrics registry every ``interval_us`` of simulated time.
 
     Arm it with :meth:`arm` (``Machine.run`` does this automatically for
     the machine-owned recorder); each tick samples every registered
     series, then re-arms only while the engine still has other pending
     events, so a drained heap ends the run exactly as before.
+    ``engine.queued()`` over-approximates (cancelled events linger until
+    popped), costing at most a few empty ticks.
     """
 
     enabled = True
 
     def __init__(self, registry, engine, interval_us=DEFAULT_INTERVAL_US,
                  capacity=DEFAULT_CAPACITY):
-        if interval_us <= 0:
-            raise ValueError(f"interval_us must be positive, got {interval_us}")
+        super().__init__(engine, interval_us, self.sample, engine.queued)
         self.registry = registry
-        self.engine = engine
-        self.interval_us = float(interval_us)
         self.capacity = capacity
         self.samples_taken = 0
         self._series = {}       # key -> SeriesSamples
         self._last_cumulative = {}  # key -> last counter value / hist count
-        self._armed = None      # the pending tick Event, if any
         #: Zero-arg callables run at the start of every sample(): the
         #: queue-state telemetry hook (Machine installs a probe that
         #: reads instantaneous queue depths into registry gauges).
@@ -107,28 +109,6 @@ class FlightRecorder:
     # ------------------------------------------------------------------
     # Sampling
     # ------------------------------------------------------------------
-    def arm(self):
-        """Schedule the next tick (idempotent; safe to call before runs)."""
-        if self._armed is not None and not self._armed.cancelled:
-            return
-        self._armed = self.engine.schedule(self.interval_us, self._tick)
-
-    def disarm(self):
-        """Cancel the pending tick, if any."""
-        if self._armed is not None:
-            self._armed.cancel()
-            self._armed = None
-
-    def _tick(self):
-        self._armed = None
-        self.sample()
-        # Re-arm only while other events remain: an idle heap must drain
-        # so Machine.run() terminates.  queued() over-approximates
-        # (cancelled events linger until popped), costing at most a few
-        # empty ticks.
-        if self.engine.queued():
-            self.arm()
-
     def sample(self):
         """Take one sample of every registered series, stamped now."""
         for probe in self.probes:
@@ -216,9 +196,6 @@ class NullFlightRecorder:
     probes = ()
 
     def arm(self):
-        pass
-
-    def disarm(self):
         pass
 
     def sample(self):

@@ -36,6 +36,7 @@ class TokenAgent:
         self.token_map.update(self.ls_user, self.tokens_per_epoch)
         self.token_map.update(self.be_user, 0)
         self._timer = PeriodicTimer(machine.engine, epoch_us, self._replenish)
+        self._timer.arm()
 
     def _replenish(self):
         self.epochs += 1

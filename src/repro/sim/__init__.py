@@ -11,7 +11,9 @@ Public surface:
 - :class:`~repro.sim.engine.Event` — a cancellable scheduled callback.
 - :class:`~repro.sim.rng.RngStreams` — named, independently-seeded RNG
   streams so components draw deterministic but uncorrelated randomness.
-- :class:`~repro.sim.timers.PeriodicTimer` — fixed-interval callback.
+- :class:`~repro.sim.timers.PeriodicTimer` — the one self-re-arming
+  fixed-interval loop; the flight recorder, the signal bus and the Map
+  sync bus subclass it.
 - :func:`~repro.sim.process.spawn` — generator-coroutine processes for
   control-plane logic (agents, load generators) that reads naturally as
   sequential code.

@@ -68,6 +68,7 @@ class IoTokenPolicy:
         self.epoch_us = epoch_us
         self._tenants = {}       # tenant -> dict(tokens, per_epoch, queue)
         self._timer = PeriodicTimer(engine, epoch_us, self._refill)
+        self._timer.arm()
         self.rejections = 0
         self.admitted = 0
 

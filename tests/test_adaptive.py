@@ -61,14 +61,13 @@ def test_bus_active_predicate_stops_rearming():
     assert engine.now == 100.0
 
 
-def test_bus_arm_is_idempotent_and_disarm_cancels():
+def test_bus_arm_is_idempotent_and_stop_cancels():
     engine = Engine()
     bus = SignalBus(engine, interval_us=10.0)
     bus.arm()
-    armed = bus._armed
     bus.arm()
-    assert bus._armed is armed
-    bus.disarm()
+    assert engine.queued() == 1
+    bus.stop()
     engine.run()
     assert bus.ticks == 0
 

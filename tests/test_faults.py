@@ -6,6 +6,8 @@ with ``faults=None`` (or an *empty* plan) is bit-identical to one built
 without the module in play at all.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro import FaultPlan, HealthPolicy, Hook, Machine, set_a, set_b
@@ -90,14 +92,14 @@ def test_faulty_program_rate_one_always_faults():
 
 def test_faulty_program_respects_time_window():
     plan = FaultPlan(seed=1).vmfault(1.0, start_us=10.0, until_us=20.0)
-    prog = FaultyProgram(_Inner(), plan.specs, RngStreams(1).get("x"))
-    clock = [0.0]
-    prog.__dict__["_clock"] = lambda: clock[0]
+    clock = SimpleNamespace(now=0.0)
+    prog = FaultyProgram(_Inner(), plan.specs, RngStreams(1).get("x"),
+                         clock=clock)
     assert prog.run(None) == ("pass", None)  # before the window
-    clock[0] = 15.0
+    clock.now = 15.0
     with pytest.raises(VmFault):
         prog.run(None)
-    clock[0] = 20.0
+    clock.now = 20.0
     assert prog.run(None) == ("pass", None)  # window is half-open
 
 

@@ -566,6 +566,25 @@ class TestDeterminismAndObs:
             == [m.served for m in b.machines]
         assert a.engine.events_dispatched == b.engine.events_dispatched
 
+    def test_sliced_run_equals_one_run(self):
+        # Fleet() arms the fault plan, drive() starts the generator and
+        # run() only arms the tick loops: slices replay one run.
+        def outcome(*untils):
+            fleet = Fleet(num_machines=4, workers_per_machine=2, seed=3,
+                          steering="power_of_two", latency_signals=True,
+                          metrics=True, timeseries=1_000.0,
+                          faults=FaultPlan(seed=9).machine_kill(
+                              1, at_us=6_000.0, restore_at_us=12_000.0))
+            fleet.drive(duration_us=20_000.0, rps=60_000, num_users=500)
+            for until in untils:
+                fleet.run(until=until)
+            fleet.run()
+            return (fleet.generator.offered, fleet.completed,
+                    fleet.engine.events_dispatched, fleet.latency.p99(),
+                    fleet.obs.recorder.samples_taken)
+
+        assert outcome(5_000.0, 10_000.0) == outcome()
+
     def test_observability_does_not_change_results(self):
         plain = _run_once()
         observed = _run_once(metrics=True, timeseries=True, spans=10)

@@ -2,11 +2,15 @@
 
 import pytest
 
-from repro import Machine, MachineConfig, set_a, set_b
+from repro import FaultPlan, Hook, Machine, MachineConfig, set_a, set_b
+from repro.apps.rocksdb import RocksDbServer
 from repro.config import CostModel, NicSpec, with_costs
 from repro.ghost.sched import GhostScheduler
 from repro.kernel.cfs import CfsScheduler
 from repro.kernel.sched import PinnedScheduler
+from repro.policies.builtin import ROUND_ROBIN
+from repro.workload.generator import OpenLoopGenerator
+from repro.workload.mixes import GET_ONLY
 
 
 def test_default_machine():
@@ -83,6 +87,38 @@ def test_run_until():
     machine = Machine(set_a())
     machine.run(until=123.0)
     assert machine.now == 123.0
+
+
+def test_sliced_run_equals_one_run():
+    # The fault plan is armed at construction and run() only arms the
+    # recorder and the signal bus (idempotently): slices replay one run.
+    def outcome(*untils):
+        plan = (FaultPlan(seed=5)
+                .vmfault(0.01, app="r", hook=Hook.SOCKET_SELECT)
+                .core_stall(0, at_us=4_000.0, duration_us=500.0)
+                .socket_saturate(8080, at_us=6_000.0, duration_us=300.0))
+        machine = Machine(set_a(), seed=3, metrics=True, timeseries=500.0,
+                          signals=1_000.0, faults=plan)
+        app = machine.register_app("r", ports=[8080])
+        server = RocksDbServer(machine, app, 8080, 4)
+        app.deploy_policy(ROUND_ROBIN, Hook.SOCKET_SELECT,
+                          constants={"NUM_THREADS": 4})
+        gen = OpenLoopGenerator(machine, 8080, 40_000, GET_ONLY,
+                                duration_us=10_000)
+        server.response_sink = gen.deliver_response
+        machine.signals.add_signal(
+            "backlog", lambda: sum(len(s) for s in server.sockets))
+        # the bus and the recorder would keep each other's heap alive
+        machine.signals.active = lambda: machine.now < 10_000
+        gen.start()
+        for until in untils:
+            machine.run(until=until)
+        machine.run()
+        return (gen.latency.count, gen.latency.p99(),
+                machine.engine.events_dispatched, machine.signals.ticks,
+                machine.obs.recorder.samples_taken, machine.faults.injected)
+
+    assert outcome(3_000.0, 7_500.0) == outcome()
 
 
 def test_nic_spec_validation_is_dataclass_defaults():

@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.cluster.sync import MapSyncBus
+from repro.core.signals import SignalBus
+from repro.obs.timeseries import FlightRecorder
 from repro.sim.engine import Engine
 from repro.sim.process import Process, Waiter, spawn
 from repro.sim.rng import RngStreams
@@ -47,7 +50,7 @@ def test_fork_creates_independent_space():
 def test_timer_fires_at_period():
     eng = Engine()
     times = []
-    PeriodicTimer(eng, 10.0, lambda: times.append(eng.now))
+    PeriodicTimer(eng, 10.0, lambda: times.append(eng.now)).arm()
     eng.run(until=35.0)
     assert times == [10.0, 20.0, 30.0]
 
@@ -56,6 +59,7 @@ def test_timer_stop():
     eng = Engine()
     count = [0]
     timer = PeriodicTimer(eng, 10.0, lambda: count.__setitem__(0, count[0] + 1))
+    timer.arm()
     eng.schedule(25.0, timer.stop)
     eng.run(until=100.0)
     assert count[0] == 2
@@ -71,13 +75,53 @@ def test_timer_stop_from_callback():
             timer.stop()
 
     timer = PeriodicTimer(eng, 5.0, cb)
+    timer.arm()
     eng.run(until=100.0)
     assert fired == [5.0, 10.0]
+    assert not eng.queued()         # the running tick did not re-arm
+
+
+def test_timer_arm_after_stop_resumes():
+    eng = Engine()
+    times = []
+    timer = PeriodicTimer(eng, 10.0, lambda: times.append(eng.now))
+    timer.arm()
+    timer.arm()                     # idempotent: one pending tick
+    assert eng.queued() == 1
+    eng.run(until=25.0)
+    timer.stop()
+    eng.run(until=50.0)
+    timer.arm()                     # interval_us from now
+    eng.run(until=75.0)
+    assert times == [10.0, 20.0, 60.0, 70.0]
+
+
+def test_timer_false_rearm_ends_the_loop():
+    eng = Engine()
+    times = []
+    timer = PeriodicTimer(eng, 10.0, lambda: times.append(eng.now),
+                          rearm=lambda: eng.now < 30.0)
+    timer.arm()
+    eng.run()
+    # the tick at 30 still fires (armed at 20); it just does not re-arm
+    assert times == [10.0, 20.0, 30.0]
+    assert eng.now == 30.0
+    timer.arm()                     # a later arm() starts it again
+    eng.run()
+    assert times[3:] == [40.0]
 
 
 def test_timer_rejects_nonpositive_period():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="interval_us"):
         PeriodicTimer(Engine(), 0.0, lambda: None)
+
+
+def test_the_tick_loops_are_periodic_timers():
+    # One self-re-arming loop in the tree: the recorder and both buses
+    # inherit arm / stop / _tick and define no schedule of their own.
+    for loop in (FlightRecorder, SignalBus, MapSyncBus):
+        assert issubclass(loop, PeriodicTimer)
+        assert not {"arm", "disarm", "stop", "_tick"} & set(vars(loop))
 
 
 # ----------------------------------------------------------------------

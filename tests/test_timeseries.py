@@ -1,7 +1,7 @@
 """Tests for the flight recorder (repro.obs.timeseries + syrupctl timeline).
 
 Covers sampling semantics per metric kind (counter deltas, gauge values,
-histogram summaries), ring bounds, the arm/disarm/termination contract,
+histogram summaries), ring bounds, the arm/stop/termination contract,
 the determinism guarantee (recorder on == metrics off, bit-identical),
 the dynamic Figure-8 run's recorded policy switch, and the timeline
 rendering surface.
@@ -108,7 +108,7 @@ def test_recorder_ticks_ride_the_engine():
     assert not engine.queued()
 
 
-def test_arm_is_idempotent_and_disarm_cancels():
+def test_arm_is_idempotent_and_stop_cancels():
     engine, _registry, recorder = make_recorder(interval_us=10.0)
     recorder.arm()
     recorder.arm()  # no second tick scheduled
@@ -116,9 +116,9 @@ def test_arm_is_idempotent_and_disarm_cancels():
     engine.run()
     assert recorder.samples_taken == 2  # t=10 and t=20, not four
     recorder.arm()
-    recorder.disarm()
+    recorder.stop()
     engine.run()
-    assert recorder.samples_taken == 2  # disarmed tick never fired
+    assert recorder.samples_taken == 2  # stopped tick never fired
 
 
 def test_invalid_interval_rejected():
@@ -144,7 +144,6 @@ def test_null_recorder_noops():
     assert NULL_RECORDER.enabled is False
     NULL_RECORDER.arm()
     NULL_RECORDER.sample()
-    NULL_RECORDER.disarm()
     assert NULL_RECORDER.keys() == []
     assert NULL_RECORDER.points("a", "b", "c") == []
     assert NULL_RECORDER.snapshot() == []
