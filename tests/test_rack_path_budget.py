@@ -35,11 +35,11 @@ from test_lit_path_budget import workloads   # benchmarks/perf/workloads.py
 # SwitchProgramSteering.pick (which hands the request itself to the
 # program), FleetMachine.receive, _begin_service, _complete_service and
 # Fleet._complete (9).  The sync bus ticks 0.022 times per request and
-# costs nine frames a tick whatever the rack size (_tick, arm,
+# costs eight frames a tick whatever the rack size (publish,
 # _work_pending, the snapshot lambda and its comprehension, _apply, the
-# apply lambda, apply_load and its comprehension): 0.2.  The kill's
-# re-steers and the flow-hash fallback are the last 0.02: 9.22, so one
-# re-added hop per request (10.22) fails.
+# apply lambda, apply_load and its comprehension): 0.18.  The kill's
+# re-steers and the flow-hash fallback are the last 0.02: 9.2, so one
+# re-added hop per request (10.2) fails.
 CLUSTER_CALLS_PER_REQ = 10
 # Counter.inc on the two bound series (forwarded, completed) and nothing
 # else: no counter() resolution by name per request.  The 15 re-steers
@@ -52,10 +52,12 @@ REGISTRY_CALLS_PER_REQ = 2.1
 EBPF_CALLS_PER_REQ = 8.1
 # The engine is not this path's to touch: per request three posts
 # (arrival, forward, response) and one cancellable schedule +
-# Event.__init__ for the service, plus the sync bus's 0.022 x (schedule +
-# Event.__init__ + post) — 73,651 post + 2 x 24,908 + 2 post_at + 3
-# cancel + run, the parent's count exactly.
-SIM_CALLS = 123_473
+# Event.__init__ for the service, plus the sync bus's 0.022 x
+# (PeriodicTimer._tick + schedule + Event.__init__ + post) — 73,650 post
+# + 2 x 24,908 + 540 _tick + 3 cancel + arm + run, exactly.  The fault
+# plan's two post_at and the generator's first post happen at staging
+# (Fleet() and drive()), outside the profiled run().
+SIM_CALLS = 124_011
 # The parent commit's tenth-size seed-3 run, exactly: what the rack did
 # is pinned, only what it costs the host may fall.
 EVENTS = 98_558
