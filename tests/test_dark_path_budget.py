@@ -14,6 +14,7 @@ each add at least one call per request and fail it on any machine.
 """
 
 import cProfile
+import gc
 import pstats
 import random
 import sys
@@ -216,11 +217,17 @@ def bytecodes_of(call):
         frame.f_trace_opcodes = True
         return per_opcode
 
+    # A collection inside call() would run finalizers of unrelated
+    # garbage (suspended generators' cleanup) and count their opcodes.
+    collecting = gc.isenabled()
+    gc.disable()
     sys.settrace(per_frame)
     try:
         call()
     finally:
         sys.settrace(None)
+        if collecting:
+            gc.enable()
     return count
 
 
