@@ -41,16 +41,16 @@ SEAMS = (
     "service_end",         # (thread, token)
     # elastic cores (repro.kernel.arbiter)
     "book_core_occupancy",  # (tenant, us)
-    # fleet tier (repro.cluster.fleet)
-    "switch_arrival",      # (request)
+    # fleet tier (repro.cluster.fleet): one seam per request event ...
     "switch_steer",        # (request, machine, policy, resteer)
-    "xnet_begin",          # (request, direction, machine)
-    "xnet_end",            # (request)
     "machine_enqueued",    # (request, machine, depth)
-    "machine_requeued",    # (request)
     "fleet_service_begin",  # (request, machine)
-    "fleet_service_end",   # (request)
+    "fleet_service_end",   # (request, machine)
     "fleet_complete",      # (request)
+    # ... and one per rare path: dead machine, held response, failover
+    "xnet_end",            # (request)
+    "xnet_begin",          # (request, machine)
+    "machine_requeued",    # (request)
     "fleet_drop",          # (request, reason)
 )
 

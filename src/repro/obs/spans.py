@@ -27,7 +27,7 @@ simulated microseconds:
   the chosen machine and policy name, and ``resteer`` on failover), a
   cross-rack wire transit (request or response direction), and the
   chosen machine's aggregate queue wait.  Sampling for fleet requests
-  happens at :meth:`SpanTracer.switch_arrival` instead of the NIC.
+  happens at a first :meth:`SpanTracer.switch_steer` instead of the NIC.
 
 **Head sampling is deterministic**: every ``sample_every``-th
 request-bearing packet at NIC arrival is traced — a counter, no RNG.
@@ -248,62 +248,57 @@ class SpanTracer:
         self._close(tree, "qdisc_wait", self.clock.now)
 
     # ------------------------------------------------------------------
-    # Fleet tier (repro.cluster.fleet): ToR steering + cross-rack wires
+    # Fleet tier (repro.cluster.fleet): one seam per request event, and
+    # one per rare path (dead machine, held response, failover, drop)
     # ------------------------------------------------------------------
-    def switch_arrival(self, request):
-        """Fleet head-sampling point: every Nth request at the ToR switch.
-
-        The fleet analogue of :meth:`nic_arrival` — the switch is the
-        first hop a fleet request touches, so sampling happens here.
-        """
-        self.seen += 1
-        if (self.seen - 1) % self.sample_every:
-            return
-        if request not in self._live:
-            self._begin(request)
-
     def switch_steer(self, request, machine, policy, resteer):
-        """The ToR picked ``machine`` for this request: a zero-duration
-        span carrying the policy name and whether this was a failover
-        re-steer of an orphaned request."""
+        """The ToR steered the request to ``machine`` (None: shed).  A
+        first steer is the fleet's head-sampling point; a steer adds a
+        zero-duration span (policy name, ``resteer`` on failover) and
+        opens the request's ``xnet_wait``."""
+        if not resteer:
+            self.seen += 1
+            if not (self.seen - 1) % self.sample_every:
+                self._begin(request)
         tree = self._live.get(request)
-        if tree is None:
+        if tree is None or machine is None:
             return
         now = self.clock.now
-        attrs = {"machine": machine, "policy": policy}
+        attrs = {"machine": machine,
+                 "policy": getattr(policy, "name", "custom")}
         if resteer:
             attrs["resteer"] = True
         self._add(tree, "switch_steer", now, now, **attrs)
+        self._open(tree, "xnet_wait", now, direction="request",
+                   machine=machine)
 
-    def xnet_begin(self, request, direction, machine):
-        """The request (or its response) went onto a rack wire."""
+    def xnet_begin(self, request, machine):
+        """A response held behind a dead link went onto the rack wire."""
         tree = self._live.get(request)
         if tree is None:
             return
-        self._open(tree, "xnet_wait", self.clock.now, direction=direction,
+        self._open(tree, "xnet_wait", self.clock.now, direction="response",
                    machine=machine)
 
     def xnet_end(self, request):
-        """The rack wire delivered; close the in-flight ``xnet_wait``."""
+        """The request reached a dead machine; close its ``xnet_wait``."""
         tree = self._live.get(request)
         if tree is None:
             return
         self._close(tree, "xnet_wait", self.clock.now)
 
     def machine_enqueued(self, request, machine, depth):
-        """The request joined a fleet machine's queue ``depth`` deep."""
+        """The request joined a busy fleet machine's queue ``depth`` deep."""
         tree = self._live.get(request)
         if tree is None:
             return
-        self._open(tree, "machine_queue", self.clock.now, machine=machine,
-                   depth=depth)
+        now = self.clock.now
+        self._close(tree, "xnet_wait", now)
+        self._open(tree, "machine_queue", now, machine=machine, depth=depth)
 
     def machine_requeued(self, request):
-        """The machine died with this request queued; reopen the clock.
-
-        Closes any open ``machine_queue``/``service`` span so the
-        re-steered attempt gets fresh ones.
-        """
+        """A failover re-steer: close the orphaned ``machine_queue`` or
+        ``service`` span so the new attempt gets fresh ones."""
         tree = self._live.get(request)
         if tree is None:
             return
@@ -312,18 +307,25 @@ class SpanTracer:
         self._close(tree, "service", now, orphaned=True)
 
     def fleet_service_begin(self, request, machine):
+        """Service starts, straight off the wire or out of the queue."""
         tree = self._live.get(request)
         if tree is None:
             return
         now = self.clock.now
+        self._close(tree, "xnet_wait", now)
         self._close(tree, "machine_queue", now)
         self._open(tree, "service", now, machine=machine)
 
-    def fleet_service_end(self, request):
+    def fleet_service_end(self, request, machine):
+        """Service finished; the response leaves ``machine`` (None: held)."""
         tree = self._live.get(request)
         if tree is None:
             return
-        self._close(tree, "service", self.clock.now)
+        now = self.clock.now
+        self._close(tree, "service", now)
+        if machine is not None:
+            self._open(tree, "xnet_wait", now, direction="response",
+                       machine=machine)
 
     def fleet_complete(self, request):
         """The response reached the client; the tree is complete."""

@@ -9,8 +9,8 @@ workloads.py``, imported, not copied) at tenth size — 100 aggregate
 machines behind a ToR running the verified ``program_p2c``, a machine
 kill at 40% and its restore at 75%, diurnal load — under ``cProfile``:
 how many Python calls each request makes into ``repro/cluster/``, the
-metrics registry and the eBPF runtime.  Counts, not seconds, so the gate
-is deterministic.
+instrumentation seam, the metrics registry and the eBPF runtime.  Counts,
+not seconds, so the gate is deterministic.
 
 Before the single rule lookup, the request-as-facade, the bound series and
 the bulk replica write the same run made 23.6 calls per request into
@@ -18,10 +18,13 @@ the bulk replica write the same run made 23.6 calls per request into
 ``rate_per_us``, ``_dispatch_next`` + ``send_response``, and 100 x
 (``load`` -> ``queue_depth``) every 50 us), 4.0 into ``obs/registry.py``
 (two ``counter()`` resolutions by name), 10.1 into ``repro/ebpf/`` (100
-``ArrayMap.update`` per sync tick) and one ``PacketView.__init__``.  A
+``ArrayMap.update`` per sync tick) and one ``PacketView.__init__``.
+Before one span seam per fleet event, a dark rack also made 9.17 calls
+per request into ``obs/probe.py``'s no-op and 2.0 ``NullMetric.inc``.  A
 re-added rule lookup, helper hop, per-request series resolution, second
-request object or per-machine method call in the sync tick costs at least
-one call per request and fails this on any machine.
+request object, per-machine method call in the sync tick, second seam for
+one event or call on a disabled counter costs at least 0.17 calls per
+request and fails this on any machine.
 """
 
 import cProfile
@@ -41,15 +44,23 @@ from test_lit_path_budget import workloads   # benchmarks/perf/workloads.py
 # re-steers and the flow-hash fallback are the last 0.02: 9.2, so one
 # re-added hop per request (10.2) fails.
 CLUSTER_CALLS_PER_REQ = 10
-# Counter.inc on the two bound series (forwarded, completed) and nothing
-# else: no counter() resolution by name per request.  The 15 re-steers
-# and the two fault injections resolve theirs lazily: 51 calls a run.
-REGISTRY_CALLS_PER_REQ = 2.1
-# Per request: LoadedProgram.run, and under the JIT's _policy frame two
-# mod_u64 and two map_lookup -> ArrayMap.lookup (7; JIT map binding is
-# ROADMAP item 6(a), not this path's).  The replica write is
-# ArrayMap.assign + its comprehension per tick: 0.04.
-EBPF_CALLS_PER_REQ = 8.1
+# One no-op seam call per fleet event: the steer, the arrival at a
+# machine (service or queue), service end and completion (4), plus the
+# 0.17 service starts of dequeued requests; the kill's 15 re-steers add
+# their machine_requeued and steer: 101,687 calls, 4.17.  One more seam
+# on the queue path (0.17) fails.
+PROBE_CALLS_PER_REQ = 4.2
+# The two per-request series are None on the null registry, so a dark
+# rack calls nothing per request: their two first-use resolutions, and
+# the 15 re-steers and two fault injections resolving and bumping theirs,
+# are 36 calls a run.
+REGISTRY_CALLS_PER_REQ = 0.01
+# Per steer: LoadedProgram.run and the JIT's <jit: _policy frame (2).
+# The JIT binds map lookups and mod_u64 inline, so they make no frame;
+# 32 runs take the interpreter instead (execute, two map_lookup ->
+# ArrayMap.lookup), and each sync tick's replica write is ArrayMap.assign
+# + its comprehension: 25,652 + 24,348 calls over 24,365 requests, 2.05.
+EBPF_CALLS_PER_REQ = 2.1
 # The engine is not this path's to touch: per request three posts
 # (arrival, forward, response) and one cancellable schedule +
 # Event.__init__ for the service, plus the sync bus's 0.022 x
@@ -90,10 +101,12 @@ def test_rack_path_call_budget():
     assert calls_into(stats, "/repro/sim/") == SIM_CALLS
 
     cluster = calls_into(stats, "/repro/cluster/") / requests
+    probe = calls_into(stats, "/repro/obs/probe.py") / requests
     registry = calls_into(stats, "/repro/obs/registry.py") / requests
     ebpf = (calls_into(stats, "/repro/ebpf/")
             + calls_into(stats, "<jit:")) / requests
     assert cluster <= CLUSTER_CALLS_PER_REQ, cluster
+    assert probe <= PROBE_CALLS_PER_REQ, probe
     assert registry <= REGISTRY_CALLS_PER_REQ, registry
     assert ebpf <= EBPF_CALLS_PER_REQ, ebpf
     # the request is the packet facade: no PacketView.__init__ for a second
