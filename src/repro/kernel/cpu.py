@@ -32,7 +32,8 @@ class FifoServer:
         self.served = 0
 
     def __len__(self):
-        return len(self._queue) + (1 if self._busy else 0)
+        # the item in service is the head of ``_queue``
+        return len(self._queue)
 
     def submit(self, cost, fn, *args):
         """Enqueue a work item; returns False when the queue is full."""

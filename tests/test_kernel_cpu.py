@@ -64,6 +64,20 @@ def test_fifo_submission_from_callback():
     assert done == [("first", 3.0), ("second", 5.0)]
 
 
+def test_fifo_length_counts_the_item_in_service_once():
+    eng = Engine()
+    server = FifoServer(eng, "s")
+    assert len(server) == 0
+    server.submit(5.0, lambda: None)
+    assert len(server) == 1          # in service
+    server.submit(5.0, lambda: None)
+    assert len(server) == 2          # one in service, one waiting
+    eng.run(until=6.0)
+    assert len(server) == 1
+    eng.run()
+    assert len(server) == 0
+
+
 def test_core_initial_state():
     core = Core(3)
     assert core.cid == 3
