@@ -168,7 +168,8 @@ class FleetMachine:
             # Arrived at a corpse.  Before failover detection the switch
             # doesn't know yet: strand the request with the other
             # orphans.  After detection, re-steer immediately.
-            fleet.probe.xnet_end(request)
+            if fleet.probe is not None:
+                fleet.probe.xnet_end(request)
             if fleet.switch.is_alive(self.index):
                 self.orphans.append(request)
             else:
@@ -191,12 +192,14 @@ class FleetMachine:
                 fleet.drop(request, "overflow")
                 return
             self._queue.append(request)
-        fleet.probe.machine_enqueued(request, self.index, depth)
+        if fleet.probe is not None:
+            fleet.probe.machine_enqueued(request, self.index, depth)
 
     def _begin_service(self, request):
         fleet = self.fleet
         self.busy += 1
-        fleet.probe.fleet_service_begin(request, self.index)
+        if fleet.probe is not None:
+            fleet.probe.fleet_service_begin(request, self.index)
         event = fleet.engine.schedule(
             request.service_us, self._complete_service, request
         )
@@ -207,8 +210,9 @@ class FleetMachine:
         self._service_events.pop(request.rid, None)
         self.busy -= 1
         self.served += 1
-        fleet.probe.fleet_service_end(request,
-                                      self.index if self.link_up else None)
+        if fleet.probe is not None:
+            fleet.probe.fleet_service_end(
+                request, self.index if self.link_up else None)
         if self.busy < self.workers:
             if self.qdisc is not None:
                 nxt = self.qdisc.take()
@@ -252,8 +256,10 @@ class FleetMachine:
         self.link_up = True
         fleet = self.fleet
         held, self._held_responses = self._held_responses, []
+        probe = fleet.probe
         for request in held:
-            fleet.probe.xnet_begin(request, self.index)
+            if probe is not None:
+                probe.xnet_begin(request, self.index)
             fleet.engine.post(fleet.wire_us, fleet._complete, request)
 
     def __repr__(self):
@@ -540,8 +546,8 @@ class Fleet:
         self.obs = Observability(
             clock=self.engine, enabled=metrics, spans=spans,
         )
-        # Instrumentation seam (repro.obs.probe); machines reach it
-        # through their fleet.
+        # Instrumentation seam (repro.obs.probe), None unless spans are
+        # on; machines reach it through their fleet.
         self.probe = self.obs.probe
         if timeseries and metrics:
             interval = (DEFAULT_INTERVAL_US if timeseries is True
@@ -719,7 +725,8 @@ class Fleet:
         """Failover: re-run steering for an orphaned request."""
         self.switch.resteers += 1
         self.obs.registry.counter("fleet", "switch", "resteers").inc()
-        self.probe.machine_requeued(request)
+        if self.probe is not None:
+            self.probe.machine_requeued(request)
         self._steer(request,
                     self.switch._port_rules.get(request.dst_port), True)
 
@@ -736,7 +743,8 @@ class Fleet:
                 index = switch.fallback.pick(request, switch)
         if index is None or index == DROP:
             switch.dropped += 1
-            self.probe.switch_steer(request, None, policy, resteer)
+            if self.probe is not None:
+                self.probe.switch_steer(request, None, policy, resteer)
             self.drop(request, "steering_drop")
             return
         request.machine = index
@@ -744,14 +752,16 @@ class Fleet:
         switch.forwarded[index] += 1
         if self._switch_counters is not None:
             self._switch_counters["forwarded"].inc()
-        self.probe.switch_steer(request, index, policy, resteer)
+        if self.probe is not None:
+            self.probe.switch_steer(request, index, policy, resteer)
         self.engine.post(
             self.forward_us + self.wire_us,
             self.machines[index].receive, request,
         )
 
     def _complete(self, request):
-        self.probe.fleet_complete(request)
+        if self.probe is not None:
+            self.probe.fleet_complete(request)
         now = self.engine.now
         request.completed_at = now
         rtype = request.rtype
@@ -769,7 +779,8 @@ class Fleet:
             ).inc()
 
     def drop(self, request, reason):
-        self.probe.fleet_drop(request, reason)
+        if self.probe is not None:
+            self.probe.fleet_drop(request, reason)
         self.outstanding -= 1
         self.dropped += 1
         self.obs.registry.counter("fleet", "fleet", "dropped").inc()

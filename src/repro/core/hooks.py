@@ -42,7 +42,6 @@ from repro.constants import DROP, PASS
 from repro.ebpf.errors import VmFault
 from repro.ebpf.maps import ProgArrayMap
 from repro.obs import DISABLED
-from repro.obs.probe import NULL_PROBE
 
 __all__ = ["Hook", "HookSite"]
 
@@ -99,12 +98,13 @@ class HookSite:
     """One hook point's dispatcher (root matcher + PROG_ARRAY)."""
 
     def __init__(self, hook, costs, max_programs=64, obs=None,
-                 probe=NULL_PROBE):
+                 probe=None):
         self.hook = hook
         self.costs = costs
         self.obs = obs if obs is not None else DISABLED
-        # Instrumentation seam (repro.obs.probe): one ``decision`` per
-        # policy invocation, ``policy_exec`` per charged execution cost.
+        # Instrumentation seam (repro.obs.probe), None when no telemetry
+        # tier listens: one ``decision`` per policy invocation,
+        # ``policy_exec`` per charged execution cost.
         self.probe = probe
         self.prog_array = ProgArrayMap(f"{hook}:prog_array", max_programs)
         self._port_rules = {}       # dst port -> _Attachment
@@ -269,8 +269,9 @@ class HookSite:
                 event["value"] = value
             events.emitted = seq = events.emitted + 1
             events._ring.append(event)
-        self.probe.decision(packet, self.hook, outcome, value, attachment.fd,
-                            seq)
+        if self.probe is not None:
+            self.probe.decision(packet, self.hook, outcome, value,
+                                attachment.fd, seq)
         return verdict
 
     def _on_fault(self, attachment, packet, exc, program=None):
@@ -294,10 +295,11 @@ class HookSite:
                 port=packet.dst_port, error=type(exc).__name__,
                 detail=str(exc),
             )
-        self.probe.decision(
-            packet, self.hook, "fault", None, attachment.fd,
-            events.emitted if events.enabled else None,
-        )
+        if self.probe is not None:
+            self.probe.decision(
+                packet, self.hook, "fault", None, attachment.fd,
+                events.emitted if events.enabled else None,
+            )
         listener = self.fault_listener
         if listener is not None:
             listener(attachment, exc, program)
@@ -313,7 +315,8 @@ class HookSite:
         # Policy execution time is part of the owning tenant's bill: the
         # substrate charges this cost on the datapath, so the accountant
         # books it against the tenant whose packet triggered the program.
-        self.probe.policy_exec(packet, cost)
+        if self.probe is not None:
+            self.probe.policy_exec(packet, cost)
         return cost
 
     def __repr__(self):

@@ -144,7 +144,9 @@ class LateBinder:
         if len(self.buffer) >= self.capacity:
             self.drops += 1
             self._m_drops.inc()
-            self.machine.netstack.probe.drop(packet, "late_bind_overflow")
+            probe = self.machine.netstack.probe
+            if probe is not None:
+                probe.drop(packet, "late_bind_overflow")
             return False
         self.buffer.append(packet)
         self.buffered_total += 1

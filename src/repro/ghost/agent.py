@@ -126,9 +126,10 @@ class GhostAgent:
         self.inbox.clear()
         self._pending_threads.clear()
         self._busy = False
+        probe = self.scheduler.probe
         for core in self.scheduler.cores:
-            if core.pending_commit is not None:
-                self.scheduler.probe.placement_abort(core.pending_commit)
+            if core.pending_commit is not None and probe is not None:
+                probe.placement_abort(core.pending_commit)
             core.pending_commit = None
 
     def abort_inflight(self):
@@ -145,9 +146,11 @@ class GhostAgent:
             return  # crash() already aborted everything
         self._epoch += 1
         self._pending_threads.clear()
+        probe = self.scheduler.probe
         for core in self.scheduler.cores:
             if core.pending_commit is not None:
-                self.scheduler.probe.placement_abort(core.pending_commit)
+                if probe is not None:
+                    probe.placement_abort(core.pending_commit)
                 core.pending_commit = None
                 self.revocation_aborts += 1
 
@@ -208,6 +211,7 @@ class GhostAgent:
         delay = 0.0
         members = self.enclave.members
         cores = self.scheduler.cores
+        probe = self.scheduler.probe
         for placement in placements:
             try:
                 thread, core_id = placement
@@ -225,7 +229,8 @@ class GhostAgent:
                 continue  # stale decision; skip
             self._pending_threads.add(thread.tid)
             core.pending_commit = thread
-            self.scheduler.probe.placement_begin(thread, core_id)
+            if probe is not None:
+                probe.placement_begin(thread, core_id)
             delay += self.costs.ghost_commit_us
             self.engine.post(
                 delay + self.costs.ghost_ipi_us, self._commit_effect,
@@ -251,7 +256,8 @@ class GhostAgent:
                 self.metrics["commits"].inc()
         else:
             self.failed_commits += 1
-            self.scheduler.probe.placement_abort(thread)
+            if self.scheduler.probe is not None:
+                self.scheduler.probe.placement_abort(thread)
             if self.metrics is not None:
                 self.metrics["failed_commits"].inc()
             # re-evaluate: the failed target may leave work stranded

@@ -8,7 +8,6 @@ and context-switching.  All *decisions* happen in the userspace agent.
 from repro.ghost.messages import Message, MessageKind
 from repro.kernel.sched import ThreadScheduler
 from repro.kernel.threads import RUNNABLE
-from repro.obs.probe import NULL_PROBE
 
 __all__ = ["GhostScheduler"]
 
@@ -20,7 +19,7 @@ class GhostScheduler(ThreadScheduler):
     throughput cost the paper measures in Figure 8b).
     """
 
-    def __init__(self, engine, cores, costs, probe=NULL_PROBE):
+    def __init__(self, engine, cores, costs, probe=None):
         super().__init__(engine, cores, costs, probe)
         self.agent = None  # set by GhostAgent
 
@@ -63,7 +62,8 @@ class GhostScheduler(ThreadScheduler):
         if self.agent is not None:
             self.agent.abort_inflight()
         elif core.pending_commit is not None:
-            self.probe.placement_abort(core.pending_commit)
+            if self.probe is not None:
+                self.probe.placement_abort(core.pending_commit)
             core.pending_commit = None
         victim = self.preempt(core)
         core.last_blocked = None
@@ -74,7 +74,8 @@ class GhostScheduler(ThreadScheduler):
 
     def wake(self, thread):
         thread.state = RUNNABLE
-        self.probe.thread_runnable(thread)
+        if self.probe is not None:
+            self.probe.thread_runnable(thread)
         self._notify(MessageKind.THREAD_WAKEUP, thread)
 
     def _core_idle(self, core):

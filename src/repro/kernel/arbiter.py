@@ -44,7 +44,6 @@ from collections import deque
 from repro.ghost.sched import GhostScheduler
 from repro.kernel.cfs import CfsScheduler
 from repro.obs.events import NULL_EVENTS
-from repro.obs.probe import NULL_PROBE
 
 __all__ = [
     "CoreArbiter",
@@ -90,7 +89,7 @@ class _CoreClass:
 class CoreArbiter:
     """Owns a pool of cores; grants them, revocably, to classes."""
 
-    def __init__(self, engine, cores, events=NULL_EVENTS, probe=NULL_PROBE):
+    def __init__(self, engine, cores, events=NULL_EVENTS, probe=None):
         self.engine = engine
         self.pool = list(cores)
         self._by_cid = {core.cid: core for core in self.pool}
@@ -188,7 +187,7 @@ class CoreArbiter:
         cls = self.classes.get(name)
         if cls is not None:
             cls.occupancy_us += end - start
-            if cls.tenant is not None:
+            if cls.tenant is not None and self.probe is not None:
                 self.probe.book_core_occupancy(cls.tenant, end - start)
 
     # -- queries ---------------------------------------------------------

@@ -13,13 +13,12 @@ from collections import deque
 
 from repro.kernel.sched import ThreadScheduler
 from repro.kernel.threads import BLOCKED, RUNNABLE
-from repro.obs.probe import NULL_PROBE
 
 __all__ = ["CfsScheduler"]
 
 
 class CfsScheduler(ThreadScheduler):
-    def __init__(self, engine, cores, costs, probe=NULL_PROBE):
+    def __init__(self, engine, cores, costs, probe=None):
         super().__init__(engine, cores, costs, probe)
         self._rq = {core.cid: deque() for core in cores}
         # Threads left coreless by a revocation that emptied the core
@@ -79,7 +78,8 @@ class CfsScheduler(ThreadScheduler):
         if not self.cores:
             # between revocation and the next grant: park runnable
             thread.state = RUNNABLE
-            self.probe.thread_runnable(thread)
+            if self.probe is not None:
+                self.probe.thread_runnable(thread)
             self._orphans.append(thread)
             return
         # Wake balancing: prefer the home core, else any idle core — CFS is
@@ -91,7 +91,8 @@ class CfsScheduler(ThreadScheduler):
                     core = candidate
                     break
         thread.state = RUNNABLE
-        self.probe.thread_runnable(thread)
+        if self.probe is not None:
+            self.probe.thread_runnable(thread)
         self._rq[core.cid].append(thread)
         if core.thread is None:
             self._pick_next(core)

@@ -24,13 +24,12 @@ Path modeling notes:
 
 from repro.kernel.cpu import FifoServer
 from repro.kernel.sockets import SocketTable
-from repro.obs.probe import NULL_PROBE
 
 __all__ = ["NetStack"]
 
 
 class NetStack:
-    def __init__(self, engine, config, probe=NULL_PROBE):
+    def __init__(self, engine, config, probe=None):
         self.engine = engine
         self.config = config
         self.costs = config.costs
@@ -58,7 +57,8 @@ class NetStack:
             "socket_overflow": 0,
         }
         self.delivered = 0
-        # Instrumentation seam (repro.obs.probe): softirq_begin/end
+        # Instrumentation seam (repro.obs.probe), None when no telemetry
+        # tier listens; every call site tests it.  softirq_begin/end
         # bracket FIFO submission -> protocol completion, and every drop
         # counted in ``drops`` is reported once — except socket_overflow,
         # which the refusing socket reports itself (it alone knows
@@ -74,7 +74,8 @@ class NetStack:
             action, target = self.xdp_hook.decide(packet)
             if action == "drop":
                 self.drops["xdp_drop"] += 1
-                self.probe.drop(packet, "xdp_drop")
+                if self.probe is not None:
+                    self.probe.drop(packet, "xdp_drop")
                 return
             if action == "target":
                 # zero copy only in native (XDP_DRV) mode on a capable NIC
@@ -92,8 +93,9 @@ class NetStack:
                 server = self.softirq[core_index]
                 if not server.submit(cost, self._deliver_af_xdp, target, packet):
                     self.drops["ring_overflow"] += 1
-                    self.probe.drop(packet, "ring_overflow")
-                else:
+                    if self.probe is not None:
+                        self.probe.drop(packet, "ring_overflow")
+                elif self.probe is not None:
                     self.probe.softirq_begin(packet, core_index, len(server))
                 return
             # "none" / "pass": fall through to the standard stack
@@ -110,8 +112,9 @@ class NetStack:
             server = self.softirq[core_index]
             if not server.submit(cost, self._deliver_af_xdp, bound, packet):
                 self.drops["ring_overflow"] += 1
-                self.probe.drop(packet, "ring_overflow")
-            else:
+                if self.probe is not None:
+                    self.probe.drop(packet, "ring_overflow")
+            elif self.probe is not None:
                 self.probe.softirq_begin(packet, core_index, len(server))
             return
 
@@ -122,7 +125,8 @@ class NetStack:
             extra += self.cpu_redirect_hook.cost_us(packet)
             if action == "drop":
                 self.drops["select_drop"] += 1
-                self.probe.drop(packet, "select_drop")
+                if self.probe is not None:
+                    self.probe.drop(packet, "select_drop")
                 return
             if action == "target":
                 core_index = target % len(self.softirq)
@@ -134,20 +138,23 @@ class NetStack:
         server = self.softirq[core_index]
         if not server.submit(cost, self._protocol_done, packet):
             self.drops["ring_overflow"] += 1
-            self.probe.drop(packet, "ring_overflow")
-        else:
+            if self.probe is not None:
+                self.probe.drop(packet, "ring_overflow")
+        elif self.probe is not None:
             self.probe.softirq_begin(packet, core_index, len(server))
 
     # ------------------------------------------------------------------
     def _deliver_af_xdp(self, socket, packet):
-        self.probe.softirq_end(packet)
+        if self.probe is not None:
+            self.probe.softirq_end(packet)
         if not socket.enqueue(packet):
             self.drops["socket_overflow"] += 1
         else:
             self.delivered += 1
 
     def _protocol_done(self, packet):
-        self.probe.softirq_end(packet)
+        if self.probe is not None:
+            self.probe.softirq_end(packet)
         if packet.is_tcp:
             # established connections bypass socket selection entirely
             socket = self.tcp_connections.get(packet.flow)
@@ -160,14 +167,16 @@ class NetStack:
         group = self.socket_table.group(packet.dst_port)
         if group is None or not group.sockets:
             self.drops["no_socket"] += 1
-            self.probe.drop(packet, "no_socket")
+            if self.probe is not None:
+                self.probe.drop(packet, "no_socket")
             return
         socket = None
         if self.socket_select_hook is not None:
             action, target = self.socket_select_hook.decide(packet)
             if action == "drop":
                 self.drops["select_drop"] += 1
-                self.probe.drop(packet, "select_drop")
+                if self.probe is not None:
+                    self.probe.drop(packet, "select_drop")
                 return
             if action == "target":
                 socket = target

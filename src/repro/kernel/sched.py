@@ -15,7 +15,6 @@ while subclasses provide policy:
 import math
 
 from repro.kernel.threads import BLOCKED, RUNNABLE, RUNNING
-from repro.obs.probe import NULL_PROBE
 
 __all__ = ["PinnedScheduler", "ThreadScheduler"]
 
@@ -25,14 +24,15 @@ _EPS = 1e-9
 class ThreadScheduler:
     """Base class: mechanics only, no placement policy."""
 
-    def __init__(self, engine, cores, costs, probe=NULL_PROBE):
+    def __init__(self, engine, cores, costs, probe=None):
         self.engine = engine
         self.cores = list(cores)
         self.costs = costs
         self.threads = []
-        # Instrumentation seam (repro.obs.probe): threads reach it through
-        # their scheduler for service_begin/end; CFS/ghOSt wakes report
-        # thread_runnable (the start of the runqueue wait).
+        # Instrumentation seam (repro.obs.probe), None when no telemetry
+        # tier listens: threads reach it through their scheduler for
+        # service_begin/end; CFS/ghOSt wakes report thread_runnable (the
+        # start of the runqueue wait).
         self.probe = probe
 
     # -- subclass policy interface --------------------------------------

@@ -18,7 +18,6 @@ always drains ahead of the discipline.
 from collections import deque
 
 from repro.net.rss import rss_hash
-from repro.obs.probe import NULL_PROBE
 
 __all__ = ["ReuseportGroup", "SocketTable", "UdpSocket"]
 
@@ -42,7 +41,7 @@ class UdpSocket:
     )
 
     def __init__(self, port, app=None, backlog=256, is_af_xdp=False, sid=0,
-                 probe=NULL_PROBE):
+                 probe=None):
         # Allocated by the owning machine (Machine.create_udp_socket) so
         # ids restart per machine; bare sockets in unit tests share 0.
         self.sid = sid
@@ -55,7 +54,7 @@ class UdpSocket:
         self.drops = 0
         self.enqueued = 0
         self.on_enqueue = None    # app callback(packet) — e.g. type marking
-        self.probe = probe        # instrumentation seam (repro.obs.probe)
+        self.probe = probe        # repro.obs.probe seam, or None (dark)
         self.qdisc = None         # repro.qdisc.discipline.Qdisc, or None
 
     def set_qdisc(self, qdisc):
@@ -71,8 +70,10 @@ class UdpSocket:
         if qdisc is None:
             return None
         self.qdisc = None
+        probe = self.probe
         for packet in qdisc.drain():
-            self.probe.qdisc_dequeued(packet)
+            if probe is not None:
+                probe.qdisc_dequeued(packet)
             self.queue.append(packet)
         return qdisc
 
@@ -87,16 +88,18 @@ class UdpSocket:
         Every drop counted in ``drops`` is reported to the probe here,
         exactly once, so callers only count the refusal.
         """
-        probe = self.probe
         qdisc = self.qdisc
         if qdisc is None:
             if len(self.queue) >= self.backlog:
                 self.drops += 1
-                probe.drop(packet, "socket_overflow")
+                if self.probe is not None:
+                    self.probe.drop(packet, "socket_overflow")
                 return False
-            probe.socket_enqueued(packet, self, len(self.queue))
+            if self.probe is not None:
+                self.probe.socket_enqueued(packet, self, len(self.queue))
             self.queue.append(packet)
         else:
+            probe = self.probe
             depth = len(self.queue) + len(qdisc.queue)
             capacity = max(0, self.backlog - len(self.queue))
             result = qdisc.offer(packet, capacity=capacity)
@@ -106,19 +109,22 @@ class UdpSocket:
                 # congestion — its own reason.  Overflow rejections keep
                 # the FIFO path's "socket_overflow" so the PASS-everywhere
                 # pairing stays bit-identical.
-                probe.drop(
-                    packet,
-                    "qdisc_shed" if result.reason == "sched_drop"
-                    else "socket_overflow",
-                )
+                if probe is not None:
+                    probe.drop(
+                        packet,
+                        "qdisc_shed" if result.reason == "sched_drop"
+                        else "socket_overflow",
+                    )
                 return False
             if result.evicted is not None:
                 self.drops += 1
-                probe.drop(result.evicted, "qdisc_evict")
-            probe.socket_enqueued(packet, self, depth)
-            probe.qdisc_enqueued(
-                packet, qdisc.layer, result.rank, qdisc.backend_name
-            )
+                if probe is not None:
+                    probe.drop(result.evicted, "qdisc_evict")
+            if probe is not None:
+                probe.socket_enqueued(packet, self, depth)
+                probe.qdisc_enqueued(
+                    packet, qdisc.layer, result.rank, qdisc.backend_name
+                )
         self.enqueued += 1
         if self.on_enqueue is not None:
             self.on_enqueue(packet)
@@ -135,13 +141,15 @@ class UdpSocket:
         """
         if self.queue:
             packet = self.queue.popleft()
-            self.probe.socket_dequeued(packet, self)
+            if self.probe is not None:
+                self.probe.socket_dequeued(packet, self)
             return packet
         if self.qdisc is not None:
             packet = self.qdisc.take()
-            if packet is not None:
-                self.probe.qdisc_dequeued(packet)
-                self.probe.socket_dequeued(packet, self)
+            probe = self.probe
+            if packet is not None and probe is not None:
+                probe.qdisc_dequeued(packet)
+                probe.socket_dequeued(packet, self)
             return packet
         return None
 

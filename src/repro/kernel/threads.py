@@ -58,7 +58,8 @@ class KThread:
         if item is None:
             return False
         self.remaining, self.token = item
-        if self.scheduler is not None:
+        if (self.scheduler is not None
+                and self.scheduler.probe is not None):
             self.scheduler.probe.service_begin(self, self.token)
         return True
 
@@ -68,7 +69,8 @@ class KThread:
         self.token = None
         self.remaining = 0.0
         self.items_completed += 1
-        if self.scheduler is not None:
+        if (self.scheduler is not None
+                and self.scheduler.probe is not None):
             self.scheduler.probe.service_end(self, token)
         self.source.complete(token)
 

@@ -118,7 +118,8 @@ class Machine:
         self.arbiter = None
         self.agent_cores = []
         # The one write-side handle to spans + accounting
-        # (repro.obs.probe), given to every datapath component.
+        # (repro.obs.probe), given to every datapath component; None when
+        # no tier listens, and then no component makes a seam call.
         probe = self.obs.probe
         if scheduler == "ghost":
             if len(self.cores) < 2:

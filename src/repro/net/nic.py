@@ -9,7 +9,6 @@ slower (Table 3), modeled in :mod:`repro.core.maps`.
 """
 
 from repro.net.rss import rss_queue
-from repro.obs.probe import NULL_PROBE
 
 __all__ = ["Nic", "NicDropReason"]
 
@@ -21,7 +20,7 @@ class NicDropReason:
 
 
 class Nic:
-    def __init__(self, engine, spec, costs, salt=0, probe=NULL_PROBE):
+    def __init__(self, engine, spec, costs, salt=0, probe=None):
         self.engine = engine
         self.spec = spec
         self.costs = costs
@@ -34,8 +33,9 @@ class Nic:
         #: Delivery callback: fn(queue_index, packet); normally
         #: NetStack.deliver_from_nic.
         self.deliver = None
-        #: Instrumentation seam (repro.obs.probe): NIC arrival is the span
-        #: head-sampling point; arrival -> IRQ delivery is the NIC wait.
+        #: Instrumentation seam (repro.obs.probe), None when no telemetry
+        #: tier listens: NIC arrival is the span head-sampling point;
+        #: arrival -> IRQ delivery is the NIC wait.
         self.probe = probe
         #: Packets accepted but not yet IRQ-delivered (queue occupancy,
         #: sampled by the flight recorder's queue-state probe).
@@ -80,17 +80,20 @@ class Nic:
     def receive(self, packet):
         """A packet arrives from the wire."""
         self.rx_packets += 1
-        self.probe.nic_arrival(packet)
+        if self.probe is not None:
+            self.probe.nic_arrival(packet)
         if self.deliver is None:
             self.drops[NicDropReason.NO_HANDLER] += 1
-            self.probe.drop(packet, NicDropReason.NO_HANDLER)
+            if self.probe is not None:
+                self.probe.drop(packet, NicDropReason.NO_HANDLER)
             return
         queue = None
         if self.classifier is not None and not self.offload_down:
             action, target = self.classifier.decide(packet)
             if action == "drop":
                 self.drops[NicDropReason.OFFLOAD_DROP] += 1
-                self.probe.drop(packet, NicDropReason.OFFLOAD_DROP)
+                if self.probe is not None:
+                    self.probe.drop(packet, NicDropReason.OFFLOAD_DROP)
                 return
             if action == "target":
                 queue = target % self.spec.num_queues
@@ -103,11 +106,13 @@ class Nic:
             result = qdisc.offer(packet)
             if not result.accepted:
                 self.drops[NicDropReason.QDISC_SHED] += 1
-                self.probe.drop(packet, NicDropReason.QDISC_SHED)
+                if self.probe is not None:
+                    self.probe.drop(packet, NicDropReason.QDISC_SHED)
                 return
-            self.probe.qdisc_enqueued(
-                packet, qdisc.layer, result.rank, qdisc.backend_name
-            )
+            if self.probe is not None:
+                self.probe.qdisc_enqueued(
+                    packet, qdisc.layer, result.rank, qdisc.backend_name
+                )
             self.in_flight += 1
             self.engine.post(delay, self._irq_drain, queue, qdisc)
             return
@@ -117,7 +122,8 @@ class Nic:
     def _irq_deliver(self, queue, packet):
         """IRQ delivery into the kernel: occupancy drops, nic_queue ends."""
         self.in_flight -= 1
-        self.probe.nic_delivered(packet, queue)
+        if self.probe is not None:
+            self.probe.nic_delivered(packet, queue)
         self.deliver(queue, packet)
 
     def _irq_drain(self, queue, qdisc):
@@ -128,8 +134,10 @@ class Nic:
         packet = qdisc.take()
         if packet is None:
             return  # an eviction consumed this drain's element
-        self.probe.qdisc_dequeued(packet)
-        self.probe.nic_delivered(packet, queue)
+        probe = self.probe
+        if probe is not None:
+            probe.qdisc_dequeued(packet)
+            probe.nic_delivered(packet, queue)
         self.deliver(queue, packet)
 
     def __repr__(self):

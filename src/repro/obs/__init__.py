@@ -35,7 +35,8 @@ resulting span trees into a p50-vs-p99 critical-path attribution
 Spans and accounting are *written* through one seam:
 ``Observability.probe`` (:mod:`repro.obs.probe`), handed to every
 datapath component at construction, each seam method resolved once to
-a no-op, one tier's bound method, or both tiers in turn.
+a no-op, one tier's bound method, or both tiers in turn.  With neither
+tier live the probe is ``None`` and the datapath makes no seam call.
 
 Operator surface: ``syrupctl stats`` / :func:`repro.syrupctl.render_stats`
 renders the registry, ``syrupctl timeline`` the recorder;
@@ -55,7 +56,7 @@ from repro.obs.interference import (
     TenantShedController,
 )
 from repro.obs.export import open_destination, to_openmetrics, write_openmetrics
-from repro.obs.probe import NULL_PROBE, Probe
+from repro.obs.probe import Probe
 from repro.obs.registry import (
     NULL_METRIC,
     NULL_REGISTRY,
@@ -83,7 +84,6 @@ __all__ = [
     "NULL_ACCOUNTING",
     "NULL_EVENTS",
     "NULL_METRIC",
-    "NULL_PROBE",
     "NULL_RECORDER",
     "NULL_REGISTRY",
     "NULL_SPANS",
@@ -122,7 +122,8 @@ class Observability:
     — also registry-independent, same null-twin discipline.
     ``spans`` and ``acct`` are the *read* side; datapath components
     write through ``probe`` (:mod:`repro.obs.probe`), built here once
-    over whichever of the two is live and never swapped afterwards.
+    over whichever of the two is live and never swapped afterwards —
+    ``None`` when neither is, so a dark datapath makes no seam call.
     """
 
     __slots__ = ("enabled", "registry", "events", "recorder", "spans",
@@ -149,8 +150,10 @@ class Observability:
             self.acct = TenantAccountant(clock=clock)
         else:
             self.acct = NULL_ACCOUNTING
-        # The null twins define no seam, so they resolve to no-ops.
-        self.probe = Probe(self.spans, self.acct)
+        # A null twin defines no seam: with one tier live the other's
+        # seams resolve to no-ops; with none there is no probe at all.
+        self.probe = (Probe(self.spans, self.acct) if spans or accounting
+                      else None)
 
     def snapshot(self):
         """Registry snapshot rows (see MetricsRegistry.snapshot)."""

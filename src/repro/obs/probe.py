@@ -3,20 +3,24 @@
 Datapath components (NIC, netstack, sockets, thread schedulers, core
 arbiter, hook sites, the fleet) report what happens to a packet, thread
 or fleet request by calling one seam method on the probe they were
-constructed with — ``self.probe.drop(packet, reason)``.  Telemetry
+constructed with — ``self.probe.drop(packet, reason)``.  When no tier
+listens there is no probe: ``Observability.probe`` is ``None``, and
+every call site outside ``repro/obs/`` sits under ``if probe is not
+None:``, so a dark datapath makes no seam call and evaluates no seam
+argument (``tests/test_probe.py`` checks the guard).  Telemetry
 *tiers* (:class:`repro.obs.spans.SpanTracer`,
 :class:`repro.obs.accounting.TenantAccountant`) subscribe by defining a
 method of the same name; a tier ignores arguments it does not need.
 
 Each seam is resolved **once, at construction**: the shared :func:`noop`
-when no tier defines it, the tier's own bound method when one does, a
-two-call closure (tiers in the order given) when several do.  The
-datapath therefore runs no subscriber loop and tests no ``enabled``
+when no live tier defines it, the tier's own bound method when one
+does, a two-call closure (tiers in the order given) when several do.
+The datapath therefore runs no subscriber loop and tests no ``enabled``
 flag.  To add a seam, name it in :data:`SEAMS` and define it on a tier;
 to add a tier, pass it to :class:`Probe` in ``Observability.__init__``.
 """
 
-__all__ = ["NULL_PROBE", "Probe", "SEAMS", "noop"]
+__all__ = ["Probe", "SEAMS", "noop"]
 
 #: Every seam, with its one signature.
 SEAMS = (
@@ -56,7 +60,7 @@ SEAMS = (
 
 
 def noop(*_args):
-    """The one shared disabled seam."""
+    """The one shared disabled seam (one live tier, the other silent)."""
 
 
 def _chain(first, second):
@@ -80,7 +84,3 @@ class Probe:
                     seam = method if seam is noop else _chain(seam, method)
             setattr(self, name, seam)
 
-
-#: The default for components constructed without a probe: every seam
-#: is :func:`noop`.
-NULL_PROBE = Probe()

@@ -49,6 +49,12 @@ ONE_OFF_SLACK = 0.1
 # calls today.
 SIM_CALLS_PER_REQ = 15.3
 EVENTS_PER_REQ = 13.6
+# Every telemetry tier is off: the machine holds no probe and each seam
+# call site tests it, so no request reaches repro/obs/ (the null
+# recorder's one arm() per run is the slack).  Before, the wakes,
+# placements and service starts and ends made 12.15 no-op seam calls per
+# request here, ungated.
+OBS_CALLS_PER_REQ = 0
 # The parent commit's tenth-size seed-3 run, exactly: what the agent did
 # is pinned, only what it costs the host may fall.
 REQUESTS = 5024
@@ -86,9 +92,11 @@ def test_agent_path_call_budget():
     policies = calls_into(stats, "/repro/policies/") / requests
     maps = calls_into(stats, "/repro/core/maps.py") / requests
     sim = calls_into(stats, "/repro/sim/") / requests
+    obs = calls_into(stats, "/repro/obs/") / requests
     ops = staged.probes["userspace_map_ops"]() / requests
     assert ghost <= GHOST_CALLS_PER_REQ, ghost
     assert policies <= POLICY_CALLS_PER_REQ, policies
     assert 0 < ops and maps <= MAPS_FRAMES_PER_OP * ops + ONE_OFF_SLACK, (
         maps, ops)
     assert sim <= SIM_CALLS_PER_REQ, sim
+    assert obs <= OBS_CALLS_PER_REQ + ONE_OFF_SLACK, obs

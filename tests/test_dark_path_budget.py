@@ -54,8 +54,9 @@ PATH_CALLS_PER_REQ = {
     # SocketWorkSource.pull
     "/repro/apps/": 6.62,
     # netstack deliver_from_nic / _protocol_done, the socket's enqueue /
-    # pop, SocketTable.group, the softirq FifoServer and the scheduler
-    "/repro/kernel/": 15.82,
+    # pop, SocketTable.group, the softirq FifoServer and the scheduler;
+    # no FifoServer.__len__, which only the (dark) softirq seam read
+    "/repro/kernel/": 14.82,
     # decide and cost_us: the program is the attachment's, and the
     # decision's event and executor lookup are inline
     "/repro/core/hooks": 2,
@@ -64,16 +65,17 @@ PATH_CALLS_PER_REQ = {
     "/repro/ebpf/": 1.07,
     # the JIT'd policy itself
     "<jit:": 1,
-    # the probe's ten no-op seams; a dark attachment holds no counters,
-    # so nothing reaches obs/registry.py
-    "/repro/obs/": 10,
+    # a dark machine holds no probe, so no seam is called; a dark
+    # attachment holds no counters, so nothing reaches obs/registry.py
+    "/repro/obs/": 0,
     # no Machine.now property and no CostModel.cycles_to_us
     "/repro/machine.py": 0,
     "/repro/config.py": 0,
     # the generator's draws are random's expressions, inline
     "/random.py": 0,
 }
-# Once-per-run calls (Engine.run, RSS memo misses) spread over the requests.
+# Once-per-run calls (Engine.run, RSS memo misses, the null recorder's arm)
+# spread over the requests.
 ONE_OFF_SLACK = 0.1
 
 

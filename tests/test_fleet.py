@@ -28,6 +28,7 @@ from repro.net.packet import (
     UDP_HEADER_LEN,
     build_payload,
 )
+from repro.obs.probe import Probe
 from repro.qdisc import LAYER_SOCKET, Qdisc, compile_rank
 from repro.sim.engine import Engine
 from repro.sim.rng import RngStreams
@@ -273,6 +274,13 @@ class _Passes:
         return None
 
 
+class _SteerLog(list):
+    """A telemetry tier that records every ``switch_steer``."""
+
+    def switch_steer(self, *args):
+        self.append(args)
+
+
 class TestMergedPaths:
     @settings(max_examples=80, deadline=None)
     @given(outcome=st.sampled_from([PASS, DROP, 0, 1, 2, 3, 6]),
@@ -292,8 +300,9 @@ class TestMergedPaths:
             fleet.install_steering(program)
         for index in down:
             fleet.switch.mark_down(index)
-        steered = []
-        fleet.probe.switch_steer = lambda *args: steered.append(args)
+        # a dark fleet holds no probe: install one over a recording tier
+        steered = _SteerLog()
+        fleet.probe = Probe(steered)
 
         def fresh():
             return FleetRequest(1, GET, 10.0, user_id=user_id, dst_port=7000)

@@ -1,23 +1,29 @@
 """Tests for the instrumentation seam itself (:mod:`repro.obs.probe`).
 
-Three properties keep the seam narrow: the seam *vocabulary* is declared
+Four properties keep the seam narrow: the seam *vocabulary* is declared
 once and the tiers conform to it (a misspelt seam fails here instead of
 silently recording nothing); each seam is *resolved once* to a no-op,
-one tier's own bound method, or both tiers in order; and no component
+one tier's own bound method, or both tiers in order; a machine or fleet
+with no tier live holds *no probe*, and every seam call outside
+``repro/obs/`` is guarded so it never runs there; and no component
 outside ``repro/obs/`` can grow the old attribute injection back.
 """
 
+import ast
 import inspect
 import pathlib
 import re
 
 import pytest
 
-from repro import Machine, set_a
+from repro import Hook, Machine, set_a
+from repro.apps import RocksDbServer
+from repro.cluster.fleet import Fleet
 from repro.obs import Observability
 from repro.obs.accounting import TenantAccountant
-from repro.obs.probe import NULL_PROBE, SEAMS, Probe, noop
+from repro.obs.probe import SEAMS, Probe, noop
 from repro.obs.spans import SpanTracer
+from repro.policies import ROUND_ROBIN
 
 TIERS = (SpanTracer, TenantAccountant)
 
@@ -64,22 +70,25 @@ def test_tiers_agree_on_each_seam_signature_and_noop_accepts_it():
         # one unified signature per seam, whichever tiers subscribe
         assert len(shapes) == 1, name
         args = (None,) * shapes.pop()
-        assert getattr(NULL_PROBE, name)(*args) is None
+        assert getattr(Probe(), name)(*args) is None
 
 
 def test_probe_rejects_a_misspelt_seam():
     with pytest.raises(AttributeError):
-        NULL_PROBE.nic_arival  # noqa: B018 - the typo is the point
+        Probe().nic_arival  # noqa: B018 - the typo is the point
 
 
 # ----------------------------------------------------------------------
 # (b) Resolution: no-op, one bound method, or both in order
 # ----------------------------------------------------------------------
 def test_no_tier_live_resolves_every_seam_to_the_shared_noop():
-    for probe in (NULL_PROBE, Observability().probe,
-                  Machine(set_a()).obs.probe):
-        for name in SEAMS:
-            assert getattr(probe, name) is noop, name
+    # no tier live: no probe at all, so the datapath makes no seam call
+    assert Observability().probe is None
+    assert Machine(set_a()).obs.probe is None
+    # a Probe over no tier (the silent half of a one-tier probe) no-ops
+    probe = Probe()
+    for name in SEAMS:
+        assert getattr(probe, name) is noop, name
 
 
 def test_one_tier_live_resolves_to_its_own_bound_method():
@@ -133,7 +142,7 @@ def test_machine_with_both_tiers_feeds_both_through_one_probe():
 # ----------------------------------------------------------------------
 SRC = pathlib.Path(__file__).parent.parent / "src" / "repro"
 INJECTION = re.compile(
-    r"\.(spans|acct|profiler)\s*=[^=]|\bNULL_SPANS\b|\bNULL_ACCOUNTING\b"
+    r"\.(spans|acct|profiler)\s*=[^=]|\bNULL_(SPANS|ACCOUNTING|PROBE)\b"
 )
 
 
@@ -147,4 +156,121 @@ def test_no_module_outside_obs_injects_or_imports_null_twins():
                 offenders.append(
                     f"{path.relative_to(SRC)}:{lineno}: {line.strip()}"
                 )
+    assert not offenders, "\n".join(offenders)
+
+
+# ----------------------------------------------------------------------
+# (d) A dark datapath holds no probe and calls no seam
+# ----------------------------------------------------------------------
+def _machine_components(**telemetry):
+    machine = Machine(set_a(), seed=1, **telemetry)
+    app = machine.register_app("rocksdb", ports=[8080])
+    server = RocksDbServer(machine, app, 8080, num_threads=6)
+    app.deploy_policy(ROUND_ROBIN, Hook.SOCKET_SELECT,
+                      constants={"NUM_THREADS": 6})
+    sites = list(machine.syrupd._sites.values())
+    assert sites
+    return machine.obs, [machine.nic, machine.netstack, machine.scheduler,
+                         *server.sockets, *sites]
+
+
+def _fleet_components(**telemetry):
+    fleet = Fleet(num_machines=2, seed=1, **telemetry)
+    return fleet.obs, [fleet]
+
+
+@pytest.mark.parametrize("build", [_machine_components, _fleet_components])
+def test_dark_components_hold_no_probe_lit_ones_share_one(build):
+    obs, components = build()
+    assert obs.probe is None
+    assert all(c.probe is None for c in components), components
+    lit = [{"spans": 1}]
+    if build is _machine_components:
+        lit.append({"accounting": True})
+    for telemetry in lit:
+        obs, components = build(**telemetry)
+        assert isinstance(obs.probe, Probe)
+        assert all(c.probe is obs.probe for c in components), telemetry
+
+
+def _is_not_none(test, receiver):
+    """Does ``test`` (alone, or as one operand of an ``and``) read
+    ``<receiver> is not None``?"""
+    operands = (test.values if isinstance(test, ast.BoolOp)
+                and isinstance(test.op, ast.And) else [test])
+    return any(
+        isinstance(t, ast.Compare) and len(t.ops) == 1
+        and isinstance(t.ops[0], ast.IsNot)
+        and isinstance(t.comparators[0], ast.Constant)
+        and t.comparators[0].value is None
+        and ast.dump(t.left) == receiver
+        for t in operands
+    )
+
+
+def _names_a_probe(node):
+    return (isinstance(node, ast.Name) and node.id == "probe"
+            or isinstance(node, ast.Attribute) and node.attr == "probe")
+
+
+class _SeamCallGuard(ast.NodeVisitor):
+    """Collects seam calls on a probe receiver (``probe``, ``x.probe``)
+    not inside the body of an ``if <receiver> is not None:`` in the same
+    function, and aliases of a probe bound to any other name."""
+
+    def __init__(self):
+        self.stack = []
+        self.offenders = []
+        self.calls = 0
+
+    def generic_visit(self, node):
+        self.stack.append(node)
+        super().generic_visit(node)
+        self.stack.pop()
+
+    def visit_Assign(self, node):
+        if _names_a_probe(node.value):
+            for target in node.targets:
+                if not _names_a_probe(target):
+                    self.offenders.append((node.lineno, "alias"))
+        self.generic_visit(node)
+
+    def visit_Call(self, node):
+        func = node.func
+        if (isinstance(func, ast.Attribute) and func.attr in SEAMS
+                and _names_a_probe(func.value)):
+            self.calls += 1
+            if not self._guarded(node, ast.dump(func.value)):
+                self.offenders.append((node.lineno, func.attr))
+        self.generic_visit(node)
+
+    def _guarded(self, node, receiver):
+        child = node
+        for parent in reversed(self.stack):
+            if isinstance(parent, (ast.FunctionDef, ast.Lambda)):
+                return False
+            if (isinstance(parent, ast.If)
+                    and any(child is stmt for stmt in parent.body)
+                    and _is_not_none(parent.test, receiver)):
+                return True
+            child = parent
+        return False
+
+
+def test_every_seam_call_outside_obs_is_guarded_by_is_not_none():
+    # A dark machine's probe is None: an unguarded seam call on a rare
+    # path (a drop, a revocation, a dead machine) would raise
+    # AttributeError in a user's run, so it fails here first.
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        if SRC / "obs" in path.parents:
+            continue
+        guard = _SeamCallGuard()
+        source = path.read_text()
+        guard.visit(ast.parse(source))
+        offenders += [f"{path.relative_to(SRC)}:{line}: {what}"
+                      for line, what in guard.offenders]
+        # the guard saw every seam call the text holds
+        assert guard.calls == len(re.findall(
+            r"probe\.(?:%s)\(" % "|".join(SEAMS), source)), path
     assert not offenders, "\n".join(offenders)

@@ -20,11 +20,12 @@ the bulk replica write the same run made 23.6 calls per request into
 (two ``counter()`` resolutions by name), 10.1 into ``repro/ebpf/`` (100
 ``ArrayMap.update`` per sync tick) and one ``PacketView.__init__``.
 Before one span seam per fleet event, a dark rack also made 9.17 calls
-per request into ``obs/probe.py``'s no-op and 2.0 ``NullMetric.inc``.  A
+per request into ``obs/probe.py``'s no-op and 2.0 ``NullMetric.inc``;
+before a dark fleet held no probe, still 4.17 no-op seam calls.  A
 re-added rule lookup, helper hop, per-request series resolution, second
-request object, per-machine method call in the sync tick, second seam for
-one event or call on a disabled counter costs at least 0.17 calls per
-request and fails this on any machine.
+request object, per-machine method call in the sync tick, unguarded seam
+call or call on a disabled counter costs at least 0.17 calls per request
+and fails this on any machine.
 """
 
 import cProfile
@@ -44,12 +45,11 @@ from test_lit_path_budget import workloads   # benchmarks/perf/workloads.py
 # re-steers and the flow-hash fallback are the last 0.02: 9.2, so one
 # re-added hop per request (10.2) fails.
 CLUSTER_CALLS_PER_REQ = 10
-# One no-op seam call per fleet event: the steer, the arrival at a
-# machine (service or queue), service end and completion (4), plus the
-# 0.17 service starts of dequeued requests; the kill's 15 re-steers add
-# their machine_requeued and steer: 101,687 calls, 4.17.  One more seam
-# on the queue path (0.17) fails.
-PROBE_CALLS_PER_REQ = 4.2
+# A dark fleet holds no probe (``fleet.probe is None``) and every seam
+# call site tests it, so nothing reaches obs/probe.py.  It was one no-op
+# call per fleet event, 4.17 per request; one unguarded seam on any path
+# fails.
+PROBE_CALLS_PER_REQ = 0
 # The two per-request series are None on the null registry, so a dark
 # rack calls nothing per request: their two first-use resolutions, and
 # the 15 re-steers and two fault injections resolving and bumping theirs,
