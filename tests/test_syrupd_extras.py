@@ -8,7 +8,7 @@ from repro.apps.rocksdb import RocksDbServer
 from repro.core.loader import PolicyValidationError
 from repro.core.syrupd import IsolationError
 from repro.ebpf import VerifierError
-from repro.policies.builtin import HASH_BY_FLOW, ROUND_ROBIN
+from repro.policies.builtin import HASH_BY_FLOW, ROUND_ROBIN, TOKEN_BASED
 from repro.qdisc.policies import SRPT_BY_SIZE, SRPT_MISRANK_GETS, SRPT_TIERED
 from repro.workload.generator import OpenLoopGenerator
 from repro.workload.mixes import GET_ONLY, GET_SCAN_995_005
@@ -137,6 +137,24 @@ def test_a_rejected_program_leaves_no_maps_or_series_behind(entry_point):
     assert machine.syrupd.registry.paths() == paths
     assert len(registry) == series
     assert registry.counter("app", "syrupd", "verifier_rejections").value == 1
+
+
+def test_a_hook_the_nic_cannot_provision_is_refused_before_any_state():
+    """Found by the control-plane model: an XDP_DRV deploy on a NIC with
+    no zero-copy driver mode was refused only after its maps were pinned
+    and its metric series (and the site's ``dispatch_miss``) existed."""
+    machine = Machine(set_b(), seed=66, metrics=True)
+    app = machine.register_app("app", ports=[8080])
+    registry = machine.obs.registry
+    paths, series = machine.syrupd.registry.paths(), registry.series()
+
+    with pytest.raises(ValueError, match="no native"):
+        app.deploy_policy(TOKEN_BASED, Hook.XDP_DRV,
+                          constants={"NUM_THREADS": 4})
+    assert machine.syrupd.registry.paths() == paths
+    assert registry.series() == series
+    assert machine.syrupd._next_fd == 3
+    assert machine.netstack.xdp_hook is None
 
 
 # ----------------------------------------------------------------------
