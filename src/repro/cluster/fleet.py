@@ -503,9 +503,11 @@ class FleetFaultInjector:
 
     def _note(self, kind, **fields):
         self.injected += 1
-        obs = self.fleet.obs
-        obs.registry.counter("fleet", "faults", kind).inc()
-        obs.events.emit("fault_injected", fault=kind, **fields)
+        registry, events = self.fleet.obs.registry, self.fleet.obs.events
+        if registry is not None:
+            registry.counter("fleet", "faults", kind).inc()
+        if events is not None:
+            events.emit("fault_injected", fault=kind, **fields)
 
     def __repr__(self):
         return f"<FleetFaultInjector injected={self.injected}>"
@@ -622,13 +624,18 @@ class Fleet:
     def num_machines(self):
         return len(self.machines)
 
+    def _counter_group(self, scope, name):
+        registry = self.obs.registry
+        return (None if registry is None
+                else registry.counters("fleet", scope, (name,)))
+
     # The two per-request series, resolved on first use like the rare
     # ones (no series before something counts on it); None when metrics
     # are off, so a dark rack tests them and makes no call.
-    _switch_counters = cached_property(lambda self: self.obs.registry.counters(
-        "fleet", "switch", ("forwarded",)))
-    _fleet_counters = cached_property(lambda self: self.obs.registry.counters(
-        "fleet", "fleet", ("completed",)))
+    _switch_counters = cached_property(
+        lambda self: self._counter_group("switch", "forwarded"))
+    _fleet_counters = cached_property(
+        lambda self: self._counter_group("fleet", "completed"))
 
     def steering_rng(self):
         """The named stream steering policies draw from (determinism)."""
@@ -724,7 +731,9 @@ class Fleet:
     def resteer(self, request):
         """Failover: re-run steering for an orphaned request."""
         self.switch.resteers += 1
-        self.obs.registry.counter("fleet", "switch", "resteers").inc()
+        registry = self.obs.registry
+        if registry is not None:
+            registry.counter("fleet", "switch", "resteers").inc()
         if self.probe is not None:
             self.probe.machine_requeued(request)
         self._steer(request,
@@ -774,21 +783,26 @@ class Fleet:
         if self._fleet_counters is not None:
             self._fleet_counters["completed"].inc()
         if request.tenant is not None:
-            self.obs.registry.counter(
-                "fleet", f"tenant:{request.tenant}", "completed"
-            ).inc()
+            registry = self.obs.registry
+            if registry is not None:
+                registry.counter(
+                    "fleet", f"tenant:{request.tenant}", "completed"
+                ).inc()
 
     def drop(self, request, reason):
         if self.probe is not None:
             self.probe.fleet_drop(request, reason)
         self.outstanding -= 1
         self.dropped += 1
-        self.obs.registry.counter("fleet", "fleet", "dropped").inc()
-        if request.tenant is not None:
-            self.obs.registry.counter(
-                "fleet", f"tenant:{request.tenant}", "dropped"
-            ).inc()
-        self.obs.events.emit("fleet_drop", rid=request.rid, reason=reason)
+        registry, events = self.obs.registry, self.obs.events
+        if registry is not None:
+            registry.counter("fleet", "fleet", "dropped").inc()
+            if request.tenant is not None:
+                registry.counter(
+                    "fleet", f"tenant:{request.tenant}", "dropped"
+                ).inc()
+        if events is not None:
+            events.emit("fleet_drop", rid=request.rid, reason=reason)
 
     # ------------------------------------------------------------------
     # Failures (driven by FleetFaultInjector)
@@ -844,15 +858,16 @@ class Fleet:
     def run(self, until=None):
         """Arm the tick loops and run the engine (safe to call in slices)."""
         self.sync.arm()
-        self.obs.recorder.arm()
+        recorder = self.obs.recorder
+        if recorder is not None:
+            recorder.arm()
         self.engine.run(until=until)
 
     # ------------------------------------------------------------------
     # Telemetry
     # ------------------------------------------------------------------
-    def _sample_fleet_state(self):
+    def _sample_fleet_state(self, registry):
         """Flight-recorder probe: per-machine load + replica staleness."""
-        registry = self.obs.registry
         for machine in self.machines:
             registry.gauge(
                 "fleet", "machine", f"load_{machine.index}"

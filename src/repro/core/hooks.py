@@ -41,7 +41,6 @@ for the full catalogue.
 from repro.constants import DROP, PASS
 from repro.ebpf.errors import VmFault
 from repro.ebpf.maps import ProgArrayMap
-from repro.obs import DISABLED
 
 __all__ = ["Hook", "HookSite"]
 
@@ -85,13 +84,14 @@ class _Attachment:
         # Optional repro.core.promote.ShadowTap running a candidate
         # policy side-by-side; installed/cleared by Syrupd.deploy_shadow.
         self.shadow = None
-        counters = registry.counters(app_name, hook, (
-            "schedule_calls", "pass", "drop", "steer", "index_miss",
-            "runtime_faults"))
         # None when dark: a dark decision skips its counters without a call.
+        counters = (None,) * 6
+        if registry is not None:
+            counters = registry.counters(app_name, hook, (
+                "schedule_calls", "pass", "drop", "steer", "index_miss",
+                "runtime_faults")).values()
         (self.m_sched, self.m_pass, self.m_drop, self.m_steer, self.m_miss,
-         self.m_fault) = (counters.values() if counters is not None
-                          else (None,) * 6)
+         self.m_fault) = counters
 
 
 class HookSite:
@@ -101,7 +101,12 @@ class HookSite:
                  probe=None):
         self.hook = hook
         self.costs = costs
-        self.obs = obs if obs is not None else DISABLED
+        # The machine's telemetry tiers, None when off (or with no obs).
+        self._registry = registry = obs.registry if obs is not None else None
+        self._events = obs.events if obs is not None else None
+        self._m_dispatch_miss = (
+            None if registry is None
+            else registry.counter(ROOT_APP, hook, "dispatch_miss"))
         # Instrumentation seam (repro.obs.probe), None when no telemetry
         # tier listens: one ``decision`` per policy invocation,
         # ``policy_exec`` per charged execution cost.
@@ -116,10 +121,6 @@ class HookSite:
         # manager so repeated faults can quarantine/roll back the
         # deployment (or charge a canary candidate's promotion record).
         self.fault_listener = None
-        self._events = self.obs.events
-        self._m_dispatch_miss = self.obs.registry.counter(
-            ROOT_APP, hook, "dispatch_miss"
-        )
 
     # ------------------------------------------------------------------
     def install(self, app_name, ports, loaded_program, executors):
@@ -141,7 +142,7 @@ class HookSite:
         # Past max_programs this raises KeyError: every slot is taken.
         self.prog_array.update(index, loaded_program)
         attachment = _Attachment(
-            app_name, loaded_program, executors, index, self.obs.registry,
+            app_name, loaded_program, executors, index, self._registry,
             self.hook,
         )
         displaced = self._unbind(app_name, ports)
@@ -207,7 +208,9 @@ class HookSite:
     def decide(self, packet):
         attachment = self._port_rules.get(packet.dst_port)
         if attachment is None:
-            self._m_dispatch_miss.inc()
+            m_miss = self._m_dispatch_miss
+            if m_miss is not None:
+                m_miss.inc()
             return ("none", None)
         # root dispatcher tail call: install / replace / uninstall keep the
         # attachment's program and its PROG_ARRAY slot in step
@@ -261,7 +264,7 @@ class HookSite:
         # ``decision`` seam, linked by the event's ``seq`` when live.
         events = self._events
         seq = None
-        if events.enabled:
+        if events is not None:
             event = {"ts": events.clock.now, "kind": "decision",
                      "app": attachment.app_name, "hook": self.hook,
                      "port": packet.dst_port, "outcome": outcome}
@@ -285,21 +288,22 @@ class HookSite:
         """
         self.runtime_faults += 1
         self.drop_decisions += 1
-        if attachment.m_sched is not None:
-            attachment.m_sched.inc()
+        m_sched = attachment.m_sched
+        if m_sched is not None:
+            m_sched.inc()
             attachment.m_fault.inc()
         events = self._events
-        if events.enabled:
+        seq = None
+        if events is not None:
             events.emit(
                 "runtime_fault", app=attachment.app_name, hook=self.hook,
                 port=packet.dst_port, error=type(exc).__name__,
                 detail=str(exc),
             )
+            seq = events.emitted
         if self.probe is not None:
-            self.probe.decision(
-                packet, self.hook, "fault", None, attachment.fd,
-                events.emitted if events.enabled else None,
-            )
+            self.probe.decision(packet, self.hook, "fault", None,
+                                attachment.fd, seq)
         listener = self.fault_listener
         if listener is not None:
             listener(attachment, exc, program)

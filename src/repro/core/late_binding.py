@@ -31,7 +31,6 @@ full buffer reaches the probe as a ``late_bind_overflow`` drop.
 
 from collections import deque
 
-from repro.obs import DISABLED
 
 __all__ = ["LateBinder", "fcfs_pick", "shortest_first_pick"]
 
@@ -122,13 +121,12 @@ class LateBinder:
         self.buffer = deque()
         self.drops = 0
         self.buffered_total = 0
-        registry = (getattr(machine, "obs", None) or DISABLED).registry
-        self._m_buffered = registry.counter(
-            app.name, "socket_select", "late_bind_buffered"
-        )
-        self._m_drops = registry.counter(
-            app.name, "socket_select", "late_bind_drops"
-        )
+        registry = machine.obs.registry
+        self._m_buffered = self._m_drops = None
+        if registry is not None:
+            self._m_buffered, self._m_drops = registry.counters(
+                app.name, "socket_select",
+                ("late_bind_buffered", "late_bind_drops")).values()
         shim = _HookSiteShim(self, app.ports)
         if machine.netstack.socket_select_hook is not None:
             raise ValueError(
@@ -143,14 +141,16 @@ class LateBinder:
     def _buffer_packet(self, packet):
         if len(self.buffer) >= self.capacity:
             self.drops += 1
-            self._m_drops.inc()
+            if self._m_drops is not None:
+                self._m_drops.inc()
             probe = self.machine.netstack.probe
             if probe is not None:
                 probe.drop(packet, "late_bind_overflow")
             return False
         self.buffer.append(packet)
         self.buffered_total += 1
-        self._m_buffered.inc()
+        if self._m_buffered is not None:
+            self._m_buffered.inc()
         for thread in self.server.threads:
             if thread.state == "blocked":
                 thread.wake()

@@ -25,7 +25,6 @@ without touching Table-3 harness code.
 """
 
 from repro.ebpf.maps import ArrayMap, HashMap
-from repro.obs import DISABLED
 
 __all__ = ["MapRegistry", "PermissionDenied", "SyrupMap"]
 
@@ -140,7 +139,7 @@ class MapRegistry:
     def __init__(self, costs, nic_spec, obs=None):
         self.costs = costs
         self.nic_spec = nic_spec
-        self.obs = obs if obs is not None else DISABLED
+        self.obs = obs
         self._pinned = {}
 
     @staticmethod
@@ -164,12 +163,12 @@ class MapRegistry:
             raw = HashMap(map_name, size)
         else:
             raise ValueError(f"unknown map kind {kind!r}")
-        reg = self.obs.registry
-        group = reg.counters(
-            app_name, "maps", [f"{map_name}.{op}" for op in _OPS]
-        )
+        reg = self.obs.registry if self.obs is not None else None
         metrics = None
-        if group is not None:
+        if reg is not None:
+            group = reg.counters(
+                app_name, "maps", [f"{map_name}.{op}" for op in _OPS]
+            )
             metrics = dict(zip(_OPS, group.values()))
             metrics["op_latency_us"] = reg.histogram(
                 app_name, "maps", f"{map_name}.op_latency_us"

@@ -24,15 +24,15 @@ Determinism contract: the bus only ever runs when explicitly
 constructed (``Machine(signals=...)``).  It is a
 :class:`~repro.sim.timers.PeriodicTimer`, like the flight recorder, but
 its ticks **do** change behavior — that is the point:
-controllers write Maps the datapath reads.  When absent, the
-:data:`NULL_SIGNALS` twin is a no-op and simulation output is
-bit-identical to builds without this module (the audit test in
-``tests/test_adaptive.py`` holds this line).
+controllers write Maps the datapath reads.  Off is ``None``: a machine
+built without ``signals=`` holds no bus (``machine.signals is None``),
+and simulation output is bit-identical to builds without this module
+(the audit test in ``tests/test_adaptive.py`` holds this line).
 """
 
 from repro.sim.timers import PeriodicTimer
 
-__all__ = ["NULL_SIGNALS", "NullSignalBus", "SignalBus"]
+__all__ = ["SignalBus"]
 
 DEFAULT_INTERVAL_US = 5_000.0
 
@@ -45,8 +45,6 @@ class SignalBus(PeriodicTimer):
     engine heap is non-empty), so a drained simulation still terminates
     — the :class:`~repro.obs.timeseries.FlightRecorder` rule.
     """
-
-    enabled = True
 
     def __init__(self, engine, interval_us=DEFAULT_INTERVAL_US, active=None):
         super().__init__(
@@ -135,43 +133,3 @@ class SignalBus(PeriodicTimer):
             f"signals={len(self.signals)} "
             f"controllers={len(self.controllers)} ticks={self.ticks}>"
         )
-
-
-class NullSignalBus:
-    """Disabled bus: registration and arming are no-ops, views empty."""
-
-    enabled = False
-    interval_us = 0.0
-    ticks = 0
-    signals = ()
-    controllers = ()
-    last = {}
-    last_tick_at = None
-
-    def add_signal(self, name, read, publish=None):
-        return self
-
-    def add_controller(self, name, control):
-        return self
-
-    def remove_controller(self, name):
-        return self
-
-    def arm(self):
-        pass
-
-    def tick_once(self):
-        pass
-
-    def view(self):
-        return {
-            "interval_us": 0.0, "ticks": 0, "last_tick_at": None,
-            "signals": [], "controllers": [], "last": {},
-        }
-
-    def __repr__(self):
-        return "<NullSignalBus>"
-
-
-#: Shared singleton used whenever the signal plane is disabled.
-NULL_SIGNALS = NullSignalBus()

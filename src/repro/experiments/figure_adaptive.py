@@ -110,6 +110,8 @@ def _wire_adaptive(testbed, gen, duration_us, shedding=True):
     machine = testbed.machine
     app = testbed.app
     server = testbed.server
+    registry, bus = machine.obs.registry, machine.signals
+    assert registry is not None and bus is not None  # metrics + signals on
 
     # Actuation maps (get-or-create: the deployed programs already pinned
     # these paths; controllers write the same objects the datapath reads).
@@ -119,8 +121,7 @@ def _wire_adaptive(testbed, gen, duration_us, shedding=True):
 
     # Sensors: streaming sketches in the registry (OpenMetrics-visible)
     # and the two SLO objectives, fed from the client completion path.
-    svc_sketch = machine.obs.registry.sketch(
-        "rocksdb", "service", "svc_time_us")
+    svc_sketch = registry.sketch("rocksdb", "service", "svc_time_us")
     server.svc_sketch = svc_sketch
     # Dropped requests spend the availability budget; the sources are
     # the shed valve (DROP decisions at SOCKET_SELECT) and drop-tail
@@ -131,7 +132,6 @@ def _wire_adaptive(testbed, gen, duration_us, shedding=True):
         lambda: site.drop_decisions + server.total_socket_drops(),
     )
 
-    bus = machine.signals
     # The bus must stop re-arming once the workload ends, or it and the
     # flight recorder would keep the heap alive forever.
     bus.active = lambda: machine.engine.now < duration_us

@@ -152,6 +152,7 @@ def stage_variant(submissions, load, duration_us, warmup_us, seed,
     gen.on_latency = on_latency
 
     bus = machine.signals
+    assert bus is not None  # staged with signals on
     bus.active = lambda: machine.engine.now < duration_us
     # Worst SLO state seen on any tick: the proof the live objective was
     # never paged during either promotion attempt.

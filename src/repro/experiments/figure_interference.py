@@ -143,6 +143,7 @@ def stage_variant(name, victim_rps, aggressor_rps, duration_us, warmup_us,
     testbed = _build(name, seed)
     machine = testbed.machine
     acct = machine.obs.acct
+    assert acct is not None  # every variant runs accounting
     gen_alpha = testbed.drive(
         victim_rps, GET_ONLY, duration_us, warmup_us,
         stream="alpha", user_id=ALPHA_ID, tenant="alpha",
@@ -165,22 +166,23 @@ def stage_variant(name, victim_rps, aggressor_rps, duration_us, warmup_us,
 
     detector = None
     if name in ("load_shed", "blame_shed"):
-        machine.signals.active = \
-            lambda m=machine: m.engine.now < duration_us
+        bus = machine.signals
+        assert bus is not None  # the shedding variants run the bus
+        bus.active = lambda m=machine: m.engine.now < duration_us
         lat_slo, avail_slo = wire_slo_sensors(
             machine, gen_alpha, CONTROL_MARGIN * SLO_GET_P99_US,
             alpha_drops, prefix="alpha_",
         )
         if name == "load_shed":
             shed_map = testbed.app.create_map("shed_map", size=1)
-            machine.signals.add_controller(
+            bus.add_controller(
                 "shed", ShedController(lat_slo, avail_slo, shed_map)
             )
         else:
             shed_map = testbed.app.create_map("tenant_shed_map", size=64)
             detector = NoisyNeighborDetector(acct, machine.obs.registry)
-            machine.signals.add_controller("noisy", detector)
-            machine.signals.add_controller(
+            bus.add_controller("noisy", detector)
+            bus.add_controller(
                 "tenant_shed",
                 TenantShedController(
                     shed_map, detector, lat_slo,
@@ -230,6 +232,7 @@ def run_figure_interference(
                 seed,
             )
             acct = testbed.machine.obs.acct
+            assert acct is not None  # every variant runs accounting
 
             alpha_p99 = gen_alpha.latency.p99(tag=GET)
             alpha_drop = gen_alpha.drop_fraction()

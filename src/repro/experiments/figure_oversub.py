@@ -127,12 +127,12 @@ def stage_variant(name, base_rps, peak_factor, duration_us, warmup_us,
                               num_threads=N_THREADS)
     search_app.deploy_policy(FifoThreadPolicy(), Hook.THREAD_SCHED)
     controller = None
-    if elastic:
+    bus = machine.signals  # on exactly when elastic
+    if bus is not None:
         controller = ElasticCoreController(
             machine.arbiter, hysteresis_ticks=HYSTERESIS_TICKS
-        ).register(machine.signals)
-        machine.signals.active = \
-            lambda m=machine: m.engine.now < duration_us
+        ).register(bus)
+        bus.active = lambda m=machine: m.engine.now < duration_us
 
     def burst(start_frac):
         return FlashCrowd(

@@ -91,6 +91,7 @@ def run_figure_tail(
                 load, GET_SCAN_995_005, duration_us, warmup_us,
             )
             tracer = staged.machine.obs.spans
+            assert tracer is not None  # staged with spans on
             trees = [
                 t for t in tracer.trees(complete=True)
                 if t["start"] >= warmup_us

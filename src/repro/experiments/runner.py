@@ -160,7 +160,8 @@ def wire_slo_sensors(machine, gen, threshold_us, read_drop_total,
     and signal order in every export.  Returns ``(lat_slo, avail_slo)``;
     callers add their own signals and controllers after.
     """
-    registry = machine.obs.registry
+    registry, bus = machine.obs.registry, machine.signals
+    assert registry is not None and bus is not None  # metrics + signals on
     lat_sketch = registry.sketch(
         "rocksdb", "client", f"{prefix}get_latency_us")
     lat_slo = machine.slo.latency(
@@ -191,7 +192,6 @@ def wire_slo_sensors(machine, gen, threshold_us, read_drop_total,
         seen["drops"] = total
         return total
 
-    bus = machine.signals
     bus.add_signal(f"{prefix}dropped_total", read_drops)
     p99_name = f"{prefix}get_p99_us"
     bus.add_signal(

@@ -380,9 +380,11 @@ class FaultInjector:
     def _note(self, kind, **fields):
         """Count + trace one injection (app keyed when known)."""
         self.injected += 1
-        obs = self.machine.obs
-        obs.registry.counter(ROOT_APP, "faults", kind).inc()
-        obs.events.emit("fault_injected", fault=kind, **fields)
+        registry, events = self.machine.obs.registry, self.machine.obs.events
+        if registry is not None:
+            registry.counter(ROOT_APP, "faults", kind).inc()
+        if events is not None:
+            events.emit("fault_injected", fault=kind, **fields)
 
     def __repr__(self):
         return f"<FaultInjector plan={self.plan!r} injected={self.injected}>"

@@ -13,7 +13,6 @@ IPI latency before the remote core switches).
 from collections import deque
 
 from repro.ghost.messages import MessageKind
-from repro.obs.events import NULL_EVENTS
 
 __all__ = ["CoreView", "GhostAgent", "SchedStatus"]
 
@@ -67,7 +66,7 @@ class GhostAgent:
     """Drives a user thread policy over a :class:`GhostScheduler`."""
 
     def __init__(self, engine, scheduler, enclave, policy, costs,
-                 metrics=None, events=NULL_EVENTS):
+                 metrics=None, events=None):
         self.engine = engine
         self.scheduler = scheduler
         self.enclave = enclave
@@ -99,7 +98,7 @@ class GhostAgent:
         # Optional dict of obs counters mirroring the attribute counters
         # above ("messages", "preemptions", "commits", "failed_commits",
         # "policy_errors"), plus an event trace; set by syrupd at deploy
-        # time when the machine runs with metrics enabled.
+        # time when the machine runs with metrics, None otherwise.
         self.metrics = metrics
         self.events = events
         # Optional repro.qdisc.discipline.Qdisc attached by
@@ -239,12 +238,14 @@ class GhostAgent:
         self.engine.post(delay, self._after_work)
 
     def _note_policy_error(self, exc):
-        if self.metrics is not None:
-            self.metrics["policy_errors"].inc()
-        self.events.emit(
-            "policy_error", app=self.enclave.app, hook="thread_sched",
-            error=type(exc).__name__, detail=str(exc),
-        )
+        metrics, events = self.metrics, self.events
+        if metrics is not None:
+            metrics["policy_errors"].inc()
+        if events is not None:
+            events.emit(
+                "policy_error", app=self.enclave.app, hook="thread_sched",
+                error=type(exc).__name__, detail=str(exc),
+            )
 
     def _commit_effect(self, thread, core, epoch=None):
         if self.crashed or (epoch is not None and epoch != self._epoch):

@@ -43,7 +43,6 @@ from collections import deque
 
 from repro.ghost.sched import GhostScheduler
 from repro.kernel.cfs import CfsScheduler
-from repro.obs.events import NULL_EVENTS
 
 __all__ = [
     "CoreArbiter",
@@ -89,7 +88,7 @@ class _CoreClass:
 class CoreArbiter:
     """Owns a pool of cores; grants them, revocably, to classes."""
 
-    def __init__(self, engine, cores, events=NULL_EVENTS, probe=None):
+    def __init__(self, engine, cores, events=None, probe=None):
         self.engine = engine
         self.pool = list(cores)
         self._by_cid = {core.cid: core for core in self.pool}
@@ -305,7 +304,9 @@ class CoreArbiter:
 
     # -- telemetry --------------------------------------------------------
     def _emit(self, kind, **fields):
-        self.events.emit(kind, **fields)
+        events = self.events
+        if events is not None:
+            events.emit(kind, **fields)
 
     def occupancy_us(self, name):
         """Closed + open-segment occupancy for class ``name``."""

@@ -11,14 +11,15 @@ complementary primitives, both stamped with *simulated* time:
   decision events with a JSON-lines exporter.
 
 Both hang off an :class:`Observability` handle created by
-:class:`repro.machine.Machine`.  Observability is **off by default**:
-``Machine(metrics=True)`` swaps the null implementations for live ones.
-Instrumented code paths hold metric/trace objects directly, so the
-disabled mode costs a no-op method call at most and changes no simulation
-behavior — benchmark results are bit-identical with observability off.
+:class:`repro.machine.Machine`.  Observability is **off by default**,
+and off is ``None``: ``Machine(metrics=True)`` builds the registry and
+the trace, a dark machine holds ``None`` in both slots, and every
+caller tests ``is not None`` first.  A dark machine therefore makes no
+call into this package and changes no simulation behavior — benchmark
+results are bit-identical with observability off.
 
-A second tier builds on the registry (all opt-in, same null-singleton
-discipline): :class:`repro.obs.timeseries.FlightRecorder` samples the
+A second tier builds on the registry (all opt-in, each ``None`` when
+off): :class:`repro.obs.timeseries.FlightRecorder` samples the
 registry over *sim time* into bounded ring-buffered series (the
 ``Observability.recorder`` slot; ``Machine(metrics=True,
 timeseries=...)``) and :mod:`repro.obs.export` renders registry
@@ -43,13 +44,8 @@ renders the registry, ``syrupctl timeline`` the recorder;
 ``docs/observability.md`` is the metric catalogue and event schema.
 """
 
-from repro.obs.accounting import (
-    NULL_ACCOUNTING,
-    NullTenantAccountant,
-    TenantAccountant,
-    TenantLedger,
-)
-from repro.obs.events import NULL_EVENTS, EventTrace, NullEventTrace
+from repro.obs.accounting import TenantAccountant, TenantLedger
+from repro.obs.events import EventTrace
 from repro.obs.interference import (
     BlameMatrix,
     NoisyNeighborDetector,
@@ -58,21 +54,16 @@ from repro.obs.interference import (
 from repro.obs.export import open_destination, to_openmetrics, write_openmetrics
 from repro.obs.probe import Probe
 from repro.obs.registry import (
-    NULL_METRIC,
-    NULL_REGISTRY,
     CardinalityError,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullMetric,
-    NullRegistry,
 )
-from repro.obs.spans import NULL_SPANS, NullSpanTracer, SpanTracer
-from repro.obs.timeseries import NULL_RECORDER, FlightRecorder, NullFlightRecorder
+from repro.obs.spans import SpanTracer
+from repro.obs.timeseries import FlightRecorder
 
 __all__ = [
-    "DISABLED",
     "BlameMatrix",
     "CardinalityError",
     "Counter",
@@ -81,19 +72,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_ACCOUNTING",
-    "NULL_EVENTS",
-    "NULL_METRIC",
-    "NULL_RECORDER",
-    "NULL_REGISTRY",
-    "NULL_SPANS",
     "NoisyNeighborDetector",
-    "NullEventTrace",
-    "NullFlightRecorder",
-    "NullMetric",
-    "NullRegistry",
-    "NullSpanTracer",
-    "NullTenantAccountant",
     "Observability",
     "Probe",
     "SpanTracer",
@@ -107,62 +86,51 @@ __all__ = [
 
 
 class Observability:
-    """A machine's metrics registry + event trace, or their null twins.
+    """A machine's telemetry tiers; a tier that is off is ``None``.
 
-    ``recorder`` holds the time-series tier: :data:`NULL_RECORDER` unless
-    the owner installs a live :class:`FlightRecorder` (see
-    ``Machine(timeseries=...)``); it needs the engine, so construction
-    stays with the machine.  ``spans`` is the causal span tracer
-    (:mod:`repro.obs.spans`): :data:`NULL_SPANS` unless constructed with
-    ``spans=N`` (sample every Nth request; ``Machine(spans=...)``) —
-    independent of ``enabled``, since the tracer needs no registry.
-    ``acct`` is the per-tenant cost accountant
-    (:mod:`repro.obs.accounting`): :data:`NULL_ACCOUNTING` unless
-    constructed with ``accounting=True`` (``Machine(accounting=True)``)
-    — also registry-independent, same null-twin discipline.
+    ``registry`` and ``events`` are live when constructed with
+    ``enabled=True`` (``Machine(metrics=True)``).  ``recorder`` holds the
+    time-series tier, installed by the owner (see
+    ``Machine(timeseries=...)``) since it needs the engine.  ``spans`` is
+    the causal span tracer (:mod:`repro.obs.spans`), live when
+    constructed with ``spans=N`` (sample every Nth request;
+    ``Machine(spans=...)``) and independent of ``enabled``, since the
+    tracer needs no registry.  ``acct`` is the per-tenant cost accountant
+    (:mod:`repro.obs.accounting`), live with ``accounting=True``.
     ``spans`` and ``acct`` are the *read* side; datapath components
     write through ``probe`` (:mod:`repro.obs.probe`), built here once
-    over whichever of the two is live and never swapped afterwards —
-    ``None`` when neither is, so a dark datapath makes no seam call.
+    over whichever of the two is live and never swapped afterwards.
+    Every caller tests a tier ``is not None`` before it uses it, so a
+    dark machine makes no call into :mod:`repro.obs`.
     """
 
-    __slots__ = ("enabled", "registry", "events", "recorder", "spans",
-                 "acct", "probe")
+    __slots__ = ("registry", "events", "recorder", "spans", "acct", "probe")
 
     def __init__(self, clock=None, enabled=False, event_capacity=4096,
                  max_series=4096, spans=0, spans_capacity=4096,
                  accounting=False):
-        self.enabled = enabled
-        self.recorder = NULL_RECORDER
+        self.registry = self.events = self.recorder = None
+        self.spans = self.acct = self.probe = None
         if enabled:
             self.registry = MetricsRegistry(clock=clock, max_series=max_series)
             self.events = EventTrace(clock=clock, capacity=event_capacity)
-        else:
-            self.registry = NULL_REGISTRY
-            self.events = NULL_EVENTS
         if spans:
             sample_every = 1 if spans is True else int(spans)
             self.spans = SpanTracer(clock=clock, sample_every=sample_every,
                                     capacity=spans_capacity)
-        else:
-            self.spans = NULL_SPANS
         if accounting:
             self.acct = TenantAccountant(clock=clock)
-        else:
-            self.acct = NULL_ACCOUNTING
-        # A null twin defines no seam: with one tier live the other's
-        # seams resolve to no-ops; with none there is no probe at all.
-        self.probe = (Probe(self.spans, self.acct) if spans or accounting
-                      else None)
+        if spans or accounting:
+            # an absent tier defines no seam: its seams resolve to no-ops
+            self.probe = Probe(self.spans, self.acct)
 
     def snapshot(self):
-        """Registry snapshot rows (see MetricsRegistry.snapshot)."""
-        return self.registry.snapshot()
+        """Registry snapshot rows (see MetricsRegistry.snapshot); [] dark."""
+        registry = self.registry
+        return [] if registry is None else registry.snapshot()
 
     def __repr__(self):
-        state = "enabled" if self.enabled else "disabled"
-        return f"<Observability {state} series={len(self.registry)}>"
-
-
-#: Shared disabled instance for call sites given no machine-level handle.
-DISABLED = Observability(enabled=False)
+        registry = self.registry
+        if registry is None:
+            return "<Observability disabled series=0>"
+        return f"<Observability enabled series={len(registry)}>"

@@ -34,11 +34,10 @@ is charged to them pro rata in a pairwise
 :class:`repro.obs.interference.BlameMatrix` ("tenant A imposed X µs on
 tenant B at the socket layer").  See docs/multitenancy.md for the math.
 
-Off means absent: machines built without ``accounting=True`` hold the
-shared :data:`NULL_ACCOUNTING` singleton (an empty read-side view), the
-machine's :mod:`repro.obs.probe` resolves the accountant's seams to
-no-ops, zero accounting objects are allocated, and simulation output
-stays bit-identical — the audit
+Off is ``None``: machines built without ``accounting=True`` hold no
+accountant (``obs.acct is None``), the machine's :mod:`repro.obs.probe`
+resolves the accountant's seams to no-ops, zero accounting objects are
+allocated, and simulation output stays bit-identical — the audit
 test in ``tests/test_accounting.py`` holds this line.  The accountant
 itself only ever *reads* the datapath (timestamps, queue mirrors), so
 enabling it changes no scheduling decision either: a run with
@@ -49,8 +48,6 @@ from repro.obs.interference import BlameMatrix
 
 __all__ = [
     "LAYERS",
-    "NULL_ACCOUNTING",
-    "NullTenantAccountant",
     "TenantAccountant",
     "TenantLedger",
 ]
@@ -142,8 +139,6 @@ class TenantAccountant:
     ``socket_dequeued`` or ``drop``; every seam in between is one dict
     probe, and the dict holds the request alive until then.
     """
-
-    enabled = True
 
     def __init__(self, clock):
         self._clock = clock         # anything with ``.now`` (the engine)
@@ -407,30 +402,3 @@ class TenantAccountant:
 
     def __repr__(self):
         return f"<TenantAccountant tenants={len(self.ledgers)}>"
-
-
-class NullTenantAccountant:
-    """Disabled accountant: empty views only; like
-    :class:`repro.obs.spans.NullSpanTracer` it defines no seam method."""
-
-    enabled = False
-    ledgers = {}
-
-    def ledger(self, tenant):
-        return None
-
-    def tenants(self):
-        return []
-
-    def snapshot(self):
-        return {"tenants": [], "blame": {}}
-
-    def publish(self, registry):
-        pass
-
-    def __repr__(self):
-        return "<NullTenantAccountant>"
-
-
-#: Shared disabled instance — the default for every datapath object.
-NULL_ACCOUNTING = NullTenantAccountant()

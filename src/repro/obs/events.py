@@ -25,9 +25,11 @@ Event kinds emitted by the framework (schema in docs/observability.md):
 
 The exporter writes JSON lines (one event per line), the interchange
 format everything downstream — jq, pandas, perfetto-style converters —
-already speaks.  Like every exporter in the tree it takes a *destination*
-— a path or an open file object — via
-:func:`repro.obs.export.open_destination`.
+already speaks.  Like every exporter in the tree it takes a
+*destination* — a path or an open file object — via
+:func:`repro.obs.export.open_destination`.  Off is ``None``: a machine
+built without ``metrics=True`` holds no trace (``obs.events is None``)
+and its callers emit nothing.
 """
 
 import json
@@ -36,13 +38,11 @@ from collections import deque
 from repro.obs.export import open_destination
 from repro.obs.registry import ZERO_CLOCK
 
-__all__ = ["EventTrace", "NULL_EVENTS", "NullEventTrace"]
+__all__ = ["EventTrace"]
 
 
 class EventTrace:
     """Bounded ring buffer of structured events with a JSONL exporter."""
-
-    enabled = True
 
     def __init__(self, clock=None, capacity=4096):
         self.clock = clock if clock is not None else ZERO_CLOCK
@@ -114,34 +114,3 @@ class EventTrace:
                 fh.write("\n")
                 n += 1
             return n
-
-
-class NullEventTrace:
-    """Disabled trace: ``emit`` is a no-op, every view is empty."""
-
-    enabled = False
-    capacity = 0
-    emitted = 0
-    dropped = 0
-
-    def emit(self, kind, app=None, hook=None, **fields):
-        return None
-
-    def events(self, kind=None, app=None, since=None):
-        return []
-
-    def tail(self, n=20):
-        return []
-
-    def clear(self):
-        pass
-
-    def to_jsonl(self, destination):
-        return 0
-
-    def __len__(self):
-        return 0
-
-
-#: Shared singleton used whenever observability is disabled.
-NULL_EVENTS = NullEventTrace()

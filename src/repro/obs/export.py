@@ -109,9 +109,10 @@ def to_openmetrics(registry, prefix="syrup"):
 
     One ``# TYPE`` line per distinct metric name; series sharing a name
     across ``(app, scope)`` keys become one family with distinct labels.
+    A dark machine's registry (``None``) exports the empty exposition.
     """
     families = {}  # sanitized name -> (kind, [lines])
-    for app, scope, name in registry.series():
+    for app, scope, name in registry.series() if registry is not None else ():
         metric = registry.get(app, scope, name)
         kind = metric.kind
         base = f"{prefix}_{_sanitize(name)}"

@@ -22,12 +22,12 @@ subsystem like ``maps`` / ``syrupd`` / ``thread_sched``), and the metric
 **name**.  Every update stamps the metric with the *simulated* clock, so
 "when did this last move?" is answerable in sim time.
 
-Zero-cost-when-disabled contract: instrumented code paths hold metric
-objects obtained from a registry.  When observability is off they get the
-:data:`NULL_METRIC` singleton from :data:`NULL_REGISTRY` instead — every
-mutator is a no-op ``pass`` — so the datapath never branches on an
-"enabled" flag and simulation results are bit-identical either way (no
-RNG draws, no event scheduling, no behavioral change).
+Off is ``None``: a machine built without ``metrics=True`` holds no
+registry (``obs.registry is None``), so every metric group it would
+resolve is ``None`` too.  Each caller tests ``is not None`` once, where
+it resolves or uses its metrics, and a dark machine makes no call into
+this module.  Simulation results are bit-identical either way (no RNG
+draws, no event scheduling, no behavioral change).
 """
 
 import math
@@ -41,10 +41,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_METRIC",
-    "NULL_REGISTRY",
-    "NullMetric",
-    "NullRegistry",
     "ZERO_CLOCK",
 ]
 
@@ -167,42 +163,6 @@ class Histogram:
         return f"<Histogram {'/'.join(self.key)} n={self.count}>"
 
 
-class NullMetric:
-    """No-op stand-in for every metric kind (disabled observability)."""
-
-    kind = "null"
-    __slots__ = ()
-    key = ("(null)", "(null)", "(null)")
-    value = 0
-    count = 0
-    updated_at = None
-
-    def inc(self, n=1):
-        pass
-
-    def set(self, value):
-        pass
-
-    def observe(self, value):
-        pass
-
-    def percentile(self, q):
-        return 0.0
-
-    def quantile(self, p):
-        return 0.0
-
-    def summary(self):
-        return {}
-
-    def __repr__(self):
-        return "<NullMetric>"
-
-
-#: Shared singleton handed out by :class:`NullRegistry`.
-NULL_METRIC = NullMetric()
-
-
 class CardinalityError(RuntimeError):
     """The registry refused to create yet another metric series.
 
@@ -222,7 +182,6 @@ class MetricsRegistry:
     its clock under this one contract.
     """
 
-    enabled = True
     _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram,
               "sketch": Sketch}
 
@@ -266,8 +225,7 @@ class MetricsRegistry:
 
     def counters(self, app, scope, names):
         """``{name: Counter}`` for a named group, created in ``names``
-        order.  The null registry's is None: whether metrics exist is
-        decided here, not by each caller."""
+        order."""
         return {name: self._get_or_create("counter", app, scope, name)
                 for name in names}
 
@@ -322,46 +280,3 @@ class MetricsRegistry:
 
     def __len__(self):
         return len(self._series)
-
-
-class NullRegistry:
-    """Disabled registry: every accessor returns :data:`NULL_METRIC`."""
-
-    enabled = False
-
-    def counter(self, app, scope, name):
-        return NULL_METRIC
-
-    def gauge(self, app, scope, name):
-        return NULL_METRIC
-
-    def histogram(self, app, scope, name):
-        return NULL_METRIC
-
-    def sketch(self, app, scope, name):
-        return NULL_METRIC
-
-    def counters(self, app, scope, names):
-        return None
-
-    def get(self, app, scope, name):
-        return None
-
-    def value(self, app, scope, name, default=None):
-        return default
-
-    def values_for(self, app, scope):
-        return {}
-
-    def series(self):
-        return []
-
-    def snapshot(self):
-        return []
-
-    def __len__(self):
-        return 0
-
-
-#: Shared singleton used whenever observability is disabled.
-NULL_REGISTRY = NullRegistry()

@@ -23,9 +23,8 @@ retaining per-request samples.  Three primitives live here:
 contract (``key`` / ``kind`` / ``observe`` / ``updated_at``); the
 registry exposes it via ``registry.sketch(app, scope, name)`` and the
 flight recorder and OpenMetrics exporter understand the kind natively.
-Like every obs primitive, disabled machines see only the registry's
-``NULL_METRIC`` — no sketch object is ever allocated on a disabled
-datapath.
+Like every obs primitive, it is off as ``None``: a dark machine has no
+registry, so no sketch object is ever allocated on a dark datapath.
 """
 
 import math

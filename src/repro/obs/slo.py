@@ -24,7 +24,7 @@ and the SignalBus can route them into Maps), and renders through
 ``syrupctl slo``.  Everything is driven by the simulated clock and only
 *reads* it — no randomness, no event scheduling — so a tracker that is
 never constructed leaves simulation output bit-identical (the same
-no-op-when-disabled contract as the rest of :mod:`repro.obs`).
+off-is-``None`` contract as the rest of :mod:`repro.obs`).
 """
 
 __all__ = [

@@ -37,8 +37,8 @@ state, so every simulation result is bit-identical with spans on or
 off (``tests/test_spans.py`` locks this with paired runs).  The
 datapath reaches the tracer only through :mod:`repro.obs.probe`: every
 public method below that is not a view is a seam named in
-:data:`repro.obs.probe.SEAMS`.  Disabled machines share the
-:data:`NULL_SPANS` singleton, an empty read-side view.
+:data:`repro.obs.probe.SEAMS`.  Off is ``None``: a machine built
+without ``spans=`` holds no tracer (``obs.spans is None``).
 
 Enable with ``Machine(spans=N)`` (``True`` ⇒ every request).  Completed
 trees live in a bounded ring (``capacity``); export them for
@@ -54,15 +54,13 @@ from collections import deque
 from repro.obs.export import open_destination
 from repro.obs.registry import ZERO_CLOCK
 
-__all__ = ["NULL_SPANS", "NullSpanTracer", "SpanTracer"]
+__all__ = ["SpanTracer"]
 
 DEFAULT_CAPACITY = 4096
 
 
 class SpanTracer:
     """Cross-layer span trees for deterministically head-sampled requests."""
-
-    enabled = True
 
     def __init__(self, clock=None, sample_every=1, capacity=DEFAULT_CAPACITY):
         if sample_every < 1:
@@ -451,29 +449,3 @@ class SpanTracer:
             f"<SpanTracer every={self.sample_every} sampled={self.sampled} "
             f"done={len(self._done)} live={len(self._live)}>"
         )
-
-
-class NullSpanTracer:
-    """Disabled tracer: empty views only.  It defines no seam method, so
-    a :class:`repro.obs.probe.Probe` built over it resolves every seam
-    to the shared no-op."""
-
-    enabled = False
-    seen = 0
-    sampled = 0
-
-    def trees(self, complete=None):
-        return []
-
-    def to_chrome_trace(self, destination):
-        return 0
-
-    def __len__(self):
-        return 0
-
-    def __repr__(self):
-        return "<NullSpanTracer>"
-
-
-#: Shared singleton used whenever span tracing is disabled.
-NULL_SPANS = NullSpanTracer()

@@ -24,22 +24,16 @@ recorder on or off.  (Recorder ticks do advance
 ``engine.now`` to the final tick instant and count in
 ``events_dispatched``; no workload-visible quantity depends on either.)
 
-Disabled machines get the :data:`NULL_RECORDER` singleton, whose every
-method is a no-op — the :data:`~repro.obs.registry.NULL_REGISTRY`
-pattern.  Rendering lives in :func:`repro.syrupctl.render_timeline`
-(``syrupctl timeline``).
+Off is ``None``: a machine built without ``timeseries=`` holds no
+recorder (``obs.recorder is None``), like every other tier.  Rendering
+lives in :func:`repro.syrupctl.render_timeline` (``syrupctl timeline``).
 """
 
 from collections import deque
 
 from repro.sim.timers import PeriodicTimer
 
-__all__ = [
-    "FlightRecorder",
-    "NULL_RECORDER",
-    "NullFlightRecorder",
-    "SeriesSamples",
-]
+__all__ = ["FlightRecorder", "SeriesSamples"]
 
 DEFAULT_INTERVAL_US = 1_000.0
 DEFAULT_CAPACITY = 1_024
@@ -89,8 +83,6 @@ class FlightRecorder(PeriodicTimer):
     popped), costing at most a few empty ticks.
     """
 
-    enabled = True
-
     def __init__(self, registry, engine, interval_us=DEFAULT_INTERVAL_US,
                  capacity=DEFAULT_CAPACITY):
         super().__init__(engine, interval_us, self.sample, engine.queued)
@@ -99,9 +91,9 @@ class FlightRecorder(PeriodicTimer):
         self.samples_taken = 0
         self._series = {}       # key -> SeriesSamples
         self._last_cumulative = {}  # key -> last counter value / hist count
-        #: Zero-arg callables run at the start of every sample(): the
-        #: queue-state telemetry hook (Machine installs a probe that
-        #: reads instantaneous queue depths into registry gauges).
+        #: Callables run with the registry at the start of every
+        #: sample(): the queue-state telemetry hook (Machine installs a
+        #: probe that reads instantaneous queue depths into its gauges).
         #: Probes must only *read* simulation state — the determinism
         #: contract above extends to them.
         self.probes = []
@@ -112,7 +104,7 @@ class FlightRecorder(PeriodicTimer):
     def sample(self):
         """Take one sample of every registered series, stamped now."""
         for probe in self.probes:
-            probe()
+            probe(self.registry)
         now = self.engine.now
         self.samples_taken += 1
         for key, metric in self.registry._series.items():
@@ -184,44 +176,3 @@ class FlightRecorder(PeriodicTimer):
             f"<FlightRecorder interval={self.interval_us:g}us "
             f"series={len(self._series)} ticks={self.samples_taken}>"
         )
-
-
-class NullFlightRecorder:
-    """Disabled recorder: arming and sampling are no-ops, views empty."""
-
-    enabled = False
-    interval_us = 0.0
-    capacity = 0
-    samples_taken = 0
-    probes = ()
-
-    def arm(self):
-        pass
-
-    def sample(self):
-        pass
-
-    def keys(self):
-        return []
-
-    def series(self, app, scope, name):
-        return None
-
-    def points(self, app, scope, name, field=None):
-        return []
-
-    def rate_per_s(self, app, scope, name):
-        return []
-
-    def snapshot(self):
-        return []
-
-    def __len__(self):
-        return 0
-
-    def __repr__(self):
-        return "<NullFlightRecorder>"
-
-
-#: Shared singleton used whenever time-series recording is disabled.
-NULL_RECORDER = NullFlightRecorder()

@@ -254,7 +254,7 @@ def render_tenants(machine):
     and each tenant's worst aggressor.
     """
     acct = machine.obs.acct
-    if not acct.enabled:
+    if acct is None:
         return (
             "tenant accounting disabled on this machine "
             "(construct it with Machine(accounting=True))"
@@ -449,8 +449,8 @@ def render_stats(machine):
     One row per metric series, grouped by (app, scope) where scope is a
     hook name or subsystem (``maps`` / ``syrupd`` / ``thread_sched``).
     """
-    obs = machine.obs
-    if not obs.enabled:
+    registry, events = machine.obs.registry, machine.obs.events
+    if registry is None or events is None:
         return (
             "observability disabled on this machine "
             "(construct it with Machine(metrics=True))"
@@ -459,7 +459,6 @@ def render_stats(machine):
         f"syrup stats t={machine.now:.0f}us",
         ["app", "scope", "metric", "value", "updated_us"],
     )
-    registry = obs.registry
     for app, scope, name in registry.series():
         metric = registry.get(app, scope, name)
         updated = metric.updated_at
@@ -467,7 +466,6 @@ def render_stats(machine):
             app=app, scope=scope, metric=name, value=_fmt_metric(metric),
             updated_us=None if updated is None else round(updated, 1),
         )
-    events = obs.events
     footer = (
         f"events: {events.emitted} emitted, {len(events)} buffered, "
         f"{events.dropped} dropped (capacity {events.capacity})"
@@ -526,7 +524,7 @@ def render_timeline(machine, app=None, scope=None, width=60,
     unless ``include_zero``; filter with ``app``/``scope``.
     """
     recorder = machine.obs.recorder
-    if not recorder.enabled:
+    if recorder is None:
         return (
             "time-series recording disabled on this machine (construct "
             "it with Machine(metrics=True, timeseries=<interval_us>))"
@@ -575,16 +573,16 @@ def render_events(machine, last=20, kind=None, since=None):
     at or after that simulated time (us), ``last`` caps how many of the
     trailing matches are printed.
     """
-    obs = machine.obs
-    if not obs.enabled:
+    trace = machine.obs.events
+    if trace is None:
         return (
             "observability disabled on this machine "
             "(construct it with Machine(metrics=True))"
         )
     if kind is not None or since is not None:
-        events = obs.events.events(kind=kind, since=since)[-last:]
+        events = trace.events(kind=kind, since=since)[-last:]
     else:
-        events = obs.events.tail(last)
+        events = trace.tail(last)
     return "\n".join(json.dumps(event, sort_keys=True) for event in events)
 
 
@@ -598,7 +596,7 @@ def render_spans(machine, last=10):
     one indented line per span with its duration and attributes.
     """
     tracer = machine.obs.spans
-    if not tracer.enabled:
+    if tracer is None:
         return (
             "span tracing disabled on this machine "
             "(construct it with Machine(spans=<sample-every>))"
@@ -630,7 +628,7 @@ def render_spans(machine, last=10):
 def render_tail(machine, lo_pct=50.0, hi_pct=99.0):
     """The p50-vs-p99 critical-path table for the sampled requests."""
     tracer = machine.obs.spans
-    if not tracer.enabled:
+    if tracer is None:
         return (
             "span tracing disabled on this machine "
             "(construct it with Machine(spans=<sample-every>))"
@@ -765,18 +763,24 @@ VIEWS = {
                            in m.syrupd.registry._pinned.items()},
              lambda m, a: render_maps(m)),
     "events": ("stats",
-               lambda m, a: m.obs.events.events(
+               lambda m, a: [] if m.obs.events is None
+               else m.obs.events.events(
                    kind=a.kind, since=a.since)[-_event_cap(a):],
                lambda m, a: render_events(
                    m, last=_event_cap(a), kind=a.kind, since=a.since)),
-    "timeline": ("timeline", lambda m, a: m.obs.recorder.snapshot(),
+    "timeline": ("timeline",
+                 lambda m, a: [] if m.obs.recorder is None
+                 else m.obs.recorder.snapshot(),
                  lambda m, a: render_timeline(m, app=a.app, scope=a.scope)),
     "health": ("faults", lambda m, a: m.syrupd.health(),
                lambda m, a: render_health(m)),
-    "spans": ("spans", lambda m, a: m.obs.spans.trees()[-a.last:],
+    "spans": ("spans",
+              lambda m, a: [] if m.obs.spans is None
+              else m.obs.spans.trees()[-a.last:],
               lambda m, a: render_spans(m, last=a.last)),
     "tail": ("spans",
-             lambda m, a: critical_path(m.obs.spans.trees(complete=True)),
+             lambda m, a: critical_path([] if m.obs.spans is None
+                                        else m.obs.spans.trees(complete=True)),
              lambda m, a: render_tail(m)),
     "qdisc": ("qdisc", lambda m, a: m.syrupd.qdiscs(),
               lambda m, a: render_qdisc(m)),
@@ -887,12 +891,13 @@ def run_view(args):
         text = render(system, args)
     print(text)
     obs = system.obs
-    if args.export_trace and obs.spans.enabled:
-        n = obs.spans.to_chrome_trace(args.export_trace)
+    spans, events = obs.spans, obs.events
+    if args.export_trace and spans is not None:
+        n = spans.to_chrome_trace(args.export_trace)
         print(f"wrote {n} trace events to {args.export_trace}",
               file=sys.stderr)
     if args.export_events:
-        n = obs.events.to_jsonl(args.export_events)
+        n = events.to_jsonl(args.export_events) if events is not None else 0
         print(f"wrote {n} events to {args.export_events}", file=sys.stderr)
     if args.openmetrics:
         n = write_openmetrics(obs.registry, args.openmetrics)

@@ -22,12 +22,7 @@ import pytest
 from conftest import Clock
 from repro.experiments.figure_interference import run_variant, stage_variant
 from repro.experiments.runner import RocksDbTestbed, run_point
-from repro.obs.accounting import (
-    LAYERS,
-    NULL_ACCOUNTING,
-    TenantAccountant,
-    TenantLedger,
-)
+from repro.obs.accounting import LAYERS, TenantAccountant, TenantLedger
 from repro.obs.export import to_openmetrics
 from repro.obs.interference import (
     BlameMatrix,
@@ -301,9 +296,8 @@ def fingerprint(testbed, gen):
 
 def test_machine_defaults_leave_the_accountant_null():
     testbed = RocksDbTestbed(seed=3)
-    assert testbed.machine.obs.acct is NULL_ACCOUNTING
-    assert not testbed.machine.obs.acct.enabled
-    assert testbed.machine.obs.acct.snapshot() == {"tenants": [], "blame": {}}
+    assert testbed.machine.obs.acct is None
+    assert testbed.machine.syrupd.tenants() == {"tenants": [], "blame": {}}
 
 
 def test_default_runs_allocate_no_accounting_objects_and_stay_identical(
@@ -360,7 +354,7 @@ def test_live_accountant_ignores_tenantless_traffic(monkeypatch):
     gen.start()
     testbed.machine.run()
     acct = testbed.machine.obs.acct
-    assert acct.enabled
+    assert acct is not None
     assert acct.ledgers == {}
     assert len(acct.blame) == 0
 

@@ -8,7 +8,7 @@ single signal object (sketch, bus, tracker, or objective).
 
 import pytest
 
-from repro.core.signals import NULL_SIGNALS, NullSignalBus, SignalBus
+from repro.core.signals import SignalBus
 from repro.experiments.figure8 import stage_dynamic
 from repro.experiments.figure_adaptive import (
     SLO_AVAILABILITY_TARGET,
@@ -92,14 +92,16 @@ def test_bus_tick_reads_publishes_then_controls_in_order():
 
 
 def test_null_bus_is_inert():
-    null = NullSignalBus()
-    assert null.add_signal("x", lambda: 1) is null
-    assert null.add_controller("y", lambda: 1) is null
-    null.arm()
-    null.tick_once()
-    assert null.ticks == 0
-    assert null.view()["signals"] == []
-    assert NULL_SIGNALS.enabled is False
+    # Off is None: a machine without signals= holds no bus, schedules no
+    # tick, and syrupd reports the empty view.
+    testbed = RocksDbTestbed(seed=3)
+    machine = testbed.machine
+    assert machine.signals is None
+    machine.run(until=10_000.0)
+    assert machine.engine.events_dispatched == 0
+    assert machine.syrupd.signals() == {
+        "interval_us": 0.0, "ticks": 0, "last_tick_at": None,
+        "signals": [], "controllers": [], "last": {}}
 
 
 # ----------------------------------------------------------------------
@@ -256,7 +258,7 @@ def fingerprint(testbed, gen):
 
 def test_machine_defaults_leave_the_signal_plane_absent():
     testbed = RocksDbTestbed(seed=3)
-    assert testbed.machine.signals is NULL_SIGNALS
+    assert testbed.machine.signals is None
     assert testbed.machine.slo is None
 
 

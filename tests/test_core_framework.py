@@ -128,7 +128,7 @@ def test_inline_map_accounting_matches_a_reference_accumulator(metrics, ops):
     for placement, syrup_map in maps.items():
         assert syrup_map.userspace_ops == expected_ops[placement]
         assert syrup_map.userspace_time_us == expected_time[placement]  # ==
-    assert obs.registry.snapshot() == expected.snapshot()
+    assert obs.snapshot() == expected.snapshot()
 
 
 def test_map_costs_are_read_once_at_pin_time():

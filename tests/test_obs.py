@@ -17,17 +17,19 @@ from repro.apps.rocksdb import RocksDbServer
 from repro.core.syrupd import IsolationError
 from repro.ebpf.errors import VerifierError
 from repro.obs import (
-    DISABLED,
-    NULL_EVENTS,
-    NULL_METRIC,
-    NULL_REGISTRY,
     CardinalityError,
     EventTrace,
     MetricsRegistry,
     Observability,
 )
 from repro.policies.builtin import SCAN_AVOID
-from repro.syrupctl import build_parser, render_stats, stage_view
+from repro.syrupctl import (
+    VIEWS,
+    build_parser,
+    render_events,
+    render_stats,
+    stage_view,
+)
 from repro.workload.generator import OpenLoopGenerator
 from repro.workload.mixes import GET_SCAN_995_005
 
@@ -157,35 +159,43 @@ def test_snapshot_rows_are_json_safe_and_sorted():
 
 
 # ----------------------------------------------------------------------
-# Disabled (no-op) mode
+# Disabled mode: a tier that is off is None
 # ----------------------------------------------------------------------
 def test_null_registry_noops():
-    assert NULL_REGISTRY.enabled is False
-    c = NULL_REGISTRY.counter("a", "b", "c")
-    assert c is NULL_METRIC
-    c.inc()
-    c.set(5)
-    c.observe(1.0)
-    assert c.value == 0
-    assert NULL_REGISTRY.snapshot() == []
-    assert NULL_REGISTRY.values_for("a", "b") == {}
-    assert len(NULL_REGISTRY) == 0
+    # A dark machine holds no registry, so no metric group resolves:
+    # hook counters, program counters and map counters are all None.
+    assert Observability().registry is None
+    assert Observability().snapshot() == []
+    machine = Machine(set_a(), seed=1)
+    app = machine.register_app("rocksdb", ports=[8080])
+    RocksDbServer(machine, app, 8080, 4, mark_scans=True)
+    deployed = app.deploy_policy(SCAN_AVOID, Hook.SOCKET_SELECT,
+                                 constants={"NUM_THREADS": 4})
+    attachment = machine.syrupd._sites[Hook.SOCKET_SELECT].attachments_for(
+        "rocksdb")[0]
+    assert attachment.m_sched is None and attachment.m_fault is None
+    assert deployed.program.metrics is None
+    scan_map = machine.syrupd.registry.open(app.map_path("scan_map"),
+                                            "rocksdb")
+    assert scan_map._metrics is None
+    assert machine.syrupd.status()[0].keys().isdisjoint({"metrics"})
 
 
-def test_null_events_noops(tmp_path):
-    assert NULL_EVENTS.enabled is False
-    assert NULL_EVENTS.emit("decision", app="x") is None
-    assert NULL_EVENTS.events() == []
-    out = tmp_path / "events.jsonl"
-    assert NULL_EVENTS.to_jsonl(out) == 0
+def test_null_events_noops():
+    # A dark machine holds no event trace; its views say so or are empty.
+    machine = Machine(set_a(), seed=1)
+    assert machine.obs.events is None
+    assert "observability disabled" in render_events(machine)
+    args = build_parser().parse_args(["events"])
+    assert VIEWS["events"][1](machine, args) == []
 
 
 def test_machine_defaults_to_disabled_observability():
     machine = Machine(set_a(), seed=1)
-    assert machine.obs.enabled is False
-    assert machine.obs.registry is NULL_REGISTRY
-    assert machine.obs.events is NULL_EVENTS
-    assert DISABLED.enabled is False
+    obs = machine.obs
+    assert (obs.registry, obs.events, obs.recorder, obs.spans, obs.acct,
+            obs.probe, machine.signals) == (None,) * 7
+    assert not hasattr(obs, "enabled")
 
 
 # ----------------------------------------------------------------------
@@ -511,4 +521,4 @@ def test_open_destination_contract(tmp_path):
 def test_observability_handle_repr():
     enabled = Observability(enabled=True)
     assert "enabled" in repr(enabled)
-    assert "disabled" in repr(DISABLED)
+    assert "disabled" in repr(Observability())

@@ -14,7 +14,6 @@ import pytest
 from conftest import Clock
 from repro.obs import FlightRecorder, MetricsRegistry
 from repro.obs.export import to_openmetrics
-from repro.obs.registry import NULL_METRIC, NullRegistry
 from repro.obs.sketch import DDSketch, DEFAULT_ALPHA, Ewma, WindowedRate
 from repro.sim.engine import Engine
 from repro.stats.latency import nearest_rank
@@ -187,9 +186,13 @@ def test_registry_sketch_kind_and_get_or_create():
 
 
 def test_null_registry_sketch_is_null_metric():
-    null = NullRegistry()
-    assert null.sketch("a", "b", "c") is NULL_METRIC
-    assert NULL_METRIC.quantile(0.99) == 0.0
+    # Off is None: a dark machine has no registry to hold a sketch, so
+    # no sketch object exists and the server's sketch stays unset.
+    from repro.experiments.runner import RocksDbTestbed
+
+    testbed = RocksDbTestbed(seed=3)
+    assert testbed.machine.obs.registry is None
+    assert testbed.server.svc_sketch is None
 
 
 def test_recorder_samples_sketch_like_histogram():

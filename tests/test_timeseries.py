@@ -12,7 +12,7 @@ import pytest
 from repro import Machine, set_a
 from repro.experiments.figure8 import run_figure8_dynamic
 from repro.experiments.runner import RocksDbTestbed
-from repro.obs import NULL_RECORDER, FlightRecorder, MetricsRegistry
+from repro.obs import FlightRecorder, MetricsRegistry
 from repro.sim.engine import Engine
 from repro.syrupctl import render_timeline
 from repro.workload.mixes import GET_SCAN_50_50
@@ -141,13 +141,13 @@ def test_snapshot_is_json_safe():
 
 
 def test_null_recorder_noops():
-    assert NULL_RECORDER.enabled is False
-    NULL_RECORDER.arm()
-    NULL_RECORDER.sample()
-    assert NULL_RECORDER.keys() == []
-    assert NULL_RECORDER.points("a", "b", "c") == []
-    assert NULL_RECORDER.snapshot() == []
-    assert len(NULL_RECORDER) == 0
+    # Off is None: a machine without timeseries= holds no recorder, runs
+    # (nothing to arm), and its timeline view says so.
+    machine = Machine(set_a(), metrics=True)
+    assert machine.obs.recorder is None
+    machine.run(until=1_000.0)
+    assert machine.engine.events_dispatched == 0
+    assert "recording disabled" in render_timeline(machine)
 
 
 # ----------------------------------------------------------------------
@@ -160,9 +160,9 @@ def test_machine_timeseries_requires_metrics():
 
 def test_machine_defaults_to_null_recorder():
     machine = Machine(set_a())
-    assert machine.obs.recorder is NULL_RECORDER
+    assert machine.obs.recorder is None
     machine = Machine(set_a(), metrics=True)
-    assert machine.obs.recorder is NULL_RECORDER
+    assert machine.obs.recorder is None
 
 
 def test_machine_timeseries_interval():
