@@ -85,10 +85,9 @@ class RocksDbServer(UdpServer):
         if self.svc_sketch is not None:
             self.svc_sketch.add(packet.request.service_us)
 
-    # The two request hooks inline UdpServer's bodies (stats, response)
-    # rather than calling them through super(): one frame per request each.
+    # on_request_complete inlines UdpServer's body (stats, response)
+    # rather than calling it through super(): one frame per request.
     def on_request_start(self, thread_index, request):
-        self.stats.started.add(self.engine.now, request.rtype)
         key = request.key % self.key_space
         if request.rtype == SCAN:
             self.store.scan(key, _SCAN_RANGE)

@@ -21,7 +21,6 @@ __all__ = ["ServerStats", "SocketWorkSource", "UdpServer"]
 class ServerStats:
     def __init__(self):
         self.completed = Counter()
-        self.started = Counter()
 
     def __repr__(self):
         return f"<ServerStats completed={self.completed.total()}>"
@@ -101,7 +100,7 @@ class UdpServer:
         """Called when a datagram lands in thread ``thread_index``'s socket."""
 
     def on_request_start(self, thread_index, request):
-        self.stats.started.add(self.engine.now, request.rtype)
+        """Called when a worker thread starts serving ``request``."""
 
     def on_request_complete(self, thread_index, request):
         """Book the completion and send the response."""
