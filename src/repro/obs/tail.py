@@ -22,13 +22,7 @@ from repro.stats.latency import nearest_rank
 from repro.stats.latency import percentile as linear_percentile
 from repro.stats.results import Table
 
-__all__ = ["critical_path", "percentile", "render_critical_path",
-           "stage_percentiles"]
-
-
-def percentile(values, q):
-    """Nearest-rank percentile of a sorted-or-not value list (0 < q ≤ 100)."""
-    return nearest_rank(sorted(values), q) if values else 0.0
+__all__ = ["critical_path", "render_critical_path", "stage_percentiles"]
 
 
 def _span_totals(tree):
