@@ -19,7 +19,7 @@ Accounting (``userspace_ops``, the modeled ``userspace_time_us``) is inline
 in each userspace op, one Python frame per op.  Observability: with
 ``Machine(metrics=True)`` every op also increments per-``(owner, "maps")``
 counters (``<map>.lookups`` / ``.updates`` / ``.deletes`` / ``.atomic_adds``
-plus ``<map>.contended``) and feeds an ``<map>.op_latency_us`` histogram,
+plus ``<map>.contended``) and feeds an ``<map>.op_latency_us`` sketch,
 so map contention and placement cost are visible in ``syrupctl stats``
 without touching Table-3 harness code.
 """
@@ -170,7 +170,7 @@ class MapRegistry:
                 app_name, "maps", [f"{map_name}.{op}" for op in _OPS]
             )
             metrics = dict(zip(_OPS, group.values()))
-            metrics["op_latency_us"] = reg.histogram(
+            metrics["op_latency_us"] = reg.sketch(
                 app_name, "maps", f"{map_name}.op_latency_us"
             )
         syrup_map = SyrupMap(

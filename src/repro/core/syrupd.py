@@ -414,7 +414,7 @@ class Syrupd:
         metrics = None
         if reg is not None:
             metrics = reg.counters(app.name, hook, QDISC_COUNTERS)
-            metrics["rank"] = reg.histogram(app.name, hook, "rank")
+            metrics["rank"] = reg.sketch(app.name, hook, "rank")
         qdiscs = []
         for attach, detach in queues:
             qdisc = Qdisc(

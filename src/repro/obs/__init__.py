@@ -4,7 +4,7 @@ The reproduction's answer to "what is my policy actually doing?".  Two
 complementary primitives, both stamped with *simulated* time:
 
 - a :class:`~repro.obs.registry.MetricsRegistry` of counters, gauges and
-  histograms keyed by ``(app, scope, metric)`` — schedule() invocations,
+  sketches keyed by ``(app, scope, metric)`` — schedule() invocations,
   PASS/DROP/steer outcomes, map operation totals, ghOSt agent churn,
   verifier rejections — and
 - an :class:`~repro.obs.events.EventTrace`, a bounded ring of structured
@@ -57,7 +57,6 @@ from repro.obs.registry import (
     CardinalityError,
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
 )
 from repro.obs.spans import SpanTracer
@@ -70,7 +69,6 @@ __all__ = [
     "EventTrace",
     "FlightRecorder",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "NoisyNeighborDetector",
     "Observability",

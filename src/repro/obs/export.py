@@ -14,18 +14,14 @@ Two things live here:
   OpenMetrics / Prometheus text exposition format, so a registry dump
   can be thrown straight at ``promtool``, a Pushgateway, or any of the
   text-format parsers.  Counters become ``syrup_<metric>_total``, gauges
-  ``syrup_<metric>``, histograms the standard ``_bucket``/``_sum``/
-  ``_count`` triplet over the registry's geometric (power-of-two)
-  buckets, and sketches (:mod:`repro.obs.sketch`) a ``summary`` family
-  with one series per ``quantile`` label (:data:`SUMMARY_QUANTILES`)
-  plus ``_sum``/``_count``; the ``(app, scope)`` key becomes
-  ``app``/``scope`` labels.
+  ``syrup_<metric>``, and sketches (:mod:`repro.obs.sketch`) a
+  ``summary`` family with one series per ``quantile`` label
+  (:data:`SUMMARY_QUANTILES`) plus ``_sum``/``_count``; the
+  ``(app, scope)`` key becomes ``app``/``scope`` labels.
 """
 
 import contextlib
 import re
-
-from repro.obs.registry import N_BUCKETS
 
 __all__ = ["open_destination", "to_openmetrics", "write_openmetrics"]
 
@@ -76,7 +72,7 @@ def _escape(value):
     )
 
 
-def _labels(app, scope, le=None, quantile=None):
+def _labels(app, scope, quantile=None):
     """Label set for one series.
 
     Scopes of the form ``tenant:<name>`` (the per-tenant accounting
@@ -92,16 +88,9 @@ def _labels(app, scope, le=None, quantile=None):
     out = f'{{app="{_escape(app)}",scope="{_escape(scope)}"'
     if tenant is not None:
         out += f',tenant="{_escape(tenant)}"'
-    if le is not None:
-        out += f',le="{le}"'
     if quantile is not None:
         out += f',quantile="{quantile}"'
     return out + "}"
-
-
-def _bucket_upper(index):
-    """Upper edge of geometric bucket ``index`` (see registry.N_BUCKETS)."""
-    return 1.0 if index == 0 else float(2 ** index)
 
 
 def to_openmetrics(registry, prefix="syrup"):
@@ -123,27 +112,12 @@ def to_openmetrics(registry, prefix="syrup"):
         elif kind == "gauge":
             family = families.setdefault(base, ("gauge", []))
             family[1].append(f"{base}{labels} {metric.value}")
-        elif kind == "sketch":  # summary: one series per tracked quantile
+        else:  # sketch, a summary: one series per tracked quantile
             family = families.setdefault(base, ("summary", []))
             lines = family[1]
             for q in SUMMARY_QUANTILES:
                 q_labels = _labels(app, scope, quantile=q)
                 lines.append(f"{base}{q_labels} {metric.quantile(q)}")
-            lines.append(f"{base}_sum{labels} {metric.sum}")
-            lines.append(f"{base}_count{labels} {metric.count}")
-        else:  # histogram: cumulative buckets up to the last occupied one
-            family = families.setdefault(base, ("histogram", []))
-            lines = family[1]
-            cumulative = 0
-            last_occupied = max(
-                (i for i, n in enumerate(metric.buckets) if n), default=-1
-            )
-            for index in range(min(last_occupied + 1, N_BUCKETS)):
-                cumulative += metric.buckets[index]
-                bucket_labels = _labels(app, scope, le=_bucket_upper(index))
-                lines.append(f"{base}_bucket{bucket_labels} {cumulative}")
-            inf_labels = _labels(app, scope, le="+Inf")
-            lines.append(f"{base}_bucket{inf_labels} {metric.count}")
             lines.append(f"{base}_sum{labels} {metric.sum}")
             lines.append(f"{base}_count{labels} {metric.count}")
     out = []

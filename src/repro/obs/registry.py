@@ -2,19 +2,16 @@
 
 Scheduler evaluation lives or dies on cheap, always-on per-decision
 counters (RackSched, Eiffel): "is my policy even running?" should be a
-counter read, not a debugger session.  This module provides the three
-classic metric kinds —
+counter read, not a debugger session.  This module provides three
+metric kinds —
 
 - :class:`Counter` — monotonically increasing totals (schedule() calls,
   PASS/DROP decisions, map operations, verifier rejections),
 - :class:`Gauge` — last-written values (program sizes, JIT code size),
-- :class:`Histogram` — geometric-bucket distributions with approximate
-  percentiles (map op latencies, batch sizes),
-
-plus a fourth, :class:`~repro.obs.sketch.Sketch` — a mergeable
-DDSketch-style streaming quantile sketch with a guaranteed relative
-error bound (registered via ``registry.sketch(...)``; see
-:mod:`repro.obs.sketch`) —
+- :class:`~repro.obs.sketch.Sketch` — every distribution (map op
+  latencies, qdisc ranks, service times): a mergeable DDSketch with a
+  stated relative error bound (``registry.sketch(...)``; see
+  :mod:`repro.obs.sketch`) —
 
 all registered in a :class:`MetricsRegistry` under a three-part key:
 the owning **app**, a **scope** (a hook name like ``socket_select``, or a
@@ -30,7 +27,6 @@ this module.  Simulation results are bit-identical either way (no RNG
 draws, no event scheduling, no behavioral change).
 """
 
-import math
 from types import SimpleNamespace
 
 from repro.obs.sketch import Sketch
@@ -39,15 +35,9 @@ __all__ = [
     "CardinalityError",
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "ZERO_CLOCK",
 ]
-
-#: Number of geometric histogram buckets; bucket i covers values in
-#: [2**(i-1), 2**i) with bucket 0 holding everything below 1.0.
-N_BUCKETS = 64
-
 
 #: The clock of a tier (registry, events, spans) constructed without
 #: one: simulated time stands still.
@@ -94,75 +84,6 @@ class Gauge:
         return f"<Gauge {'/'.join(self.key)}={self.value}>"
 
 
-class Histogram:
-    """Geometric-bucket distribution (powers of two, 64 buckets).
-
-    Exact count/sum/min/max; percentiles are approximate — the bucket
-    upper edge — which is the standard trade for O(1) observation and a
-    fixed footprint (how Prometheus and HdrHistogram-style recorders
-    behave, coarser).
-    """
-
-    kind = "histogram"
-    __slots__ = ("key", "count", "sum", "vmin", "vmax", "buckets",
-                 "updated_at", "_clock")
-
-    def __init__(self, key, clock):
-        self.key = key
-        self.count = 0
-        self.sum = 0.0
-        self.vmin = None
-        self.vmax = None
-        self.buckets = [0] * N_BUCKETS
-        self.updated_at = None
-        self._clock = clock
-
-    def observe(self, value):
-        self.count += 1
-        self.sum += value
-        if self.vmin is None or value < self.vmin:
-            self.vmin = value
-        if self.vmax is None or value > self.vmax:
-            self.vmax = value
-        if value < 1.0:
-            index = 0
-        else:
-            index = min(N_BUCKETS - 1, int(math.log2(value)) + 1)
-        self.buckets[index] += 1
-        self.updated_at = self._clock.now
-
-    def percentile(self, q):
-        """Approximate percentile-q value (bucket upper edge)."""
-        if self.count == 0:
-            return 0.0
-        target = self.count * q / 100.0
-        seen = 0
-        for index, n in enumerate(self.buckets):
-            seen += n
-            if seen >= target:
-                upper = 1.0 if index == 0 else float(2 ** index)
-                # never report beyond the exactly-tracked extremes
-                return min(upper, self.vmax)
-        return self.vmax  # pragma: no cover - seen always reaches count
-
-    @property
-    def mean(self):
-        return self.sum / self.count if self.count else 0.0
-
-    def summary(self):
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "p50": self.percentile(50.0),
-            "p99": self.percentile(99.0),
-            "min": self.vmin if self.vmin is not None else 0.0,
-            "max": self.vmax if self.vmax is not None else 0.0,
-        }
-
-    def __repr__(self):
-        return f"<Histogram {'/'.join(self.key)} n={self.count}>"
-
-
 class CardinalityError(RuntimeError):
     """The registry refused to create yet another metric series.
 
@@ -173,7 +94,7 @@ class CardinalityError(RuntimeError):
 
 
 class MetricsRegistry:
-    """Counters/gauges/histograms keyed by ``(app, scope, metric)``.
+    """Counters/gauges/sketches keyed by ``(app, scope, metric)``.
 
     ``clock`` is any object whose ``now`` attribute is the current
     simulated time in microseconds — the machine's
@@ -182,8 +103,7 @@ class MetricsRegistry:
     its clock under this one contract.
     """
 
-    _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram,
-              "sketch": Sketch}
+    _KINDS = {"counter": Counter, "gauge": Gauge, "sketch": Sketch}
 
     def __init__(self, clock=None, max_series=4096):
         self.clock = clock if clock is not None else ZERO_CLOCK
@@ -216,9 +136,6 @@ class MetricsRegistry:
     def gauge(self, app, scope, name):
         return self._get_or_create("gauge", app, scope, name)
 
-    def histogram(self, app, scope, name):
-        return self._get_or_create("histogram", app, scope, name)
-
     def sketch(self, app, scope, name):
         """A mergeable streaming quantile sketch (see repro.obs.sketch)."""
         return self._get_or_create("sketch", app, scope, name)
@@ -235,11 +152,11 @@ class MetricsRegistry:
         return self._series.get((app, scope, name))
 
     def value(self, app, scope, name, default=None):
-        """Counter/gauge value (histograms: observation count) at a key."""
+        """Counter/gauge value (sketches: observation count) at a key."""
         metric = self._series.get((app, scope, name))
         if metric is None:
             return default
-        if metric.kind in ("histogram", "sketch"):
+        if metric.kind == "sketch":
             return metric.count
         return metric.value
 
@@ -250,7 +167,7 @@ class MetricsRegistry:
             if m_app == app and m_scope == scope:
                 out[name] = (
                     metric.summary()
-                    if metric.kind in ("histogram", "sketch")
+                    if metric.kind == "sketch"
                     else metric.value
                 )
         return out
@@ -271,7 +188,7 @@ class MetricsRegistry:
                 "kind": metric.kind,
                 "updated_at": metric.updated_at,
             }
-            if metric.kind in ("histogram", "sketch"):
+            if metric.kind == "sketch":
                 row.update(metric.summary())
             else:
                 row["value"] = metric.value

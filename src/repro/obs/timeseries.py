@@ -10,9 +10,9 @@ interval and keeps, per metric series, a bounded ring of samples:
 - **counters** — the per-interval *delta* (turn into a rate with
   :meth:`FlightRecorder.rate_per_s` or read raw deltas),
 - **gauges** — the value at sample time,
-- **histograms / sketches** — the per-interval observation-count delta
-  plus the cumulative p50/p99 at sample time (sketch percentiles carry
-  the DDSketch relative-error guarantee; see :mod:`repro.obs.sketch`).
+- **sketches** — the per-interval observation-count delta plus the
+  cumulative p50/p99 at sample time (within the DDSketch relative-error
+  bound; see :mod:`repro.obs.sketch`).
 
 Determinism contract (same as the rest of :mod:`repro.obs`): sampling
 rides the engine's event loop but only *reads* — it draws no randomness,
@@ -43,7 +43,7 @@ class SeriesSamples:
     """One metric's bounded sample ring: ``(ts, value)`` pairs.
 
     ``value`` is a number for counter deltas and gauges, and a dict
-    ``{"count": delta, "p50": ..., "p99": ...}`` for histograms.
+    ``{"count": delta, "p50": ..., "p99": ...}`` for sketches.
     """
 
     __slots__ = ("key", "kind", "samples")
@@ -57,7 +57,7 @@ class SeriesSamples:
         return [t for t, _v in self.samples]
 
     def values(self, field=None):
-        """Sample values; ``field`` picks one key out of histogram dicts."""
+        """Sample values; ``field`` picks one key out of sketch dicts."""
         if field is None:
             return [v for _t, v in self.samples]
         return [v[field] for _t, v in self.samples]
@@ -90,7 +90,7 @@ class FlightRecorder(PeriodicTimer):
         self.capacity = capacity
         self.samples_taken = 0
         self._series = {}       # key -> SeriesSamples
-        self._last_cumulative = {}  # key -> last counter value / hist count
+        self._last_cumulative = {}  # key -> last counter value / count
         #: Callables run with the registry at the start of every
         #: sample(): the queue-state telemetry hook (Machine installs a
         #: probe that reads instantaneous queue depths into its gauges).
@@ -119,7 +119,7 @@ class FlightRecorder(PeriodicTimer):
                 series.samples.append((now, metric.value - last))
             elif kind == "gauge":
                 series.samples.append((now, metric.value))
-            else:  # histogram or sketch: both expose count/percentile
+            else:  # sketch
                 last = self._last_cumulative.get(key, 0)
                 self._last_cumulative[key] = metric.count
                 series.samples.append((now, {

@@ -174,7 +174,7 @@ class Qdisc:
         self.rank_sum = 0
         self.rank_min = None
         self.rank_max = None
-        #: Optional dict of obs counters + a "rank" histogram; set by
+        #: Optional dict of obs counters + a "rank" sketch; set by
         #: syrupd at deploy time when the machine runs with metrics on.
         self.metrics = None
         self.depth_gauge = None

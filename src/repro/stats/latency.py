@@ -3,9 +3,11 @@
 The paper reports client-observed tail latency (99% for RocksDB, 99.9% for
 MICA).  One rule says which estimator a number comes from: anything a figure
 or table prints is exact — :class:`LatencyRecorder` keeps every sample after
-a warmup cutoff (10^4–10^5 per point); anything a controller reads mid-run
-is a :class:`repro.obs.sketch.DDSketch` quantile (bounded memory, relative
-error); :func:`nearest_rank` is only for the cohort edges of
+a warmup cutoff (10^4–10^5 per point); anything a controller reads mid-run,
+and every distribution the metrics registry holds, is a
+:class:`repro.obs.sketch.DDSketch` quantile (bounded memory, relative
+error; the registry's kind is :class:`repro.obs.sketch.Sketch`);
+:func:`nearest_rank` is only for the cohort edges of
 :func:`repro.obs.tail.critical_path`, which must be samples.
 
 :func:`percentile` and :func:`mean` equal NumPy's ``percentile`` (default

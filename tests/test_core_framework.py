@@ -109,7 +109,7 @@ def test_inline_map_accounting_matches_a_reference_accumulator(metrics, ops):
         for name in maps:
             for op in (*MAP_OPS.values(), "contended"):
                 expected.counter("a", "maps", f"{name}.{op}")
-            expected.histogram("a", "maps", f"{name}.op_latency_us")
+            expected.sketch("a", "maps", f"{name}.op_latency_us")
 
     for placement, op, contended, key, value in ops:
         syrup_map = maps[placement]
@@ -122,7 +122,7 @@ def test_inline_map_accounting_matches_a_reference_accumulator(metrics, ops):
             expected.counter("a", "maps", f"{placement}.{MAP_OPS[op]}").inc()
             if contended:
                 expected.counter("a", "maps", f"{placement}.contended").inc()
-            expected.histogram(
+            expected.sketch(
                 "a", "maps", f"{placement}.op_latency_us").observe(latency)
 
     for placement, syrup_map in maps.items():

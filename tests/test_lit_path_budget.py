@@ -54,10 +54,12 @@ SLO_CALLS_PER_REQ = 2.1
 EBPF_CALLS_PER_REQ = 5.2
 # Per layer, today.  core/hooks: decide and cost_us; the decision's
 # counters, event and executor lookup are inline (it was 3).
-# obs/registry.py: the qdisc's enqueues / dequeues Counter.inc and rank
-# Histogram.observe, and the map update's counter and latency histogram
-# (5.2; it was 13.2, with a Counter.inc per program run and decision and
-# a Gauge.set per depth change).  qdisc/: offer, rank_of, OfferResult, the backend's push and
+# obs/registry.py: the qdisc's enqueues / dequeues Counter.inc and the
+# map update's counter (3.2; the rank and map-latency series are
+# sketches, whose Sketch.observe frames count under obs/sketch.py.  With
+# them as registry histograms it was 5.2, and before that 13.2, with a
+# Counter.inc per program run and decision and a Gauge.set per depth
+# change).  qdisc/: offer, rank_of, OfferResult, the backend's push and
 # pop, take, and the backend's length once per offer, take and socket
 # enqueue (9.4; it was 14.4).  net/: Packet.__init__, Nic.receive,
 # rss_queue, _irq_deliver, and data + _build on the first read, which
