@@ -98,7 +98,6 @@ class ClusterGenerator:
         ]
         self.latency = LatencyRecorder(warmup_until=warmup_us)
         self.sent = Counter(warmup_until=warmup_us)
-        self.completed = Counter(warmup_until=warmup_us)
         self.per_server_completed = [0] * len(cluster.machines)
         self._mean_gap_us = 1e6 / rate_rps
         self._next_rid = 0
@@ -148,7 +147,6 @@ class ClusterGenerator:
     def _client_receive(self, request, server_index):
         now = self.engine.now
         request.completed_at = now
-        self.completed.add(request.sent_at, request.rtype)
         if request.sent_at >= self.warmup_us:
             self.per_server_completed[server_index] += 1
         self.latency.record(request.sent_at, now - request.sent_at,
@@ -158,4 +156,4 @@ class ClusterGenerator:
         sent = self.sent.total()
         if not sent:
             return 0.0
-        return max(0.0, 1.0 - self.completed.total() / sent)
+        return max(0.0, 1.0 - self.latency.count / sent)

@@ -135,7 +135,7 @@ def test_outstanding_tracks_responses():
     assert sum(cluster.switch.load_view) == 1
     cluster.run()
     assert cluster.switch.load_view == [0, 0, 0, 0]
-    assert gen.completed.total() == 1
+    assert gen.latency.count == 1
 
 
 def test_per_port_rules_isolate_tenants():
@@ -194,7 +194,7 @@ def run_rack(policy_factory, rate=600_000, duration=60_000):
 def test_rack_serves_load_end_to_end():
     cluster, gen = run_rack(lambda c: program(ROUND_ROBIN, NUM_THREADS=4))
     assert gen.drop_fraction() == 0.0
-    assert sum(gen.per_server_completed) == gen.completed.total()
+    assert sum(gen.per_server_completed) == gen.latency.count
     # all four servers did real work
     assert all(n > 0 for n in gen.per_server_completed)
     # rack latency includes the extra switch hop both ways
@@ -240,6 +240,6 @@ def test_host_policy_composes_with_rack_steering():
         # every datagram this server delivered, its own hook steered
         assert policy.program.invocations == machine.netstack.delivered > 0
         assert (hook.pass_decisions, hook.drop_decisions) == (0, 0)
-    assert gen.sent.total() == gen.completed.total() > 0
+    assert gen.sent.total() == gen.latency.count > 0
     assert sum(cluster.switch.forwarded) == gen.sent.total()
     assert cluster.switch.load_view == [0, 0, 0, 0]

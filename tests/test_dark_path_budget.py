@@ -68,9 +68,10 @@ PATH_CALLS_PER_REQ = {
     # a dark machine holds no probe, so no seam is called; a dark
     # attachment holds no counters, so nothing reaches obs/registry.py
     "/repro/obs/": 0,
-    # the generator's sent and completed, the server's completed and the
-    # latency record; nothing books the start of service
-    "/repro/stats/": 4,
+    # the generator's sent, the server's completed and the latency
+    # record, which is the generator's one completion booking; nothing
+    # books the start of service
+    "/repro/stats/": 3,
     # no Machine.now property and no CostModel.cycles_to_us
     "/repro/machine.py": 0,
     "/repro/config.py": 0,
