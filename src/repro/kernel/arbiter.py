@@ -384,7 +384,6 @@ class ElasticCoreController:
         self._ewma = {}
         self._pending = None     # (donor, receiver) under observation
         self._streak = 0
-        self.last_targets = {}
 
     # -- wiring -----------------------------------------------------------
     def register(self, bus, name="elastic_cores"):
@@ -437,7 +436,6 @@ class ElasticCoreController:
     def __call__(self):
         arbiter = self.arbiter
         targets = self.targets(self.pressures())
-        self.last_targets = targets
         alloc = {
             n: len(arbiter.classes[n].cores) for n in arbiter._order
         }

@@ -70,7 +70,6 @@ class KcmMultiplexor:
         self._connections = {}
         self._rr = 0
         self.malformed = 0
-        self.dispatched = 0
 
     def connection(self, conn_id):
         conn = self._connections.get(conn_id)
@@ -105,7 +104,6 @@ class KcmMultiplexor:
             index = self._rr % len(self.workers)
             self._rr += 1
         worker = self.workers[index]
-        self.dispatched += 1
         if hasattr(worker, "enqueue"):
             worker.enqueue(payload)
         else:

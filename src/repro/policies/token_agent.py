@@ -31,7 +31,6 @@ class TokenAgent:
         if self.tokens_per_epoch <= 0:
             raise ValueError("rate/epoch combination yields zero tokens")
         self.epochs = 0
-        self.gifted_total = 0
         # initial grant so the first epoch is not a hard outage
         self.token_map.update(self.ls_user, self.tokens_per_epoch)
         self.token_map.update(self.be_user, 0)
@@ -43,7 +42,6 @@ class TokenAgent:
         leftover = self.token_map.lookup(self.ls_user) or 0
         # gift unused LS tokens to the best-effort user...
         self.token_map.update(self.be_user, leftover)
-        self.gifted_total += leftover
         # ...and refill the LS bucket for the new epoch.
         self.token_map.update(self.ls_user, self.tokens_per_epoch)
 

@@ -23,7 +23,6 @@ class IoHook:
         self.policy = policy    # callable(IoRequest) -> queue index/PASS/DROP
         self._rr = 0
         self.dropped = 0
-        self.submitted = 0
 
     def submit(self, request, on_complete=None):
         """Returns True if the request was accepted by a queue."""
@@ -37,7 +36,6 @@ class IoHook:
                 index = decision % self.device.num_queues
         if index is None:
             index = self._default_queue()
-        self.submitted += 1
         return self.device.submit(index, request, on_complete)
 
     def _default_queue(self):
@@ -70,7 +68,6 @@ class IoTokenPolicy:
         self._timer = PeriodicTimer(engine, epoch_us, self._refill)
         self._timer.arm()
         self.rejections = 0
-        self.admitted = 0
 
     def provision(self, tenant, rate_iops, queue):
         per_epoch = max(1, int(round(rate_iops * self.epoch_us / 1e6)))
@@ -101,5 +98,4 @@ class IoTokenPolicy:
             self.rejections += 1
             return DROP
         state["tokens"] -= 1
-        self.admitted += 1
         return state["queue"]

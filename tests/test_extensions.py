@@ -143,6 +143,13 @@ def test_kcm_custom_schedule():
     assert a == [b"xx"] and b == [b"y"]
 
 
+def test_kcm_counts_a_framer_that_consumes_nothing():
+    got = []
+    kcm = KcmMultiplexor(framer=lambda buf: (0, b""), workers=[got.append])
+    kcm.receive_segment(1, frame(b"x"))
+    assert kcm.malformed == 1 and got == []
+
+
 def test_kcm_requires_workers():
     kcm = KcmMultiplexor()
     with pytest.raises(RuntimeError):

@@ -377,6 +377,7 @@ class TestFailover:
             for r in fleet.obs.snapshot()
         }
         assert snapshot[("fleet", "faults", FaultKind.MACHINE_KILL)] == 1
+        assert fleet.injector.injected == 1
 
     def test_restore_rejoins_the_candidate_set(self):
         plan = FaultPlan(seed=9).machine_kill(1, at_us=4_000.0,
