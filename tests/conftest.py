@@ -1,5 +1,6 @@
 """Shared test helpers: random policy-program and packet generators,
-and the settable clock every telemetry tier can be built over.
+the settable clock every telemetry tier can be built over, and the
+``deep`` hypothesis profile.
 
 Used by the hypothesis property suites (toolchain equivalence, optimizer
 equivalence).  Programs are random ASTs in the safe subset, so these also
@@ -8,7 +9,17 @@ fuzz the compiler and verifier.
 
 import random
 
+from hypothesis import HealthCheck, settings
+
 from repro.net.packet import FiveTuple, Packet
+
+#: A longer search for local runs, never loaded by default:
+#: ``python -m pytest tests/test_control_plane_model.py
+#: --hypothesis-profile=deep`` (~30 s).  Tests that fix their own
+#: ``max_examples`` keep it; the control-plane model switches to this.
+settings.register_profile(
+    "deep", max_examples=600, stateful_step_count=50, deadline=None,
+    suppress_health_check=list(HealthCheck))
 
 
 class Clock:

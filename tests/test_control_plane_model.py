@@ -10,14 +10,17 @@ Rules register apps, deploy / redeploy / undeploy network policies
 (shipped texts, one the verifier refuses, one the compiler refuses),
 deploy / undeploy qdiscs at every layer with owned, foreign and
 out-of-range targets, walk shadow candidates through canary to promote
-or reject, and advance the engine under light traffic.  After each rule:
+or reject, demote promoted ones, and advance the engine under light
+traffic.  After each rule:
 
 - a refused operation changed nothing: the deployment table, the pinned
   maps, the next fd, PROG_ARRAY occupancy, every qdisc and shadow tap,
   and (lit) the registry series outside the ``syrupd`` scope that
   counts the refusal itself;
 - no port rule or qdisc serves an app that does not own its queue;
-- registry counters never decrease (lit).
+- ``promotions()`` reports the stage the model holds for each record;
+- registry counters, and the observation count of every sketch, never
+  decrease (lit).
 
 ``undeploy_everything`` then checks that removing every deployment
 returns the datapath to its post-registration state.  The machine runs
@@ -92,7 +95,8 @@ class ControlPlane(RuleBasedStateMachine):
         self.apps = {}
         self.servers = {}
         self.records = []
-        self.seen = {}      # counter key -> last value read (lit)
+        self.stages = []    # per record, the stage the model expects
+        self.seen = {}      # counter / sketch key -> last count read (lit)
 
     # -- the state a refused operation must leave alone ----------------
     def _sites(self):
@@ -253,6 +257,7 @@ class ControlPlane(RuleBasedStateMachine):
                 text, constants=CONSTANTS, **where),
             text in (LEAKY, IMPORTS) or None)
         if record is not None:
+            self.stages.append("shadow")
             self.records.append(record)
 
     def _live(self, stage):
@@ -265,6 +270,7 @@ class ControlPlane(RuleBasedStateMachine):
     def advance_shadow(self, data):
         record = data.draw(st.sampled_from(self._live("shadow")))
         self.syrupd.advance_shadow(record, "canary")
+        self.stages[self.records.index(record)] = "canary"
         # a second advance from canary is refused
         self._attempt(lambda: self.syrupd.advance_shadow(record, "canary"),
                       refused=True)
@@ -277,6 +283,17 @@ class ControlPlane(RuleBasedStateMachine):
             self.syrupd.promote_shadow(record)
         else:
             self.syrupd.reject_shadow(record, "agreement")
+        self.stages[self.records.index(record)] = (
+            "active" if promote else "rejected")
+
+    @precondition(lambda self: "active" in self.stages)
+    @rule(data=st.data())
+    def demote(self, data):
+        promoted = [r for i, r in enumerate(self.records)
+                    if self.stages[i] == "active"]
+        record = data.draw(st.sampled_from(promoted))
+        self.syrupd.demote_shadow(record, "probation")
+        self.stages[self.records.index(record)] = "demoted"
 
     @rule(us=st.sampled_from((50.0, 200.0, 400.0)))
     def advance_engine(self, us):
@@ -312,25 +329,37 @@ class ControlPlane(RuleBasedStateMachine):
                        for port in qdisc.ports)
 
     @invariant()
+    def promotions_agree_with_the_model(self):
+        assert [row["stage"] for row in self.syrupd.promotions()] == \
+            self.stages
+
+    @invariant()
     def counters_never_decrease(self):
         registry = self.machine.obs.registry
         if registry is None:
             return
         for row in registry.snapshot():
-            if row["kind"] == "counter":
+            if row["kind"] != "gauge":
                 key = (row["app"], row["scope"], row["metric"])
-                assert row["value"] >= self.seen.get(key, 0), key
-                self.seen[key] = row["value"]
+                value = row["value" if row["kind"] == "counter" else "count"]
+                assert value >= self.seen.get(key, 0), key
+                self.seen[key] = value
 
 
 class LitControlPlane(ControlPlane):
     lit = True
 
 
+#: Fixed examples for tier-1; ``pytest --hypothesis-profile=deep`` (see
+#: conftest.py) searches further and from fresh seeds.
+TIER1 = settings(derandomize=True, max_examples=100, stateful_step_count=50,
+                 deadline=None, database=None,
+                 suppress_health_check=list(HealthCheck))
+
+
 @pytest.mark.parametrize("model", [ControlPlane, LitControlPlane],
                          ids=["dark", "lit"])
 def test_control_plane_model(model):
-    run_state_machine_as_test(model, settings=settings(
-        derandomize=True, max_examples=100, stateful_step_count=30,
-        deadline=None, database=None,
-        suppress_health_check=list(HealthCheck)))
+    deep = settings.get_current_profile_name() == "deep"
+    run_state_machine_as_test(
+        model, settings=settings.default if deep else TIER1)
