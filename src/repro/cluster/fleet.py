@@ -89,7 +89,7 @@ class FleetRequest(PacketView):
     facade programs read — wire bytes built on the first ``load``."""
 
     __slots__ = ("service_us", "sent_at", "machine", "attempts",
-                 "completed_at", "cohort", "tenant")
+                 "completed_at", "cohort", "tenant", "flight")
 
     def __init__(self, rid, rtype, service_us, user_id=0, sent_at=0.0,
                  dst_port=0, tenant=None):
@@ -110,6 +110,7 @@ class FleetRequest(PacketView):
         # switch's tenant identity propagates down the stack — the fleet
         # half of per-tenant accounting (repro.obs.accounting).
         self.tenant = tenant
+        self.flight = None        # telemetry record (repro.obs.probe)
 
     @property
     def latency_us(self):

@@ -35,9 +35,11 @@ resulting span trees into a p50-vs-p99 critical-path attribution
 
 Spans and accounting are *written* through one seam:
 ``Observability.probe`` (:mod:`repro.obs.probe`), handed to every
-datapath component at construction, each seam method resolved once to
-a no-op, one tier's bound method, or both tiers in turn.  With neither
-tier live the probe is ``None`` and the datapath makes no seam call.
+datapath component at construction.  Each seam is one method of
+:class:`~repro.obs.probe.Probe` that writes into whichever of the two
+tiers is live, and a request carries its state for both on its own
+flight record (``request.flight``).  With neither tier live the probe
+is ``None`` and the datapath makes no seam call.
 
 Operator surface: ``syrupctl stats`` / :func:`repro.syrupctl.render_stats`
 renders the registry, ``syrupctl timeline`` the recorder;
@@ -114,13 +116,12 @@ class Observability:
             self.events = EventTrace(clock=clock, capacity=event_capacity)
         if spans:
             sample_every = 1 if spans is True else int(spans)
-            self.spans = SpanTracer(clock=clock, sample_every=sample_every,
+            self.spans = SpanTracer(sample_every=sample_every,
                                     capacity=spans_capacity)
         if accounting:
-            self.acct = TenantAccountant(clock=clock)
+            self.acct = TenantAccountant()
         if spans or accounting:
-            # an absent tier defines no seam: its seams resolve to no-ops
-            self.probe = Probe(self.spans, self.acct)
+            self.probe = Probe(clock, self.spans, self.acct)
 
     def snapshot(self):
         """Registry snapshot rows (see MetricsRegistry.snapshot); [] dark."""

@@ -32,6 +32,7 @@ class Request:
         "completed_at",
         "cohort",
         "tenant",
+        "flight",
     )
 
     def __init__(self, rid, rtype, service_us, user_id=0, key=0, key_hash=0,
@@ -51,6 +52,9 @@ class Request:
         # interference blame (repro.obs.accounting); None — the default
         # everywhere — keeps the request invisible to the accountant.
         self.tenant = tenant
+        # Its telemetry record (repro.obs.probe.Flight), hung here by the
+        # first seam that needs one; None on a dark machine.
+        self.flight = None
 
     @property
     def latency_us(self):

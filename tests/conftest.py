@@ -1,6 +1,6 @@
 """Shared test helpers: random policy-program and packet generators,
-the settable clock every telemetry tier can be built over, and the
-``deep`` hypothesis profile.
+the settable clock every telemetry tier can be built over, the check
+that a probe drained, and the ``deep`` hypothesis profile.
 
 Used by the hypothesis property suites (toolchain equivalence, optimizer
 equivalence).  Programs are random ASTs in the safe subset, so these also
@@ -12,6 +12,7 @@ import random
 from hypothesis import HealthCheck, settings
 
 from repro.net.packet import FiveTuple, Packet
+from repro.obs.probe import Flight
 
 #: A longer search for local runs, never loaded by default:
 #: ``python -m pytest tests/test_control_plane_model.py
@@ -27,6 +28,31 @@ class Clock:
 
     def __init__(self, now=0.0):
         self.now = now
+
+
+def record_flights(monkeypatch):
+    """The list every flight record opened from now on is appended to."""
+    flights = []
+    open_flight = Flight.__init__
+
+    def recording(flight, request, acct):
+        open_flight(flight, request, acct)
+        flights.append(flight)
+
+    monkeypatch.setattr(Flight, "__init__", recording)
+    return flights
+
+
+def assert_drained(probe, flights):
+    """Nothing left in flight: no open stamp on any request's record,
+    nobody mirrored in any queue, no pending thread-side state."""
+    assert flights
+    for flight in flights:
+        assert (flight.nic, flight.softirq, flight.socket,
+                flight.qdisc) == (None, None, None, None)
+    assert not any(probe._cores.values()) and not any(probe._sockq.values())
+    assert probe._wakes == {} and probe._service == {}
+    assert probe._placements == {}
 
 
 GEN_FLOW = FiveTuple(0x0A000002, 40001, 0x0A000001, 8080, 17)

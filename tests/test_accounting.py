@@ -19,7 +19,7 @@ import re
 
 import pytest
 
-from conftest import Clock
+from conftest import Clock, assert_drained, record_flights
 from repro.experiments.figure_interference import run_variant, stage_variant
 from repro.experiments.runner import RocksDbTestbed, run_point
 from repro.obs.accounting import LAYERS, TenantAccountant, TenantLedger
@@ -29,6 +29,7 @@ from repro.obs.interference import (
     NoisyNeighborDetector,
     TenantShedController,
 )
+from repro.obs.probe import Probe
 from repro.obs.registry import MetricsRegistry
 from repro.workload.mixes import GET_SCAN_995_005
 
@@ -39,12 +40,10 @@ from repro.workload.mixes import GET_SCAN_995_005
 def test_ledger_total_wait_excludes_the_qdisc_subspan():
     led = TenantLedger("alpha")
     for layer in LAYERS:
-        led.charge_wait(layer, 10.0)
+        led.wait_us[layer] += 10.0
     # qdisc time overlaps the surrounding nic/socket wait: a sub-span,
     # not an addend
     assert led.total_wait_us() == 10.0 * (len(LAYERS) - 1)
-    assert led.wait_us["qdisc"] == 10.0
-    assert led.wait_events["qdisc"] == 1
 
 
 def test_ledger_drops_by_reason_and_json_row():
@@ -78,14 +77,15 @@ def test_blame_matrix_shares_and_diagonal():
 
 
 def test_accountant_splits_wait_pro_rata_into_blame():
-    acct = TenantAccountant(Clock())
-    acct._charge_blame("alpha", "socket", 100.0,
-                       {"bravo": 3.0, "alpha": 1.0})
+    acct = TenantAccountant()
+    probe = Probe(Clock(), acct=acct)
+    probe._charge_blame("alpha", "socket", 100.0,
+                        {"bravo": 3.0, "alpha": 1.0})
     assert acct.blame.matrix()["alpha"]["bravo"]["socket"] == 75.0
     assert acct.blame.matrix()["alpha"]["alpha"]["socket"] == 25.0
     # nothing ahead, or zero weight: nothing charged
-    acct._charge_blame("alpha", "socket", 100.0, {})
-    acct._charge_blame("alpha", "socket", 100.0, {"bravo": 0.0})
+    probe._charge_blame("alpha", "socket", 100.0, {})
+    probe._charge_blame("alpha", "socket", 100.0, {"bravo": 0.0})
     assert acct.blame.total() == 100.0
 
 
@@ -149,11 +149,11 @@ def test_per_tenant_sketch_exports_summary_series():
 
 
 def test_accountant_publish_mirrors_ledgers_into_tenant_gauges():
-    acct = TenantAccountant(Clock())
+    acct = TenantAccountant()
     led = acct.ledger("alpha")
     led.cpu_service_us = 42.0
     led.completed = 3
-    led.charge_wait("socket", 9.0)
+    led.wait_us["socket"] += 9.0
     acct.blame.charge("alpha", "bravo", "socket", 9.0)
     reg = MetricsRegistry()
     acct.publish(reg)
@@ -459,16 +459,17 @@ def test_drained_run_leaves_no_flight_and_conserves_every_wait(monkeypatch):
         socket.backlog = 32
     testbed.app.deploy_qdisc(RANK_BY_KEY_HASH, "socket")
     acct = machine.obs.acct
-    charge_blame = acct._charge_blame
+    charge_blame = Probe._charge_blame
     ahead_wait = {}     # (victim, layer) -> us waited behind something
 
-    def recording(victim, layer, wait_us, ahead):
+    def recording(probe, victim, layer, wait_us, ahead):
         if wait_us > 0.0 and sum(ahead.values()) > 0.0:
             key = (victim, layer)
             ahead_wait[key] = ahead_wait.get(key, 0.0) + wait_us
-        charge_blame(victim, layer, wait_us, ahead)
+        charge_blame(probe, victim, layer, wait_us, ahead)
 
-    monkeypatch.setattr(acct, "_charge_blame", recording)
+    monkeypatch.setattr(Probe, "_charge_blame", recording)
+    flights = record_flights(monkeypatch)
     machine.run()
 
     ledgers = acct.ledgers
@@ -480,9 +481,7 @@ def test_drained_run_leaves_no_flight_and_conserves_every_wait(monkeypatch):
     assert all(ledger.completed > 0 for ledger in ledgers.values())
 
     # nothing in flight, nobody mirrored in any queue
-    assert acct._flights == {}
-    assert not any(acct._cores.values()) and not any(acct._sockq.values())
-    assert acct._wakes == {} and acct._service == {}
+    assert_drained(machine.obs.probe, flights)
 
     # one wait event per dequeue, layer by layer
     qdiscs = machine.syrupd.qdiscs()

@@ -11,7 +11,6 @@ objects and simulates bit-identically.
 
 import pytest
 
-from conftest import Clock
 from repro.experiments.figure_oversub import (
     SLO_P99_US,
     run_figure_oversub,
@@ -55,7 +54,7 @@ def make_arbiter(n_cores=4, floors=(1, 1), acct=None):
     cores = [Core(i) for i in range(n_cores)]
     kwargs = {}
     if acct is not None:
-        kwargs["probe"] = Probe(acct)
+        kwargs["probe"] = Probe(engine, acct=acct)
     arbiter = CoreArbiter(engine, cores, **kwargs)
     scheds = {}
     for name, floor in zip(("alpha", "bravo"), floors):
@@ -118,7 +117,7 @@ def test_move_is_revoke_plus_grant():
 
 
 def test_occupancy_books_to_class_totals_and_tenant_ledgers():
-    acct = TenantAccountant(clock=Clock())
+    acct = TenantAccountant()
     engine, arbiter, _scheds = make_arbiter(n_cores=2, floors=(0, 0),
                                             acct=acct)
     arbiter.grant(0, "alpha")

@@ -274,11 +274,15 @@ class _Passes:
         return None
 
 
-class _SteerLog(list):
-    """A telemetry tier that records every ``switch_steer``."""
+class _SteerLog(Probe):
+    """A probe that records every ``switch_steer``."""
+
+    def __init__(self):
+        super().__init__()
+        self.steers = []
 
     def switch_steer(self, *args):
-        self.append(args)
+        self.steers.append(args)
 
 
 class TestMergedPaths:
@@ -300,9 +304,9 @@ class TestMergedPaths:
             fleet.install_steering(program)
         for index in down:
             fleet.switch.mark_down(index)
-        # a dark fleet holds no probe: install one over a recording tier
-        steered = _SteerLog()
-        fleet.probe = Probe(steered)
+        # a dark fleet holds no probe: install one that records steers
+        fleet.probe = _SteerLog()
+        steered = fleet.probe.steers
 
         def fresh():
             return FleetRequest(1, GET, 10.0, user_id=user_id, dst_port=7000)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import assert_drained, record_flights
 from repro import Machine, set_a
 from repro.apps.rocksdb import RocksDbServer
 from repro.core.late_binding import (
@@ -107,9 +108,9 @@ def test_buffered_packets_route_through_server_accounting():
     assert gen.drop_fraction() == 0.0
 
 
-def test_refused_packet_closes_its_span_tree_and_flight():
+def test_refused_packet_closes_its_span_tree_and_flight(monkeypatch):
     """A full central buffer is a drop like any other: the probe hears it,
-    so no sampled tree or tenant flight record outlives the request."""
+    so no sampled tree stays live and no flight record keeps a stamp open."""
     from repro.workload.generator import OpenLoopGenerator
     from repro.workload.mixes import GET_ONLY
 
@@ -121,10 +122,11 @@ def test_refused_packet_closes_its_span_tree_and_flight():
                             duration_us=5_000, tenant="alpha")
     server.response_sink = gen.deliver_response
     gen.start()
+    flights = record_flights(monkeypatch)
     machine.run()
 
     assert binder.drops > 0 and len(binder) == 0
-    assert machine.obs.acct._flights == {}
+    assert_drained(machine.obs.probe, flights)
     assert machine.obs.spans.live == 0
     aborted = machine.obs.spans.trees(complete=False)
     assert len(aborted) == binder.drops

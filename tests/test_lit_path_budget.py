@@ -5,19 +5,24 @@ The benchmark's own ``control_loop`` staging (``benchmarks/perf/
 workloads.py``, imported the way ``tools/allocs.py`` imports it, not
 copied) at tenth size — 18.5 ms, spans 1-in-16, accounting, time series,
 SLOs and the signal bus, ``tenant="bench"`` — under ``cProfile``: how many
-Python calls each request makes into the accountant, the span tracer, the
-SLO engine, the eBPF runtime and JIT, the hook site, the metrics
-registry, the qdisc and the packet path, and into ``repro`` as a whole,
-and how many ``<lambda>`` frames ``repro/machine.py`` contributes.
+Python calls each request makes into the span and accounting tiers
+(the probe that writes them, the tracer, the accountant and the blame
+matrix), the SLO engine, the eBPF runtime and JIT, the hook site, the
+metrics registry, the qdisc and the packet path, and into ``repro`` as a
+whole, and how many ``<lambda>`` frames ``repro/machine.py`` contributes.
 Counts, not seconds, so the gate is deterministic.
 
-Before the flight record, the inlined tree lookup, the attribute clock and
-the lazy SLO-bin expiry the same run made 32.8 calls per request into
-``obs/accounting.py`` + ``obs/interference.py``, 17.7 into ``obs/spans.py``
-and 5.06 into ``obs/slo.py``, and 23.7 ``lambda: self.engine.now`` frames.
-A re-added helper hop (``_tenant_of``, ``_tree``, ``charge_wait`` from a
-packet seam) costs at least one call per request and a callable clock one
-per stamp; either fails this on any machine.
+Before each seam was one ``Probe`` frame over both tiers, with the
+request carrying its own flight record, the same run made 33.7 calls per
+request into ``obs/probe.py`` + ``obs/spans.py`` + ``obs/accounting.py``
++ ``obs/interference.py`` and 102.4 into ``repro`` + JIT.  Before the
+accountant's flight record, the inlined tree lookup, the attribute clock
+and the lazy SLO-bin expiry it made 32.8 into the accountant and blame
+matrix alone, 17.7 into ``obs/spans.py`` and 5.06 into ``obs/slo.py``,
+and 23.7 ``lambda: self.engine.now`` frames.  A re-added helper hop (a
+record lookup, a per-tier frame behind a seam, a ledger method called
+from a seam) costs at least one call per request and a callable clock
+one per stamp; either fails this on any machine.
 """
 
 import cProfile
@@ -34,14 +39,16 @@ if PERF not in sys.path:
 
 import workloads   # noqa: E402  (benchmarks/perf/workloads.py)
 
-# Per request, today: the ten packet seams and the two service seams (12),
-# opening the flight record (_open + _Flight.__init__; the ledger lookups
-# are inline), and for the 90% of requests that waited behind something,
-# _charge_blame with BlameMatrix.charge written out.  Before that: 16.8.
-ACCOUNTING_CALLS_PER_REQ = 14
-# Per request, today: ten seams; the 1 in 16 that is sampled adds its
-# _open / _close / _add / _finalize.
-SPANS_CALLS_PER_REQ = 11
+# Per request, today (14.58): the twelve seams this run calls (nine
+# packet seams, the qdisc pair among them, policy_exec and the two
+# service seams), each one Probe frame whichever tiers are live; opening the
+# request's flight record (Flight.__init__, the ledger lookup inline);
+# for the 90% of requests that waited behind something, _charge_blame
+# with BlameMatrix.charge written out; and for the 1 in 16 that is
+# sampled, its tree's _begin / _open / _close / _finalize.  With a frame
+# per live tier behind each seam (a chaining closure, then each tier's
+# own method) and a dict lookup per tier for the request's state: 33.7.
+TELEMETRY_CALLS_PER_REQ = 15
 # Per request, today: the availability Slo.record and LatencySlo.observe,
 # which books its event in its own frame (it was a second record: 3.08);
 # the signal bus's burn-rate reads every 2 ms are the remainder.
@@ -70,8 +77,9 @@ LAYER_CALLS_PER_REQ = {
     "/repro/qdisc/": 9.4,
     "/repro/net/": 6.1,
 }
-# Every call into repro plus the JIT frames (104.4; it was 138.9).
-ALL_CALLS_PER_REQ = 104.4
+# Every call into repro plus the JIT frames (83.25; it was 102.4 with a
+# frame per tier behind each seam, and 138.9 before that).
+ALL_CALLS_PER_REQ = 84
 
 def profile_lit_run():
     staged = workloads.stage_control_loop(3, quick=True)
@@ -92,12 +100,11 @@ def profile_lit_run():
 def test_lit_path_call_budget():
     stats, requests = profile_lit_run()
 
-    accounting = (calls_into(stats, "/repro/obs/accounting.py")
-                  + calls_into(stats, "/repro/obs/interference.py")) / requests
-    spans = calls_into(stats, "/repro/obs/spans.py") / requests
+    telemetry = sum(calls_into(stats, f"/repro/obs/{module}.py")
+                    for module in ("probe", "spans", "accounting",
+                                   "interference")) / requests
     slo = calls_into(stats, "/repro/obs/slo.py") / requests
-    assert accounting <= ACCOUNTING_CALLS_PER_REQ, accounting
-    assert spans <= SPANS_CALLS_PER_REQ, spans
+    assert telemetry <= TELEMETRY_CALLS_PER_REQ, telemetry
     assert slo <= SLO_CALLS_PER_REQ, slo
     ebpf = (calls_into(stats, "/repro/ebpf/")
             + calls_into(stats, "<jit:")) / requests

@@ -1,15 +1,14 @@
 """Tests for the instrumentation seam itself (:mod:`repro.obs.probe`).
 
-Four properties keep the seam narrow: the seam *vocabulary* is declared
-once and the tiers conform to it (a misspelt seam fails here instead of
-silently recording nothing); each seam is *resolved once* to a no-op,
-one tier's own bound method, or both tiers in order; a machine or fleet
-with no tier live holds *no probe*, and every use of a tier outside its
-own module (the probe, the registry and its metric groups, the event
-trace, the recorder, the signal bus, the tracer, the accountant) is
-guarded by ``is not None``, since a tier that is off is ``None``; and no
-component outside ``repro/obs/`` can grow the old attribute injection
-or a null twin back.
+Four properties keep the seam narrow: :class:`Probe`'s public methods
+*are* the seam vocabulary, each one has a call site in the datapath, and
+no tier defines a seam of its own (a tier is its read side); a machine
+or fleet with no tier live holds *no probe*, and every use of a tier
+outside its own module (the probe, the registry and its metric groups,
+the event trace, the recorder, the signal bus, the tracer, the
+accountant) is guarded by ``is not None``, since a tier that is off is
+``None``; and no component outside ``repro/obs/`` can grow the old
+attribute injection or a null twin back.
 """
 
 import ast
@@ -24,13 +23,13 @@ from repro.apps import RocksDbServer
 from repro.cluster.fleet import Fleet
 from repro.obs import Observability
 from repro.obs.accounting import TenantAccountant
-from repro.obs.probe import SEAMS, Probe, noop
+from repro.obs.probe import Probe
 from repro.obs.spans import SpanTracer
 from repro.policies import ROUND_ROBIN
 
-TIERS = (SpanTracer, TenantAccountant)
+SRC = pathlib.Path(__file__).parent.parent / "src" / "repro"
 
-#: The tiers' read side (operator views, exports) — not seams.
+#: The tiers' read side (operator views, exports): all they define.
 VIEWS = {
     SpanTracer: {"trees", "to_chrome_trace"},
     TenantAccountant: {"ledger", "tenants", "snapshot", "publish"},
@@ -44,36 +43,43 @@ def _public_methods(cls):
     }
 
 
-# ----------------------------------------------------------------------
-# (a) Vocabulary conformance
-# ----------------------------------------------------------------------
-def test_every_seam_is_defined_by_some_tier():
-    assert len(set(SEAMS)) == len(SEAMS)
-    for name in SEAMS:
-        assert any(name in _public_methods(cls) for cls in TIERS), name
+#: Every seam: Probe's public methods are the vocabulary.
+SEAMS = sorted(_public_methods(Probe))
 
 
-@pytest.mark.parametrize("cls", TIERS)
+# ----------------------------------------------------------------------
+# (a) Vocabulary: one definition, one call site or more, no tier seams
+# ----------------------------------------------------------------------
+def _seam_calls_outside_obs():
+    called = set()
+    for path in sorted(SRC.rglob("*.py")):
+        if SRC / "obs" not in path.parents:
+            called.update(re.findall(r"\bprobe\.(\w+)\(", path.read_text()))
+    return called
+
+
+def test_every_seam_has_a_call_site_outside_obs_and_every_call_a_seam():
+    assert len(SEAMS) == 26
+    assert _seam_calls_outside_obs() == set(SEAMS)
+
+
+@pytest.mark.parametrize("cls", list(VIEWS))
 def test_every_public_tier_method_is_a_seam_or_a_view(cls):
     assert _public_methods(cls) - VIEWS[cls] <= set(SEAMS)
 
 
-def test_tiers_agree_on_each_seam_signature_and_noop_accepts_it():
+def test_no_tier_defines_a_seam():
+    for cls in VIEWS:
+        assert not _public_methods(cls) & set(SEAMS), cls
+
+
+def test_each_seam_has_one_positional_signature():
     for name in SEAMS:
-        shapes = set()
-        for cls in TIERS:
-            method = vars(cls).get(name)
-            if method is None:
-                continue
-            params = list(inspect.signature(method).parameters.values())[1:]
-            assert all(
-                p.kind is p.POSITIONAL_OR_KEYWORD for p in params
-            ), (cls.__name__, name)
-            shapes.add(len(params))
-        # one unified signature per seam, whichever tiers subscribe
-        assert len(shapes) == 1, name
-        args = (None,) * shapes.pop()
-        assert getattr(Probe(), name)(*args) is None
+        params = list(
+            inspect.signature(getattr(Probe, name)).parameters.values())[1:]
+        assert params, name
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD and p.default is p.empty
+                   for p in params), name
 
 
 def test_probe_rejects_a_misspelt_seam():
@@ -82,68 +88,35 @@ def test_probe_rejects_a_misspelt_seam():
 
 
 # ----------------------------------------------------------------------
-# (b) Resolution: no-op, one bound method, or both in order
+# (b) One probe over whichever tiers are live
 # ----------------------------------------------------------------------
-def test_no_tier_live_resolves_every_seam_to_the_shared_noop():
+def test_no_tier_live_builds_no_probe():
     # no tier live: no probe at all, so the datapath makes no seam call
     assert Observability().probe is None
     assert Machine(set_a()).obs.probe is None
-    # a Probe over no tier (the silent half of a one-tier probe) no-ops
-    probe = Probe()
-    for name in SEAMS:
-        assert getattr(probe, name) is noop, name
+    assert Fleet(num_machines=2, seed=1).obs.probe is None
 
 
-def test_one_tier_live_resolves_to_its_own_bound_method():
-    spans_only = Observability(spans=1)
-    acct_only = Observability(accounting=True)
-    for obs, tier in ((spans_only, spans_only.spans),
-                      (acct_only, acct_only.acct)):
-        for name in SEAMS:
-            seam = getattr(obs.probe, name)
-            if hasattr(tier, name):
-                # the tier's own method: no intermediate frame
-                assert seam == getattr(tier, name), name
-                assert seam.__self__ is tier
-            else:
-                assert seam is noop, name
-    assert spans_only.probe.drop == spans_only.spans.drop
-    assert acct_only.probe.policy_exec == acct_only.acct.policy_exec
-
-
-class _CountingTier:
-    """Defines every seam; logs (tier, seam, args) into a shared list."""
-
-    def __init__(self, label, log):
-        for name in SEAMS:
-            setattr(self, name, self._seam(label, name, log))
-
-    @staticmethod
-    def _seam(label, name, log):
-        return lambda *args: log.append((label, name, args))
-
-
-def test_both_tiers_live_each_sees_each_seam_once_spans_first():
-    log = []
-    probe = Probe(_CountingTier("spans", log), _CountingTier("acct", log))
-    for name in SEAMS:
-        del log[:]
-        getattr(probe, name)("x", 7)
-        assert log == [("spans", name, ("x", 7)), ("acct", name, ("x", 7))]
+def test_one_tier_live_the_probe_holds_only_that_tier():
+    spans_only = Machine(set_a(), spans=1).obs
+    assert spans_only.probe.spans is spans_only.spans is not None
+    assert spans_only.probe.acct is None
+    acct_only = Machine(set_a(), accounting=True).obs
+    assert acct_only.probe.acct is acct_only.acct is not None
+    assert acct_only.probe.spans is None
 
 
 def test_machine_with_both_tiers_feeds_both_through_one_probe():
-    obs = Machine(set_a(), spans=1, accounting=True).obs
-    assert obs.probe.decision == obs.spans.decision      # spans only
-    assert obs.probe.socket_dequeued == obs.acct.socket_dequeued
-    both = obs.probe.drop                                # the closure
-    assert both not in (noop, obs.spans.drop, obs.acct.drop)
+    machine = Machine(set_a(), spans=1, accounting=True)
+    obs = machine.obs
+    assert (obs.probe.spans, obs.probe.acct) == (obs.spans, obs.acct)
+    assert None not in (obs.spans, obs.acct)
+    assert obs.probe.clock is machine.engine
 
 
 # ----------------------------------------------------------------------
 # (c) Source guard: injection cannot re-accrete
 # ----------------------------------------------------------------------
-SRC = pathlib.Path(__file__).parent.parent / "src" / "repro"
 INJECTION = re.compile(r"\.(spans|acct|profiler)\s*=[^=]")
 #: A tier that is off is None: no null twin, singleton or flag anywhere.
 NULL_TWIN = re.compile(r"\bclass Null|\bNULL_|\bDISABLED\b|\.enabled\b")
