@@ -5,9 +5,22 @@ flow drawn uniformly from a small pool of 5-tuples (the paper uses ~50 —
 few enough that hash-based steering goes wrong, which is the point of
 Figure 2).  Latency is measured client-side: from send to response receipt,
 including both wire traversals.
+
+Neither wire traversal is an engine event of its own.  A request is sent
+by one event at its NIC arrival, ``send_at + wire_us``: it draws, stamps
+``send_at`` everywhere a send time is read, posts the next send and hands
+the packet to the NIC inline.  Only one send is ever pending, so its time
+lives in one slot (``_send_at``) rather than in the event.  A response is
+booked at delivery, ``completed_at = now + wire_us``, with no event, when
+nothing can observe the receipt's clock: no ``on_latency`` callback (it
+feeds windows that controllers read at their ticks) and a receipt inside
+the send window, where the send chain always holds an event at or after
+``duration_us``, so an inline receipt never ends the run.  Otherwise the
+receipt is posted, as ``_client_receive``.  Every simulated output is what
+one event per leg would give; only the engine's event count is lower.
 """
 
-from math import log
+from math import inf, log, nextafter
 
 from repro.net.packet import FiveTuple, Packet
 from repro.stats.latency import LatencyRecorder
@@ -92,7 +105,13 @@ class OpenLoopGenerator:
         self._num_flows = num_flows
         self._flow_bits = num_flows.bit_length()
         self._mean_gap_us = 1e6 / rate_rps
-        self._stopped = False
+        #: the pending send's time (None until started)
+        self._send_at = None
+        #: sends at or after this time are not made, and receipts before
+        #: it are booked inline: duration_us, lowered by stop()
+        self._until = duration_us
+        #: the latest receipt time booked inline
+        self._booked_to = -inf
         #: Optional per-completion callback ``fn(request, latency_us)``
         #: fired at client receipt — the feed for SLO objectives and
         #: registry latency sketches (repro.obs.slo / repro.obs.sketch).
@@ -108,24 +127,56 @@ class OpenLoopGenerator:
         return gap
 
     def start(self):
-        """Begin generating; returns self for chaining."""
-        self.engine.post(self._gap_us(), self._arrival)
+        """Begin generating; returns self for chaining.
+
+        A generator starts once: a second arrival chain would double the
+        offered load and share the one pending-send slot, so it raises.
+        """
+        if self._send_at is not None:
+            raise RuntimeError("generator already started")
+        engine = self.engine
+        self._send_at = send_at = engine.now + self._gap_us()
+        if send_at < self._until:
+            engine.post_at(send_at + self.machine.costs.wire_us, self._send)
+        else:
+            engine.post_at(send_at, _idle)
         return self
 
     def stop(self):
-        self._stopped = True
+        """Make no send whose send time is after now.
 
-    # ------------------------------------------------------------------
-    def _arrival(self):
-        """Send one request and draw the next gap, all in this frame.
-
-        The draws are ``random``'s own expressions, in the same order —
-        service, key, flow, gap — so the stream is bit-identical to
-        ``mix.sample``, ``randrange`` twice and ``expovariate(1.0)``."""
+        A send at or before now has happened, even one whose NIC arrival
+        (its event, ``wire_us`` after the send time) is still ahead: it
+        arrives.  A pending send past now is dropped when its event fires,
+        at that NIC arrival.  Every later receipt is an event, and a
+        receipt already booked inline past now is held on the clock by
+        one empty event, so the run ends where it would with every
+        receipt an event.
+        """
         engine = self.engine
         now = engine.now
-        if self._stopped or now >= self.duration_us:
-            return
+        # send_at >= nextafter(now, inf) exactly when send_at > now
+        self._until = min(self._until, nextafter(now, inf))
+        if self._booked_to > now:
+            engine.post_at(self._booked_to, _idle)
+        self._booked_to = -inf
+
+    # ------------------------------------------------------------------
+    def _send(self):
+        """Send the request in the slot at its NIC arrival, and post the
+        next send, all in this frame.
+
+        Fires at ``send_at + wire_us``; everything that reads a send time
+        reads ``send_at``.  The draws are ``random``'s own expressions, in
+        the same order — service, key, flow, gap — so the stream is
+        bit-identical to ``mix.sample``, ``randrange`` twice and
+        ``expovariate(1.0)``.  The next send time is ``send_at + gap``;
+        when it is at or after the cutoff nothing more is sent, and an
+        empty event at that time (if it lies ahead) ends the chain."""
+        send_at = self._send_at
+        until = self._until
+        if send_at >= until:
+            return  # stop()ped before this send time
         rng = self.rng
         getrandbits = rng.getrandbits
         self._next_rid += 1
@@ -140,31 +191,44 @@ class OpenLoopGenerator:
             key_hash=(key * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF,
             tenant=self.tenant,
         )
-        request.sent_at = now
+        request.sent_at = send_at
         # rng.randrange(len(flows)), likewise
         index = getrandbits(self._flow_bits)
         while index >= self._num_flows:
             index = getrandbits(self._flow_bits)
         # No payload: the packet builds the request's standard header if
         # and when a policy reads it.
-        packet = Packet(self.flows[index], None, now, request)
-        self.sent.add(now, rtype)
-        # one-way wire + client NIC cost before the server NIC sees it
-        machine = self.machine
-        engine.post(machine.costs.wire_us, machine.nic.receive, packet)
+        packet = Packet(self.flows[index], None, send_at, request)
+        self.sent.add(send_at, rtype)
         # _gap_us(): rng.expovariate(1.0) * mean gap, likewise
         gap = -log(1.0 - rng.random()) / 1.0 * self._mean_gap_us
         if self.envelope is not None:
-            gap /= max(self.envelope.rate_factor(now), 1e-9)
-        engine.post(gap, self._arrival)
+            gap /= max(self.envelope.rate_factor(send_at), 1e-9)
+        machine = self.machine
+        engine = self.engine
+        self._send_at = send_at = send_at + gap
+        if send_at < until:
+            # one-way wire + client NIC cost before the server NIC sees it
+            engine.post_at(send_at + machine.costs.wire_us, self._send)
+        elif send_at > engine.now:
+            engine.post_at(send_at, _idle)
+        machine.nic.receive(packet)
 
     # ------------------------------------------------------------------
-    # Server-side completion sink: schedule client receipt after the wire.
+    # Server-side completion sink: the client receipt, one wire later.
     # ------------------------------------------------------------------
     def deliver_response(self, request):
-        self.engine.post(
-            self.machine.costs.wire_us, self._client_receive, request
-        )
+        engine = self.engine
+        wire_us = self.machine.costs.wire_us
+        received_at = engine.now + wire_us
+        if received_at < self._until and self.on_latency is None:
+            request.completed_at = received_at
+            self.latency.record(request.sent_at,
+                                received_at - request.sent_at,
+                                tag=request.rtype)
+            self._booked_to = received_at
+        else:
+            engine.post(wire_us, self._client_receive, request)
 
     def _client_receive(self, request):
         now = self.engine.now
@@ -197,3 +261,8 @@ class OpenLoopGenerator:
         if window <= 0:
             return 0.0
         return self.latency.count / (window / 1e6)
+
+
+def _idle():
+    """The empty event that ends a send chain or holds a booked receipt's
+    time on the clock."""

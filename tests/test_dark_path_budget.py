@@ -37,17 +37,18 @@ DURATION_US = 20_000.0
 #: request (the last pull finds its socket empty) and SCAN Avoid probes
 #: 1.12 slots per decision.
 PATH_CALLS_PER_REQ = {
-    # five posted events (arrival, wire hop, IRQ delivery, softirq
-    # service, response wire) plus the thread's cancellable run event,
-    # which is Engine.schedule + Event.__init__
-    "/repro/sim/": 7,
+    # three posted events (the send at its NIC arrival, IRQ delivery,
+    # softirq service) plus the thread's cancellable run event, which is
+    # Engine.schedule + Event.__init__; neither client wire leg is an
+    # event of its own (the receipt is booked at delivery)
+    "/repro/sim/": 5,
     # Packet.__init__, Nic.receive, rss_queue (its rss_hash is a memo
     # hit, served without a Python frame) and Nic._irq_deliver
     "/repro/net/": 4,
-    # _arrival (the send, every draw and the next gap inline),
-    # RequestMix.sample, Request.__init__, deliver_response and
-    # _client_receive
-    "/repro/workload/": 5,
+    # _send (the send, every draw, the next send and the NIC hand-off
+    # inline), RequestMix.sample, Request.__init__ and deliver_response
+    # (which books the receipt itself)
+    "/repro/workload/": 4,
     # on_enqueue (a partial, no closure), request_cost, on_request_start,
     # on_request_complete (which sends the response, and which the work
     # source's complete is a partial of), KVStore.get and
@@ -81,6 +82,10 @@ PATH_CALLS_PER_REQ = {
 # Once-per-run calls (Engine.run, RSS memo misses, the null recorder's arm)
 # spread over the requests.
 ONE_OFF_SLACK = 0.1
+#: Engine events a request: the four above.  The receipts due past the
+#: send window stay events, and so does the send chain's last, empty one:
+#: the slack.  Both client legs were events of their own at 6.0.
+EVENTS_PER_REQ = 4.0
 
 
 def profile_dark_run():
@@ -96,7 +101,8 @@ def profile_dark_run():
     profile.disable()
     requests = testbed.machine.nic.rx_packets
     assert requests > 2000 and gen.completed_in_window() == requests
-    return pstats.Stats(profile).stats, requests, len(gen.flows)
+    events = testbed.machine.engine.events_dispatched
+    return pstats.Stats(profile).stats, requests, len(gen.flows), events
 
 
 def calls_into(stats, path_part, function=None):
@@ -109,11 +115,13 @@ def calls_into(stats, path_part, function=None):
 
 
 def test_dark_path_call_budget():
-    stats, requests, flow_pool = profile_dark_run()
+    stats, requests, flow_pool, events = profile_dark_run()
 
     for path_part, ceiling in PATH_CALLS_PER_REQ.items():
         per_request = calls_into(stats, path_part) / requests
         assert per_request <= ceiling + ONE_OFF_SLACK, (path_part, per_request)
+    assert (EVENTS_PER_REQ <= events / requests
+            <= EVENTS_PER_REQ + ONE_OFF_SLACK), events / requests
 
     # SCAN Avoid never reads packet bytes, so nothing is serialised: the
     # only packs are RSS memo misses, one per flow of the client pool.
