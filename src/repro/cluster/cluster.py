@@ -101,8 +101,14 @@ class ClusterGenerator:
         self.per_server_completed = [0] * len(cluster.machines)
         self._mean_gap_us = 1e6 / rate_rps
         self._next_rid = 0
+        self._started = False
 
     def start(self):
+        """Begin the arrival chain; a second chain would double the
+        offered load, so a second start raises."""
+        if self._started:
+            raise RuntimeError("generator already started")
+        self._started = True
         self.engine.post(
             self.rng.expovariate(1.0) * self._mean_gap_us, self._arrival
         )

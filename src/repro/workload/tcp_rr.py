@@ -46,9 +46,15 @@ class TcpRRGenerator:
         self.transactions = 0
         self.in_flight = 0
         self._next_rid = 0
+        self._started = False
 
     # ------------------------------------------------------------------
     def start(self):
+        """Open every connection's ping-pong; a second start would put a
+        second request in flight on each, so it raises."""
+        if self._started:
+            raise RuntimeError("generator already started")
+        self._started = True
         for conn in range(len(self.flows)):
             self._send(conn)
         return self

@@ -126,6 +126,17 @@ def test_least_outstanding_avoids_loaded_servers():
     assert switch.pick(make_packet()) == 2
 
 
+def test_generator_starts_once():
+    # A second start() began a second arrival chain: 75 requests sent
+    # became 174.
+    cluster = Cluster(num_servers=2, seed=1)
+    gen = cluster.drive(50_000, GET_ONLY, duration_us=2_000.0).start()
+    with pytest.raises(RuntimeError):
+        gen.start()
+    cluster.run()
+    assert gen.sent.total() == 75
+
+
 def test_outstanding_tracks_responses():
     """The switch's load view is exact: one up per request forwarded, one
     down per response passing back through it."""

@@ -134,3 +134,14 @@ def test_tcp_rr_closed_loop_conserves_inflight():
     _m, _s, gen = run_tcp_rr(rfs=False, connections=16, duration=20_000)
     assert gen.in_flight == 0  # fully drained
     assert gen.transactions > 0
+
+
+def test_tcp_rr_generator_starts_once():
+    # A second start() put a second request in flight on every
+    # connection, doubling the closed loop's concurrency.
+    machine = Machine(set_a(), seed=42)
+    gen = TcpRRGenerator(machine, 5201, num_connections=4,
+                         duration_us=1_000).start()
+    with pytest.raises(RuntimeError):
+        gen.start()
+    assert gen.in_flight == 4
