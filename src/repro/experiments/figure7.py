@@ -79,13 +79,6 @@ def run_figure7(
                 be_load, GET_ONLY, duration_us, warmup_us, stream="be",
                 user_id=BE_USER,
             )
-            # one sink must serve both generators: route by user id
-            sinks = {LS_USER: ls_gen, BE_USER: be_gen}
-
-            def sink(request, _sinks=sinks):
-                _sinks[request.user_id].deliver_response(request)
-
-            testbed.server.response_sink = sink
             ls_gen.start()
             be_gen.start()
             # the token agent's periodic timer never drains the event heap,

@@ -94,11 +94,17 @@ class RocksDbTestbed:
 
     def drive(self, rate_rps, mix, duration_us, warmup_us, stream="client",
               user_id=0, tenant=None):
-        """Attach a load generator; call once per tenant for co-located
-        multi-tenant runs.  With one generator the response sink is the
-        generator itself (the historical wiring, function-identical);
-        with several, a dispatcher routes each completion back to its
-        owning tenant's generator by ``request.tenant``."""
+        """Attach a load generator; call once per client for co-located
+        runs.  With one generator the response sink is the generator
+        itself; with several, a dispatcher routes each completion back to
+        the generator that sent it by ``(request.tenant,
+        request.user_id)``, so two generators may not share both."""
+        if any((g.tenant, g.user_id) == (tenant, user_id)
+               for g in self._generators):
+            raise ValueError(
+                f"a generator for tenant {tenant!r}, user {user_id} is "
+                "already attached; give each a distinct user_id"
+            )
         gen = OpenLoopGenerator(
             self.machine, self.port, rate_rps, mix,
             duration_us=duration_us, warmup_us=warmup_us, stream=stream,
@@ -108,13 +114,13 @@ class RocksDbTestbed:
         if len(self._generators) == 1:
             self.server.response_sink = gen.deliver_response
         else:
-            by_tenant = {
-                g.tenant: g.deliver_response for g in self._generators
+            by_client = {
+                (g.tenant, g.user_id): g.deliver_response
+                for g in self._generators
             }
-            fallback = self._generators[0].deliver_response
 
             def _dispatch(request):
-                by_tenant.get(request.tenant, fallback)(request)
+                by_client[request.tenant, request.user_id](request)
 
             self.server.response_sink = _dispatch
         return gen

@@ -93,3 +93,25 @@ def test_set_profiles_are_independent_instances():
     b1, b2 = set_b(), set_b()
     b1.nic.num_queues = 99
     assert b2.nic.num_queues == 8
+
+
+def test_testbed_routes_each_completion_to_its_sender():
+    # Two generators on the default tenant used to share one routing key:
+    # stream "a" booked 0 of its 104 requests and "b" 215 of its 111.
+    testbed = RocksDbTestbed(seed=3)
+    gen_a = testbed.drive(20_000, GET_ONLY, 5_000, 0.0, stream="a",
+                          user_id=1).start()
+    gen_b = testbed.drive(20_000, GET_ONLY, 5_000, 0.0, stream="b",
+                          user_id=2).start()
+    testbed.machine.run()
+    for gen in (gen_a, gen_b):
+        assert gen.latency.count == gen.sent.total() > 0
+        assert gen.drop_fraction() == 0.0
+
+
+def test_testbed_refuses_two_generators_it_cannot_tell_apart():
+    testbed = RocksDbTestbed(seed=3)
+    testbed.drive(20_000, GET_ONLY, 5_000, 0.0, stream="a", tenant="t")
+    testbed.drive(20_000, GET_ONLY, 5_000, 0.0, stream="b", tenant="u")
+    with pytest.raises(ValueError):
+        testbed.drive(20_000, GET_ONLY, 5_000, 0.0, stream="c", tenant="t")
