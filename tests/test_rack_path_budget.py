@@ -37,14 +37,15 @@ from test_lit_path_budget import workloads   # benchmarks/perf/workloads.py
 # Per request, today, one frame each: FleetGenerator._arrive,
 # FleetRequest.__init__, Fleet.admit, Fleet._steer,
 # SwitchProgramSteering.pick (which hands the request itself to the
-# program), FleetMachine.receive, _begin_service, _complete_service and
-# Fleet._complete (9).  The sync bus ticks 0.022 times per request and
-# costs eight frames a tick whatever the rack size (publish,
-# _work_pending, the snapshot lambda and its comprehension, _apply, the
-# apply lambda, apply_load and its comprehension): 0.18.  The kill's
-# re-steers and the flow-hash fallback are the last 0.02: 9.2, so one
-# re-added hop per request (10.2) fails.
-CLUSTER_CALLS_PER_REQ = 10
+# program), FleetMachine.receive, _begin_service and _complete_service,
+# which books the response itself on a dark fleet (8; Fleet._complete
+# was a ninth).  The sync bus ticks 0.022 times per request and costs
+# eight frames a tick whatever the rack size (publish, _work_pending,
+# the snapshot lambda and its comprehension, _apply, the apply lambda,
+# apply_load and its comprehension): 0.18.  The kill's re-steers and the
+# flow-hash fallback are the last 0.02: 8.2, so one re-added hop per
+# request (9.2) fails.
+CLUSTER_CALLS_PER_REQ = 9
 # A dark fleet holds no probe (``fleet.probe is None``) and every seam
 # call site tests it, so nothing reaches obs/probe.py.  It was one no-op
 # call per fleet event, 4.17 per request; one unguarded seam on any path
@@ -61,17 +62,20 @@ REGISTRY_CALLS_PER_REQ = 0.01
 # ArrayMap.lookup), and each sync tick's replica write is ArrayMap.assign
 # + its comprehension: 25,652 + 24,348 calls over 24,365 requests, 2.05.
 EBPF_CALLS_PER_REQ = 2.1
-# The engine is not this path's to touch: per request three posts
-# (arrival, forward, response) and one cancellable schedule +
-# Event.__init__ for the service, plus the sync bus's 0.022 x
-# (PeriodicTimer._tick + schedule + Event.__init__ + post) — 73,650 post
-# + 2 x 24,908 + 540 _tick + 3 cancel + arm + run, exactly.  The fault
-# plan's two post_at and the generator's first post happen at staging
-# (Fleet() and drive()), outside the profiled run().
-SIM_CALLS = 124_011
-# The parent commit's tenth-size seed-3 run, exactly: what the rack did
-# is pinned, only what it costs the host may fall.
-EVENTS = 98_558
+# The engine's calls: per request three posts
+# (arrival, forward, service), plus the sync bus's 0.022 x
+# (PeriodicTimer._tick + schedule + Event.__init__ + post) — 73,653 post
+# + 3 x 540 + arm + run, exactly.  The response crosses the wire with no
+# event (124,011 calls while it was a post and the service a cancellable
+# schedule + Event.__init__).  The fault plan's two post_at and the
+# generator's first post happen at staging (Fleet() and drive()), outside
+# the profiled run().
+SIM_CALLS = 75_275
+# The tenth-size seed-3 run, exactly: what the rack did is pinned, only
+# what it costs the host may fall.  Events are one fewer per request than
+# while each response was an event (98,558), plus the three completions
+# the kill leaves stale, which now dispatch where they were cancelled.
+EVENTS = 74_196
 OFFERED = 24_365
 COMPLETED = 24_365
 RESTEERS = 15
