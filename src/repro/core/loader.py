@@ -1,84 +1,31 @@
-"""Hardened policy loading: AST-validated restricted Python.
+"""Policy loading from outside input: ceilings, then the compiler.
 
-The compile → verify → JIT pipeline (:mod:`repro.ebpf`) already rejects
-anything outside the safe policy subset, but it does so by *executing
-the compiler* over the source.  For trusted built-in policies that is
-fine; for the shadow-deployment path (docs/robustness.md "Promotion
-lifecycle") the whole point is that **arbitrary user policy files**
-enter the system, and the authoring path must reject hostile or sloppy
-input *before* any part of it is interpreted:
-
-- **size limits** — a source blob over ``max_bytes`` / ``max_lines`` is
-  refused unparsed (no quadratic-parse or memory-amplification games),
-- **import allow/deny-list** — the policy subset needs no imports at
-  all, so ``import``/``from … import`` is refused unless the module is
-  explicitly allowed by the caller,
-- **banned constructs** — classes, async/lambda/closures, generators,
-  ``nonlocal``, ``try``/``raise``/``with``, ``del``, and star-args are
-  structural red flags for sandbox escapes and are refused at the AST
-  level (``global`` stays: module-level counters are part of the
-  subset),
-- **denied names** — ``eval`` / ``exec`` / ``__import__`` / ``open`` /
-  ``getattr`` and friends never appear in a legitimate policy, and any
-  dunder attribute access (``x.__class__``) is refused outright.
-
-Validation returns *every* issue found (not just the first), so a
-rejected file's event carries an actionable list.  The checks are
-purely syntactic — the verifier still runs afterwards; this layer only
-guarantees that nothing outside the declared subset is ever *fed to*
-the compile pipeline.  Modeled on luthien-proxy's ``dynamic_loader``
-idiom (SNIPPETS.md): frozenset allow/deny lists plus an ``ast.walk``
-over the parse tree.
+Arbitrary user policy files enter through the shadow-deployment path
+(docs/robustness.md "Promotion lifecycle").  A file is read with a
+capped read and decoded as UTF-8; a source over ``MAX_BYTES`` or
+``MAX_LINES`` is refused unparsed.  What a policy may say is the
+compiler's to decide (:mod:`repro.ebpf.compiler`, specified in
+docs/policy-language.md), and the compiler never executes source, so
+:func:`check_policy_source` runs it alone and reports its
+:class:`~repro.ebpf.errors.CompileError` as a
+:class:`PolicyValidationError`.  The verifier runs at load, afterwards.
 """
 
-import ast
+from repro.ebpf.errors import CompileError
 
 __all__ = [
-    "DEFAULT_MAX_BYTES",
-    "DEFAULT_MAX_LINES",
-    "DENIED_NAMES",
+    "MAX_BYTES",
+    "MAX_LINES",
     "PolicyLoadError",
     "PolicyValidationError",
     "check_policy_source",
     "load_policy_file",
-    "validate_policy_source",
 ]
 
 #: Hard ceilings for one policy file; generous — the largest built-in
 #: policy source is well under 2 KB.
-DEFAULT_MAX_BYTES = 64 * 1024
-DEFAULT_MAX_LINES = 512
-
-#: Builtins that never appear in a legitimate policy and are classic
-#: sandbox-escape primitives.  Checked against every ``Name`` node, so
-#: shadowing tricks (``e = eval``) are caught at the reference site.
-DENIED_NAMES = frozenset({
-    "eval", "exec", "compile", "__import__", "__builtins__",
-    "open", "input", "breakpoint", "exit", "quit",
-    "globals", "locals", "vars", "dir",
-    "getattr", "setattr", "delattr", "hasattr",
-    "type", "super", "object", "memoryview", "bytearray",
-    "staticmethod", "classmethod", "property",
-})
-
-#: AST node types with no place in the policy subset.  Built with
-#: ``getattr`` so the list tracks the running interpreter's grammar.
-#: ``Global`` is deliberately absent: the policy subset's stateful
-#: counters (e.g. ROUND_ROBIN) are module-level ints mutated via
-#: ``global`` — the verifier bounds what they can do.
-_BANNED_NODE_NAMES = (
-    "ClassDef", "AsyncFunctionDef", "AsyncFor", "AsyncWith", "Await",
-    "Lambda", "GeneratorExp", "Yield", "YieldFrom",
-    "Nonlocal", "Try", "TryStar", "Raise", "With", "Delete",
-    "Starred", "NamedExpr", "Match",
-)
-BANNED_NODES = tuple(
-    node for node in (getattr(ast, name, None) for name in _BANNED_NODE_NAMES)
-    if node is not None
-)
-_BANNED_LABELS = {node: name for name, node in
-                  ((n, getattr(ast, n, None)) for n in _BANNED_NODE_NAMES)
-                  if node is not None}
+MAX_BYTES = 64 * 1024
+MAX_LINES = 512
 
 
 class PolicyLoadError(ValueError):
@@ -86,113 +33,57 @@ class PolicyLoadError(ValueError):
 
 
 class PolicyValidationError(PolicyLoadError):
-    """A policy source failed restricted-subset validation.
-
-    ``issues`` carries every violation found, in source order.
-    """
+    """A policy source was refused; ``issues`` lists why."""
 
     def __init__(self, issues):
         self.issues = list(issues)
-        preview = "; ".join(self.issues[:3])
-        if len(self.issues) > 3:
-            preview += f"; … ({len(self.issues)} issues)"
-        super().__init__(f"policy source rejected: {preview}")
+        super().__init__(f"policy source rejected: {'; '.join(self.issues)}")
 
 
-def _issue(node, message):
-    line = getattr(node, "lineno", None)
-    return (line if line is not None else 0,
-            f"line {line}: {message}" if line is not None else message)
-
-
-def validate_policy_source(source, allow_imports=(),
-                           max_bytes=DEFAULT_MAX_BYTES,
-                           max_lines=DEFAULT_MAX_LINES):
-    """Validate one policy source blob; returns the list of issues.
-
-    An empty list means the source is inside the restricted subset and
-    safe to hand to :func:`repro.ebpf.compiler.compile_policy`.  Checks
-    are purely syntactic: nothing in ``source`` is ever executed.
-    """
-    issues = []
+def _check_ceilings(source):
     if not isinstance(source, str):
-        return [f"policy source must be str, got {type(source).__name__}"]
-    raw = source.encode("utf-8", errors="replace")
-    if len(raw) > max_bytes:
-        return [f"source is {len(raw)} bytes (limit {max_bytes})"]
+        raise PolicyValidationError(
+            [f"policy source must be str, got {type(source).__name__}"])
+    n_bytes = len(source.encode("utf-8", errors="replace"))
+    if n_bytes > MAX_BYTES:
+        raise PolicyValidationError(
+            [f"source is {n_bytes} bytes (limit {MAX_BYTES})"])
     n_lines = source.count("\n") + 1
-    if n_lines > max_lines:
-        return [f"source is {n_lines} lines (limit {max_lines})"]
-    if "\x00" in source:
-        return ["source contains NUL bytes"]
+    if n_lines > MAX_LINES:
+        raise PolicyValidationError(
+            [f"source is {n_lines} lines (limit {MAX_LINES})"])
+
+
+def check_policy_source(source, compiler, constants):
+    """Return ``source`` if it is within the ceilings and ``compiler``
+    (``compile_policy`` or ``compile_rank``) accepts it with
+    ``constants``; raise :class:`PolicyValidationError` otherwise."""
+    _check_ceilings(source)
     try:
-        tree = ast.parse(source)
-    except SyntaxError as exc:
-        return [f"line {exc.lineno}: syntax error: {exc.msg}"]
-    allowed = frozenset(allow_imports)
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                root = alias.name.split(".")[0]
-                if root not in allowed:
-                    issues.append(_issue(
-                        node, f"import of {alias.name!r} is not allowed"
-                    ))
-        elif isinstance(node, ast.ImportFrom):
-            root = (node.module or "").split(".")[0]
-            if root not in allowed:
-                issues.append(_issue(
-                    node, f"import from {node.module!r} is not allowed"
-                ))
-        elif isinstance(node, BANNED_NODES):
-            issues.append(_issue(
-                node,
-                f"{_BANNED_LABELS[type(node)]} is outside the policy subset",
-            ))
-        elif isinstance(node, ast.Name) and node.id in DENIED_NAMES:
-            issues.append(_issue(node, f"use of {node.id!r} is denied"))
-        elif isinstance(node, ast.Attribute) and node.attr.startswith("__"):
-            issues.append(_issue(
-                node, f"dunder attribute access {node.attr!r} is denied"
-            ))
-    # ast.walk is breadth-first; report in source order regardless
-    return [message for _, message in sorted(issues, key=lambda i: i[0])]
-
-
-def check_policy_source(source, allow_imports=(),
-                        max_bytes=DEFAULT_MAX_BYTES,
-                        max_lines=DEFAULT_MAX_LINES):
-    """Raise :class:`PolicyValidationError` unless ``source`` is clean."""
-    issues = validate_policy_source(
-        source, allow_imports=allow_imports, max_bytes=max_bytes,
-        max_lines=max_lines,
-    )
-    if issues:
-        raise PolicyValidationError(issues)
+        compiler(source, constants=constants)
+    except CompileError as exc:
+        raise PolicyValidationError([str(exc)]) from exc
     return source
 
 
-def load_policy_file(path, allow_imports=(), max_bytes=DEFAULT_MAX_BYTES,
-                     max_lines=DEFAULT_MAX_LINES):
-    """Read + validate a policy file; returns the source text.
+def load_policy_file(path):
+    """Read a policy file within the ceilings; returns the source text.
 
-    The byte limit is enforced on the raw read (``max_bytes + 1`` cap),
-    so an oversized file is rejected without buffering it whole.
+    The byte ceiling is enforced on the raw read (``MAX_BYTES + 1`` cap),
+    so an oversized file is rejected without buffering it whole.  What
+    the text says is checked where it is deployed, by the compiler.
     """
     try:
         with open(path, "rb") as fh:
-            raw = fh.read(max_bytes + 1)
+            raw = fh.read(MAX_BYTES + 1)
     except OSError as exc:
         raise PolicyLoadError(f"cannot read policy file {path!r}: {exc}")
-    if len(raw) > max_bytes:
+    if len(raw) > MAX_BYTES:
         raise PolicyLoadError(
-            f"policy file {path!r} exceeds {max_bytes} bytes"
-        )
+            f"policy file {path!r} exceeds {MAX_BYTES} bytes")
     try:
         source = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise PolicyLoadError(f"policy file {path!r} is not UTF-8: {exc}")
-    return check_policy_source(
-        source, allow_imports=allow_imports, max_bytes=max_bytes,
-        max_lines=max_lines,
-    )
+    _check_ceilings(source)
+    return source

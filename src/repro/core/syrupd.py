@@ -50,7 +50,7 @@ from repro.core.promote import (
     hook_label,
     rank_label,
 )
-from repro.ebpf.compiler import compile_policy
+from repro.ebpf.compiler import compile_policy, compile_rank
 from repro.ebpf.errors import CompileError, VerifierError
 from repro.ebpf.program import LoadedProgram, image_of
 from repro.ghost.agent import GhostAgent
@@ -61,7 +61,6 @@ from repro.qdisc.discipline import (
     LAYER_RUNQUEUE,
     LAYER_SOCKET,
     Qdisc,
-    compile_rank,
     qdisc_hook,
 )
 
@@ -667,8 +666,7 @@ class Syrupd:
     # ------------------------------------------------------------------
     def deploy_shadow(self, app, policy, hook=None, layer=None,
                       constants=None, name=None, canary_pct=10,
-                      salt=0x5EED, validate=True, allow_imports=(),
-                      guard=None, **gates):
+                      salt=0x5EED, guard=None, **gates):
         """Run a candidate policy in shadow against an active deployment.
 
         Exactly one of ``hook`` (a network hook) or ``layer`` (a qdisc
@@ -684,10 +682,9 @@ class Syrupd:
         threshold, and zero candidate faults; extra ``gates`` kwargs are
         forwarded to the controller.
 
-        When ``validate`` is on, source text runs through the hardened
-        restricted loader (:mod:`repro.core.loader`) *before* touching
-        the compile pipeline; a rejected source counts
-        ``loader_rejections`` and raises
+        Source text is checked first (:mod:`repro.core.loader`: the size
+        ceilings, then the compiler ``_load`` will use); a refused source
+        counts ``loader_rejections`` and raises
         :class:`~repro.core.loader.PolicyValidationError`.
 
         Returns the :class:`~repro.core.promote.PromotionRecord`.
@@ -695,9 +692,10 @@ class Syrupd:
         if (hook is None) == (layer is None):
             raise ValueError("deploy_shadow takes exactly one of hook/layer")
         target_hook = hook if hook is not None else qdisc_hook(layer)
-        if validate and isinstance(policy, str):
+        if isinstance(policy, str):
+            compiler = compile_policy if layer is None else compile_rank
             try:
-                check_policy_source(policy, allow_imports=allow_imports)
+                check_policy_source(policy, compiler, constants)
             except PolicyValidationError as exc:
                 self._transition(
                     "loader_reject", app.name, target_hook,

@@ -1,27 +1,32 @@
 """Compiler from the safe policy subset of Python to the stack-machine IR.
 
 The paper's users write policies in "a safe subset of C"; ours write the same
-policies in a safe subset of *Python*.  A policy file contains:
+policies in a safe subset of *Python*, stated in docs/policy-language.md
+and enforced here alone.  A policy file contains:
 
-- optional ``from ... import ...`` lines (ignored; they make the file a valid
-  standalone Python module),
+- at most the one import ``from repro.constants import PASS, DROP``, so the
+  file also runs as plain Python and means there what it means here,
 - map declarations: ``scan_map = syr_map("scan_map", 64)``,
 - module-level integer assignments, which become mutable program globals
   (the analogue of an eBPF ``.data`` section — the round-robin ``idx``),
-- exactly one ``def schedule(pkt):`` function.
+- exactly one entry function taking the packet, undecorated and
+  unannotated: ``def schedule(pkt):`` for a policy (:func:`compile_policy`),
+  ``def rank(pkt):`` for a qdisc rank function (:func:`compile_rank`).
 
-Supported inside ``schedule``: integer expressions, ``if``/``elif``/``else``,
-``for i in range(...)`` over compile-time-constant bounds (unrolled, like
-clang unrolls bounded loops for old eBPF targets), ``break``/``continue``,
-``return``, ``global``, and calls to the builtins:
+Supported inside the entry function: integer expressions,
+``if``/``elif``/``else``, ``for i in range(...)`` over compile-time-constant
+bounds (unrolled, like clang unrolls bounded loops for old eBPF targets),
+``break``/``continue``, ``return``, ``global``, and calls to the builtins:
 
 ``pkt_len(pkt)``, ``load_u8/u16/u32/u64(pkt, const_offset)``,
 ``map_lookup/map_has/map_update/map_delete/atomic_add(map, ...)``,
-``get_random()``, plus the constants ``PASS`` and ``DROP``.
+``get_random()``, plus the constants ``PASS`` and ``DROP``; nothing may
+rebind one of these names.
 
 Everything else — floats, strings, ``while``, attribute access, user function
-calls, comprehensions — is rejected with a :class:`CompileError`, exactly as
-clang/-target bpf would reject unsupported constructs.
+calls, comprehensions, decorators, annotations, other imports — is rejected
+with a :class:`CompileError`, exactly as clang/-target bpf would reject
+unsupported constructs.  Nothing in the source is ever executed.
 """
 
 import ast
@@ -32,7 +37,7 @@ from repro.constants import DROP, PASS
 from repro.ebpf.errors import CompileError
 from repro.ebpf.insn import Insn, Program, U64
 
-__all__ = ["compile_policy", "count_loc", "function_source"]
+__all__ = ["compile_policy", "compile_rank", "count_loc", "function_source"]
 
 _LOAD_WIDTHS = {"load_u8": 1, "load_u16": 2, "load_u32": 4, "load_u64": 8}
 
@@ -60,6 +65,15 @@ _CMP_TABLE = {
 
 _BUILTIN_VALUES = {"PASS": PASS, "DROP": DROP, "True": 1, "False": 0}
 
+#: Names with one meaning in every policy; no binding may take one.
+_BUILTIN_NAMES = frozenset(
+    ("PASS", "DROP", "pkt_len", "map_lookup", "map_has", "map_update",
+     "map_delete", "atomic_add", "get_random", "syr_map") + tuple(_LOAD_WIDTHS)
+)
+
+#: What ``from repro.constants import ...`` may name.
+_IMPORTABLE = frozenset(("PASS", "DROP"))
+
 
 def count_loc(source):
     """Non-blank, non-comment source lines — the LoC metric of Table 2."""
@@ -79,19 +93,33 @@ def function_source(fn, name=None):
 
 
 def compile_policy(source, name=None, constants=None, unroll_limit=64):
-    """Compile policy ``source`` (text or a Python function) to a Program.
+    """Compile policy ``source`` (text or a Python function) whose entry
+    point is ``def schedule(pkt):`` to a Program.
 
     ``constants`` supplies compile-time immediates (the paper: "NUM_THREADS
     is a compile-time parameter").
     """
+    return _compile(source, "schedule", name, constants, unroll_limit)
+
+
+def compile_rank(source, name=None, constants=None, unroll_limit=64):
+    """Compile a qdisc rank function, entry point ``def rank(pkt):``, to a
+    Program: same subset, verifier and JIT as :func:`compile_policy`, but a
+    policy file cannot be deployed as a qdisc by accident, nor vice versa.
+    """
+    return _compile(source, "rank", name, constants, unroll_limit)
+
+
+def _compile(source, entry, name, constants, unroll_limit):
     if callable(source):
         source, name = function_source(source, name)
     try:
         module = ast.parse(source)
-    except SyntaxError as exc:
+    except (SyntaxError, ValueError) as exc:
+        # Python 3.9 and 3.10 raise ValueError for a NUL byte
         raise CompileError(f"policy is not valid Python: {exc}") from exc
     ctx = _ModuleContext(constants or {}, unroll_limit)
-    func = ctx.scan_module(module)
+    func = ctx.scan_module(module, entry)
     if name is None:
         name = func.name
     fn_compiler = _FunctionCompiler(ctx, func)
@@ -111,6 +139,30 @@ def compile_policy(source, name=None, constants=None, unroll_limit=64):
     )
 
 
+def _bind(name, node):
+    """``name`` as a binding target; a builtin name keeps its meaning."""
+    if name in _BUILTIN_NAMES:
+        raise CompileError(f"cannot rebind the builtin {name!r}", node)
+    return name
+
+
+def _check_import(node):
+    """The one import a policy may hold: PASS / DROP from repro.constants,
+    unaliased, which the compiler already knows."""
+    if not (
+        isinstance(node, ast.ImportFrom)
+        and node.module == "repro.constants"
+        and node.level == 0
+        and all(alias.name in _IMPORTABLE and alias.asname is None
+                for alias in node.names)
+    ):
+        raise CompileError(
+            "the only import allowed is "
+            "'from repro.constants import PASS, DROP'",
+            node,
+        )
+
+
 class _ModuleContext:
     """Module-level declarations: constants, globals, maps."""
 
@@ -125,22 +177,24 @@ class _ModuleContext:
         self._map_slots = {}
         self._global_slots = {}
 
-    def scan_module(self, module):
+    def scan_module(self, module, entry):
+        """Declarations in, the ``entry`` function's node out."""
         func = None
         for node in module.body:
             if isinstance(node, (ast.Import, ast.ImportFrom)):
-                continue  # allowed so policy files run standalone
+                _check_import(node)
+                continue
             if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
                 continue  # module docstring
             if isinstance(node, ast.FunctionDef):
-                if node.name != "schedule":
+                if node.name != entry:
                     raise CompileError(
-                        f"only a single 'schedule' function is allowed, "
+                        f"only a single {entry!r} function is allowed, "
                         f"found {node.name!r}",
                         node,
                     )
                 if func is not None:
-                    raise CompileError("duplicate 'schedule' function", node)
+                    raise CompileError(f"duplicate {entry!r} function", node)
                 func = node
                 continue
             if isinstance(node, ast.Assign):
@@ -150,24 +204,39 @@ class _ModuleContext:
                 f"unsupported module-level statement {type(node).__name__}", node
             )
         if func is None:
-            raise CompileError("policy must define a 'schedule' function")
+            raise CompileError(f"policy must define a {entry!r} function")
         args = func.args
         if (
-            args.vararg
+            args.posonlyargs
+            or args.vararg
             or args.kwarg
             or args.kwonlyargs
             or args.defaults
             or len(args.args) != 1
         ):
             raise CompileError(
-                "'schedule' must take exactly one argument (the packet)", func
+                f"{entry!r} must take exactly one argument (the packet)", func
             )
+        if func.decorator_list:
+            raise CompileError(
+                f"decorators are not allowed on {entry!r}",
+                func.decorator_list[0],
+            )
+        if (
+            func.returns is not None
+            or args.args[0].annotation is not None
+            or getattr(func, "type_params", None)
+        ):
+            raise CompileError(
+                f"annotations are not allowed on {entry!r}", func
+            )
+        _bind(args.args[0].arg, func)
         return func
 
     def _module_assign(self, node):
         if len(node.targets) != 1 or not isinstance(node.targets[0], ast.Name):
             raise CompileError("module-level assignment must be 'name = ...'", node)
-        target = node.targets[0].id
+        target = _bind(node.targets[0].id, node)
         value = node.value
         if (
             isinstance(value, ast.Call)
@@ -305,17 +374,15 @@ class _FunctionCompiler:
         scoping) unless declared ``global``."""
         for node in ast.walk(ast.Module(body=list(body), type_ignores=[])):
             if isinstance(node, ast.Global):
-                self.declared_globals.update(node.names)
+                for gname in node.names:
+                    self.declared_globals.add(_bind(gname, node))
             elif isinstance(node, ast.Assign):
                 for target in node.targets:
                     if isinstance(target, ast.Name):
-                        self._assigned.add(target.id)
-            elif isinstance(node, ast.AugAssign):
+                        self._assigned.add(_bind(target.id, node))
+            elif isinstance(node, (ast.AugAssign, ast.For)):
                 if isinstance(node.target, ast.Name):
-                    self._assigned.add(node.target.id)
-            elif isinstance(node, ast.For):
-                if isinstance(node.target, ast.Name):
-                    self._assigned.add(node.target.id)
+                    self._assigned.add(_bind(node.target.id, node))
 
     def _local_slot(self, name, create=False):
         slot = self.locals.get(name)

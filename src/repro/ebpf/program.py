@@ -86,7 +86,7 @@ def text_image(compiler, text, name, constants):
 def image_of(policy, compiler=compile_policy, constants=None):
     """The :class:`ProgramImage` for ``policy``: text, or a Python function
     resolved to its text, compiled by ``compiler`` (the entry point —
-    :func:`repro.qdisc.discipline.compile_rank` for ``def rank``) and
+    :func:`repro.ebpf.compiler.compile_rank` for ``def rank``) and
     memoised; a ``Program`` is verified afresh, never memoised.  Raises
     CompileError/VerifierError."""
     if isinstance(policy, Program):

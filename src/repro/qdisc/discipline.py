@@ -1,4 +1,4 @@
-"""The qdisc runtime: rank compilation, the Qdisc object, layer glue.
+"""The qdisc runtime: the Qdisc object and layer glue.
 
 A :class:`Qdisc` pairs one compiled **rank function** with one ordering
 backend (:mod:`repro.qdisc.backends`) and hangs off a single queue of the
@@ -21,11 +21,8 @@ lifecycle manager, which may quarantine the discipline back to pure FIFO
 and drain normally, so a quarantined queue is never wedged.
 """
 
-import re
-
 from repro.constants import DROP, PASS
-from repro.ebpf.compiler import compile_policy, function_source
-from repro.ebpf.errors import CompileError
+from repro.ebpf.compiler import compile_rank
 from repro.net.packet import WireView
 from repro.qdisc.backends import make_backend
 
@@ -51,8 +48,6 @@ LAYERS = (LAYER_NIC_RX, LAYER_SOCKET, LAYER_RUNQUEUE)
 #: FIFO among themselves by the backends' arrival tie-break.
 FIFO = 0
 
-_RANK_DEF = re.compile(r"^def\s+rank\s*\(", flags=re.MULTILINE)
-
 
 def qdisc_hook(layer):
     """The hook label a qdisc deployment is tracked under (``qdisc:<layer>``).
@@ -65,28 +60,6 @@ def qdisc_hook(layer):
     if layer not in LAYERS:
         raise ValueError(f"unknown qdisc layer {layer!r}; known: {LAYERS}")
     return f"qdisc:{layer}"
-
-
-def compile_rank(source, name=None, constants=None, unroll_limit=64):
-    """Compile a rank function to a Program via the policy pipeline.
-
-    Rank files define ``def rank(pkt):`` (so a policy file can't be
-    deployed as a qdisc by accident, and vice versa); this renames the
-    module-level definition to the compiler's expected ``schedule`` and
-    reuses :func:`repro.ebpf.compiler.compile_policy` unchanged — same
-    safe subset, same verifier, same JIT.
-    """
-    if callable(source):
-        source, name = function_source(source, name)
-    renamed, n = _RANK_DEF.subn("def schedule(", source, count=1)
-    if n == 0:
-        raise CompileError(
-            "a rank policy must define a module-level 'rank' function"
-        )
-    return compile_policy(
-        renamed, name=name or "rank", constants=constants,
-        unroll_limit=unroll_limit,
-    )
 
 
 class ThreadCtx(WireView):

@@ -2,9 +2,8 @@
 
 Each is a policy file in the same safe subset as the matching-function
 policies (:mod:`repro.policies.builtin`) except the entry point is named
-``rank`` — :func:`repro.qdisc.discipline.compile_rank` renames it to the
-compiler's expected ``schedule`` before running the identical
-compile/verify/JIT pipeline.  Deploy with::
+``rank``, which :func:`repro.ebpf.compiler.compile_rank` takes as the
+entry point of the identical compile/verify/JIT pipeline.  Deploy with::
 
     app.deploy_qdisc(SRPT_BY_SIZE, layer="socket", backend="pifo")
 

@@ -64,7 +64,7 @@ LEAKY = (
     "def schedule(pkt):\n"
     "    return load_u32(pkt, 0)\n"
 )
-#: The compiler refuses an import; ``deploy_shadow``'s loader does too.
+#: The compiler refuses an import, at ``deploy_shadow``'s check too.
 IMPORTS = "import os\n"
 POLICIES = (ROUND_ROBIN, HASH_BY_FLOW, SCAN_AVOID, TOKEN_BASED, LEAKY,
             IMPORTS)

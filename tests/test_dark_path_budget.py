@@ -202,7 +202,8 @@ def test_deploy_path_builds_each_distinct_text_once(swaps):
 
     # 1 + swaps + 4 loads; a build per load would be 35 (65) of each
     assert calls_into(stats, "/ebpf/program.py", "image_of") == 1 + swaps + 4
-    for path_part, function in (("/ebpf/compiler.py", "compile_policy"),
+    # _compile is the one body behind compile_policy and compile_rank
+    for path_part, function in (("/ebpf/compiler.py", "_compile"),
                                 ("/ebpf/verifier.py", "verify"),
                                 ("/ebpf/vm.py", "compile_ir"),
                                 ("/ebpf/vm.py", "jit_compile")):

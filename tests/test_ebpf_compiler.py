@@ -244,7 +244,7 @@ def test_loc_counts_nonblank_noncomment():
         ("def other():\n    return 0\n", "schedule"),
         ("x = 'text'\ndef schedule(pkt):\n    return 0\n", "constant"),
         ("import os\nos.getcwd()\ndef schedule(pkt):\n    return 0\n",
-         "module-level"),
+         "only import"),
         ("def schedule(pkt):\n    for i in [1, 2]:\n        pass\n", "range"),
         ("def schedule(pkt):\n    global nope\n    return 0\n",
          "module-level definition"),

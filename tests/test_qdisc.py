@@ -10,6 +10,7 @@ every rank is equal), per-app port isolation, and rank-fault containment
 import pytest
 
 from repro.constants import DROP, PASS
+from repro.ebpf.compiler import compile_policy
 from repro.ebpf.errors import CompileError, VmFault
 from repro.ebpf.program import load_program
 from repro.kernel.sockets import UdpSocket
@@ -164,6 +165,17 @@ def test_compile_rank_runs_through_policy_pipeline():
 def test_compile_rank_requires_rank_function():
     with pytest.raises(CompileError, match="rank"):
         compile_rank("def schedule(pkt):\n    return 0\n")
+
+
+def test_compile_rank_finds_its_entry_in_the_ast_not_the_text():
+    # a docstring line that reads like the entry point is only text
+    source = ('"""Ranks by request type.\n'
+              'def rank(pkt) is the entry point.\n"""\n' + RANK_BY_TYPE_SRC)
+    program = compile_rank(source)
+    assert program.name == "rank"
+    assert load_program(program).run(make_packet(42)) == 42
+    with pytest.raises(CompileError, match="'schedule'"):
+        compile_policy(source)
 
 
 def test_compile_rank_accepts_callable():
