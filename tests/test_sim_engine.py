@@ -112,6 +112,61 @@ def test_max_events_limit():
     assert eng.pending() == 7
 
 
+def test_run_loop_edge_semantics():
+    # max_events=0 still dispatches one event, as it always has
+    eng = Engine()
+    seen = []
+    for i in range(3):
+        eng.post(float(i + 1), seen.append, i)
+    eng.run(max_events=0)
+    assert (seen, eng.events_dispatched, eng.now) == ([0], 1, 1.0)
+    # a NaN bound never stops the loop and leaves the clock at the last
+    # event
+    eng.run(until=float("nan"))
+    assert (seen, eng.events_dispatched, eng.now) == ([0, 1, 2], 3, 3.0)
+    # a cancelled head past the bound is discarded; the live entry past
+    # it stays queued in its place
+    eng = Engine()
+    eng.schedule(20.0, seen.append, "never").cancel()
+    eng.post(30.0, seen.append, "later")
+    eng.run(until=10.0)
+    assert (eng.now, eng.queued(), eng.events_dispatched) == (10.0, 1, 0)
+    eng.post(30.0, seen.append, "after")
+    eng.run()
+    assert seen[-2:] == ["later", "after"]
+
+
+def test_a_raising_callback_is_counted_and_popped():
+    eng = Engine()
+
+    def boom():
+        raise ValueError("boom")
+
+    eng.post(1.0, lambda: None)
+    eng.post(2.0, boom)
+    eng.post(3.0, lambda: None)
+    with pytest.raises(ValueError):
+        eng.run()
+    assert (eng.events_dispatched, eng.now, eng.queued()) == (2, 2.0, 1)
+    eng.run()                       # not left marked as running
+    assert eng.events_dispatched == 3
+
+
+def test_withdraw_takes_back_posted_callbacks_by_first_argument():
+    eng = Engine()
+    seen, other = [], []
+    a, b, c = ["a"], ["b"], ["c"]
+    for item in (a, b, c):
+        eng.post(1.0, seen.append, item)
+    eng.post(1.0, other.append, b)           # another callback: kept
+    eng.schedule(1.0, seen.append, b)        # cancellable: kept
+    eng.withdraw(seen.append, [b, ["c"]])    # by identity, not equality
+    eng.withdraw(seen.append, [])
+    eng.run()
+    assert (seen, other) == ([a, c, b], [b])
+    assert eng.events_dispatched == 4
+
+
 def test_step_returns_false_when_idle():
     eng = Engine()
     assert eng.step() is False
