@@ -11,6 +11,7 @@ docs/policy-language.md), and the compiler never executes source, so
 :class:`PolicyValidationError`.  The verifier runs at load, afterwards.
 """
 
+from repro.ebpf.compiler import function_source
 from repro.ebpf.errors import CompileError
 
 __all__ = [
@@ -55,11 +56,14 @@ def _check_ceilings(source):
 
 
 def check_policy_source(source, compiler, constants):
-    """Return ``source`` if it is within the ceilings and ``compiler``
+    """Return the text of ``source`` (policy text, or a Python function
+    resolved to its text) if it is within the ceilings and ``compiler``
     (``compile_policy`` or ``compile_rank``) accepts it with
     ``constants``; raise :class:`PolicyValidationError` otherwise."""
-    _check_ceilings(source)
     try:
+        if callable(source):
+            source = function_source(source)[0]
+        _check_ceilings(source)
         compiler(source, constants=constants)
     except CompileError as exc:
         raise PolicyValidationError([str(exc)]) from exc

@@ -682,9 +682,10 @@ class Syrupd:
         threshold, and zero candidate faults; extra ``gates`` kwargs are
         forwarded to the controller.
 
-        Source text is checked first (:mod:`repro.core.loader`: the size
-        ceilings, then the compiler ``_load`` will use); a refused source
-        counts ``loader_rejections`` and raises
+        Source text — a Python function's resolved once — is checked
+        first (:mod:`repro.core.loader`: the size ceilings, then the
+        compiler ``_load`` will use); a refused source counts
+        ``loader_rejections`` and raises
         :class:`~repro.core.loader.PolicyValidationError`.
 
         Returns the :class:`~repro.core.promote.PromotionRecord`.
@@ -692,16 +693,19 @@ class Syrupd:
         if (hook is None) == (layer is None):
             raise ValueError("deploy_shadow takes exactly one of hook/layer")
         target_hook = hook if hook is not None else qdisc_hook(layer)
-        if isinstance(policy, str):
+        if isinstance(policy, str) or callable(policy):
             compiler = compile_policy if layer is None else compile_rank
             try:
-                check_policy_source(policy, compiler, constants)
+                source = check_policy_source(policy, compiler, constants)
             except PolicyValidationError as exc:
                 self._transition(
                     "loader_reject", app.name, target_hook,
                     "loader_rejections", issues=list(exc.issues),
                 )
                 raise
+            if name is None and callable(policy):
+                name = policy.__name__
+            policy = source         # the text checked is the text loaded
         if hook is not None and hook not in Hook.NETWORK:
             raise ValueError(
                 f"deploy_shadow targets network hooks or qdisc "

@@ -87,8 +87,13 @@ def count_loc(source):
 
 def function_source(fn, name=None):
     """``(text, name)`` of a policy written as a Python function, named
-    after the function unless ``name`` is given."""
-    text = textwrap.dedent(inspect.getsource(fn))
+    after the function unless ``name`` is given.  A function whose source
+    cannot be read (defined through ``exec``, say) is a CompileError."""
+    try:
+        text = textwrap.dedent(inspect.getsource(fn))
+    except (OSError, TypeError) as exc:
+        raise CompileError(f"policy function has no readable source: {exc}") \
+            from exc
     return text, (fn.__name__ if name is None else name)
 
 
@@ -146,6 +151,19 @@ def _bind(name, node):
     return name
 
 
+_BARE_CONSTANT = "a bare constant is only allowed as a leading docstring"
+
+
+def _after_docstring(body):
+    """``body`` without its docstring: a leading string statement is the
+    one bare constant a module or function may hold."""
+    first = body[0] if body else None
+    if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+            and isinstance(first.value.value, str)):
+        return body[1:]
+    return body
+
+
 def _check_import(node):
     """The one import a policy may hold: PASS / DROP from repro.constants,
     unaliased, which the compiler already knows."""
@@ -180,12 +198,10 @@ class _ModuleContext:
     def scan_module(self, module, entry):
         """Declarations in, the ``entry`` function's node out."""
         func = None
-        for node in module.body:
+        for node in _after_docstring(module.body):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 _check_import(node)
                 continue
-            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
-                continue  # module docstring
             if isinstance(node, ast.FunctionDef):
                 if node.name != entry:
                     raise CompileError(
@@ -200,6 +216,8 @@ class _ModuleContext:
             if isinstance(node, ast.Assign):
                 self._module_assign(node)
                 continue
+            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+                raise CompileError(_BARE_CONSTANT, node)
             raise CompileError(
                 f"unsupported module-level statement {type(node).__name__}", node
             )
@@ -400,7 +418,7 @@ class _FunctionCompiler:
 
     # ------------------------------------------------------------------
     def compile(self):
-        for stmt in self.func.body:
+        for stmt in _after_docstring(self.func.body):
             self.stmt(stmt)
         # Implicit tail: a policy that falls off the end defers to the
         # system default, like running with no policy at all.
@@ -432,7 +450,7 @@ class _FunctionCompiler:
             self._for(node)
         elif isinstance(node, ast.Expr):
             if isinstance(node.value, ast.Constant):
-                return  # docstring / bare literal
+                raise CompileError(_BARE_CONSTANT, node)
             self.expr(node.value)
             self.emit("POP")
         elif isinstance(node, ast.Global):

@@ -92,6 +92,33 @@ def test_hostile_sources_are_rejected(source, needle):
     assert len(err.value.issues) == 1 and needle in err.value.issues[0]
 
 
+@pytest.mark.parametrize("source", [
+    '5\n"note"\ndef {entry}(pkt):\n    "mid"\n    7\n    return 1\n',
+    '5\ndef {entry}(pkt):\n    return 1\n',
+    '"doc"\n"second"\ndef {entry}(pkt):\n    return 1\n',
+    'def {entry}(pkt):\n    7\n    return 1\n',
+    'def {entry}(pkt):\n    x = 1\n    "late"\n    return x\n',
+    'def {entry}(pkt):\n    if pkt_len(pkt) > 1:\n        "inner"\n'
+    '    return 1\n',
+], ids=["mixed", "module-int", "second-string", "function-int",
+        "late-string", "nested-string"])
+def test_only_a_leading_docstring_may_be_a_bare_constant(source):
+    # a bare constant does nothing; outside the docstring slot it is
+    # refused, not silently dropped
+    for entry, compiler in (("schedule", compile_policy),
+                            ("rank", compile_rank)):
+        with pytest.raises(CompileError, match="leading docstring"):
+            compiler(source.format(entry=entry))
+
+
+def test_leading_docstrings_compile_to_nothing():
+    plain = compile_policy("def schedule(pkt):\n    return 1\n")
+    documented = compile_policy(
+        '"""Module."""\ndef schedule(pkt):\n    """Entry."""\n    return 1\n')
+    assert [str(i) for i in documented.insns] \
+        == [str(i) for i in plain.insns]
+
+
 def test_shadowing_does_not_launder_denied_names():
     # a module-level name holds an integer or a map, nothing else
     with pytest.raises(PolicyValidationError, match="constant integer"):
@@ -204,6 +231,46 @@ def test_a_nul_byte_is_one_verifier_reject_on_plain_deploy():
         app.deploy_policy("x\x00= 0", Hook.SOCKET_SELECT)
     rejects = machine.obs.events.events(kind="verifier_reject")
     assert [event["error"] for event in rejects] == ["CompileError"]
+
+
+def test_a_function_without_source_is_one_verifier_reject():
+    # defined through exec: inspect has no source to give the compiler,
+    # which is a CompileError the load books, not an OSError escaping it
+    machine, app = _machine()
+    namespace = {}
+    exec("def schedule(pkt):\n    return 0\n", namespace)
+    with pytest.raises(CompileError, match="no readable source"):
+        app.deploy_policy(namespace["schedule"], Hook.SOCKET_SELECT)
+    rejects = machine.obs.events.events(kind="verifier_reject")
+    assert [event["error"] for event in rejects] == ["CompileError"]
+
+
+def _rank_function(tmp_path, monkeypatch, module, body):
+    """A ``def rank`` written to a module file, so inspect can read it."""
+    (tmp_path / f"{module}.py").write_text(f"def rank(pkt):\n{body}")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    return __import__(module).rank
+
+
+def test_deploy_shadow_checks_a_function_as_its_text(tmp_path, monkeypatch):
+    machine, app = _machine()
+    app.deploy_qdisc(SRPT_BY_SIZE, layer="socket", backend="pifo")
+    body = "    while pkt_len(pkt):\n        pass\n    return 1\n"
+    refused = _rank_function(tmp_path, monkeypatch, "shadow_refused", body)
+    long = _rank_function(tmp_path, monkeypatch, "shadow_long",
+                          "    x = 1\n" * MAX_LINES + "    return x\n")
+    for policy in (refused, "def rank(pkt):\n" + body, long):
+        with pytest.raises(PolicyValidationError):
+            app.deploy_shadow(policy, layer="socket")
+    events = machine.obs.events
+    issues = [event["issues"] for event in events.events(kind="loader_reject")]
+    assert issues[0] == issues[1] and "'while'" in issues[0][0]
+    assert "lines (limit" in issues[2][0]
+    assert events.events(kind="verifier_reject") == []
+    clean = _rank_function(tmp_path, monkeypatch, "shadow_clean",
+                           "    return 1\n")
+    record = app.deploy_shadow(clean, layer="socket")
+    assert record.name == "rank" and record.stage == "shadow"
 
 
 # ----------------------------------------------------------------------
