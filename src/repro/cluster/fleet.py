@@ -71,7 +71,7 @@ __all__ = [
 import math
 from collections import deque
 from functools import cached_property
-from heapq import heapreplace
+from heapq import heapify, heappop, heappush, heapreplace
 
 #: Default fleet workload: mostly short GETs with a heavy SCAN tail —
 #: the shape that separates load-aware steering from hashing.
@@ -138,10 +138,11 @@ class FleetMachine:
     On a fleet that schedules at steer time (``Fleet._direct``) there is
     no queue: a request's service is fixed when it is scheduled, by the
     FIFO multi-server recursion over the workers' free times
-    (``_free``, a heap), and ``_in_service`` holds every request
-    scheduled here and not yet done — on the wire, queued or in service,
-    in arrival order.  ``busy``, ``queue_depth()`` and ``load()`` are
-    read off that schedule.
+    (``_free``, a heap), its completion is deferred (``Fleet._deferred``)
+    rather than posted, and ``_in_service`` holds every request
+    scheduled here and not yet retired — on the wire, queued or in
+    service, in arrival order.  ``busy``, ``queue_depth()`` and
+    ``load()`` retire what is due and read off that schedule.
     """
 
     __slots__ = ("index", "fleet", "workers", "queue_cap", "qdisc",
@@ -173,9 +174,15 @@ class FleetMachine:
         fleet = self.fleet
         if not fleet._direct:
             return len(self._queue) + len(self._in_service)
-        # Requests still on the wire are scheduled but not here yet; one
-        # arriving this instant is too (a tick at it runs first).
-        now, index = fleet.engine.now, self.index
+        fleet._retire()
+        # Requests still on the wire are scheduled but not here yet.  One
+        # arriving this instant is too inside a callback (a tick at it
+        # runs first), not once the run has returned (it has landed).
+        engine, index = fleet.engine, self.index
+        now = engine.now
+        if engine.dispatching == math.inf:
+            return len(self._in_service) - sum(
+                1 for r in fleet._wire if r.machine == index and r.arrival > now)
         return len(self._in_service) - sum(
             1 for r in fleet._wire if r.machine == index and r.arrival >= now)
 
@@ -238,7 +245,7 @@ class FleetMachine:
     def _schedule(self, request, arrival):
         """Fix the request's service from its ``arrival``: it starts once
         it is here and the earliest-free worker is, and ends
-        ``service_us`` later, where its completion is posted now.
+        ``service_us`` later, where its completion is deferred now.
         ``Fleet._steer`` runs the same lines in its own frame."""
         free = self._free
         start = free[0]
@@ -248,8 +255,7 @@ class FleetMachine:
         heapreplace(free, end)
         request.arrival = arrival
         self._in_service[request] = request
-        self.fleet.engine.post_at(end, self._complete_service, request,
-                                  self.epoch)
+        self.fleet._defer(end, self, request)
 
     def _begin_service(self, request):
         fleet = self.fleet
@@ -270,8 +276,7 @@ class FleetMachine:
         if fleet.probe is not None:
             fleet.probe.fleet_service_end(
                 request, self.index if self.link_up else None)
-        # A worker is free: the next queued request (a scheduling fleet
-        # has none, its next start is already posted).
+        # A worker is free: the next queued request.
         if self.qdisc is not None:
             nxt = self.qdisc.take()
             if nxt is not None:
@@ -282,15 +287,9 @@ class FleetMachine:
             # Carrier is down; the finished response waits at the NIC.
             self._held_responses.append(request)
         elif fleet._dark:
-            # The response crosses the rack wire: Fleet._book at its
-            # arrival, in this frame.
+            # The response crosses the rack wire: booked at its arrival.
             fleet._due = due = fleet.engine.now + fleet.wire_us
-            request.completed_at = due
-            rtype = request.rtype
-            fleet.latency.record(due, due - request.sent_at,
-                                 tag=TYPE_NAMES.get(rtype) or type_name(rtype))
-            fleet.outstanding -= 1
-            fleet.completed += 1
+            fleet._book(request, due)
         else:
             fleet.engine.post(fleet.wire_us, fleet._complete, request)
 
@@ -298,10 +297,11 @@ class FleetMachine:
     def kill(self):
         """Whole-machine failure: strand everything here (requests still
         on the wire land later, at a corpse); the service completions
-        still posted go stale."""
+        still posted go stale, the deferred ones are dropped."""
+        fleet = self.fleet
+        fleet._retire()
         self.alive = False
         self.epoch += 1
-        fleet = self.fleet
         orphans = list(self._in_service.values())
         self._in_service.clear()
         if fleet._direct:
@@ -322,16 +322,15 @@ class FleetMachine:
         """Undo a kill's share of the schedule, as the event path would
         have it: requests still on the wire land by event, those here
         become orphans (in service first, then queued — arrival order,
-        since FIFO starts them in it), and only the completions of those
-        in service stay posted, to go stale.  Returns the orphans."""
+        since FIFO starts them in it), and every completion deferred here
+        is dropped (the event path's would be stale or never posted).
+        Returns the orphans."""
         fleet = self.fleet
         engine = fleet.engine
         now = engine.now
         orphans = [r for r in scheduled if r.arrival < now]
         landing = [r for r in scheduled if r.arrival >= now]
-        # Work-conserving FIFO: the first ``workers`` here have started.
-        engine.withdraw(self._complete_service,
-                        orphans[self.workers:] + landing)
+        fleet._drop_deferred(self)
         for request in landing:
             self._inflight += 1
             engine.post_at(request.arrival, self._land, request)
@@ -342,12 +341,14 @@ class FleetMachine:
         return orphans
 
     def restore(self):
+        self.fleet._retire()
         self.alive = True
 
     def link_restore(self):
         """Carrier back: flush every response held behind the dead link."""
-        self.link_up = True
         fleet = self.fleet
+        fleet._retire()
+        self.link_up = True
         held, self._held_responses = self._held_responses, []
         if fleet._dark:
             fleet._due = due = fleet.engine.now + fleet.wire_us
@@ -724,6 +725,16 @@ class Fleet:
             m.qdisc is None for m in self.machines)
         self._wire = deque()
         self._schedules = [m._in_service for m in self.machines]
+        # Deferred: a direct fleet's service end is fixed at steer time
+        # and read by nobody until something observes the rack, so it is
+        # no event either.  ``_deferred`` is a min-heap of ``(end, seq,
+        # machine, request)``, ``seq`` drawn from the engine's counter as
+        # the post would have; ``_retire`` books what the engine would
+        # have dispatched by now (``_complete_service``'s body) before
+        # every observer runs.  One sweep event at the latest end
+        # (``_sweep``) keeps the clock running to the last of them.
+        self._deferred = []
+        self._sweep = None
 
         self.injector = None
         if faults is not None:
@@ -769,6 +780,7 @@ class Fleet:
         # A response booked for a tick's own instant has not arrived yet:
         # its hop would have been posted a wire before, the tick an
         # interval before, and the interval is the longer.
+        self._retire()
         gen = self.generator
         return ((gen is not None and not gen.done) or self.outstanding > 0
                 or self._due >= self.engine.now)
@@ -778,6 +790,7 @@ class Fleet:
         if not self._direct:
             return [len(m._queue) + len(m._in_service)
                     for m in self.machines]
+        self._retire()
         loads = list(map(len, self._schedules))
         wire, now = self._wire, self.engine.now
         while wire and wire[0].arrival < now:
@@ -931,8 +944,76 @@ class Fleet:
             wire.append(request)
             if wire[0].arrival < now:   # one landed out per steer, so
                 wire.popleft()          # it stays short between ticks
-            engine.post_at(end, machine._complete_service, request,
-                           machine.epoch)
+            # Fleet._defer, likewise
+            engine._seq = seq = engine._seq + 1
+            heappush(self._deferred, (end, seq, machine, request))
+            if self._sweep is None:
+                self._sweep = engine.at(end, self._sweep_due)
+
+    def _defer(self, end, machine, request):
+        """Defer a scheduled service's completion at ``end``, under the
+        ``seq`` its post would have drawn."""
+        engine = self.engine
+        engine._seq = seq = engine._seq + 1
+        heappush(self._deferred, (end, seq, machine, request))
+        if self._sweep is None:
+            self._sweep = engine.at(end, self._sweep_due)
+
+    def _retire(self):
+        """Complete every deferred service the engine would have by now:
+        ordered before the event being dispatched by ``(time, seq)``, or
+        ending at or before ``now`` outside the run loop.  Each runs
+        ``FleetMachine._complete_service``'s body on a dark FIFO machine,
+        in this frame."""
+        deferred = self._deferred
+        if not deferred:
+            return
+        engine = self.engine
+        now, current = engine.now, engine.dispatching
+        wire_us, record = self.wire_us, self.latency.record
+        while deferred:
+            end, seq, machine, request = deferred[0]
+            if end > now or (end == now and seq > current):
+                return
+            heappop(deferred)
+            del machine._in_service[request]
+            machine.served += 1
+            if not machine.link_up:
+                # Carrier is down; the finished response waits at the NIC.
+                machine._held_responses.append(request)
+                continue
+            # The response crosses the rack wire: Fleet._book at its
+            # arrival, in this frame.
+            self._due = due = end + wire_us
+            request.completed_at = due
+            rtype = request.rtype
+            record(due, due - request.sent_at,
+                   tag=TYPE_NAMES.get(rtype) or type_name(rtype))
+            self.outstanding -= 1
+            self.completed += 1
+
+    def _sweep_due(self):
+        """The sweep event: retire what is due, then move on to the
+        latest deferred end, so a run with nothing else left still ends
+        where the last service does, every completion booked."""
+        self._retire()
+        self._post_sweep()
+
+    def _post_sweep(self):
+        deferred = self._deferred
+        self._sweep = (self.engine.at(max(deferred)[0], self._sweep_due)
+                       if deferred else None)
+
+    def _drop_deferred(self, machine):
+        """A kill: drop every completion deferred at ``machine``, and
+        pull the sweep back to the latest end left (a dropped one must
+        not move the clock)."""
+        deferred = self._deferred
+        deferred[:] = [entry for entry in deferred if entry[2] is not machine]
+        heapify(deferred)
+        if self._sweep is not None:
+            self._sweep.cancel()
+            self._post_sweep()
 
     def _book(self, request, arrival):
         """A response reaches the client at ``arrival``: its latency."""
@@ -1001,6 +1082,7 @@ class Fleet:
             self.switch.mark_up(index)
 
     def link_down(self, index):
+        self._retire()
         machine = self.machines[index]
         machine.link_up = False
         # Carrier loss is visible immediately — no detection delay.
@@ -1033,6 +1115,7 @@ class Fleet:
         if recorder is not None:
             recorder.arm()
         self.engine.run(until=until)
+        self._retire()
 
     # ------------------------------------------------------------------
     # Telemetry
@@ -1050,6 +1133,7 @@ class Fleet:
 
     def fleet_view(self):
         """JSON-safe operator snapshot (``syrupctl fleet``)."""
+        self._retire()
         loads = [m.load() for m in self.machines]
         return {
             "machines": self.num_machines,

@@ -13,18 +13,20 @@ Scheduling comes in two kinds, split by whether the caller keeps a handle:
 - :meth:`Engine.schedule` / :meth:`Engine.at` / :meth:`Engine.call_soon`
   return an :class:`Event` the caller may cancel.  Cancellation is lazy:
   the entry stays in the heap and is skipped on pop, which keeps both
-  operations O(log n) without heap surgery.  Posted entries are taken
-  back only in bulk, by :meth:`Engine.withdraw` (O(n), for rare events
-  such as a machine kill).
+  operations O(log n) without heap surgery.  A posted entry cannot be
+  taken back.
 
 Every heap entry is a 4-tuple so heapq compares C-level floats and ints:
 ``(time, seq, fn, args)`` for a posted callback and ``(time, seq, None,
 event)`` for a cancellable one; the dispatch loop tells them apart by the
 ``None``.  Both kinds draw ``seq`` from one counter, so mixing them never
-reorders anything.
+reorders anything.  While a callback runs, :attr:`Engine.dispatching` is
+its entry's ``seq``, so code that keeps its own schedule off the heap
+(drawing ``seq`` from the same counter) can tell which of its entries the
+engine would have dispatched first.
 """
 
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 
 __all__ = ["Engine", "Event", "SimulationError"]
 
@@ -77,6 +79,8 @@ class Engine:
         self._seq = 0
         self._running = False
         self.events_dispatched = 0
+        #: ``seq`` of the entry being dispatched; infinity outside run()
+        self.dispatching = _INF
 
     # ------------------------------------------------------------------
     # Scheduling.  Each entry point validates and pushes inline: these are
@@ -128,19 +132,6 @@ class Engine:
         work); returns the cancellable :class:`Event`."""
         return self.at(self.now, fn, *args)
 
-    def withdraw(self, fn, firsts):
-        """Take back every posted ``fn`` callback whose first argument is
-        one of ``firsts`` (by identity), as if it had never been posted.
-        O(heap) — for rare bulk retractions, such as a machine kill's
-        unstarted services, not for per-event use."""
-        ids = {id(first) for first in firsts}
-        if not ids:
-            return
-        heap = self._heap
-        heap[:] = [entry for entry in heap
-                   if not (entry[2] == fn and id(entry[3][0]) in ids)]
-        heapify(heap)
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -153,13 +144,18 @@ class Engine:
     def run(self, until=None, max_events=None):
         """Run until the heap drains, ``until`` is reached, or ``max_events``.
 
-        ``until`` is an absolute simulated time; when the next event lies
-        beyond it the clock is advanced exactly to ``until`` and the event is
-        left in the heap.  ``events_dispatched`` is brought up to date when
-        the run returns (or a callback raises), not per event.
+        ``until`` is an absolute simulated time, not before ``now``; when
+        the next event lies beyond it the clock is advanced exactly to
+        ``until`` and the event is left in the heap.  ``events_dispatched``
+        is brought up to date when the run returns (or a callback raises),
+        not per event.
         """
         if self._running:
             raise SimulationError("engine is not reentrant")
+        if until is not None and until < self.now:
+            raise SimulationError(
+                f"cannot run until t={until} before now={self.now}"
+            )
         self._running = True
         heap = self._heap
         count = self.events_dispatched
@@ -170,7 +166,7 @@ class Engine:
         try:
             while heap:
                 entry = heappop(heap)
-                time, _seq, fn, args = entry
+                time, seq, fn, args = entry
                 if fn is None:
                     # Cancellable entry: ``args`` is the Event.
                     if args.cancelled:
@@ -182,6 +178,7 @@ class Engine:
                     self.now = until
                     return
                 self.now = time
+                self.dispatching = seq
                 count += 1
                 fn(*args)
                 if count >= last:
@@ -190,6 +187,7 @@ class Engine:
                 self.now = until
         finally:
             self.events_dispatched = count
+            self.dispatching = _INF
             self._running = False
 
     def queued(self):

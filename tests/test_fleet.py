@@ -505,6 +505,26 @@ class TestFailover:
         assert fleet.machines[0].orphans == requests
         assert fleet.machines[0].load() == 0
 
+    def test_a_kill_drops_the_completions_it_strands(self):
+        # A dark FIFO machine's completions are kept off the engine heap
+        # and retired when due (here by the sweep event at 16).  A kill
+        # drops those of the requests it strands: the one in service
+        # dispatches nothing, and the sweep that was waiting for its end
+        # is withdrawn, so the clock stays where the kill left it.
+        fleet = Fleet(num_machines=1, workers_per_machine=1, seed=5,
+                      steering="jsq")
+        short, long = FleetRequest(1, GET, 10.0), FleetRequest(2, GET, 1e3)
+        fleet.admit(short)
+        fleet.admit(long)
+        fleet.engine.run(until=20.0)    # short done at 16, long in service
+        machine = fleet.machines[0]
+        assert (short.completed_at, machine.served, fleet.completed) \
+            == (21.0, 1, 1)
+        assert machine.kill() == [long]
+        fleet.engine.run()
+        assert fleet.engine.now == 20.0 and fleet.engine.pending() == 0
+        assert long.completed_at is None and machine.served == 1
+
     def test_requests_sharing_a_rid_are_scheduled_apart(self):
         # A machine's schedule is keyed by the request, not by its rid:
         # hand-built requests may repeat one.
@@ -702,11 +722,19 @@ class TestDeterminismAndObs:
         # samples in the same order (mean() is an order-dependent sum),
         # flushed held responses included, and end the run at the same
         # instant.
-        landed = []
+        landed, completions, sweeps = [], [], []
         land = FleetMachine._land
         monkeypatch.setattr(FleetMachine, "_land", lambda machine, request: (
             landed.append(request), land(machine, request)))
+        complete = FleetMachine._complete_service
+        monkeypatch.setattr(
+            FleetMachine, "_complete_service", lambda machine, *args: (
+                completions.append(args), complete(machine, *args)))
+        sweep = Fleet._sweep_due
+        monkeypatch.setattr(Fleet, "_sweep_due", lambda fleet: (
+            sweeps.append(fleet.engine.now), sweep(fleet)))
         dark, dark_requests = _flap_and_kill(seed)
+        assert completions == []
         lit, lit_requests = _flap_and_kill(seed, spans=1)
         assert dark._dark and not lit._dark
         assert dark.switch.resteers > 0 and dark.dropped == 0
@@ -720,13 +748,16 @@ class TestDeterminismAndObs:
         assert [m.served for m in dark.machines] \
             == [m.served for m in lit.machines]
         assert dark.fleet_view() == lit.fleet_view()
-        # one event fewer for each response and for each request
-        # scheduled at steer (every forward but those that landed by
-        # event: steered at the corpse, or on the wire at the kill), and
-        # nothing else
+        # one event fewer for each response, for each request scheduled
+        # at steer (every forward but those that landed by event: steered
+        # at the corpse, or on the wire at the kill) and for each service
+        # completion (the kill's stale ones included: the dark fleet drops
+        # them), one more for each sweep, and nothing else
         assert dark.completed == dark.generator.offered
+        assert len(completions) > sum(m.served for m in lit.machines)
         assert lit.engine.events_dispatched - dark.engine.events_dispatched \
-            == dark.completed + sum(dark.switch.forwarded) - len(landed)
+            == (dark.completed + sum(dark.switch.forwarded) - len(landed)
+                + len(completions) - len(sweeps))
 
     def test_observability_does_not_change_results(self):
         plain = _run_once()

@@ -152,19 +152,32 @@ def test_a_raising_callback_is_counted_and_popped():
     assert eng.events_dispatched == 3
 
 
-def test_withdraw_takes_back_posted_callbacks_by_first_argument():
+def test_run_until_before_now_raises_and_keeps_the_clock():
+    # A bound in the past would move the clock backward, and a post(0)
+    # made then would dispatch before events already dispatched.
     eng = Engine()
-    seen, other = [], []
-    a, b, c = ["a"], ["b"], ["c"]
-    for item in (a, b, c):
-        eng.post(1.0, seen.append, item)
-    eng.post(1.0, other.append, b)           # another callback: kept
-    eng.schedule(1.0, seen.append, b)        # cancellable: kept
-    eng.withdraw(seen.append, [b, ["c"]])    # by identity, not equality
-    eng.withdraw(seen.append, [])
+    seen = []
+    eng.post(10.0, seen.append, 10)
+    eng.post(20.0, seen.append, 20)
+    eng.run(until=15.0)
+    with pytest.raises(SimulationError):
+        eng.run(until=5.0)
+    assert (eng.now, seen, eng.queued()) == (15.0, [10], 1)
+    eng.run(until=15.0)             # the current instant is not the past
+    eng.post(0.0, seen.append, 15)
     eng.run()
-    assert (seen, other) == ([a, c, b], [b])
-    assert eng.events_dispatched == 4
+    assert (eng.now, seen, eng.events_dispatched) == (20.0, [10, 15, 20], 3)
+
+
+def test_dispatching_is_the_seq_of_the_running_entry():
+    eng = Engine()
+    seen = []
+    eng.post(1.0, lambda: seen.append(eng.dispatching))
+    eng.schedule(1.0, lambda: seen.append(eng.dispatching))
+    eng.post(0.5, lambda: seen.append(eng.dispatching))
+    assert eng.dispatching == float("inf")
+    eng.run()
+    assert seen == [3, 1, 2] and eng.dispatching == float("inf")
 
 
 def test_step_returns_false_when_idle():
