@@ -36,18 +36,19 @@ from test_lit_path_budget import workloads   # benchmarks/perf/workloads.py
 
 # Per request, today, one frame each: FleetGenerator._arrive,
 # FleetRequest.__init__, Fleet.admit, Fleet._steer (which schedules the
-# service itself on a dark FIFO fleet),
+# service and defers its completion itself on a dark FIFO fleet) and
 # SwitchProgramSteering.pick (which hands the request itself to the
-# program) and FleetMachine._complete_service, which books the response
-# itself on a dark fleet (6; FleetMachine.receive and _begin_service
-# were a seventh and eighth, Fleet._complete a ninth).  The sync bus
-# ticks 0.022 times per request and costs seven frames a tick whatever
-# the rack size (publish, _work_pending, _snapshot_load, _apply, the
-# apply lambda, apply_load and its comprehension): 0.16.  The kill's
+# program): 5.  The completion is no frame: ``Fleet._retire`` books the
+# due ones in a loop, in its own frame (FleetMachine._complete_service
+# was a sixth, FleetMachine.receive and _begin_service a seventh and
+# eighth, Fleet._complete a ninth).  The sync bus ticks 0.022 times per
+# request and costs nine frames a tick whatever the rack size (publish,
+# _work_pending and _snapshot_load with a ``_retire`` each, _apply, the
+# apply lambda, apply_load and its comprehension): 0.2.  The kill's
 # re-steers, the 12 requests steered at the corpse (which land by
-# ``_land`` -> ``receive``) and the flow-hash fallback are the last
-# 0.02: 6.18, so one re-added hop per request (7.18) fails.
-CLUSTER_CALLS_PER_REQ = 7
+# ``_land`` -> ``receive``), the 28 sweeps and the flow-hash fallback
+# are the last 0.02: 5.22, so one re-added hop per request (6.22) fails.
+CLUSTER_CALLS_PER_REQ = 6
 # A dark fleet holds no probe (``fleet.probe is None``) and every seam
 # call site tests it, so nothing reaches obs/probe.py.  It was one no-op
 # call per fleet event, 4.17 per request; one unguarded seam on any path
@@ -64,23 +65,26 @@ REGISTRY_CALLS_PER_REQ = 0.01
 # ArrayMap.lookup), and each sync tick's replica write is ArrayMap.assign
 # + its comprehension: 25,652 + 24,348 calls over 24,365 requests, 2.05.
 EBPF_CALLS_PER_REQ = 2.1
-# The engine's calls: per request two posts (arrival, and the service
-# completion, posted at steer time by ``post_at``), plus the sync bus's
-# 0.022 x (PeriodicTimer._tick + schedule + Event.__init__ + post) —
-# 24,917 post + 24,368 post_at + 3 x 540 + arm + run, and the kill's
-# one ``withdraw`` + its set comprehension, exactly.  The arrival at
-# the machine is no event (75,275 calls while it was a post), nor is
+# The engine's calls: per request one post (the arrival), plus the sync
+# bus's 0.022 x (PeriodicTimer._tick + schedule + Event.__init__ + post)
+# — 24,917 post + 4 x 540 + arm + run — and the 29 sweep posts (``at``
+# + Event.__init__; one re-posts at the kill) and the kill's ``cancel``
+# of the sweep, exactly.  The service
+# completion is no event (50,909 calls while ``_steer`` posted it), nor
+# is the arrival at the machine (75,275 calls while it was a post) or
 # the response (124,011 calls while it was a post and the service a
 # cancellable schedule + Event.__init__).  The fault plan's two post_at
 # and the generator's first post happen at staging (Fleet() and
 # drive()), outside the profiled run().
-SIM_CALLS = 50_909
+SIM_CALLS = 26_598
 # The tenth-size seed-3 run, exactly: what the rack did is pinned, only
-# what it costs the host may fall.  Events are one fewer per forward
-# than while each machine arrival was an event (74,196), less the 12
-# forwards at the killed machine before detection, which still land by
-# event; the three completions the kill leaves stale still dispatch.
-EVENTS = 49_828
+# what it costs the host may fall.  Events are the 24,365 arrivals, 540
+# ticks and 540 applies, the 12 forwards at the killed machine before
+# detection (which still land by event), the kill, its detection and the
+# restore, and 28 sweeps: 1.046 a request.  They were 49,828 while each
+# completion was an event (the three the kill left stale included),
+# 74,196 while each machine arrival was one too.
+EVENTS = 25_488
 OFFERED = 24_365
 COMPLETED = 24_365
 RESTEERS = 15
