@@ -18,6 +18,7 @@ from repro.cluster import (
     MapSyncBus,
     PowerOfKSteering,
 )
+from repro.cluster.fleet import DEFAULT_FORWARD_US, DEFAULT_WIRE_US
 from repro.constants import DROP, PASS
 from repro.ebpf import ArrayMap, load_program
 from repro.ebpf.insn import U64
@@ -524,6 +525,20 @@ class TestFailover:
         fleet.engine.run()
         assert fleet.engine.now == 20.0 and fleet.engine.pending() == 0
         assert long.completed_at is None and machine.served == 1
+
+    def test_a_request_landing_as_the_run_returns_has_landed(self):
+        # Read after run(until=t), a request landing at t is here: its
+        # landing event would have run.  (Inside a sync tick at t it is
+        # still on the wire: the tick was posted first.)
+        views = []
+        for tiers in ({}, {"spans": 1}):
+            fleet = Fleet(num_machines=1, workers_per_machine=1, seed=5,
+                          steering="jsq", **tiers)
+            fleet.admit(FleetRequest(1, GET, 10.0))
+            fleet.run(until=DEFAULT_FORWARD_US + DEFAULT_WIRE_US)
+            machine = fleet.machines[0]
+            views.append((machine.load(), machine.busy, fleet.fleet_view()))
+        assert views[0] == views[1] and views[0][:2] == (1, 1)
 
     def test_requests_sharing_a_rid_are_scheduled_apart(self):
         # A machine's schedule is keyed by the request, not by its rid:
